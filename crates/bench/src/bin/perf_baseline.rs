@@ -185,10 +185,8 @@ fn measure_gated(budget: Duration) -> (ReplayNumbers, u64, f64) {
             ControllerConfig::default(),
             Box::new(hook),
         );
-        if let Some(cap) = scenario.cap(&platform) {
-            for window in scenario.windows() {
-                controller.add_powercap_reservation(window, cap);
-            }
+        for (window, cap) in scenario.reservations(&platform) {
+            controller.add_powercap_reservation(window, cap);
         }
         controller.submit_all(trace.to_submissions());
         controller.set_horizon(trace.duration);
@@ -458,8 +456,10 @@ fn write_trajectory(path: &str, label: &str, entry: String) -> Result<(), String
         "{{\n\"schema\": 1,\n\
          \"description\": \"Perf trajectory of the replay/campaign hot paths; \
          one entry per PR, appended by `cargo run --release -p apc-bench --bin \
-         perf-baseline -- --label NAME`. Times are best-of-N on the recording \
-         host; compare entries recorded on the same host only.\",\n\
+         perf-baseline -- --label NAME`. Replay, schedule-pass and store-scan \
+         times are medians of interleaved rounds; events_per_sec and the \
+         campaign wall time are best-of-N. Compare entries recorded on the \
+         same host only.\",\n\
          \"entries\": [\n{body}\n]\n}}\n"
     );
     std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))

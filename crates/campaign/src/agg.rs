@@ -39,14 +39,16 @@ pub struct CellRow {
     pub window: String,
     /// Policy name ("none", "shut", "dvfs", "mix").
     pub policy: String,
-    /// Cap as a percentage of maximum power (100 for the baseline).
+    /// Cap as a percentage of maximum power (100 for the baseline and for
+    /// schedules given segment by segment) — see
+    /// [`Scenario::cap_percent`](apc_replay::Scenario::cap_percent).
     pub cap_percent: f64,
     /// Grouping strategy name.
     pub grouping: String,
     /// Decision rule name.
     pub decision_rule: String,
     /// Cap-schedule label (`start+duration@percent` pairs joined with `|`,
-    /// `"-"` for scenarios without a time-varying schedule) — see
+    /// `"-"` for uniform caps and the baseline) — see
     /// [`Scenario::schedule_label`](apc_replay::Scenario::schedule_label).
     pub schedule: String,
     /// Fault-plan label (`COUNTxDURATION@SEED`, `"-"` for fault-free
@@ -100,15 +102,11 @@ impl CellRow {
         let duration_end = report.horizon;
         // Peak power inside the cap windows (the max across them for a
         // multi-window scenario); whole interval for the baseline.
-        let windows = scenario.windows();
-        let peak_power_watts = if windows.is_empty() {
-            power.peak_within(0, duration_end).as_watts()
-        } else {
-            windows
-                .iter()
-                .map(|w| power.peak_within(w.start, w.end).as_watts())
-                .fold(f64::NEG_INFINITY, f64::max)
-        };
+        let peak_power_watts = scenario
+            .windows()
+            .map(|w| power.peak_within(w.start, w.end).as_watts())
+            .reduce(f64::max)
+            .unwrap_or_else(|| power.peak_within(0, duration_end).as_watts());
         CellRow {
             index: cell.index,
             racks: cell.racks,
@@ -118,7 +116,7 @@ impl CellRow {
             scenario: scenario.label(),
             window: scenario.window_label(),
             policy: scenario.policy.name().to_ascii_lowercase(),
-            cap_percent: scenario.cap_fraction.map_or(100.0, |f| f * 100.0),
+            cap_percent: scenario.cap_percent(),
             grouping: scenario.grouping.name().to_string(),
             decision_rule: scenario.decision_rule.name().to_string(),
             schedule: scenario.schedule_label(),
@@ -370,7 +368,7 @@ pub struct SummaryRow {
     pub grouping: String,
     /// Decision rule name.
     pub decision_rule: String,
-    /// Cap-schedule label (`"-"` when the group has no time-varying cap).
+    /// Cap-schedule label (`"-"` for uniform caps and the baseline).
     pub schedule: String,
     /// Fault-plan label (`"-"` for fault-free groups).
     pub faults: String,

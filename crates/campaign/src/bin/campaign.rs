@@ -22,13 +22,14 @@
 //!   --windows LIST     cap-window sweep: FRACxSECONDS placements, `+` joins
 //!                      the windows of one scenario, `,` separates axis
 //!                      values — e.g. `0.5x3600` (paper) or
-//!                      `0.5x3600,0x1800+1x1800` (default 0.5x3600)
+//!                      `0.5x3600,0x1800+1x1800` (default 0.5x3600); each
+//!                      window set × --caps value is one uniform cap
+//!                      schedule, registered in the written window order
 //!   --cap-schedule PATH
-//!                      add one time-varying cap schedule axis value read
-//!                      from PATH (`START DURATION FRACTION` lines, `#`
-//!                      comments; see README "Scenarios"); repeatable —
-//!                      scheduled scenarios run in addition to the
-//!                      static-window grid
+//!                      add one cap schedule axis value read from PATH
+//!                      (`START DURATION FRACTION` lines, `#` comments; see
+//!                      README "Scenarios"); repeatable — these schedules
+//!                      run in addition to the --caps × --windows grid
 //!   --faults LIST      fault-plan axis values: `none` or `NxDUR@SEED`
 //!                      (N node outages of DUR seconds each, placement
 //!                      seeded by SEED), e.g. `none,3x600@7` — each value
@@ -55,7 +56,6 @@
 //!   --no-sync          skip the per-append fsyncs of the store and lease
 //!                      log (tests/benches only: a crash may then lose or
 //!                      reorder trailing records)
-//!   --strategy WHICH   work-steal | static (default work-steal)
 //!   --format WHICH     csv | json | both (default both)
 //!   --quiet            suppress the per-group stdout table
 //!   --progress         live top-style progress view on stderr (overall %,
@@ -130,8 +130,7 @@ const USAGE: &str = "usage: campaign [--threads N] [--seeds K] [--seed-base S] [
 [--rules LIST] [--windows LIST] [--cap-schedule PATH]... [--faults LIST] [--load LIST] \
 [--backlog F] [--swf PATH] [--out DIR] [--store-schema 2|3] [--resume DIR] \
 [--distributed DIR [--workers N] [--lease-cells N] [--lease-ttl SECS]] [--no-sync] \
-[--strategy work-steal|static] [--format csv|json|both] [--quiet] [--progress] [--metrics] \
-[--trace-out FILE]
+[--format csv|json|both] [--quiet] [--progress] [--metrics] [--trace-out FILE]
        campaign worker DIR --worker-id N [grid flags as the coordinator]
        campaign pareto DIR [--out FILE] [--cells] [--quiet]
        campaign query DIR [--workload L] [--scenario L] [--window L] [--policy P] [--seed N] \
@@ -181,7 +180,6 @@ where
 struct Options {
     spec: CampaignSpec,
     threads: usize,
-    strategy: ExecStrategy,
     source: TraceSource,
     out_dir: String,
     store_schema: u32,
@@ -209,7 +207,6 @@ enum Format {
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut spec = CampaignSpec::paper(2012, 3);
     let mut threads = 1usize;
-    let mut strategy = ExecStrategy::WorkStealing;
     let mut seeds = 3usize;
     let mut seed_base = 2012u64;
     let mut swf = None;
@@ -368,17 +365,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 lease_ttl_ms = (secs * 1_000.0).round().max(1.0) as u64;
             }
             "--no-sync" => no_sync = true,
-            "--strategy" => {
-                strategy = match value("--strategy")?.as_str() {
-                    "work-steal" | "steal" => ExecStrategy::WorkStealing,
-                    "static" => ExecStrategy::StaticShard,
-                    other => {
-                        return Err(format!(
-                            "--strategy must be work-steal or static, got {other}"
-                        ))
-                    }
-                };
-            }
             "--format" => {
                 format = match value("--format")?.as_str() {
                     "csv" => Format::Csv,
@@ -437,7 +423,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(Options {
         spec,
         threads,
-        strategy,
         source,
         out_dir,
         store_schema,
@@ -470,7 +455,6 @@ fn run(options: Options) -> Result<(), String> {
     };
     let runner = CampaignRunner::new(options.spec.clone())
         .with_threads(options.threads)
-        .with_strategy(options.strategy)
         .with_source(options.source)
         .with_obs(obs.clone());
 
@@ -545,8 +529,8 @@ fn run(options: Options) -> Result<(), String> {
 }
 
 /// The flags a spawned worker inherits from the coordinator's own argv:
-/// the grid flags (the spec fingerprint must match), `--threads`,
-/// `--strategy` and `--no-sync`. Coordinator-only flags are stripped —
+/// the grid flags (the spec fingerprint must match), `--threads` and
+/// `--no-sync`. Coordinator-only flags are stripped —
 /// mode/directory selection, lease geometry (recorded once in the
 /// lease-log header, so workers cannot disagree) and render/monitor
 /// options.
@@ -591,7 +575,6 @@ fn run_distributed(options: Options, raw_args: &[String]) -> Result<(), String> 
     let dir_path = std::path::Path::new(&dir).to_path_buf();
     let runner = CampaignRunner::new(options.spec.clone())
         .with_threads(options.threads)
-        .with_strategy(options.strategy)
         .with_source(options.source.clone());
     let cells = runner.cells()?.len();
     let fingerprint = runner.fingerprint();
@@ -750,7 +733,6 @@ fn run_worker_cli(args: &[String]) -> Result<(), String> {
     };
     let runner = CampaignRunner::new(options.spec.clone())
         .with_threads(options.threads)
-        .with_strategy(options.strategy)
         .with_source(options.source)
         .with_obs(obs.clone());
     let outcome = runner.run_worker(std::path::Path::new(&dir), worker, !options.no_sync)?;

@@ -71,8 +71,7 @@ pub mod prelude {
     pub use crate::compact::{compact_store, CompactStats};
     pub use crate::diff::{diff_summary_csv, DiffReport, MetricDelta};
     pub use crate::exec::{
-        platform_for, CampaignOutcome, CampaignRunner, ExecStrategy, RunStats, WorkerOutcome,
-        WorkerStats,
+        platform_for, CampaignOutcome, CampaignRunner, RunStats, WorkerOutcome, WorkerStats,
     };
     pub use crate::lease::{
         now_ms, Backoff, BatchLease, LeaseAction, LeaseHeader, LeaseLog, LeaseState,
@@ -125,5 +124,4 @@ fn thread_safety_audit() {
     // Worker-local state and per-worker results under the stealing executor.
     send::<apc_replay::ReplayHarness>();
     send::<exec::WorkerStats>();
-    send_sync::<exec::ExecStrategy>();
 }

@@ -12,9 +12,9 @@
 use apc_core::PowercapPolicy;
 use apc_power::bonus::GroupingStrategy;
 use apc_power::tradeoff::DecisionRule;
-use apc_replay::scenario::{CapSchedule, CapWindow, FaultPlan};
+use apc_replay::scenario::{CapSchedule, FaultPlan};
 use apc_replay::Scenario;
-use apc_rjms::time::HOUR;
+use apc_rjms::time::{TimeWindow, HOUR};
 use apc_workload::IntervalKind;
 
 /// One cap-window placement of a window-sweep axis: a start fraction in
@@ -25,9 +25,9 @@ use apc_workload::IntervalKind;
 pub type WindowPlacement = (f64, u64);
 
 /// One value of the cap-window axis: the set of windows a single scenario
-/// replays. The paper's evaluation uses one centred 1-hour window
-/// ([`SINGLE_PAPER_WINDOW`]); multi-window values cap two or more disjoint
-/// slots of the same interval.
+/// replays, in written order. The paper's evaluation uses one centred
+/// 1-hour window ([`SINGLE_PAPER_WINDOW`]); multi-window values cap two or
+/// more disjoint slots of the same interval.
 pub type WindowSet = Vec<WindowPlacement>;
 
 /// The paper's window placement: one 1-hour window centred in the interval.
@@ -37,7 +37,8 @@ pub const SINGLE_PAPER_WINDOW: WindowPlacement = (0.5, HOUR);
 /// each window's duration to the interval, position its start by the start
 /// fraction, and reject overlapping placements (two caps on the same slot
 /// would silently resolve to one, making the sweep lie about its grid).
-pub fn place_windows(set: &[WindowPlacement], duration: u64) -> Result<Vec<CapWindow>, String> {
+/// The windows keep the set's written order.
+pub fn place_windows(set: &[WindowPlacement], duration: u64) -> Result<Vec<TimeWindow>, String> {
     let mut placed = Vec::with_capacity(set.len());
     for &(fraction, window_duration) in set {
         if !(0.0..=1.0).contains(&fraction) || !fraction.is_finite() {
@@ -51,19 +52,16 @@ pub fn place_windows(set: &[WindowPlacement], duration: u64) -> Result<Vec<CapWi
         let clamped = window_duration.min(duration);
         let slack = duration - clamped;
         let start = (fraction * slack as f64).round() as u64;
-        placed.push(CapWindow::new(start, clamped));
+        placed.push(TimeWindow::with_duration(start, clamped));
     }
     let mut sorted = placed.clone();
     sorted.sort_by_key(|w| w.start);
     for pair in sorted.windows(2) {
-        if pair[0].end() > pair[1].start {
+        if pair[0].end > pair[1].start {
             return Err(format!(
                 "cap windows overlap once placed in a {duration} s interval: \
                  [{}, {}) and [{}, {})",
-                pair[0].start,
-                pair[0].end(),
-                pair[1].start,
-                pair[1].end()
+                pair[0].start, pair[0].end, pair[1].start, pair[1].end
             ));
         }
     }
@@ -160,12 +158,14 @@ pub struct CampaignSpec {
     pub include_baseline: bool,
     /// Cap-window sweep axis: each value is the window set one scenario
     /// replays — `[(0.5, 3600)]` is the paper's centred hour; a value with
-    /// several placements produces a multi-window scenario.
+    /// several placements produces a multi-window scenario. Each set is
+    /// placed per replayed duration and capped at each of `cap_fractions`
+    /// as one uniform [`CapSchedule`].
     pub cap_windows: Vec<WindowSet>,
-    /// Time-varying cap-schedule axis: each value is one [`CapSchedule`]
-    /// (per-segment fractions, absolute placement), replayed under every
-    /// policy × grouping × decision rule. Empty (the default) leaves the
-    /// legacy grid — and its fingerprint — untouched.
+    /// Cap-schedule axis: each value is one [`CapSchedule`] given segment
+    /// by segment (per-segment fractions, absolute placement), replayed
+    /// under every policy × grouping × decision rule. Empty (the default)
+    /// leaves the window grid — and its fingerprint — untouched.
     pub cap_schedules: Vec<CapSchedule>,
     /// Fault-injection axis: each value is one fault plan crossed with every
     /// scenario of the grid (`None` = the fault-free variant). Empty (the
@@ -281,8 +281,8 @@ impl CampaignSpec {
             put("windows", &value.join("|"));
         }
         // The schedule and fault axes are hashed only when present, so every
-        // legacy (static-window) spec keeps its pre-refactor fingerprint and
-        // existing stores resume cleanly.
+        // spec without them keeps the fingerprint it had before those axes
+        // existed and existing stores resume cleanly.
         for s in &self.cap_schedules {
             let value: Vec<String> = s
                 .segments()
@@ -491,36 +491,32 @@ impl CampaignSpec {
     }
 
     /// The scenarios of one workload cell, in stable order: the baseline
-    /// first (once, with the default knobs), then windows × caps × policies
-    /// for every grouping × decision-rule combination, then the schedule
-    /// axis (schedules × policies per grouping × rule), the whole grid
-    /// finally crossed with the fault axis (fault-major, the fault-free
-    /// legacy order inside). Errors when a window set overlaps once placed
-    /// in an interval of `duration` seconds.
+    /// first (once, with the default knobs), then for every grouping ×
+    /// decision-rule combination the caps × policies, where the caps are
+    /// the uniform schedules of window set × fraction followed by the
+    /// schedule axis, the whole grid finally crossed with the fault axis
+    /// (fault-major, the fault-free order inside). Errors when a window set
+    /// overlaps once placed in an interval of `duration` seconds.
     fn scenarios(&self, duration: u64) -> Result<Vec<Scenario>, String> {
+        // One uniform schedule per placed window set and fraction, cloned
+        // into each scenario that replays it.
+        let mut caps = Vec::new();
+        for set in &self.cap_windows {
+            let windows = place_windows(set, duration)?;
+            for &fraction in &self.cap_fractions {
+                caps.push(CapSchedule::uniform(&windows, fraction));
+            }
+        }
         let mut scenarios = Vec::new();
         if self.include_baseline {
             scenarios.push(Scenario::baseline());
         }
         for &grouping in &self.groupings {
             for &rule in &self.decision_rules {
-                for set in &self.cap_windows {
-                    let windows = place_windows(set, duration)?;
-                    for &fraction in &self.cap_fractions {
-                        for &policy in &self.policies {
-                            scenarios.push(
-                                Scenario::paper(policy, fraction, duration)
-                                    .with_windows(windows.clone())
-                                    .with_grouping(grouping)
-                                    .with_decision_rule(rule),
-                            );
-                        }
-                    }
-                }
-                for schedule in &self.cap_schedules {
+                for cap in caps.iter().chain(&self.cap_schedules) {
                     for &policy in &self.policies {
                         scenarios.push(
-                            Scenario::scheduled(policy, schedule.clone())
+                            Scenario::scheduled(policy, cap.clone())
                                 .with_grouping(grouping)
                                 .with_decision_rule(rule),
                         );
@@ -545,7 +541,8 @@ impl CampaignSpec {
 
     /// Expand the grid into concrete cells, densely indexed in a stable
     /// order: racks → interval → seed → load factor → (baseline, then
-    /// grouping → rule → window set → cap → policy).
+    /// grouping → rule → cap → policy, the caps being window set × fraction
+    /// followed by the schedules).
     ///
     /// Errors (instead of silently producing an empty or wrapped grid) when
     /// an axis is zero-sized, a window set overlaps once placed, or the cell
@@ -725,10 +722,7 @@ mod tests {
             ..CampaignSpec::default()
         };
         let cells = spec.expand(&TraceSource::Synthetic).unwrap();
-        let baselines = cells
-            .iter()
-            .filter(|c| c.scenario.cap_fraction.is_none())
-            .count();
+        let baselines = cells.iter().filter(|c| c.scenario.cap.is_none()).count();
         assert_eq!(baselines, 1);
         // 1 baseline + 2 groupings × 2 rules × 3 caps × 3 policies.
         assert_eq!(cells.len(), 1 + 2 * 2 * 3 * 3);
@@ -878,10 +872,7 @@ mod tests {
             ..CampaignSpec::default()
         };
         let cells = spec.expand(&TraceSource::Synthetic).unwrap();
-        let capped = cells
-            .iter()
-            .find(|c| c.scenario.cap_fraction.is_some())
-            .unwrap();
+        let capped = cells.iter().find(|c| c.scenario.cap.is_some()).unwrap();
         let w = capped.scenario.window().unwrap();
         assert_eq!(w.duration(), 3600);
         assert_eq!(w.start, (24 * 3600 - 3600) / 2);
@@ -915,9 +906,9 @@ mod tests {
         // placed at the interval edges.
         let multi = cells
             .iter()
-            .find(|c| c.scenario.cap_windows.len() == 2)
+            .find(|c| c.scenario.windows().count() == 2)
             .expect("a multi-window cell");
-        let ws = multi.scenario.windows();
+        let ws: Vec<TimeWindow> = multi.scenario.windows().collect();
         assert_eq!((ws[0].start, ws[0].end), (0, 1800));
         assert_eq!((ws[1].start, ws[1].end), (16_200, 18_000));
     }
@@ -926,11 +917,11 @@ mod tests {
     fn window_placement_clamps_and_rejects_overlap() {
         // A 2-hour window in a 1-hour-equivalent slot clamps to the span.
         let placed = place_windows(&[(0.5, 48 * 3600)], 18_000).unwrap();
-        assert_eq!((placed[0].start, placed[0].duration), (0, 18_000));
+        assert_eq!((placed[0].start, placed[0].duration()), (0, 18_000));
         // Fractions place within the slack.
         let placed = place_windows(&[(1.0, 3600)], 18_000).unwrap();
         assert_eq!(placed[0].start, 14_400);
-        assert_eq!(placed[0].end(), 18_000);
+        assert_eq!(placed[0].end, 18_000);
         // Overlapping placements are an error, not a silent merge.
         let err = place_windows(&[(0.0, 10_000), (0.5, 10_000)], 18_000).unwrap_err();
         assert!(err.contains("overlap"), "got: {err}");
@@ -984,9 +975,9 @@ mod tests {
         let cells = spec.expand(&fixed).unwrap();
         let multi = cells
             .iter()
-            .find(|c| c.scenario.cap_windows.len() == 2)
+            .find(|c| c.scenario.windows().count() == 2)
             .expect("a multi-window SWF cell");
-        let ws = multi.scenario.windows();
+        let ws: Vec<TimeWindow> = multi.scenario.windows().collect();
         assert_eq!((ws[0].start, ws[0].end), (0, 10_800));
         assert_eq!((ws[1].start, ws[1].end), (75_600, 86_400));
     }
@@ -1032,9 +1023,9 @@ mod tests {
         // Scheduled cells expose segment windows and the schedule label.
         let scheduled = cells
             .iter()
-            .find(|c| c.scenario.cap_schedule.is_some())
+            .find(|c| c.scenario.label().starts_with("SCHED/"))
             .unwrap();
-        assert_eq!(scheduled.scenario.windows().len(), 2);
+        assert_eq!(scheduled.scenario.windows().count(), 2);
         assert_eq!(
             scheduled.scenario.schedule_label(),
             "0+7200@80|7200+10800@40"
@@ -1128,7 +1119,9 @@ mod tests {
         spec.validate().unwrap();
         assert_eq!(spec.cell_count().unwrap(), 3, "3 policies × 1 schedule");
         let cells = spec.expand(&TraceSource::Synthetic).unwrap();
-        assert!(cells.iter().all(|c| c.scenario.cap_schedule.is_some()));
+        assert!(cells
+            .iter()
+            .all(|c| c.scenario.label().starts_with("SCHED/")));
     }
 
     #[test]

@@ -169,24 +169,10 @@ impl ReplayHarness {
         }
 
         // Phase 3 — workload replay: powercap reservations are made at the
-        // beginning of the replay, then the trace is submitted and run. A
-        // multi-window scenario registers one reservation per cap window;
-        // the controller's reservation book already resolves overlapping
-        // caps to the tightest one, so disjoint windows simply alternate.
-        // A time-varying schedule registers one reservation per segment at
-        // the segment's own level — a uniform schedule built from legacy
-        // windows therefore replays bit-identically to the window path.
-        if let Some(schedule) = &scenario.cap_schedule {
-            for segment in schedule.segments() {
-                controller.add_powercap_reservation(
-                    segment.time_window(),
-                    self.platform.power_fraction(segment.fraction),
-                );
-            }
-        } else if let Some(cap) = scenario.cap(&self.platform) {
-            for window in scenario.windows() {
-                controller.add_powercap_reservation(window, cap);
-            }
+        // beginning of the replay, one per cap segment at the segment's own
+        // level and in segment order, then the trace is submitted and run.
+        for (window, cap) in scenario.reservations(&self.platform) {
+            controller.add_powercap_reservation(window, cap);
         }
         // Fault plan: seeded node outages become ordinary events in the
         // controller's queue, so the replay stays fully deterministic.
@@ -302,8 +288,7 @@ mod tests {
         ] {
             let scenario = Scenario::paper(policy, 0.6, h.trace().duration);
             let outcome = h.run(&scenario);
-            let window = scenario.window().unwrap();
-            let cap = scenario.cap(h.platform()).unwrap();
+            let (window, cap) = scenario.reservations(h.platform()).next().unwrap();
             let peak = outcome.power.peak_within(window.start, window.end);
             assert!(
                 peak.as_watts() <= cap.as_watts() + 1e-6,
@@ -314,18 +299,20 @@ mod tests {
 
     #[test]
     fn multi_window_replays_respect_the_cap_in_every_window() {
-        use crate::scenario::CapWindow;
+        use crate::scenario::CapSchedule;
+        use apc_rjms::time::TimeWindow;
         let h = harness();
         let duration = h.trace().duration; // 5 h
-        let scenario = Scenario::paper(PowercapPolicy::Mix, 0.6, duration).with_windows(vec![
-            CapWindow::new(1800, 3600),
-            CapWindow::new(duration - 5400, 3600),
-        ]);
+        let early = TimeWindow::with_duration(1800, 3600);
+        let late = TimeWindow::with_duration(duration - 5400, 3600);
+        let scenario = Scenario::scheduled(
+            PowercapPolicy::Mix,
+            CapSchedule::uniform(&[early, late], 0.6),
+        );
         let outcome = h.run(&scenario);
-        let cap = scenario.cap(h.platform()).unwrap();
-        let windows = scenario.windows();
-        assert_eq!(windows.len(), 2);
-        for w in &windows {
+        let reservations: Vec<_> = scenario.reservations(h.platform()).collect();
+        assert_eq!(reservations.len(), 2);
+        for (w, cap) in reservations {
             let peak = outcome.power.peak_within(w.start, w.end);
             assert!(
                 peak.as_watts() <= cap.as_watts() + 1e-6,
@@ -336,10 +323,10 @@ mod tests {
         }
         // Two disjoint windows constrain the replay at least as much as
         // either single window alone.
-        let single = h.run(
-            &Scenario::paper(PowercapPolicy::Mix, 0.6, duration)
-                .with_windows(vec![CapWindow::new(1800, 3600)]),
-        );
+        let single = h.run(&Scenario::scheduled(
+            PowercapPolicy::Mix,
+            CapSchedule::uniform(&[early], 0.6),
+        ));
         assert!(outcome.report.work_core_seconds <= single.report.work_core_seconds + 1e-6);
     }
 
@@ -366,30 +353,6 @@ mod tests {
                 w.end
             );
         }
-    }
-
-    #[test]
-    fn schedule_from_windows_replays_identically_to_the_window_path() {
-        use crate::scenario::{CapSchedule, CapWindow};
-        let h = harness();
-        let duration = h.trace().duration;
-        let windows = vec![
-            CapWindow::new(1800, 3600),
-            CapWindow::new(duration - 5400, 3600),
-        ];
-        let legacy =
-            Scenario::paper(PowercapPolicy::Mix, 0.6, duration).with_windows(windows.clone());
-        let scheduled = Scenario::scheduled(
-            PowercapPolicy::Mix,
-            CapSchedule::from_windows(&windows, 0.6).unwrap(),
-        )
-        .with_grouping(legacy.grouping)
-        .with_decision_rule(legacy.decision_rule);
-        let a = h.run(&legacy);
-        let b = h.run(&scheduled);
-        assert_eq!(a.report, b.report, "bit-identical replays");
-        assert_eq!(a.power, b.power);
-        assert_eq!(a.log.len(), b.log.len());
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod prelude {
     pub use crate::metrics::{
         NormalizedOutcome, PowerSeries, UtilizationSample, UtilizationSeries,
     };
-    pub use crate::scenario::{CapSchedule, CapSegment, CapWindow, FaultPlan, Scenario};
+    pub use crate::scenario::{CapSchedule, CapSegment, FaultPlan, Scenario};
 }
 
 pub use prelude::*;

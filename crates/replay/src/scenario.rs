@@ -14,40 +14,9 @@ use apc_rjms::cluster::Platform;
 use apc_rjms::time::{SimTime, TimeWindow, HOUR};
 use serde::{Deserialize, Serialize};
 
-/// One powercap window: a start instant (seconds into the interval) plus a
-/// duration. Scenarios carry a list of them so one replay can cap two or
-/// more disjoint slots of the same interval (a morning and an evening peak,
-/// say) — every window shares the scenario's cap fraction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct CapWindow {
-    /// Start of the powercap window, seconds into the interval.
-    pub start: SimTime,
-    /// Duration of the powercap window, in seconds.
-    pub duration: SimTime,
-}
-
-impl CapWindow {
-    /// A window starting at `start` and lasting `duration` seconds.
-    pub fn new(start: SimTime, duration: SimTime) -> Self {
-        CapWindow { start, duration }
-    }
-
-    /// The window as a half-open [`TimeWindow`].
-    pub fn time_window(&self) -> TimeWindow {
-        TimeWindow::with_duration(self.start, self.duration)
-    }
-
-    /// End of the window (exclusive).
-    pub fn end(&self) -> SimTime {
-        self.start + self.duration
-    }
-}
-
-/// One segment of a time-varying cap schedule: a window plus its own cap
-/// fraction. Unlike [`CapWindow`] (which shares the scenario-wide fraction),
-/// each segment carries its own level, so tariff-shaped day/night caps or
-/// trace-driven (carbon-intensity / spot-price style) profiles are
-/// expressible.
+/// One segment of a cap schedule: a window plus its own cap fraction, so
+/// tariff-shaped day/night caps or trace-driven (carbon-intensity /
+/// spot-price style) profiles are expressible.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CapSegment {
     /// Start of the segment, seconds into the interval.
@@ -80,13 +49,22 @@ impl CapSegment {
     }
 }
 
-/// An ordered, non-overlapping sequence of [`CapSegment`]s: the general
-/// time-varying cap model. The legacy window list is the uniform-fraction
-/// special case ([`CapSchedule::from_windows`]); richer schedules come from
-/// per-segment fractions or a time-series file ([`CapSchedule::parse`]).
+/// The one cap model: a sequence of non-overlapping [`CapSegment`]s, each
+/// registered as one powercap reservation at its own level, in segment
+/// order.
+///
+/// Two constructors fill it. [`new`](Self::new) and [`parse`](Self::parse)
+/// take explicit segments in chronological order (a schedule file).
+/// [`uniform`](Self::uniform) caps a set of windows at one shared level —
+/// the paper's "one hour at 60 %" and every `--caps × --windows` cell — and
+/// records that level, which is what labels such a scenario `60%/MIX`
+/// rather than `SCHED/MIX`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CapSchedule {
     segments: Vec<CapSegment>,
+    /// The shared fraction of a [`uniform`](Self::uniform) schedule; `None`
+    /// for one given segment by segment.
+    level: Option<f64>,
 }
 
 impl CapSchedule {
@@ -115,19 +93,33 @@ impl CapSchedule {
                 ));
             }
         }
-        Ok(CapSchedule { segments })
+        Ok(CapSchedule {
+            segments,
+            level: None,
+        })
     }
 
-    /// The legacy special case: every window capped at the same `fraction`.
-    /// A scenario carrying this schedule replays bit-identically to the
-    /// same windows expressed through `cap_fraction` + `cap_windows`.
-    pub fn from_windows(windows: &[CapWindow], fraction: f64) -> Result<Self, String> {
-        let mut segments: Vec<CapSegment> = windows
-            .iter()
-            .map(|w| CapSegment::new(w.start, w.duration, fraction))
-            .collect();
-        segments.sort_by_key(|s| s.start);
-        CapSchedule::new(segments)
+    /// Every window capped at the same `fraction`, kept in the order
+    /// written. That order is the reservation registration order, and it
+    /// can change a replay: two adjacent windows registered late-first
+    /// schedule differently from the same windows registered early-first.
+    /// The windows must be pairwise disjoint; the campaign spec's window
+    /// placement rejects overlaps before it builds one.
+    pub fn uniform(windows: &[TimeWindow], fraction: f64) -> Self {
+        debug_assert!(
+            windows
+                .iter()
+                .enumerate()
+                .all(|(i, a)| windows[..i].iter().all(|b| !a.overlaps_window(b))),
+            "uniform cap windows overlap"
+        );
+        CapSchedule {
+            segments: windows
+                .iter()
+                .map(|w| CapSegment::new(w.start, w.duration(), fraction))
+                .collect(),
+            level: Some(fraction),
+        }
     }
 
     /// Parse the schedule-file format: one segment per line as
@@ -162,26 +154,24 @@ impl CapSchedule {
         CapSchedule::new(segments)
     }
 
-    /// The segments, in chronological order.
+    /// The segments, in registration order.
     pub fn segments(&self) -> &[CapSegment] {
         &self.segments
     }
 
-    /// End of the last segment.
+    /// The shared fraction of a [`uniform`](Self::uniform) schedule, or
+    /// `None` for a schedule given segment by segment.
+    pub(crate) fn level(&self) -> Option<f64> {
+        self.level
+    }
+
+    /// End of the latest segment.
     pub fn end(&self) -> SimTime {
-        self.segments.last().map(CapSegment::end).unwrap_or(0)
+        self.segments.iter().map(CapSegment::end).max().unwrap_or(0)
     }
 
-    /// `true` if every segment carries the same fraction (the legacy shape).
-    pub fn is_uniform(&self) -> bool {
-        self.segments
-            .iter()
-            .all(|s| s.fraction == self.segments[0].fraction)
-    }
-
-    /// The time part of the label: `start+duration` pairs joined with `|` —
-    /// exactly the [`Scenario::window_label`] rendering of the same windows,
-    /// so legacy windows label identically under either construction path.
+    /// The time part of the label: `start+duration` pairs joined with `|`,
+    /// in segment order — the `window` result column.
     pub fn window_label(&self) -> String {
         self.segments
             .iter()
@@ -406,24 +396,14 @@ impl FaultPlan {
     }
 }
 
-/// One experimental scenario: a policy plus optional powercap windows.
+/// One experimental scenario: a policy plus an optional cap schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// The powercap policy.
     pub policy: PowercapPolicy,
-    /// Cap expressed as a fraction of the cluster's maximum power
-    /// (`None` = no powercap reservation at all, the "100 %" rows).
-    pub cap_fraction: Option<f64>,
-    /// The powercap windows (all sharing `cap_fraction`). The paper's
-    /// scenarios use exactly one; multi-window scenarios replay several
-    /// disjoint cap slots in one interval. Ignored when `cap_fraction` is
-    /// `None`.
-    pub cap_windows: Vec<CapWindow>,
-    /// A time-varying cap schedule. When set it supersedes
-    /// `cap_fraction`/`cap_windows`: the harness registers one powercap
-    /// reservation per segment at the segment's own fraction. `None` keeps
-    /// the legacy static-window path bit-identical.
-    pub cap_schedule: Option<CapSchedule>,
+    /// The powercap: one reservation per segment, at the segment's own
+    /// fraction. `None` is the uncapped baseline (the "100 %" rows).
+    pub cap: Option<CapSchedule>,
     /// A seeded node fault plan injected into the replay. `None` (the
     /// default everywhere) keeps the fault-free path bit-identical.
     pub faults: Option<FaultPlan>,
@@ -447,26 +427,15 @@ impl Scenario {
     pub fn paper(policy: PowercapPolicy, cap_fraction: f64, interval_duration: SimTime) -> Self {
         let window_duration = HOUR.min(interval_duration);
         let window_start = (interval_duration - window_duration) / 2;
-        Scenario {
-            policy,
-            cap_fraction: Some(cap_fraction),
-            cap_windows: vec![CapWindow::new(window_start, window_duration)],
-            cap_schedule: None,
-            faults: None,
-            grouping: GroupingStrategy::Grouped,
-            decision_rule: DecisionRule::PaperRho,
-            kill_on_violation: false,
-            per_application_degradation: false,
-        }
+        let window = TimeWindow::with_duration(window_start, window_duration);
+        Scenario::scheduled(policy, CapSchedule::uniform(&[window], cap_fraction))
     }
 
     /// The uncapped baseline ("100 %/None").
     pub fn baseline() -> Self {
         Scenario {
             policy: PowercapPolicy::None,
-            cap_fraction: None,
-            cap_windows: Vec::new(),
-            cap_schedule: None,
+            cap: None,
             faults: None,
             grouping: GroupingStrategy::Grouped,
             decision_rule: DecisionRule::PaperRho,
@@ -475,40 +444,13 @@ impl Scenario {
         }
     }
 
-    /// A scenario capped by a time-varying schedule under `policy`.
+    /// A scenario capped by `schedule` under `policy`.
     pub fn scheduled(policy: PowercapPolicy, schedule: CapSchedule) -> Self {
         Scenario {
             policy,
-            cap_fraction: None,
-            cap_windows: Vec::new(),
-            cap_schedule: Some(schedule),
-            faults: None,
-            grouping: GroupingStrategy::Grouped,
-            decision_rule: DecisionRule::PaperRho,
-            kill_on_violation: false,
-            per_application_degradation: false,
+            cap: Some(schedule),
+            ..Scenario::baseline()
         }
-    }
-
-    /// Replace the cap windows with one `[start, start + duration)` window
-    /// (builder style).
-    pub fn with_window(mut self, start: SimTime, duration: SimTime) -> Self {
-        self.cap_windows = vec![CapWindow::new(start, duration)];
-        self
-    }
-
-    /// Replace the cap windows wholesale (builder style). Windows should be
-    /// pairwise disjoint; the campaign spec validates that before expansion.
-    pub fn with_windows(mut self, windows: Vec<CapWindow>) -> Self {
-        self.cap_windows = windows;
-        self
-    }
-
-    /// Replace the cap schedule (builder style). The schedule supersedes
-    /// `cap_fraction`/`cap_windows` in the harness.
-    pub fn with_schedule(mut self, schedule: CapSchedule) -> Self {
-        self.cap_schedule = Some(schedule);
-        self
     }
 
     /// Attach a fault plan (builder style).
@@ -544,57 +486,50 @@ impl Scenario {
     /// The first powercap window, if the scenario has any — the common case
     /// for paper-style single-window scenarios.
     pub fn window(&self) -> Option<TimeWindow> {
-        self.windows().first().copied()
+        self.windows().next()
     }
 
-    /// Every powercap window of the scenario (empty for the baseline). A
-    /// schedule-carrying scenario exposes its segment windows.
-    pub fn windows(&self) -> Vec<TimeWindow> {
-        if let Some(schedule) = &self.cap_schedule {
-            return schedule
-                .segments()
-                .iter()
-                .map(CapSegment::time_window)
-                .collect();
-        }
-        if self.cap_fraction.is_none() {
-            return Vec::new();
-        }
-        self.cap_windows
+    /// Every powercap window of the scenario, in registration order (none
+    /// for the baseline).
+    pub fn windows(&self) -> impl Iterator<Item = TimeWindow> + '_ {
+        self.segments().iter().map(CapSegment::time_window)
+    }
+
+    /// The powercap reservations the scenario makes on `platform`: each
+    /// segment's window with its absolute cap, in registration order. Every
+    /// replay path registers exactly these.
+    pub fn reservations<'a>(
+        &'a self,
+        platform: &'a Platform,
+    ) -> impl Iterator<Item = (TimeWindow, Watts)> + 'a {
+        self.segments()
             .iter()
-            .map(CapWindow::time_window)
-            .collect()
+            .map(|s| (s.time_window(), platform.power_fraction(s.fraction)))
+    }
+
+    fn segments(&self) -> &[CapSegment] {
+        self.cap.as_ref().map_or(&[], CapSchedule::segments)
     }
 
     /// A compact, CSV-safe label of the cap windows: `start+duration` pairs
-    /// joined with `|` (e.g. `"7200+3600"`, `"0+1800|16200+1800"`), or `"-"`
-    /// for the uncapped baseline. Used as the `window` result column and as
-    /// part of the across-seed summary grouping key, so window sweeps never
-    /// collapse into one group. A schedule built from legacy windows labels
-    /// identically to the windows themselves (the fractions live in
-    /// [`schedule_label`](Self::schedule_label)), so neither construction
-    /// path relabels existing stores.
+    /// joined with `|` in registration order (e.g. `"7200+3600"`,
+    /// `"16200+1800|0+1800"`), or `"-"` for the uncapped baseline. Used as
+    /// the `window` result column and as part of the across-seed summary
+    /// grouping key, so window sweeps never collapse into one group.
     pub fn window_label(&self) -> String {
-        if let Some(schedule) = &self.cap_schedule {
-            return schedule.window_label();
+        match &self.cap {
+            Some(schedule) => schedule.window_label(),
+            None => "-".to_string(),
         }
-        if self.cap_fraction.is_none() || self.cap_windows.is_empty() {
-            return "-".to_string();
-        }
-        self.cap_windows
-            .iter()
-            .map(|w| format!("{}+{}", w.start, w.duration))
-            .collect::<Vec<_>>()
-            .join("|")
     }
 
     /// The cap-schedule label (`start+duration@percent` pairs joined with
-    /// `|`), or `"-"` for scenarios without a schedule — the value of the
-    /// `schedule` result column.
+    /// `|`) of a schedule given segment by segment, or `"-"` for uniform
+    /// caps and the baseline — the value of the `schedule` result column.
     pub fn schedule_label(&self) -> String {
-        match &self.cap_schedule {
-            Some(schedule) => schedule.label(),
-            None => "-".to_string(),
+        match &self.cap {
+            Some(schedule) if schedule.level().is_none() => schedule.label(),
+            _ => "-".to_string(),
         }
     }
 
@@ -607,21 +542,24 @@ impl Scenario {
         }
     }
 
-    /// The absolute cap for a given platform, if the scenario has one.
-    pub fn cap(&self, platform: &Platform) -> Option<Watts> {
-        self.cap_fraction.map(|f| platform.power_fraction(f))
+    /// The cap level as a percentage of maximum power: the uniform level,
+    /// or 100 for the baseline and for schedules given segment by segment
+    /// — the value of the `cap_percent` result column.
+    pub fn cap_percent(&self) -> f64 {
+        self.cap
+            .as_ref()
+            .and_then(CapSchedule::level)
+            .map_or(100.0, |f| f * 100.0)
     }
 
     /// A short label like "40%/MIX" (the row labels of Fig. 8). Scenarios
-    /// capped by a time-varying schedule render as "SCHED/MIX" — the
-    /// per-segment levels live in [`schedule_label`](Self::schedule_label).
+    /// capped segment by segment render as "SCHED/MIX" — the per-segment
+    /// levels live in [`schedule_label`](Self::schedule_label).
     pub fn label(&self) -> String {
-        if self.cap_schedule.is_some() {
-            return format!("SCHED/{}", self.policy);
-        }
-        match self.cap_fraction {
-            Some(f) => format!("{:.0}%/{}", f * 100.0, self.policy),
+        match self.cap.as_ref().map(CapSchedule::level) {
             None => "100%/None".to_string(),
+            Some(Some(f)) => format!("{:.0}%/{}", f * 100.0, self.policy),
+            Some(None) => format!("SCHED/{}", self.policy),
         }
     }
 
@@ -654,9 +592,15 @@ mod tests {
         assert_eq!(w.start, 2 * HOUR);
         assert_eq!(s.label(), "60%/SHUT");
         assert_eq!(s.window_label(), "7200+3600");
+        assert_eq!(s.cap_percent(), 60.0);
+        assert_eq!(s.schedule_label(), "-");
         let platform = Platform::curie_scaled(1);
-        let cap = s.cap(&platform).unwrap();
-        assert!(cap.approx_eq(platform.max_power() * 0.6, 1e-6));
+        let reservations: Vec<_> = s.reservations(&platform).collect();
+        assert_eq!(reservations.len(), 1);
+        assert_eq!(reservations[0].0, w);
+        assert!(reservations[0]
+            .1
+            .approx_eq(platform.max_power() * 0.6, 1e-6));
     }
 
     #[test]
@@ -687,17 +631,26 @@ mod tests {
 
     #[test]
     fn multi_window_scenarios_expose_every_window() {
-        let s = Scenario::paper(PowercapPolicy::Mix, 0.6, 5 * HOUR)
-            .with_windows(vec![CapWindow::new(0, 1800), CapWindow::new(16_200, 1800)]);
-        let windows = s.windows();
+        let s = Scenario::scheduled(
+            PowercapPolicy::Mix,
+            CapSchedule::uniform(
+                &[TimeWindow::new(0, 1800), TimeWindow::new(16_200, 18_000)],
+                0.6,
+            ),
+        );
+        let windows: Vec<TimeWindow> = s.windows().collect();
         assert_eq!(windows.len(), 2);
         assert_eq!((windows[0].start, windows[0].end), (0, 1800));
         assert_eq!((windows[1].start, windows[1].end), (16_200, 18_000));
         assert_eq!(s.window().unwrap().start, 0, "window() is the first one");
         assert_eq!(s.window_label(), "0+1800|16200+1800");
-        assert_eq!(CapWindow::new(16_200, 1800).end(), 18_000);
-        // The baseline has no windows and the "-" label.
-        assert!(Scenario::baseline().windows().is_empty());
+        // The baseline has no windows, no reservations and the "-" label.
+        let platform = Platform::curie_scaled(1);
+        assert!(Scenario::baseline().windows().next().is_none());
+        assert!(Scenario::baseline()
+            .reservations(&platform)
+            .next()
+            .is_none());
         assert_eq!(Scenario::baseline().window_label(), "-");
     }
 
@@ -705,7 +658,7 @@ mod tests {
     fn baseline_has_no_window() {
         let s = Scenario::baseline();
         assert!(s.window().is_none());
-        assert!(s.cap(&Platform::curie_scaled(1)).is_none());
+        assert_eq!(s.cap_percent(), 100.0);
         assert_eq!(s.label(), "100%/None");
     }
 
@@ -729,7 +682,7 @@ mod tests {
         .unwrap();
         assert_eq!(schedule.segments().len(), 2);
         assert_eq!(schedule.end(), 86_400);
-        assert!(!schedule.is_uniform());
+        assert_eq!(schedule.level(), None);
         assert_eq!(schedule.window_label(), "0+28800|28800+57600");
         assert_eq!(schedule.label(), "0+28800@80|28800+57600@40");
         // Invalid shapes are rejected.
@@ -746,19 +699,29 @@ mod tests {
 
     #[test]
     fn schedule_from_windows_matches_the_legacy_label() {
-        let windows = vec![CapWindow::new(0, 1800), CapWindow::new(16_200, 1800)];
-        let schedule = CapSchedule::from_windows(&windows, 0.6).unwrap();
-        assert!(schedule.is_uniform());
-        let legacy = Scenario::paper(PowercapPolicy::Mix, 0.6, 5 * HOUR).with_windows(windows);
-        let scheduled = Scenario::scheduled(PowercapPolicy::Mix, schedule);
-        // Either construction path labels the windows identically: no
-        // silent relabeling of existing stores.
-        assert_eq!(legacy.window_label(), "0+1800|16200+1800");
-        assert_eq!(scheduled.window_label(), legacy.window_label());
-        assert_eq!(scheduled.windows(), legacy.windows());
+        // A uniform schedule keeps its windows in written order, late-first
+        // here, and labels like the window list it came from.
+        let windows = [TimeWindow::new(16_200, 18_000), TimeWindow::new(0, 1800)];
+        let uniform = Scenario::scheduled(PowercapPolicy::Mix, CapSchedule::uniform(&windows, 0.6));
+        assert_eq!(uniform.cap.as_ref().unwrap().level(), Some(0.6));
+        assert_eq!(uniform.label(), "60%/MIX");
+        assert_eq!(uniform.window_label(), "16200+1800|0+1800");
+        assert_eq!(uniform.cap_percent(), 60.0);
+        assert_eq!(uniform.schedule_label(), "-");
+        assert_eq!(uniform.windows().collect::<Vec<_>>(), windows);
+        assert_eq!(uniform.cap.as_ref().unwrap().end(), 18_000);
+        // The same segments given one by one form a segment schedule:
+        // labelled by its segments, not by a level.
+        let segments = CapSchedule::new(vec![
+            CapSegment::new(0, 1800, 0.6),
+            CapSegment::new(16_200, 1800, 0.6),
+        ])
+        .unwrap();
+        let scheduled = Scenario::scheduled(PowercapPolicy::Mix, segments);
         assert_eq!(scheduled.label(), "SCHED/MIX");
+        assert_eq!(scheduled.window_label(), "0+1800|16200+1800");
+        assert_eq!(scheduled.cap_percent(), 100.0);
         assert_eq!(scheduled.schedule_label(), "0+1800@60|16200+1800@60");
-        assert_eq!(legacy.schedule_label(), "-");
     }
 
     #[test]
@@ -884,12 +847,14 @@ mod tests {
 
     #[test]
     fn builders() {
-        let s = Scenario::paper(PowercapPolicy::Mix, 0.4, 5 * HOUR)
-            .with_window(1000, 2000)
-            .with_grouping(GroupingStrategy::Scattered)
-            .with_decision_rule(DecisionRule::WorkMaximizing)
-            .with_kill_on_violation()
-            .with_per_application_degradation();
+        let s = Scenario::scheduled(
+            PowercapPolicy::Mix,
+            CapSchedule::uniform(&[TimeWindow::with_duration(1000, 2000)], 0.4),
+        )
+        .with_grouping(GroupingStrategy::Scattered)
+        .with_decision_rule(DecisionRule::WorkMaximizing)
+        .with_kill_on_violation()
+        .with_per_application_degradation();
         assert_eq!(s.window().unwrap().start, 1000);
         assert_eq!(s.window().unwrap().duration(), 2000);
         assert_eq!(s.grouping, GroupingStrategy::Scattered);

@@ -46,10 +46,11 @@ pub fn main() {
         })
         .sum();
     println!("nodes switched off over the day (cumulative transitions): {powered_off}");
-    let window = scenario.window().unwrap();
-    println!(
-        "peak power inside the window: {} (cap {})",
-        outcome.power.peak_within(window.start, window.end),
-        scenario.cap(harness.platform()).unwrap()
-    );
+    for (window, cap) in scenario.reservations(harness.platform()) {
+        println!(
+            "peak power inside the window: {} (cap {})",
+            outcome.power.peak_within(window.start, window.end),
+            cap
+        );
+    }
 }

@@ -43,8 +43,7 @@ pub fn main() {
         let scenario = Scenario::paper(policy, 0.60, duration);
         let outcome = harness.run(&scenario);
         println!("{}", outcome.summary());
-        if let Some(window) = scenario.window() {
-            let cap = scenario.cap(harness.platform()).unwrap();
+        for (window, cap) in scenario.reservations(harness.platform()) {
             let peak = outcome.power.peak_within(window.start, window.end);
             println!(
                 "    peak power during the cap window: {} (cap {})",

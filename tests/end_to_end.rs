@@ -24,8 +24,7 @@ fn every_policy_respects_every_cap() {
         ] {
             let scenario = Scenario::paper(policy, fraction, duration);
             let outcome = h.run(&scenario);
-            let window = scenario.window().unwrap();
-            let cap = scenario.cap(h.platform()).unwrap();
+            let (window, cap) = scenario.reservations(h.platform()).next().unwrap();
             let peak = outcome.power.peak_within(window.start, window.end);
             assert!(
                 peak.as_watts() <= cap.as_watts() + 1e-6,

@@ -14,6 +14,7 @@
 //! explaining why the schedule was allowed to move.
 
 use adaptive_powercap::prelude::*;
+use adaptive_powercap::rjms::time::TimeWindow;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -90,22 +91,55 @@ fn paper_scenario_set_matches_the_seed_schedule() {
     );
 }
 
+/// A scenario capping `windows`, in the order given, at one shared level.
+fn uniform(policy: PowercapPolicy, fraction: f64, windows: &[(u64, u64)]) -> Scenario {
+    let windows: Vec<TimeWindow> = windows
+        .iter()
+        .map(|&(start, duration)| TimeWindow::with_duration(start, duration))
+        .collect();
+    Scenario::scheduled(policy, CapSchedule::uniform(&windows, fraction))
+}
+
 /// A multi-window sweep cell (two disjoint cap slots in one interval), the
 /// shape the PR 4 `--windows` axis replays.
 #[test]
 fn multi_window_sweep_cell_matches_the_seed_schedule() {
     let harness = golden_harness();
     let duration = harness.trace().duration;
-    let scenario = Scenario::paper(PowercapPolicy::Mix, 0.6, duration).with_windows(vec![
-        CapWindow::new(1800, 3600),
-        CapWindow::new(duration - 5400, 3600),
-    ]);
+    let scenario = uniform(
+        PowercapPolicy::Mix,
+        0.6,
+        &[(1800, 3600), (duration - 5400, 3600)],
+    );
     let actual = replay_hash(&harness, &scenario);
     println!("golden multi-window 60%/MIX: 0x{actual:016x}");
     assert_eq!(
         actual, GOLDEN_MULTI_WINDOW_MIX_60,
         "multi-window sweep cell diverged from the seed schedule \
          (got 0x{actual:016x})"
+    );
+}
+
+/// Two adjacent windows written late-first (`--windows 1x9000+0x9000` on
+/// the 5 h interval). Reservations register in written order, and that
+/// order moves this replay: the same windows written early-first schedule
+/// differently, so a constructor that sorted the windows would fail here.
+#[test]
+fn late_first_window_set_matches_the_recorded_schedule() {
+    let harness = golden_harness();
+    let late_first = uniform(PowercapPolicy::Mix, 0.4, &[(9000, 9000), (0, 9000)]);
+    let early_first = uniform(PowercapPolicy::Mix, 0.4, &[(0, 9000), (9000, 9000)]);
+    let actual = replay_hash(&harness, &late_first);
+    println!("golden late-first 40%/MIX: 0x{actual:016x}");
+    assert_eq!(
+        actual, GOLDEN_LATE_FIRST_MIX_40,
+        "late-first window cell diverged from the recorded schedule \
+         (got 0x{actual:016x})"
+    );
+    assert_ne!(
+        replay_hash(&harness, &early_first),
+        actual,
+        "written order must reach the replay"
     );
 }
 
@@ -121,3 +155,6 @@ const GOLDEN_SHUT_40: u64 = 0x209a_1622_8a50_4fd1;
 const GOLDEN_DVFS_40: u64 = 0x068c_4f64_3598_4f7f;
 const GOLDEN_MIX_40: u64 = 0x5347_8186_843c_26cd;
 const GOLDEN_MULTI_WINDOW_MIX_60: u64 = 0x14fc_51ce_1df7_ac4a;
+// Recorded from the build before window sets became uniform cap schedules,
+// where the same windows were a cap fraction plus a window list.
+const GOLDEN_LATE_FIRST_MIX_40: u64 = 0x4996_1d0c_61c7_f9a3;
