@@ -135,54 +135,15 @@ impl CellRow {
         }
     }
 
-    /// Encode the row as one CSV record for the on-disk result store.
+    /// Decode one record of a schema v2 store partition (`part-NNNN.csv`).
     ///
-    /// Unlike the rendered `cells.csv` (which rounds floats to six decimals
-    /// for human consumption), the store keeps every float in Rust's
-    /// shortest round-trip `Display` form, so
-    /// [`parse_store_line`](Self::parse_store_line) recovers the exact bit
-    /// pattern and a resumed campaign aggregates the same values an
-    /// uninterrupted one would. Non-finite values print as `NaN`/`inf`,
-    /// which `f64::from_str` accepts back.
-    pub fn to_store_line(&self) -> String {
-        use crate::sink::csv_field;
-        // Rows without schedule/fault labels keep the original 22-field
-        // layout byte for byte; labelled rows append the two columns. The
-        // parser accepts both, so stores written before the scenario-engine
-        // refactor load unchanged.
-        let labels = if self.schedule == "-" && self.faults == "-" {
-            String::new()
-        } else {
-            format!(",{},{}", csv_field(&self.schedule), csv_field(&self.faults))
-        };
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}{labels}",
-            self.index,
-            self.racks,
-            csv_field(&self.workload),
-            self.seed.map_or_else(String::new, |s| s.to_string()),
-            self.load_factor,
-            csv_field(&self.scenario),
-            csv_field(&self.window),
-            csv_field(&self.policy),
-            self.cap_percent,
-            csv_field(&self.grouping),
-            csv_field(&self.decision_rule),
-            self.launched_jobs,
-            self.completed_jobs,
-            self.killed_jobs,
-            self.pending_jobs,
-            self.work_core_seconds,
-            self.energy_joules,
-            self.energy_normalized,
-            self.launched_jobs_normalized,
-            self.work_normalized,
-            self.mean_wait_seconds,
-            self.peak_power_watts,
-        )
-    }
-
-    /// Decode a store record written by [`to_store_line`](Self::to_store_line).
+    /// Nothing writes v2 partitions any more, but their stores stay
+    /// readable. A v2 record is the rendered `cells.csv` row with every
+    /// float in Rust's shortest round-trip `Display` form (`NaN`/`inf` for
+    /// non-finite values) instead of six decimals, so parsing recovers the
+    /// exact bit pattern and a resumed campaign aggregates the same values
+    /// an uninterrupted one would. Label-free rows have 22 fields; rows
+    /// with schedule/fault labels append those two columns (24 fields).
     ///
     /// Any malformed input — wrong field count, bad quoting, an unparsable
     /// number — is an error, never a panic: the store loader treats such
@@ -573,68 +534,70 @@ mod tests {
         assert!(summaries.iter().all(|s| s.replications == 1));
     }
 
+    // The store-codec tests below parse v2 lines exactly as the old CSV
+    // writer encoded the `row(..)` fixtures they name.
+
     #[test]
     fn store_codec_round_trips_exactly() {
+        // row(42, 7, "60%/SHUT", 13, 123.456) with work 0.1 + 0.2, energy
+        // 1/3, a NaN mean wait and an infinite peak. Values that 6-decimal
+        // rendering would mangle must survive the store: shortest-Display
+        // round-trips are bit-exact.
+        let line = "42,1,medianjob,7,1.8,60%/SHUT,7200+3600,shut,60,grouped,paper-rho,\
+                    13,13,0,0,0.30000000000000004,0.3333333333333333,0.5,0.5,1.23456,NaN,inf";
+        let back = CellRow::parse_store_line(line).unwrap();
         let mut r = row(42, 7, "60%/SHUT", 13, 123.456);
-        // Values that 6-decimal rendering would mangle must survive the
-        // store: shortest-Display round-trips are bit-exact.
         r.work_core_seconds = 0.1 + 0.2;
         r.energy_joules = 1.0 / 3.0;
         r.mean_wait_seconds = f64::NAN;
         r.peak_power_watts = f64::INFINITY;
-        let line = r.to_store_line();
-        let back = CellRow::parse_store_line(&line).unwrap();
         assert_eq!(back.index, r.index);
         assert_eq!(
             back.work_core_seconds.to_bits(),
             r.work_core_seconds.to_bits()
         );
         assert_eq!(back.energy_joules.to_bits(), r.energy_joules.to_bits());
+        assert_eq!(back.work_normalized.to_bits(), r.work_normalized.to_bits());
         assert!(back.mean_wait_seconds.is_nan());
         assert_eq!(back.peak_power_watts, f64::INFINITY);
         assert_eq!(back.scenario, r.scenario);
-        // Re-encoding is byte-stable.
-        assert_eq!(back.to_store_line(), line);
         // A fixed-trace row (no seed, NaN load factor) round-trips too.
-        let mut fixed = row(7, 0, "60%/SHUT", 3, 9.0);
-        fixed.seed = None;
-        fixed.load_factor = f64::NAN;
-        fixed.workload = "swf".into();
-        let line = fixed.to_store_line();
-        let back = CellRow::parse_store_line(&line).unwrap();
+        let line = "7,1,swf,,NaN,60%/SHUT,7200+3600,shut,60,grouped,paper-rho,\
+                    3,3,0,0,9,1,0.5,0.5,0.09,10,100";
+        let back = CellRow::parse_store_line(line).unwrap();
         assert_eq!(back.seed, None);
         assert!(back.load_factor.is_nan());
-        assert_eq!(back.to_store_line(), line);
+        assert_eq!(back.workload, "swf");
     }
 
     #[test]
     fn store_codec_quotes_separator_carrying_labels() {
-        let mut r = row(0, 1, "odd,\"label\"", 1, 1.0);
-        r.workload = "a,b".into();
-        let line = r.to_store_line();
-        let back = CellRow::parse_store_line(&line).unwrap();
+        // row(0, 1, "odd,\"label\"", 1, 1.0) with workload "a,b".
+        let line = "0,1,\"a,b\",1,1.8,\"odd,\"\"label\"\"\",7200+3600,shut,60,grouped,\
+                    paper-rho,1,1,0,0,1,1,0.5,0.5,0.01,10,100";
+        let back = CellRow::parse_store_line(line).unwrap();
         assert_eq!(back.scenario, "odd,\"label\"");
         assert_eq!(back.workload, "a,b");
     }
 
     #[test]
     fn labelled_rows_round_trip_and_legacy_lines_still_parse() {
-        // A row with schedule/fault labels appends two columns…
+        // A row with schedule/fault labels carries two extra columns…
         let mut r = row(3, 1, "SCHED/SHUT", 5, 9.0);
         r.schedule = "0+7200@80|7200+10800@40".into();
         r.faults = "3x600@7".into();
-        let line = r.to_store_line();
-        assert_eq!(crate::sink::split_csv_line(&line).unwrap().len(), 24);
-        let back = CellRow::parse_store_line(&line).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.to_store_line(), line);
+        let line = "3,1,medianjob,1,1.8,SCHED/SHUT,7200+3600,shut,60,grouped,paper-rho,\
+                    5,5,0,0,9,1,0.5,0.5,0.09,10,100,0+7200@80|7200+10800@40,3x600@7";
+        assert_eq!(crate::sink::split_csv_line(line).unwrap().len(), 24);
+        assert_eq!(CellRow::parse_store_line(line).unwrap(), r);
         // …while a label-free row keeps the pre-refactor 22-field layout,
         // and a line from an old store (no label columns at all) parses
         // with "-" placeholders.
         let legacy = row(4, 1, "60%/SHUT", 5, 9.0);
-        let line = legacy.to_store_line();
-        assert_eq!(crate::sink::split_csv_line(&line).unwrap().len(), 22);
-        let back = CellRow::parse_store_line(&line).unwrap();
+        let line = "4,1,medianjob,1,1.8,60%/SHUT,7200+3600,shut,60,grouped,paper-rho,\
+                    5,5,0,0,9,1,0.5,0.5,0.09,10,100";
+        assert_eq!(crate::sink::split_csv_line(line).unwrap().len(), 22);
+        let back = CellRow::parse_store_line(line).unwrap();
         assert_eq!(back.schedule, "-");
         assert_eq!(back.faults, "-");
         assert_eq!(back, legacy);
@@ -656,8 +619,13 @@ mod tests {
 
     #[test]
     fn store_codec_rejects_torn_lines() {
-        let r = row(3, 1, "60%/SHUT", 5, 9.0);
-        let line = r.to_store_line();
+        // row(3, 1, "60%/SHUT", 5, 9.0).
+        let line = "3,1,medianjob,1,1.8,60%/SHUT,7200+3600,shut,60,grouped,paper-rho,\
+                    5,5,0,0,9,1,0.5,0.5,0.09,10,100";
+        assert_eq!(
+            CellRow::parse_store_line(line).unwrap(),
+            row(3, 1, "60%/SHUT", 5, 9.0)
+        );
         // A crash can truncate the final record anywhere. Any prefix short
         // of the last separator must parse as an error, not a bogus row or
         // a panic. (A cut inside the very last numeric field can still

@@ -39,11 +39,9 @@
 //!   --backlog F        generator initial backlog factor (default 1.3)
 //!   --swf PATH         replay an SWF trace instead of the synthetic grid
 //!   --out DIR          results directory (default campaign-results)
-//!   --store-schema V   store partition codec: 3 = binary columnar .apc
-//!                      (default), 2 = text CSV (interop with old tooling);
-//!                      --resume keeps the store's existing schema
 //!   --resume DIR       resume the interrupted campaign stored in DIR
-//!                      (grid flags must match; validated by spec hash)
+//!                      (grid flags must match; validated by spec hash; a
+//!                      v2 CSV store resumes by appending .apc partitions)
 //!   --distributed DIR  run the campaign as N independent worker *processes*
 //!                      coordinating through DIR/leases.log (see README
 //!                      "Distributed execution"); excludes --out/--resume
@@ -99,8 +97,9 @@
 //! report DIR: post-run summary of a (possibly partial) result store —
 //!   completion state, axis coverage, and the across-seed summary table
 //!
-//! compact DIR: merge duplicate/superseded records and rewrite every
-//!   partition as one columnar v3 block (migrates v2 CSV stores to v3)
+//! compact DIR: merge duplicate/superseded records and rewrite the store as
+//!   4096-cell columnar v3 partitions of 256-row blocks (migrates v2 CSV
+//!   stores to v3)
 //!   --per-part N       change the partition width while compacting
 //!   --quiet            suppress the stderr report
 //! ```
@@ -110,7 +109,7 @@
 //! killed campaign can be picked up with `--resume DIR`; the rendered
 //! `cells.*`/`summary.*` files are produced from the store at the end and
 //! are byte-identical whether or not the campaign was interrupted (and
-//! whichever `--store-schema` the store uses). `query` streams the store
+//! whether the store began as v2 CSV or v3). `query` streams the store
 //! one partition at a time — skipping v3 partitions whose zone maps prove
 //! no row can match — so very large campaigns are inspectable without
 //! loading every partition into memory.
@@ -128,7 +127,7 @@ use apc_workload::{load_swf_file, IntervalKind};
 const USAGE: &str = "usage: campaign [--threads N] [--seeds K] [--seed-base S] [--racks LIST] \
 [--intervals LIST] [--policies LIST] [--caps LIST] [--no-baseline] [--groupings LIST] \
 [--rules LIST] [--windows LIST] [--cap-schedule PATH]... [--faults LIST] [--load LIST] \
-[--backlog F] [--swf PATH] [--out DIR] [--store-schema 2|3] [--resume DIR] \
+[--backlog F] [--swf PATH] [--out DIR] [--resume DIR] \
 [--distributed DIR [--workers N] [--lease-cells N] [--lease-ttl SECS]] [--no-sync] \
 [--format csv|json|both] [--quiet] [--progress] [--metrics] [--trace-out FILE]
        campaign worker DIR --worker-id N [grid flags as the coordinator]
@@ -182,7 +181,6 @@ struct Options {
     threads: usize,
     source: TraceSource,
     out_dir: String,
-    store_schema: u32,
     resume: bool,
     /// `--distributed DIR`: multi-process mode over this store directory.
     distributed: Option<String>,
@@ -211,7 +209,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut seed_base = 2012u64;
     let mut swf = None;
     let mut out_dir: Option<String> = None;
-    let mut store_schema = STORE_SCHEMA_VERSION;
     let mut resume_dir: Option<String> = None;
     let mut distributed: Option<String> = None;
     let mut workers = 2usize;
@@ -331,15 +328,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "--swf" => swf = Some(value("--swf")?.clone()),
             "--out" => out_dir = Some(value("--out")?.clone()),
-            "--store-schema" => {
-                store_schema = match value("--store-schema")?.as_str() {
-                    "2" => STORE_SCHEMA_V2,
-                    "3" => STORE_SCHEMA_VERSION,
-                    other => {
-                        return Err(format!("--store-schema must be 2 or 3, got {other}"));
-                    }
-                };
-            }
             "--resume" => resume_dir = Some(value("--resume")?.clone()),
             "--distributed" => distributed = Some(value("--distributed")?.clone()),
             "--workers" => {
@@ -425,7 +413,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         threads,
         source,
         out_dir,
-        store_schema,
         resume,
         distributed,
         workers,
@@ -462,7 +449,8 @@ fn run(options: Options) -> Result<(), String> {
     // Open (resume) or create the append-only result store; every finished
     // cell streams into it, so a killed run can be resumed from here.
     let mut store = if options.resume {
-        // A resumed store keeps whatever schema it was created with.
+        // A v2 store resumes too: its missing cells land as v3 blocks in
+        // `.apc` partitions beside the CSV ones.
         let store = ResultStore::open(&options.out_dir)?;
         eprintln!(
             "resuming {}: {} of {} cells already recorded",
@@ -472,13 +460,8 @@ fn run(options: Options) -> Result<(), String> {
         );
         store
     } else {
-        ResultStore::create_with_schema(
-            &options.out_dir,
-            runner.fingerprint(),
-            cells,
-            options.store_schema,
-        )
-        .map_err(|e| format!("cannot create result store in {}: {e}", options.out_dir))?
+        ResultStore::create(&options.out_dir, runner.fingerprint(), cells)
+            .map_err(|e| format!("cannot create result store in {}: {e}", options.out_dir))?
     };
     if options.no_sync {
         store.set_sync(false);
@@ -542,7 +525,6 @@ fn worker_passthrough_args(args: &[String]) -> Vec<String> {
         "--lease-ttl",
         "--out",
         "--resume",
-        "--store-schema",
         "--format",
         "--trace-out",
     ];
@@ -578,7 +560,7 @@ fn run_distributed(options: Options, raw_args: &[String]) -> Result<(), String> 
         .with_source(options.source.clone());
     let cells = runner.cells()?.len();
     let fingerprint = runner.fingerprint();
-    ResultStore::create_with_schema(&dir, fingerprint, cells, options.store_schema)
+    ResultStore::create(&dir, fingerprint, cells)
         .map_err(|e| format!("cannot create result store in {dir}: {e}"))?;
     LeaseLog::create(
         &dir_path,
@@ -1040,8 +1022,13 @@ fn run_query(args: &[String]) -> Result<(), String> {
 }
 
 /// `campaign compact DIR [--per-part N] [--quiet]`: merge duplicate and
-/// superseded records, drop untrusted rows, and rewrite every partition as
-/// one columnar v3 block — also the v2 → v3 migration path.
+/// superseded records, drop untrusted rows, and rewrite the store as
+/// [`DEFAULT_COMPACT_CELLS_PER_PART`]-cell v3 partitions (unless
+/// `--per-part` says otherwise), each a run of [`COMPACT_BLOCK_ROWS`]-row
+/// columnar blocks — also the v2 → v3 migration path.
+///
+/// [`DEFAULT_COMPACT_CELLS_PER_PART`]: apc_campaign::compact::DEFAULT_COMPACT_CELLS_PER_PART
+/// [`COMPACT_BLOCK_ROWS`]: apc_campaign::compact::COMPACT_BLOCK_ROWS
 fn run_compact(args: &[String]) -> Result<(), String> {
     let mut dir: Option<String> = None;
     let mut per_part: Option<usize> = None;

@@ -2,11 +2,12 @@
 //!
 //! A v3 partition file is a sequence of self-contained **blocks**. The live
 //! executor appends one single-row block per finished cell — the file stays
-//! append-only, so the crash-safety story is exactly the CSV store's (a
-//! torn tail fails its checksum and is dropped, never trusted) — and
-//! `campaign compact` rewrites a store into one wide block per partition,
-//! where the columnar layout, the shared dictionaries and the per-block
-//! zone maps pay off.
+//! append-only, so a torn tail fails its checksum and is dropped, never
+//! trusted — and `campaign compact` rewrites a store into 4096-cell
+//! partitions, each a run of 256-row blocks
+//! ([`DEFAULT_COMPACT_CELLS_PER_PART`], [`COMPACT_BLOCK_ROWS`]), where the
+//! columnar layout, the shared dictionaries and the per-block zone maps pay
+//! off.
 //!
 //! Block layout (all integers little-endian):
 //!
@@ -42,6 +43,9 @@
 //! zone maps (and, for strings, dictionary membership) prove whole blocks
 //! can hold no matching row before any column is decoded, and only
 //! matching rows are ever materialised as [`CellRow`]s.
+//!
+//! [`DEFAULT_COMPACT_CELLS_PER_PART`]: crate::compact::DEFAULT_COMPACT_CELLS_PER_PART
+//! [`COMPACT_BLOCK_ROWS`]: crate::compact::COMPACT_BLOCK_ROWS
 
 use std::fs;
 use std::path::Path;

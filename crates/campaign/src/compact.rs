@@ -3,8 +3,9 @@
 //! A live campaign appends one record per finished cell: a v3 partition
 //! accumulates single-row blocks (each with its own header, dictionaries
 //! and checksum), a resumed campaign leaves superseded duplicates behind,
-//! and a v2 store is text CSV throughout. [`compact_store`] rewrites the
-//! partitions into their ideal form — **wide partitions of
+//! and a v2 store is text CSV (plus the `.apc` blocks a resume appended
+//! beside it). [`compact_store`] rewrites the partitions into their ideal
+//! form — **wide partitions of
 //! [`DEFAULT_COMPACT_CELLS_PER_PART`] cells, each a run of
 //! [`COMPACT_BLOCK_ROWS`]-row columnar blocks** — duplicates resolved to
 //! the last trusted occurrence, untrusted records dropped, everything v3.
@@ -148,19 +149,24 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
         file.flush()
             .map_err(|e| format!("cannot flush {}: {e}", path.display()))
     };
-    for (_, path) in sorted_part_paths(&parts_dir)? {
-        stats.partitions_in += 1;
-        if let Ok(meta) = fs::metadata(&path) {
-            stats.bytes_in += meta.len();
-        }
-        // Per-partition last-wins over trusted records, as every reader
-        // resolves duplicates (cells of one index share a partition).
+    let parts = sorted_part_paths(&parts_dir)?;
+    for group in parts.chunk_by(|a, b| a.0 == b.0) {
+        // Last-wins over the trusted records of every file of one partition
+        // number, in sorted-file order — the rule every reader applies
+        // (cells of one index share a partition number, but a resumed v2
+        // store or a bounced lease spreads them over several files).
         let mut keep: BTreeMap<usize, CellRow> = BTreeMap::new();
-        for row in load_part_rows(&path)? {
-            if !manifest.done.contains(&row.index) {
-                stats.dropped_untrusted += 1;
-            } else if keep.insert(row.index, row).is_some() {
-                stats.dropped_duplicates += 1;
+        for (_, path) in group {
+            stats.partitions_in += 1;
+            if let Ok(meta) = fs::metadata(path) {
+                stats.bytes_in += meta.len();
+            }
+            for row in load_part_rows(path)? {
+                if !manifest.done.contains(&row.index) {
+                    stats.dropped_untrusted += 1;
+                } else if keep.insert(row.index, row).is_some() {
+                    stats.dropped_duplicates += 1;
+                }
             }
         }
         for (idx, row) in keep {
@@ -229,7 +235,7 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
 mod tests {
     use super::*;
     use crate::query::{scan_store, RowFilter, ScanFlow};
-    use crate::store::{ResultStore, STORE_SCHEMA_V2};
+    use crate::store::ResultStore;
     use std::path::PathBuf;
 
     fn row(index: usize) -> CellRow {
@@ -293,43 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_migrates_v2_to_v3_with_bit_identical_rows() {
-        let dir = temp_dir("migrate");
-        let mut store =
-            ResultStore::create_with_schema(&dir, 0xfeed, 200, STORE_SCHEMA_V2).unwrap();
-        for i in 0..150 {
-            store.append(&row(i)).unwrap();
-        }
-        drop(store);
-        let before = scan_all(&dir);
-        let stats = compact_store(&dir, None).unwrap();
-        assert_eq!(stats.from_schema, STORE_SCHEMA_V2);
-        assert_eq!(stats.rows, 150);
-        // 150 cells fit one default-width (4096-cell) partition.
-        assert_eq!(stats.partitions_out, 1);
-        assert_eq!(stats.cells_per_part, DEFAULT_COMPACT_CELLS_PER_PART);
-        assert!(dir.join(PARTS_DIR).join("part-0000.apc").exists());
-        assert!(!dir.join(PARTS_DIR).join("part-0000.csv").exists());
-        let after = scan_all(&dir);
-        assert_eq!(before.len(), after.len());
-        for (a, b) in before.iter().zip(&after) {
-            assert!(
-                crate::colstore::rows_bit_identical(a, b),
-                "cell {}",
-                a.index
-            );
-        }
-        // The migrated store opens as v3 and resumes.
-        let mut reopened = ResultStore::open(&dir).unwrap();
-        assert_eq!(reopened.schema(), crate::store::STORE_SCHEMA_VERSION);
-        assert_eq!(reopened.completed_count(), 150);
-        reopened.append(&row(150)).unwrap();
-        drop(reopened);
-        assert_eq!(scan_all(&dir).len(), 151);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn compact_merges_duplicates_and_drops_untrusted_records() {
         let dir = temp_dir("dedup");
         let mut store = ResultStore::create(&dir, 1, 100).unwrap();
@@ -370,6 +339,35 @@ mod tests {
         assert_eq!(again.rows, 79);
         assert_eq!(again.dropped_duplicates, 0);
         assert_eq!(scan_all(&dir).len(), 79);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn duplicates_resolve_last_wins_across_the_files_of_one_partition() {
+        let dir = temp_dir("multi-file");
+        drop(ResultStore::create(&dir, 1, 10).unwrap());
+        // A lease stolen mid-batch: both workers recorded cell 2, and
+        // readers take worker 1's record, the last file in sorted order.
+        let mut w0 = ResultStore::open_worker(&dir, 0).unwrap();
+        let mut w1 = ResultStore::open_worker(&dir, 1).unwrap();
+        w0.set_sync(false);
+        w1.set_sync(false);
+        let mut stolen = row(2);
+        stolen.launched_jobs = 111;
+        w0.append(&stolen).unwrap();
+        w0.append(&row(3)).unwrap();
+        stolen.launched_jobs = 222;
+        w1.append(&stolen).unwrap();
+        drop((w0, w1));
+        assert_eq!(scan_all(&dir)[0].launched_jobs, 222);
+        let stats = compact_store(&dir, None).unwrap();
+        assert_eq!((stats.rows, stats.dropped_duplicates), (2, 1));
+        let rows = scan_all(&dir);
+        assert_eq!(rows.iter().map(|r| r.index).collect::<Vec<_>>(), [2, 3]);
+        assert_eq!(
+            rows[0].launched_jobs, 222,
+            "compact keeps what readers read"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -14,8 +14,10 @@
 //! of whose blocks provably holds no matching row is **skipped** without
 //! touching its column data, and within scanned blocks rows are matched by
 //! integer compares on the raw columns, decoding only the matches into a
-//! reused scratch row. v2 (CSV) partitions stream through the same
-//! [`StoreScanner`] with the original line parser. The callback steers the
+//! reused scratch row. Partition numbers held by several files (worker
+//! partitions, or a resumed v2 store's `.apc` reruns beside its CSV file)
+//! and lone v2 CSV partitions stream through the same [`StoreScanner`] as
+//! fully decoded rows merged per partition number. The callback steers the
 //! scan: returning [`ScanFlow::Stop`] ends it early (`--limit`), and the
 //! returned [`ScanStats`] report matches plus partitions scanned/skipped.
 //!
@@ -145,8 +147,9 @@ pub(crate) const PC_PEAK_POWER_WATTS: usize = 23;
 /// dictionary-string copy per row.
 ///
 /// Projection is an *optimisation hint*: rows delivered from a v2 (CSV)
-/// partition are always fully decoded, so callers must treat unprojected
-/// fields as unspecified, never as guaranteed-blank.
+/// partition or a multi-file partition group are always fully decoded, so
+/// callers must treat unprojected fields as unspecified, never as
+/// guaranteed-blank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Projection(u32);
 
@@ -636,8 +639,8 @@ impl StoreScanner {
     /// read from the column arrays (filtering and duplicate resolution
     /// still run on the raw columns, so the match set is identical to an
     /// unprojected scan). Unprojected fields of the delivered row are
-    /// unspecified — the callback must only read projected columns. On v2
-    /// CSV partitions rows are fully parsed regardless.
+    /// unspecified — the callback must only read projected columns. Rows of
+    /// v2 CSV partitions and multi-file groups are fully decoded regardless.
     pub fn scan_projected(
         &self,
         filter: &RowFilter,
@@ -662,23 +665,20 @@ impl StoreScanner {
         }
         let is_done = |idx: usize| idx < done.len() && done[idx];
         let parts = sorted_part_paths(&self.dir.join(PARTS_DIR))?;
-        let mut next = 0;
-        while next < parts.len() {
-            let group_start = next;
-            let number = parts[group_start].0;
-            while next < parts.len() && parts[next].0 == number {
-                next += 1;
-            }
-            if next - group_start > 1 {
-                // A distributed campaign whose lease bounced between workers
-                // leaves several files for one partition number
-                // (`part-N-wW.apc`), and a cell's duplicate records can then
-                // span files. Merge the whole group in sorted-file order
-                // before last-wins resolution — per-file resolution would
-                // emit such a cell once per file — trading the zone-map
-                // machinery for a plain merge on this (small, rare) group.
+        for group in parts.chunk_by(|a, b| a.0 == b.0) {
+            let path = &group[0].1;
+            if group.len() > 1 || !is_v3_part(path) {
+                // Several files share this partition number — a distributed
+                // campaign whose lease bounced between workers
+                // (`part-N-wW.apc`), or a resumed v2 store whose reruns sit
+                // in `part-N.apc` beside `part-N.csv` — or the partition is
+                // a lone v2 CSV file. A cell's duplicate records can then
+                // span files, so merge the whole group in sorted-file order
+                // before last-wins resolution (per-file resolution would
+                // emit such a cell once per file), trading the zone-map
+                // machinery for a plain merge on these small, rare groups.
                 let mut merged: BTreeMap<usize, CellRow> = BTreeMap::new();
-                for (_, path) in &parts[group_start..next] {
+                for (_, path) in group {
                     stats.partitions_scanned += 1;
                     for row in load_part_rows(path)? {
                         if is_done(row.index) {
@@ -697,109 +697,83 @@ impl StoreScanner {
                 }
                 continue;
             }
-            let path = &parts[group_start].1;
-            if is_v3_part(path) {
-                let buf = PartitionBuf::read(path)?;
-                let blocks = buf.block_count();
-                if blocks == 0 {
-                    continue; // fully torn or empty file: nothing trusted
-                }
-                // Resolve the filter once per block: string criteria become
-                // dictionary codes, numeric criteria check the zone maps. A
-                // block that resolves to None provably holds no match.
-                let resolved: Vec<_> = (0..blocks).map(|b| buf.resolve_filter(b, filter)).collect();
-                if resolved.iter().all(|r| r.is_none()) {
-                    // Every block of this partition is proven row-free for
-                    // the filter: skip the partition without touching any
-                    // column data. (Unreachable for an empty filter, which
-                    // always resolves.)
-                    stats.partitions_skipped += 1;
-                    continue;
-                }
-                stats.partitions_scanned += 1;
-                // Cells of one index always land in the same partition, so
-                // last-wins duplicate resolution needs only the (block, row)
-                // of each index's final trusted occurrence — found by
-                // reading the index column alone. The common case (any
-                // compacted store, and every live store that never re-ran a
-                // cell) has strictly increasing indexes, which proves there
-                // are no duplicates and the file order *is* index order: emit
-                // directly, no dedup map. A last occurrence inside an
-                // unmatchable block still wins (and simply emits nothing),
-                // keeping skip decisions and duplicate resolution
-                // independent.
-                let mut monotone = true;
-                let mut prev: Option<usize> = None;
-                'check: for b in 0..blocks {
-                    for r in 0..buf.block_rows(b) {
-                        let idx = buf.cell_index(b, r);
-                        if prev.is_some_and(|p| p >= idx) {
-                            monotone = false;
-                            break 'check;
-                        }
-                        prev = Some(idx);
+            let buf = PartitionBuf::read(path)?;
+            let blocks = buf.block_count();
+            if blocks == 0 {
+                continue; // fully torn or empty file: nothing trusted
+            }
+            // Resolve the filter once per block: string criteria become
+            // dictionary codes, numeric criteria check the zone maps. A
+            // block that resolves to None provably holds no match.
+            let resolved: Vec<_> = (0..blocks).map(|b| buf.resolve_filter(b, filter)).collect();
+            if resolved.iter().all(|r| r.is_none()) {
+                // Every block of this partition is proven row-free for
+                // the filter: skip the partition without touching any
+                // column data. (Unreachable for an empty filter, which
+                // always resolves.)
+                stats.partitions_skipped += 1;
+                continue;
+            }
+            stats.partitions_scanned += 1;
+            // Cells of one index always land in the same partition, so
+            // last-wins duplicate resolution needs only the (block, row)
+            // of each index's final trusted occurrence — found by
+            // reading the index column alone. The common case (any
+            // compacted store, and every live store that never re-ran a
+            // cell) has strictly increasing indexes, which proves there
+            // are no duplicates and the file order *is* index order: emit
+            // directly, no dedup map. A last occurrence inside an
+            // unmatchable block still wins (and simply emits nothing),
+            // keeping skip decisions and duplicate resolution
+            // independent.
+            let mut monotone = true;
+            let mut prev: Option<usize> = None;
+            'check: for b in 0..blocks {
+                for r in 0..buf.block_rows(b) {
+                    let idx = buf.cell_index(b, r);
+                    if prev.is_some_and(|p| p >= idx) {
+                        monotone = false;
+                        break 'check;
                     }
+                    prev = Some(idx);
                 }
-                if monotone {
-                    for (b, rf) in resolved.iter().enumerate() {
-                        let Some(rf) = rf else { continue };
-                        // An unconstrained filter passes every row, so the
-                        // per-row match call is pure overhead on full scans.
-                        let check = !rf.is_unconstrained();
-                        for r in 0..buf.block_rows(b) {
-                            if is_done(buf.cell_index(b, r)) && (!check || buf.matches(b, r, rf)) {
-                                buf.decode_into_projected(b, r, &mut scratch, projection);
-                                stats.matched += 1;
-                                if on_row(&scratch)? == ScanFlow::Stop {
-                                    stats.stopped_early = true;
-                                    return Ok(stats);
-                                }
+            }
+            if monotone {
+                for (b, rf) in resolved.iter().enumerate() {
+                    let Some(rf) = rf else { continue };
+                    // An unconstrained filter passes every row, so the
+                    // per-row match call is pure overhead on full scans.
+                    let check = !rf.is_unconstrained();
+                    for r in 0..buf.block_rows(b) {
+                        if is_done(buf.cell_index(b, r)) && (!check || buf.matches(b, r, rf)) {
+                            buf.decode_into_projected(b, r, &mut scratch, projection);
+                            stats.matched += 1;
+                            if on_row(&scratch)? == ScanFlow::Stop {
+                                stats.stopped_early = true;
+                                return Ok(stats);
                             }
                         }
                     }
-                    continue;
                 }
-                let mut last: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
-                for b in 0..blocks {
-                    for r in 0..buf.block_rows(b) {
-                        let idx = buf.cell_index(b, r);
-                        if is_done(idx) {
-                            last.insert(idx, (b, r));
-                        }
+                continue;
+            }
+            let mut last: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
+            for b in 0..blocks {
+                for r in 0..buf.block_rows(b) {
+                    let idx = buf.cell_index(b, r);
+                    if is_done(idx) {
+                        last.insert(idx, (b, r));
                     }
                 }
-                for &(b, r) in last.values() {
-                    let Some(rf) = &resolved[b] else { continue };
-                    if buf.matches(b, r, rf) {
-                        buf.decode_into_projected(b, r, &mut scratch, projection);
-                        stats.matched += 1;
-                        if on_row(&scratch)? == ScanFlow::Stop {
-                            stats.stopped_early = true;
-                            return Ok(stats);
-                        }
-                    }
-                }
-            } else {
-                stats.partitions_scanned += 1;
-                let text = fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                // Per-partition map resolving duplicates to the last
-                // parseable record, as in the full loader.
-                let mut rows: BTreeMap<usize, CellRow> = BTreeMap::new();
-                for line in text.lines().skip(1) {
-                    if let Ok(row) = CellRow::parse_store_line(line) {
-                        if is_done(row.index) {
-                            rows.insert(row.index, row);
-                        }
-                    }
-                }
-                for row in rows.values() {
-                    if filter.matches(row) {
-                        stats.matched += 1;
-                        if on_row(row)? == ScanFlow::Stop {
-                            stats.stopped_early = true;
-                            return Ok(stats);
-                        }
+            }
+            for &(b, r) in last.values() {
+                let Some(rf) = &resolved[b] else { continue };
+                if buf.matches(b, r, rf) {
+                    buf.decode_into_projected(b, r, &mut scratch, projection);
+                    stats.matched += 1;
+                    if on_row(&scratch)? == ScanFlow::Stop {
+                        stats.stopped_early = true;
+                        return Ok(stats);
                     }
                 }
             }
@@ -862,10 +836,8 @@ mod tests {
     }
 
     /// A 200-cell store spanning several partitions, alternating workloads.
-    /// `schema` picks the partition codec; both must behave identically.
-    fn build_store_with_schema(dir: &Path, schema: u32) {
-        let mut store =
-            crate::store::ResultStore::create_with_schema(dir, 0xabcd, 200, schema).unwrap();
+    fn build_store(dir: &Path) {
+        let mut store = crate::store::ResultStore::create(dir, 0xabcd, 200).unwrap();
         for i in 0..200 {
             let workload = if i % 2 == 0 { "medianjob" } else { "24h" };
             let scenario = if i % 4 == 0 { "60%/SHUT" } else { "100%/None" };
@@ -873,40 +845,31 @@ mod tests {
         }
     }
 
-    fn build_store(dir: &Path) {
-        build_store_with_schema(dir, crate::store::STORE_SCHEMA_VERSION);
-    }
-
     #[test]
     fn scan_streams_matching_rows_in_index_order() {
-        for schema in [
-            crate::store::STORE_SCHEMA_V2,
-            crate::store::STORE_SCHEMA_VERSION,
-        ] {
-            let dir = temp_dir(&format!("scan-v{schema}"));
-            build_store_with_schema(&dir, schema);
-            let filter = RowFilter {
-                workload: Some("medianjob".into()),
-                scenario: Some("60%/SHUT".into()),
-                ..RowFilter::default()
-            };
-            let mut seen = Vec::new();
-            let stats = scan_store(&dir, &filter, |r| {
-                seen.push(r.index);
-                Ok(ScanFlow::Continue)
-            })
-            .unwrap();
-            assert_eq!(stats.matched, 50, "schema v{schema}");
-            assert!(!stats.stopped_early);
-            assert_eq!(seen.len(), 50);
-            assert!(seen.windows(2).all(|w| w[0] < w[1]), "index-sorted");
-            assert!(seen.iter().all(|i| i % 4 == 0));
-            // Workloads alternate within every partition, so nothing is
-            // provably row-free here; CSV partitions can never be skipped.
-            assert_eq!(stats.partitions_skipped, 0);
-            assert_eq!(stats.partitions_scanned, 200usize.div_ceil(64));
-            fs::remove_dir_all(&dir).unwrap();
-        }
+        let dir = temp_dir("scan");
+        build_store(&dir);
+        let filter = RowFilter {
+            workload: Some("medianjob".into()),
+            scenario: Some("60%/SHUT".into()),
+            ..RowFilter::default()
+        };
+        let mut seen = Vec::new();
+        let stats = scan_store(&dir, &filter, |r| {
+            seen.push(r.index);
+            Ok(ScanFlow::Continue)
+        })
+        .unwrap();
+        assert_eq!(stats.matched, 50);
+        assert!(!stats.stopped_early);
+        assert_eq!(seen.len(), 50);
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "index-sorted");
+        assert!(seen.iter().all(|i| i % 4 == 0));
+        // Workloads alternate within every partition, so nothing is
+        // provably row-free here.
+        assert_eq!(stats.partitions_skipped, 0);
+        assert_eq!(stats.partitions_scanned, 200usize.div_ceil(64));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -986,36 +949,6 @@ mod tests {
             "remaining partitions are never opened"
         );
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v2_and_v3_scans_deliver_bit_identical_rows() {
-        let dir_v2 = temp_dir("equiv-v2");
-        let dir_v3 = temp_dir("equiv-v3");
-        build_store_with_schema(&dir_v2, crate::store::STORE_SCHEMA_V2);
-        build_store_with_schema(&dir_v3, crate::store::STORE_SCHEMA_VERSION);
-        let mut v2_rows = Vec::new();
-        let mut v3_rows = Vec::new();
-        scan_store(&dir_v2, &RowFilter::default(), |r| {
-            v2_rows.push(r.clone());
-            Ok(ScanFlow::Continue)
-        })
-        .unwrap();
-        scan_store(&dir_v3, &RowFilter::default(), |r| {
-            v3_rows.push(r.clone());
-            Ok(ScanFlow::Continue)
-        })
-        .unwrap();
-        assert_eq!(v2_rows.len(), v3_rows.len());
-        for (a, b) in v2_rows.iter().zip(&v3_rows) {
-            assert!(
-                crate::colstore::rows_bit_identical(a, b),
-                "cell {}: {a:?} vs {b:?}",
-                a.index
-            );
-        }
-        fs::remove_dir_all(&dir_v2).unwrap();
-        fs::remove_dir_all(&dir_v3).unwrap();
     }
 
     #[test]

@@ -18,18 +18,24 @@
 //! crash between the two writes, or a record torn mid-write) is simply not
 //! trusted and the cell reruns on resume.
 //!
-//! Schema v3 partitions (`part-NNNN.apc`) are sequences of self-contained
-//! columnar blocks (see [`crate::colstore`]): the executor appends one
-//! single-row block per finished cell, each carrying its own dictionaries,
-//! zone maps and checksum; `campaign compact` later merges them into one
-//! wide block per partition. Schema v2 stores (`part-NNNN.csv`, text rows)
-//! remain fully readable — every reader dispatches on the partition file's
-//! extension, never on the manifest, which also makes the compact swap
-//! crash-tolerant. Either way floats round-trip bit-exactly (v2 via
-//! shortest round-trip `Display`, v3 via raw bit patterns), so a campaign
-//! resumed from disk — or exported from either schema — renders
-//! byte-identical CSV/JSON. Duplicate records for one index (a torn record
-//! followed by its rerun) resolve to the **last** intact occurrence.
+//! Partitions (`part-NNNN.apc`) are sequences of self-contained columnar
+//! blocks (see [`crate::colstore`]): the executor appends one single-row
+//! block per finished cell, each carrying its own dictionaries, zone maps
+//! and checksum; `campaign compact` later rewrites the store into
+//! partitions of [`DEFAULT_COMPACT_CELLS_PER_PART`] cells, each a run of
+//! [`COMPACT_BLOCK_ROWS`]-row blocks. Floats are stored as raw bit
+//! patterns, so a campaign resumed from disk renders byte-identical
+//! CSV/JSON. Duplicate records for one index (a torn record followed by
+//! its rerun) resolve to the **last** intact occurrence.
+//!
+//! Schema v2 stores (`part-NNNN.csv`, text rows written by older versions)
+//! stay readable, resumable and migratable: every reader dispatches on the
+//! partition file's extension, never on the manifest, and decodes CSV
+//! partitions through [`CellRow::parse_store_line`], whose shortest
+//! round-trip floats are bit-exact too. A resumed v2 store appends its
+//! missing cells as `.apc` partitions beside the CSV ones, and
+//! `campaign compact` migrates it to v3. Extension dispatch also keeps the
+//! compact swap crash-tolerant.
 //!
 //! Appends are fsync'd by default — the partition file before the `done`
 //! line, the manifest after it — so a crash cannot reorder a completion
@@ -38,10 +44,12 @@
 //! ([`ResultStore::open_worker`]) write worker-owned
 //! `cells/part-NNNN-wW.apc` partitions and share only the manifest, whose
 //! `done` lines are single atomic `O_APPEND` writes; readers merge all
-//! files of one partition number in (plain, then worker-id) order with the
-//! same last-wins rule.
+//! files of one partition number in one fixed order (plain before
+//! worker-suffixed, CSV before `.apc`) with the same last-wins rule.
 //!
 //! [`CampaignSpec::fingerprint`]: crate::spec::CampaignSpec::fingerprint
+//! [`DEFAULT_COMPACT_CELLS_PER_PART`]: crate::compact::DEFAULT_COMPACT_CELLS_PER_PART
+//! [`COMPACT_BLOCK_ROWS`]: crate::compact::COMPACT_BLOCK_ROWS
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -62,19 +70,19 @@ const MANIFEST_MAGIC: &str = "apc-campaign-store";
 /// columnar blocks with dictionaries, zone maps and checksums
 /// ([`crate::colstore`]). The scenario-engine refactor adds the optional
 /// `schedule`/`faults` label columns *within* v3: label-free rows keep the
-/// exact pre-refactor bytes in both codecs (22-field CSV lines, `"APC3"`
-/// blocks), labelled rows extend them (24 fields, `"APC4"` blocks), and
-/// readers fill `"-"` for the missing columns — so no schema bump, and
-/// stores written before the refactor open unchanged. v2 stores stay
-/// readable and resumable — readers
-/// dispatch on the partition file extension — but a v1 store cannot be
-/// opened: the row codec and the spec fingerprint both changed, so
-/// [`ResultStore::open`] rejects it with a versioned error instead of
-/// re-running cells into a mixed-layout store.
+/// exact pre-refactor bytes (`"APC3"` blocks, 22-field v2 lines), labelled
+/// rows extend them (`"APC4"` blocks, 24-field v2 lines), and readers fill
+/// `"-"` for the missing columns — so no schema bump, and stores written
+/// before the refactor open unchanged. v2 stores stay readable and
+/// resumable — readers dispatch on the partition file extension — but a
+/// v1 store cannot be opened: the row codec and the spec fingerprint both
+/// changed, so [`ResultStore::open`] rejects it with a versioned error
+/// instead of re-running cells into a mixed-layout store.
 pub const STORE_SCHEMA_VERSION: u32 = 3;
 
-/// The previous (text CSV partition) schema, still supported for reads,
-/// resume and as an explicit `--store-schema 2` write target.
+/// The previous (text CSV partition) schema. Nothing writes it any more;
+/// its stores stay readable, resumable and migratable by
+/// `campaign compact`.
 pub const STORE_SCHEMA_V2: u32 = 2;
 
 /// Default number of cells per partition file.
@@ -86,49 +94,52 @@ pub const MANIFEST_NAME: &str = "manifest.txt";
 /// Name of the partition subdirectory inside a store directory.
 pub const PARTS_DIR: &str = "cells";
 
-/// Header of every v2 (CSV) partition file (same columns as the rendered
-/// `cells.csv`, but with full-precision float fields).
-pub const PART_CSV_HEADER: &str = crate::sink::CELLS_CSV_HEADER;
-
 /// The partition files of a store, sorted by **partition number** (parsed
 /// from the `part-N.csv` / `part-N.apc` name, not lexically — `part-10000`
 /// must come after `part-9999`, where a lexical sort would interleave them
 /// once grids grow past 640 k cells). Distributed workers write
-/// worker-owned `part-N-wW.{csv,apc}` partitions; those sort after the
-/// plain file of the same number, then by worker id, so replaying files in
-/// this order with last-wins duplicate resolution is deterministic however
-/// a lease bounced between workers. Files that do not look like partitions
-/// are ignored.
+/// worker-owned `part-N-wW.apc` partitions; those sort after the plain
+/// file of the same number, then by worker id. Between a `.csv` and an
+/// `.apc` file of the same number and worker the CSV comes first: the
+/// `.apc` one holds the cells a resume of a v2 store appended, which
+/// supersede any torn CSV record of the same cell. Replaying files in this
+/// order with last-wins duplicate resolution is therefore deterministic —
+/// whatever order the filesystem lists them in, and however a lease
+/// bounced between workers. Files that do not look like partitions are
+/// ignored.
 pub(crate) fn sorted_part_paths(parts_dir: &Path) -> Result<Vec<(usize, PathBuf)>, String> {
     let entries =
         fs::read_dir(parts_dir).map_err(|e| format!("cannot read {}: {e}", parts_dir.display()))?;
-    let mut parts: Vec<(usize, Option<usize>, PathBuf)> = entries
+    let mut parts: Vec<(usize, Option<usize>, bool, PathBuf)> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter_map(|p| {
             let stem = p
                 .file_name()
                 .and_then(|n| n.to_str())
                 .and_then(|n| n.strip_prefix("part-"))?;
-            let rest = stem
-                .strip_suffix(".csv")
-                .or_else(|| stem.strip_suffix(".apc"))?;
+            let (rest, v3) = match stem.strip_suffix(".csv") {
+                Some(rest) => (rest, false),
+                None => (stem.strip_suffix(".apc")?, true),
+            };
             let (number, worker) = match rest.split_once("-w") {
                 Some((n, w)) => (n.parse::<usize>().ok()?, Some(w.parse::<usize>().ok()?)),
                 None => (rest.parse::<usize>().ok()?, None),
             };
-            Some((number, worker, p))
+            Some((number, worker, v3, p))
         })
         .collect();
-    parts.sort_by_key(|(number, worker, _)| (*number, worker.is_some(), worker.unwrap_or(0)));
+    parts.sort_by_key(|(number, worker, v3, _)| {
+        (*number, worker.is_some(), worker.unwrap_or(0), *v3)
+    });
     Ok(parts
         .into_iter()
-        .map(|(number, _, p)| (number, p))
+        .map(|(number, _, _, p)| (number, p))
         .collect())
 }
 
 /// Is this partition path a v3 (binary columnar) file? Readers dispatch on
 /// the extension, not the manifest schema, so a directory mixing `.csv` and
-/// `.apc` partitions (mid-migration, or resumed after `compact`) reads
+/// `.apc` partitions (a resumed v2 store, or one mid-migration) reads
 /// correctly.
 pub(crate) fn is_v3_part(path: &Path) -> bool {
     path.extension().and_then(|e| e.to_str()) == Some(colstore::PART_EXT_V3)
@@ -238,26 +249,15 @@ impl ParsedManifest {
     }
 }
 
-/// Read the final byte of a non-empty file.
-fn last_byte(path: &Path, len: u64) -> io::Result<u8> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut file = fs::File::open(path)?;
-    file.seek(SeekFrom::Start(len - 1))?;
-    let mut byte = [0u8; 1];
-    file.read_exact(&mut byte)?;
-    Ok(byte[0])
-}
-
 /// An append-only, crash-resumable campaign result store.
 ///
-/// Create one with [`ResultStore::create`] for a fresh campaign (schema
-/// v3), [`ResultStore::create_with_schema`] to pin the schema explicitly,
-/// or [`ResultStore::open`] to resume; the executor calls
-/// [`append`](ResultStore::append) once per finished cell.
+/// Create one with [`ResultStore::create`] for a fresh campaign or
+/// [`ResultStore::open`] to resume (a v2 store included); the executor
+/// calls [`append`](ResultStore::append) once per finished cell, which
+/// always writes a v3 block.
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
-    schema: u32,
     spec_hash: u64,
     total_cells: usize,
     cells_per_part: usize,
@@ -293,25 +293,6 @@ impl ResultStore {
     ///
     /// [`fingerprint`]: crate::spec::CampaignSpec::fingerprint
     pub fn create(dir: impl Into<PathBuf>, spec_hash: u64, total_cells: usize) -> io::Result<Self> {
-        Self::create_with_schema(dir, spec_hash, total_cells, STORE_SCHEMA_VERSION)
-    }
-
-    /// [`create`](Self::create), but writing the given schema version:
-    /// [`STORE_SCHEMA_VERSION`] (v3, binary columnar — the default) or
-    /// [`STORE_SCHEMA_V2`] (text CSV partitions, for interop with older
-    /// tooling).
-    pub fn create_with_schema(
-        dir: impl Into<PathBuf>,
-        spec_hash: u64,
-        total_cells: usize,
-        schema: u32,
-    ) -> io::Result<Self> {
-        if schema != STORE_SCHEMA_VERSION && schema != STORE_SCHEMA_V2 {
-            return Err(io::Error::other(format!(
-                "unsupported store schema v{schema} (supported: \
-                 v{STORE_SCHEMA_V2}, v{STORE_SCHEMA_VERSION})"
-            )));
-        }
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let parts = dir.join(PARTS_DIR);
@@ -321,7 +302,7 @@ impl ResultStore {
         fs::create_dir_all(&parts)?;
         let manifest_path = dir.join(MANIFEST_NAME);
         let mut manifest = fs::File::create(&manifest_path)?;
-        writeln!(manifest, "{MANIFEST_MAGIC} {schema}")?;
+        writeln!(manifest, "{MANIFEST_MAGIC} {STORE_SCHEMA_VERSION}")?;
         writeln!(manifest, "spec {spec_hash:016x}")?;
         writeln!(manifest, "cells {total_cells}")?;
         writeln!(manifest, "per-part {DEFAULT_CELLS_PER_PART}")?;
@@ -330,7 +311,6 @@ impl ResultStore {
         manifest.sync_data()?;
         Ok(ResultStore {
             dir,
-            schema,
             spec_hash,
             total_cells,
             cells_per_part: DEFAULT_CELLS_PER_PART,
@@ -357,11 +337,11 @@ impl ResultStore {
             .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
         let manifest = ParsedManifest::parse(&dir, &text)?;
         let ParsedManifest {
-            schema,
             spec_hash,
             total_cells,
             cells_per_part,
             done,
+            ..
         } = manifest;
 
         // Load rows from the partitions, trusting only indices in the done
@@ -390,7 +370,6 @@ impl ResultStore {
         let done = rows.keys().copied().collect();
         Ok(ResultStore {
             dir,
-            schema,
             spec_hash,
             total_cells,
             cells_per_part,
@@ -429,7 +408,6 @@ impl ResultStore {
         }
         Ok(ResultStore {
             dir,
-            schema: parsed.schema,
             spec_hash: parsed.spec_hash,
             total_cells: parsed.total_cells,
             cells_per_part: parsed.cells_per_part,
@@ -489,60 +467,39 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Append one finished cell: the row goes to its partition file first
-    /// (fsync'd, unless [`set_sync`](Self::set_sync) turned syncing off),
-    /// then the `done` line to the manifest (fsync'd likewise) — the
-    /// ordering that makes a crash at any point safe: a `done` entry is
-    /// only ever durable *after* the row it vouches for.
+    /// Append one finished cell as a single-row v3 block: the row goes to
+    /// its partition file first (fsync'd, unless
+    /// [`set_sync`](Self::set_sync) turned syncing off), then the `done`
+    /// line to the manifest (fsync'd likewise) — the ordering that makes a
+    /// crash at any point safe: a `done` entry is only ever durable *after*
+    /// the row it vouches for.
     pub fn append(&mut self, row: &CellRow) -> io::Result<()> {
         let part_no = row.index / self.cells_per_part;
         if self.current_part.as_ref().map(|(n, _)| *n) != Some(part_no) {
             let path = self.part_path(part_no);
-            if self.schema == STORE_SCHEMA_V2 {
-                let mut file = fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)?;
-                let len = file.metadata()?.len();
-                if len == 0 {
-                    writeln!(file, "{PART_CSV_HEADER}")?;
-                } else if last_byte(&path, len)? != b'\n' {
-                    // The previous run died mid-record: terminate the torn
-                    // line so this append starts cleanly (the torn row is
-                    // already untrusted — its `done` entry was never
-                    // written).
-                    file.write_all(b"\n")?;
-                }
-                self.current_part = Some((part_no, file));
-            } else {
-                // v3: if the previous run died mid-block, truncate the file
-                // to its trusted prefix so the new block is reachable (a
-                // block after torn bytes would never parse).
-                match fs::read(&path) {
-                    Ok(data) => {
-                        let len = data.len();
-                        let trusted = PartitionBuf::parse(data).trusted_len();
-                        if trusted < len {
-                            let file = fs::OpenOptions::new().write(true).open(&path)?;
-                            file.set_len(trusted as u64)?;
-                        }
+            // If the previous run died mid-block, truncate the file to its
+            // trusted prefix so the new block is reachable (a block after
+            // torn bytes would never parse).
+            match fs::read(&path) {
+                Ok(data) => {
+                    let len = data.len();
+                    let trusted = PartitionBuf::parse(data).trusted_len();
+                    if trusted < len {
+                        let file = fs::OpenOptions::new().write(true).open(&path)?;
+                        file.set_len(trusted as u64)?;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e),
                 }
-                let file = fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)?;
-                self.current_part = Some((part_no, file));
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
             }
+            let file = fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&path)?;
+            self.current_part = Some((part_no, file));
         }
         let (_, file) = self.current_part.as_mut().expect("part handle just set");
-        if self.schema == STORE_SCHEMA_V2 {
-            writeln!(file, "{}", row.to_store_line())?;
-        } else {
-            file.write_all(&colstore::encode_block(std::slice::from_ref(row)))?;
-        }
+        file.write_all(&colstore::encode_block(std::slice::from_ref(row)))?;
         file.flush()?;
         if self.sync {
             file.sync_data()?;
@@ -563,14 +520,10 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Path of partition `part_no` under this store's write schema (with
-    /// the owning worker's suffix on distributed handles).
+    /// Path of partition `part_no` (with the owning worker's suffix on
+    /// distributed handles).
     fn part_path(&self, part_no: usize) -> PathBuf {
-        let ext = if self.schema == STORE_SCHEMA_V2 {
-            "csv"
-        } else {
-            colstore::PART_EXT_V3
-        };
+        let ext = colstore::PART_EXT_V3;
         let name = match self.worker_tag {
             Some(w) => format!("part-{part_no:04}-w{w}.{ext}"),
             None => format!("part-{part_no:04}.{ext}"),
@@ -581,11 +534,6 @@ impl ResultStore {
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The schema version this store was created/opened with.
-    pub fn schema(&self) -> u32 {
-        self.schema
     }
 
     /// The recorded spec fingerprint.
@@ -673,7 +621,8 @@ mod tests {
     fn append_then_open_recovers_exact_rows() {
         let dir = temp_dir("roundtrip");
         let mut store = ResultStore::create(&dir, 0xfeed, 200).unwrap();
-        assert_eq!(store.schema(), STORE_SCHEMA_VERSION);
+        let manifest = fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap();
+        assert!(manifest.starts_with(&format!("{MANIFEST_MAGIC} {STORE_SCHEMA_VERSION}\n")));
         // Out-of-order appends across several partitions, as a work-stealing
         // run produces them.
         for i in [150usize, 3, 64, 0, 199, 65] {
@@ -715,66 +664,23 @@ mod tests {
     }
 
     #[test]
-    fn v2_store_writes_csv_and_reads_back() {
-        let dir = temp_dir("v2-compat");
-        let mut store =
-            ResultStore::create_with_schema(&dir, 0xfeed, 200, STORE_SCHEMA_V2).unwrap();
-        assert_eq!(store.schema(), STORE_SCHEMA_V2);
-        for i in [0usize, 64, 150] {
-            store.append(&row(i)).unwrap();
-        }
+    fn labelled_rows_round_trip_through_the_store() {
+        let dir = temp_dir("labels");
+        let mut store = ResultStore::create(&dir, 0xfeed, 10).unwrap();
+        let mut labelled = row(0);
+        labelled.scenario = "SCHED/SHUT".into();
+        labelled.schedule = "0+7200@80|7200+10800@40".into();
+        labelled.faults = "3x600@7".into();
+        store.append(&labelled).unwrap();
+        store.append(&row(1)).unwrap();
         drop(store);
-        assert!(dir.join(PARTS_DIR).join("part-0000.csv").exists());
-        let reopened = ResultStore::open(&dir).unwrap();
-        assert_eq!(reopened.schema(), STORE_SCHEMA_V2);
-        let rows = reopened.rows();
-        assert_eq!(
-            rows.iter().map(|r| r.index).collect::<Vec<_>>(),
-            [0, 64, 150]
-        );
-        for r in &rows {
-            assert_eq!(
-                r.work_core_seconds.to_bits(),
-                row(r.index).work_core_seconds.to_bits()
-            );
-        }
-        // Resuming a v2 store keeps appending CSV.
-        let mut resumed = ResultStore::open(&dir).unwrap();
-        resumed.append(&row(1)).unwrap();
-        drop(resumed);
-        assert!(!dir.join(PARTS_DIR).join("part-0000.apc").exists());
-        assert_eq!(ResultStore::open(&dir).unwrap().completed_count(), 4);
+        let rows = ResultStore::open(&dir).unwrap().rows();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].schedule, "0+7200@80|7200+10800@40");
+        assert_eq!(rows[0].faults, "3x600@7");
+        assert_eq!(rows[1].schedule, "-");
+        assert_eq!(rows[1].faults, "-");
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn labelled_rows_round_trip_through_both_schemas() {
-        for schema in [STORE_SCHEMA_V2, STORE_SCHEMA_VERSION] {
-            let dir = temp_dir(&format!("labels-v{schema}"));
-            let mut store = ResultStore::create_with_schema(&dir, 0xfeed, 10, schema).unwrap();
-            let mut labelled = row(0);
-            labelled.scenario = "SCHED/SHUT".into();
-            labelled.schedule = "0+7200@80|7200+10800@40".into();
-            labelled.faults = "3x600@7".into();
-            store.append(&labelled).unwrap();
-            store.append(&row(1)).unwrap();
-            drop(store);
-            let rows = ResultStore::open(&dir).unwrap().rows();
-            assert_eq!(rows.len(), 2, "schema v{schema}");
-            assert_eq!(rows[0].schedule, "0+7200@80|7200+10800@40");
-            assert_eq!(rows[0].faults, "3x600@7");
-            assert_eq!(rows[1].schedule, "-");
-            assert_eq!(rows[1].faults, "-");
-            fs::remove_dir_all(&dir).unwrap();
-        }
-    }
-
-    #[test]
-    fn create_rejects_unknown_schema() {
-        let dir = temp_dir("bad-schema");
-        let err = ResultStore::create_with_schema(&dir, 1, 10, 7).unwrap_err();
-        assert!(err.to_string().contains("unsupported store schema v7"));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -937,12 +843,17 @@ mod tests {
     fn worker_suffixed_partitions_sort_after_plain_files_of_same_number() {
         let dir = temp_dir("worker-order");
         fs::create_dir_all(&dir).unwrap();
+        // A CSV file sorts before the `.apc` file of the same number and
+        // worker, whichever the directory lists first: a resumed v2 store
+        // appends its reruns beside its CSV partitions, and they must win.
         for name in [
             "part-0002-w1.apc",
             "part-0002.apc",
             "part-0002-w0.apc",
+            "part-0002.csv",
             "part-0001-w10.csv",
             "part-0001-w2.apc",
+            "part-0001-w2.csv",
         ] {
             fs::write(dir.join(name), "x\n").unwrap();
         }
@@ -954,8 +865,10 @@ mod tests {
         assert_eq!(
             names,
             [
+                "part-0001-w2.csv",
                 "part-0001-w2.apc",
                 "part-0001-w10.csv",
+                "part-0002.csv",
                 "part-0002.apc",
                 "part-0002-w0.apc",
                 "part-0002-w1.apc",

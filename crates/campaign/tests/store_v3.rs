@@ -109,7 +109,7 @@ fn build_row(index: usize, a: u64, b: u64, sel: u8) -> CellRow {
 
 /// Encode `rows` as a partition: a sequence of appended blocks whose sizes
 /// are driven by `chunk` (mirroring live appends of 1-row blocks and
-/// compacted wide blocks in one file).
+/// compacted multi-row blocks in one file).
 fn encode_partition(rows: &[CellRow], chunk: usize) -> Vec<u8> {
     let mut data = Vec::new();
     for block in rows.chunks(chunk.max(1)) {
