@@ -1,6 +1,6 @@
 //! Streaming result aggregation.
 //!
-//! Workers reduce each heavy [`ReplayOutcome`](apc_replay::ReplayOutcome)
+//! Workers reduce each heavy [`ReplayOutcome`]
 //! (simulation log + time series) to a flat [`CellRow`] *inside the worker
 //! thread*, immediately after the replay finishes — only rows ever cross the
 //! channel and only rows are retained, so a campaign's resident footprint is
@@ -10,14 +10,258 @@
 //! across-replication mean / min / max / stddev [`SummaryRow`]s. Rows are
 //! always folded in cell-index order, so every float accumulation is
 //! order-stable and the summaries are byte-identical for any thread count.
+//!
+//! [`Column`] is the one table of a row's columns: their names, their
+//! order in `cells.csv` and their kinds. Every render, `campaign query` and
+//! the v2 store reader take the schema from it through
+//! [`CellRow::field`].
 
 use apc_replay::metrics::{NormalizedOutcome, PowerSeries};
 use apc_replay::{ReplayOutcome, ReplaySummary, SimulationReport};
 
 use crate::spec::CampaignCell;
 
+/// One column of a [`CellRow`], declared in `cells.csv` order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Column {
+    /// `index`
+    Index,
+    /// `racks`
+    Racks,
+    /// `workload`
+    Workload,
+    /// `seed`
+    Seed,
+    /// `load_factor`
+    LoadFactor,
+    /// `scenario`
+    Scenario,
+    /// `window`
+    Window,
+    /// `policy`
+    Policy,
+    /// `cap_percent`
+    CapPercent,
+    /// `grouping`
+    Grouping,
+    /// `decision_rule`
+    DecisionRule,
+    /// `schedule`, shown only when some row carries a cap schedule
+    Schedule,
+    /// `faults`, shown only when some row carries a fault plan
+    Faults,
+    /// `launched_jobs`
+    LaunchedJobs,
+    /// `completed_jobs`
+    CompletedJobs,
+    /// `killed_jobs`
+    KilledJobs,
+    /// `pending_jobs`
+    PendingJobs,
+    /// `work_core_seconds`
+    WorkCoreSeconds,
+    /// `energy_joules`
+    EnergyJoules,
+    /// `energy_normalized`
+    EnergyNormalized,
+    /// `launched_jobs_normalized`
+    LaunchedJobsNormalized,
+    /// `work_normalized`
+    WorkNormalized,
+    /// `mean_wait_seconds`
+    MeanWaitSeconds,
+    /// `peak_power_watts`
+    PeakPowerWatts,
+}
+
+/// What a column holds, which decides how each format prints it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColumnKind {
+    /// A count.
+    Int,
+    /// The generator seed, absent for a fixed trace.
+    Seed,
+    /// A float; NaN marks an undefined value.
+    Float,
+    /// A text label.
+    Label,
+}
+
+impl Column {
+    /// Every column, in `cells.csv` order.
+    pub const ALL: [Column; 24] = [
+        Column::Index,
+        Column::Racks,
+        Column::Workload,
+        Column::Seed,
+        Column::LoadFactor,
+        Column::Scenario,
+        Column::Window,
+        Column::Policy,
+        Column::CapPercent,
+        Column::Grouping,
+        Column::DecisionRule,
+        Column::Schedule,
+        Column::Faults,
+        Column::LaunchedJobs,
+        Column::CompletedJobs,
+        Column::KilledJobs,
+        Column::PendingJobs,
+        Column::WorkCoreSeconds,
+        Column::EnergyJoules,
+        Column::EnergyNormalized,
+        Column::LaunchedJobsNormalized,
+        Column::WorkNormalized,
+        Column::MeanWaitSeconds,
+        Column::PeakPowerWatts,
+    ];
+
+    /// The column's name in every header and on the command line.
+    pub fn name(self) -> &'static str {
+        match self {
+            Column::Index => "index",
+            Column::Racks => "racks",
+            Column::Workload => "workload",
+            Column::Seed => "seed",
+            Column::LoadFactor => "load_factor",
+            Column::Scenario => "scenario",
+            Column::Window => "window",
+            Column::Policy => "policy",
+            Column::CapPercent => "cap_percent",
+            Column::Grouping => "grouping",
+            Column::DecisionRule => "decision_rule",
+            Column::Schedule => "schedule",
+            Column::Faults => "faults",
+            Column::LaunchedJobs => "launched_jobs",
+            Column::CompletedJobs => "completed_jobs",
+            Column::KilledJobs => "killed_jobs",
+            Column::PendingJobs => "pending_jobs",
+            Column::WorkCoreSeconds => "work_core_seconds",
+            Column::EnergyJoules => "energy_joules",
+            Column::EnergyNormalized => "energy_normalized",
+            Column::LaunchedJobsNormalized => "launched_jobs_normalized",
+            Column::WorkNormalized => "work_normalized",
+            Column::MeanWaitSeconds => "mean_wait_seconds",
+            Column::PeakPowerWatts => "peak_power_watts",
+        }
+    }
+
+    /// What the column holds.
+    pub fn kind(self) -> ColumnKind {
+        use Column::*;
+        match self {
+            Index | Racks | LaunchedJobs | CompletedJobs | KilledJobs | PendingJobs => {
+                ColumnKind::Int
+            }
+            Seed => ColumnKind::Seed,
+            Workload | Scenario | Window | Policy | Grouping | DecisionRule | Schedule | Faults => {
+                ColumnKind::Label
+            }
+            LoadFactor
+            | CapPercent
+            | WorkCoreSeconds
+            | EnergyJoules
+            | EnergyNormalized
+            | LaunchedJobsNormalized
+            | WorkNormalized
+            | MeanWaitSeconds
+            | PeakPowerWatts => ColumnKind::Float,
+        }
+    }
+
+    /// Is this `schedule` or `faults`, the labels a render shows only when
+    /// one of its rows carries one?
+    pub fn is_optional_label(self) -> bool {
+        matches!(self, Column::Schedule | Column::Faults)
+    }
+
+    /// Is this one of the metrics a replay measures, rather than a label or
+    /// a grid coordinate? The table lists them last, from `launched_jobs`
+    /// on; they are what `campaign query --group-by` folds by default.
+    pub fn is_metric(self) -> bool {
+        self as usize >= Column::LaunchedJobs as usize
+    }
+
+    /// The column called `name`; an unknown name is an error listing the
+    /// valid ones.
+    pub fn from_name(name: &str) -> Result<Column, String> {
+        Column::ALL
+            .into_iter()
+            .find(|c| c.name() == name)
+            .ok_or_else(|| format!("unknown column {name:?} (valid: {})", names(Column::ALL)))
+    }
+
+    /// This column if it holds numbers; a label is an error listing the
+    /// numeric columns.
+    pub fn numeric(self) -> Result<Column, String> {
+        if self.kind() != ColumnKind::Label {
+            return Ok(self);
+        }
+        let numeric = Column::ALL
+            .into_iter()
+            .filter(|c| c.kind() != ColumnKind::Label);
+        Err(format!(
+            "column {:?} is not numeric and cannot be aggregated (numeric: {})",
+            self.name(),
+            names(numeric)
+        ))
+    }
+}
+
+/// Column names joined with ", ", for error messages.
+fn names(columns: impl IntoIterator<Item = Column>) -> String {
+    columns
+        .into_iter()
+        .map(Column::name)
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// The optional-label rule: a row carries the `schedule`/`faults` labels
+/// when either differs from `"-"`. A render shows the two columns, and a
+/// store block uses the labelled `"APC4"` layout, only when one of its rows
+/// carries them, so output without schedules or fault plans keeps its
+/// older bytes.
+pub(crate) fn is_labelled(schedule: &str, faults: &str) -> bool {
+    schedule != "-" || faults != "-"
+}
+
+/// One value of a [`CellRow`], typed by its column's [`ColumnKind`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Field<'a> {
+    /// A count.
+    Int(usize),
+    /// The generator seed (`None` for a fixed trace).
+    Seed(Option<u64>),
+    /// A float.
+    Float(f64),
+    /// A text label.
+    Label(&'a str),
+}
+
+impl Field<'_> {
+    /// The value as a number: `None` for an absent seed, a NaN float or a
+    /// label.
+    pub(crate) fn number(self) -> Option<f64> {
+        match self {
+            Field::Int(v) => Some(v as f64),
+            Field::Seed(s) => s.map(|s| s as f64),
+            Field::Float(v) => (!v.is_nan()).then_some(v),
+            Field::Label(_) => None,
+        }
+    }
+
+    /// Equality with floats compared by bit pattern, so NaN payloads count.
+    pub(crate) fn same_bits(self, other: Field) -> bool {
+        match (self, other) {
+            (Field::Float(a), Field::Float(b)) => a.to_bits() == b.to_bits(),
+            (a, b) => a == b,
+        }
+    }
+}
+
 /// The flat per-cell result record (one CSV/JSON row).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CellRow {
     /// Cell index in expansion order.
     pub index: usize,
@@ -135,68 +379,97 @@ impl CellRow {
         }
     }
 
+    /// The value of one column.
+    pub fn field(&self, column: Column) -> Field<'_> {
+        match column {
+            Column::Index => Field::Int(self.index),
+            Column::Racks => Field::Int(self.racks),
+            Column::Workload => Field::Label(&self.workload),
+            Column::Seed => Field::Seed(self.seed),
+            Column::LoadFactor => Field::Float(self.load_factor),
+            Column::Scenario => Field::Label(&self.scenario),
+            Column::Window => Field::Label(&self.window),
+            Column::Policy => Field::Label(&self.policy),
+            Column::CapPercent => Field::Float(self.cap_percent),
+            Column::Grouping => Field::Label(&self.grouping),
+            Column::DecisionRule => Field::Label(&self.decision_rule),
+            Column::Schedule => Field::Label(&self.schedule),
+            Column::Faults => Field::Label(&self.faults),
+            Column::LaunchedJobs => Field::Int(self.launched_jobs),
+            Column::CompletedJobs => Field::Int(self.completed_jobs),
+            Column::KilledJobs => Field::Int(self.killed_jobs),
+            Column::PendingJobs => Field::Int(self.pending_jobs),
+            Column::WorkCoreSeconds => Field::Float(self.work_core_seconds),
+            Column::EnergyJoules => Field::Float(self.energy_joules),
+            Column::EnergyNormalized => Field::Float(self.energy_normalized),
+            Column::LaunchedJobsNormalized => Field::Float(self.launched_jobs_normalized),
+            Column::WorkNormalized => Field::Float(self.work_normalized),
+            Column::MeanWaitSeconds => Field::Float(self.mean_wait_seconds),
+            Column::PeakPowerWatts => Field::Float(self.peak_power_watts),
+        }
+    }
+
     /// Decode one record of a schema v2 store partition (`part-NNNN.csv`).
     ///
     /// Nothing writes v2 partitions any more, but their stores stay
-    /// readable. A v2 record is the rendered `cells.csv` row with every
-    /// float in Rust's shortest round-trip `Display` form (`NaN`/`inf` for
-    /// non-finite values) instead of six decimals, so parsing recovers the
+    /// readable. A v2 record holds the label-free columns in table order,
+    /// then `schedule` and `faults` when the row carries labels (22 or 24
+    /// fields), with every float in Rust's shortest round-trip `Display`
+    /// form (`NaN`/`inf` for non-finite values), so parsing recovers the
     /// exact bit pattern and a resumed campaign aggregates the same values
-    /// an uninterrupted one would. Label-free rows have 22 fields; rows
-    /// with schedule/fault labels append those two columns (24 fields).
+    /// an uninterrupted one would.
     ///
     /// Any malformed input — wrong field count, bad quoting, an unparsable
     /// number — is an error, never a panic: the store loader treats such
     /// lines (e.g. a row torn in half by a crash) as "cell not recorded".
     pub fn parse_store_line(line: &str) -> Result<CellRow, String> {
         let fields = crate::sink::split_csv_line(line)?;
-        // 22 fields = a label-free row (possibly from a pre-refactor store);
-        // 24 fields = a row carrying schedule/fault labels.
         if fields.len() != 22 && fields.len() != 24 {
             return Err(format!("expected 22 or 24 fields, got {}", fields.len()));
         }
-        fn int(raw: &str, what: &str) -> Result<usize, String> {
-            raw.parse()
-                .map_err(|_| format!("bad {what} field: {raw:?}"))
-        }
-        fn float(raw: &str, what: &str) -> Result<f64, String> {
-            raw.parse()
-                .map_err(|_| format!("bad {what} field: {raw:?}"))
-        }
-        let seed = if fields[3].is_empty() {
-            None
-        } else {
-            Some(
-                fields[3]
-                    .parse()
-                    .map_err(|_| format!("bad seed field: {:?}", fields[3]))?,
-            )
+        let v2_order: Vec<Column> = Column::ALL
+            .into_iter()
+            .filter(|c| !c.is_optional_label())
+            .chain([Column::Schedule, Column::Faults])
+            .collect();
+        // A 22-field record predates the labels: both read as "-".
+        let raw = |c: Column| {
+            let slot = v2_order.iter().position(|&v| v == c);
+            slot.and_then(|i| fields.get(i)).map_or("-", String::as_str)
+        };
+        let bad = |c: Column| format!("bad {} field: {:?}", c.name(), raw(c));
+        let int = |c| raw(c).parse::<usize>().map_err(|_| bad(c));
+        let float = |c| raw(c).parse::<f64>().map_err(|_| bad(c));
+        let label = |c| raw(c).to_string();
+        let seed = match raw(Column::Seed) {
+            "" => None,
+            s => Some(s.parse().map_err(|_| bad(Column::Seed))?),
         };
         Ok(CellRow {
-            index: int(&fields[0], "index")?,
-            racks: int(&fields[1], "racks")?,
-            workload: fields[2].clone(),
+            index: int(Column::Index)?,
+            racks: int(Column::Racks)?,
+            workload: label(Column::Workload),
             seed,
-            load_factor: float(&fields[4], "load_factor")?,
-            scenario: fields[5].clone(),
-            window: fields[6].clone(),
-            policy: fields[7].clone(),
-            cap_percent: float(&fields[8], "cap_percent")?,
-            grouping: fields[9].clone(),
-            decision_rule: fields[10].clone(),
-            schedule: fields.get(22).cloned().unwrap_or_else(|| "-".to_string()),
-            faults: fields.get(23).cloned().unwrap_or_else(|| "-".to_string()),
-            launched_jobs: int(&fields[11], "launched_jobs")?,
-            completed_jobs: int(&fields[12], "completed_jobs")?,
-            killed_jobs: int(&fields[13], "killed_jobs")?,
-            pending_jobs: int(&fields[14], "pending_jobs")?,
-            work_core_seconds: float(&fields[15], "work_core_seconds")?,
-            energy_joules: float(&fields[16], "energy_joules")?,
-            energy_normalized: float(&fields[17], "energy_normalized")?,
-            launched_jobs_normalized: float(&fields[18], "launched_jobs_normalized")?,
-            work_normalized: float(&fields[19], "work_normalized")?,
-            mean_wait_seconds: float(&fields[20], "mean_wait_seconds")?,
-            peak_power_watts: float(&fields[21], "peak_power_watts")?,
+            load_factor: float(Column::LoadFactor)?,
+            scenario: label(Column::Scenario),
+            window: label(Column::Window),
+            policy: label(Column::Policy),
+            cap_percent: float(Column::CapPercent)?,
+            grouping: label(Column::Grouping),
+            decision_rule: label(Column::DecisionRule),
+            schedule: label(Column::Schedule),
+            faults: label(Column::Faults),
+            launched_jobs: int(Column::LaunchedJobs)?,
+            completed_jobs: int(Column::CompletedJobs)?,
+            killed_jobs: int(Column::KilledJobs)?,
+            pending_jobs: int(Column::PendingJobs)?,
+            work_core_seconds: float(Column::WorkCoreSeconds)?,
+            energy_joules: float(Column::EnergyJoules)?,
+            energy_normalized: float(Column::EnergyNormalized)?,
+            launched_jobs_normalized: float(Column::LaunchedJobsNormalized)?,
+            work_normalized: float(Column::WorkNormalized)?,
+            mean_wait_seconds: float(Column::MeanWaitSeconds)?,
+            peak_power_watts: float(Column::PeakPowerWatts)?,
         })
     }
 
@@ -345,6 +618,46 @@ pub struct SummaryRow {
     pub mean_wait_seconds: MetricSummary,
     /// Peak power across seeds.
     pub peak_power_watts: MetricSummary,
+}
+
+impl SummaryRow {
+    /// The group's value of one of its key columns (the label and grid
+    /// columns a [`CellRow`] shares with its summary group).
+    ///
+    /// # Panics
+    ///
+    /// On a column that is not part of the group key.
+    pub(crate) fn key_field(&self, column: Column) -> Field<'_> {
+        match column {
+            Column::Racks => Field::Int(self.racks),
+            Column::Workload => Field::Label(&self.workload),
+            Column::LoadFactor => Field::Float(self.load_factor),
+            Column::Scenario => Field::Label(&self.scenario),
+            Column::Window => Field::Label(&self.window),
+            Column::CapPercent => Field::Float(self.cap_percent),
+            Column::Grouping => Field::Label(&self.grouping),
+            Column::DecisionRule => Field::Label(&self.decision_rule),
+            Column::Schedule => Field::Label(&self.schedule),
+            Column::Faults => Field::Label(&self.faults),
+            other => panic!("{} is not a summary key column", other.name()),
+        }
+    }
+
+    /// The across-seed statistics of one summarised metric.
+    ///
+    /// # Panics
+    ///
+    /// On a column the summary does not fold.
+    pub(crate) fn metric(&self, column: Column) -> &MetricSummary {
+        match column {
+            Column::LaunchedJobs => &self.launched_jobs,
+            Column::EnergyNormalized => &self.energy_normalized,
+            Column::WorkNormalized => &self.work_normalized,
+            Column::MeanWaitSeconds => &self.mean_wait_seconds,
+            Column::PeakPowerWatts => &self.peak_power_watts,
+            other => panic!("{} is not a summarised metric", other.name()),
+        }
+    }
 }
 
 /// Running accumulator for one summary group.

@@ -118,11 +118,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use apc_campaign::prelude::*;
-use apc_core::PowercapPolicy;
-use apc_power::bonus::GroupingStrategy;
-use apc_power::tradeoff::DecisionRule;
 use apc_replay::{CapSchedule, FaultPlan};
-use apc_workload::{load_swf_file, IntervalKind};
+use apc_workload::load_swf_file;
 
 const USAGE: &str = "usage: campaign [--threads N] [--seeds K] [--seed-base S] [--racks LIST] \
 [--intervals LIST] [--policies LIST] [--caps LIST] [--no-baseline] [--groupings LIST] \
@@ -159,21 +156,80 @@ fn parse_window_set(raw: &str) -> Result<WindowSet, String> {
     Ok(set)
 }
 
-/// Parse a comma-separated list with a `FromStr` item type.
-fn parse_list<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<Vec<T>, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let items: Result<Vec<T>, String> = raw
+/// Parse a comma-separated list, each item through `item`.
+fn parse_list<T>(
+    flag: &str,
+    raw: &str,
+    item: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let items = raw
         .split(',')
         .filter(|s| !s.is_empty())
-        .map(|s| s.trim().parse::<T>().map_err(|e| format!("{flag}: {e}")))
-        .collect();
-    let items = items?;
+        .map(item)
+        .collect::<Result<Vec<T>, String>>()?;
     if items.is_empty() {
         return Err(format!("{flag} needs a non-empty comma-separated list"));
     }
     Ok(items)
+}
+
+/// A cursor over a subcommand's arguments. Every flag value is read
+/// through it, so a missing or malformed value is reported as "FLAG needs
+/// …" the same way everywhere.
+struct Args<'a> {
+    rest: std::slice::Iter<'a, String>,
+    /// The argument [`next_arg`](Args::next_arg) returned last: the flag
+    /// whose value is read next.
+    flag: &'a str,
+}
+
+impl<'a> Args<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Args {
+            rest: args.iter(),
+            flag: "",
+        }
+    }
+
+    fn next_arg(&mut self) -> Option<&'a str> {
+        self.flag = self.rest.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value.
+    fn value(&mut self) -> Result<&'a str, String> {
+        let flag = self.flag;
+        self.rest
+            .next()
+            .map(String::as_str)
+            .ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    /// The current flag's value as a `T`; `what` names the expected form
+    /// in the error ("an integer").
+    fn parse<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, String> {
+        let flag = self.flag;
+        self.value()?
+            .parse()
+            .map_err(|_| format!("{flag} needs {what}"))
+    }
+
+    /// The current flag's value as a comma-separated list of `T`.
+    fn list<T: std::str::FromStr>(&mut self) -> Result<Vec<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let flag = self.flag;
+        parse_list(flag, self.value()?, |s| {
+            s.trim().parse().map_err(|e| format!("{flag}: {e}"))
+        })
+    }
+
+    /// The current flag's value as a comma-separated list of columns.
+    fn columns(&mut self) -> Result<Vec<Column>, String> {
+        let flag = self.flag;
+        parse_list(flag, self.value()?, |s| Column::from_name(s.trim()))
+    }
 }
 
 struct Options {
@@ -221,43 +277,26 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut metrics = false;
     let mut trace_out: Option<String> = None;
 
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| -> Result<&String, String> {
-            iter.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next_arg() {
+        match arg {
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(None);
             }
-            "--threads" => {
-                threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads needs an integer".to_string())?;
-            }
+            "--threads" => threads = args.parse("an integer")?,
             "--seeds" => {
-                seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|_| "--seeds needs an integer".to_string())?;
+                seeds = args.parse("an integer")?;
                 if seeds == 0 {
                     return Err("--seeds must be >= 1".into());
                 }
             }
-            "--seed-base" => {
-                seed_base = value("--seed-base")?
-                    .parse()
-                    .map_err(|_| "--seed-base needs an integer".to_string())?;
-            }
-            "--racks" => spec.racks = parse_list::<usize>("--racks", value("--racks")?)?,
-            "--intervals" => {
-                spec.intervals = parse_list::<IntervalKind>("--intervals", value("--intervals")?)?;
-            }
-            "--policies" => {
-                spec.policies = parse_list::<PowercapPolicy>("--policies", value("--policies")?)?;
-            }
+            "--seed-base" => seed_base = args.parse("an integer")?,
+            "--racks" => spec.racks = args.list()?,
+            "--intervals" => spec.intervals = args.list()?,
+            "--policies" => spec.policies = args.list()?,
             "--caps" => {
-                let percents = parse_list::<f64>("--caps", value("--caps")?)?;
+                let percents: Vec<f64> = args.list()?;
                 // Validate in the unit the user typed; the spec re-checks
                 // the fractions for library callers.
                 if let Some(p) = percents
@@ -272,27 +311,11 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 spec.cap_fractions = percents.iter().map(|p| p / 100.0).collect();
             }
             "--no-baseline" => spec.include_baseline = false,
-            "--groupings" => {
-                spec.groupings =
-                    parse_list::<GroupingStrategy>("--groupings", value("--groupings")?)?;
-            }
-            "--rules" => {
-                spec.decision_rules = parse_list::<DecisionRule>("--rules", value("--rules")?)?;
-            }
-            "--windows" => {
-                let sets: Result<Vec<WindowSet>, String> = value("--windows")?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(parse_window_set)
-                    .collect();
-                let sets = sets?;
-                if sets.is_empty() {
-                    return Err("--windows needs a non-empty comma-separated list".into());
-                }
-                spec.cap_windows = sets;
-            }
+            "--groupings" => spec.groupings = args.list()?,
+            "--rules" => spec.decision_rules = args.list()?,
+            "--windows" => spec.cap_windows = parse_list(arg, args.value()?, parse_window_set)?,
             "--cap-schedule" => {
-                let path = value("--cap-schedule")?;
+                let path = args.value()?;
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("--cap-schedule: cannot read {path}: {e}"))?;
                 let schedule =
@@ -300,7 +323,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 spec.cap_schedules.push(schedule);
             }
             "--faults" => {
-                let plans: Result<Vec<Option<FaultPlan>>, String> = value("--faults")?
+                let plans: Result<Vec<Option<FaultPlan>>, String> = args
+                    .value()?
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|item| match item.trim() {
@@ -318,35 +342,21 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 }
                 spec.faults = plans;
             }
-            "--load" => {
-                spec.load_factors = parse_list::<f64>("--load", value("--load")?)?;
-            }
-            "--backlog" => {
-                spec.backlog_factor = value("--backlog")?
-                    .parse()
-                    .map_err(|_| "--backlog needs a number".to_string())?;
-            }
-            "--swf" => swf = Some(value("--swf")?.clone()),
-            "--out" => out_dir = Some(value("--out")?.clone()),
-            "--resume" => resume_dir = Some(value("--resume")?.clone()),
-            "--distributed" => distributed = Some(value("--distributed")?.clone()),
-            "--workers" => {
-                workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers needs an integer".to_string())?;
-            }
+            "--load" => spec.load_factors = args.list()?,
+            "--backlog" => spec.backlog_factor = args.parse("a number")?,
+            "--swf" => swf = Some(args.value()?.to_string()),
+            "--out" => out_dir = Some(args.value()?.to_string()),
+            "--resume" => resume_dir = Some(args.value()?.to_string()),
+            "--distributed" => distributed = Some(args.value()?.to_string()),
+            "--workers" => workers = args.parse("an integer")?,
             "--lease-cells" => {
-                lease_cells = value("--lease-cells")?
-                    .parse()
-                    .map_err(|_| "--lease-cells needs an integer".to_string())?;
+                lease_cells = args.parse("an integer")?;
                 if lease_cells == 0 {
                     return Err("--lease-cells must be >= 1".into());
                 }
             }
             "--lease-ttl" => {
-                let secs: f64 = value("--lease-ttl")?
-                    .parse()
-                    .map_err(|_| "--lease-ttl needs a number of seconds".to_string())?;
+                let secs: f64 = args.parse("a number of seconds")?;
                 if !(secs.is_finite() && secs > 0.0) {
                     return Err("--lease-ttl must be > 0 seconds".into());
                 }
@@ -354,7 +364,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "--no-sync" => no_sync = true,
             "--format" => {
-                format = match value("--format")?.as_str() {
+                format = match args.value()? {
                     "csv" => Format::Csv,
                     "json" => Format::Json,
                     "both" => Format::Both,
@@ -366,7 +376,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--quiet" => quiet = true,
             "--progress" => progress = true,
             "--metrics" => metrics = true,
-            "--trace-out" => trace_out = Some(value("--trace-out")?.clone()),
+            "--trace-out" => trace_out = Some(args.value()?.to_string()),
             unknown => return Err(format!("unknown option: {unknown}")),
         }
     }
@@ -686,17 +696,10 @@ fn run_worker_cli(args: &[String]) -> Result<(), String> {
     let mut dir: Option<String> = None;
     let mut worker_id: Option<usize> = None;
     let mut rest: Vec<String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--worker-id" => {
-                worker_id = Some(
-                    iter.next()
-                        .ok_or_else(|| "--worker-id needs a value".to_string())?
-                        .parse()
-                        .map_err(|_| "--worker-id needs an integer".to_string())?,
-                );
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next_arg() {
+        match arg {
+            "--worker-id" => worker_id = Some(args.parse("an integer")?),
             path if !path.starts_with("--") && dir.is_none() && rest.is_empty() => {
                 dir = Some(path.to_string());
             }
@@ -793,16 +796,10 @@ fn run_pareto(args: &[String]) -> Result<(), String> {
     let mut out: Option<String> = None;
     let mut cells = false;
     let mut quiet = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => {
-                out = Some(
-                    iter.next()
-                        .ok_or_else(|| "--out needs a value".to_string())?
-                        .clone(),
-                )
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next_arg() {
+        match arg {
+            "--out" => out = Some(args.value()?.to_string()),
             "--cells" => cells = true,
             "--quiet" => quiet = true,
             flag if flag.starts_with("--") => return Err(format!("unknown option: {flag}")),
@@ -811,14 +808,9 @@ fn run_pareto(args: &[String]) -> Result<(), String> {
         }
     }
     let dir = dir.ok_or("pareto needs a result-store directory")?;
-    // Stream the store through the scanner (one partition resident at a
-    // time, columnar decode on v3) instead of the full loader.
-    let scanner = StoreScanner::open(&dir)?;
-    let mut rows = Vec::with_capacity(scanner.completed_count());
-    scanner.scan(&RowFilter::default(), |row| {
-        rows.push(row.clone());
-        Ok(ScanFlow::Continue)
-    })?;
+    // Read the store through the scanner (columnar decode on v3) instead
+    // of the full loader.
+    let rows = StoreScanner::open(&dir)?.rows()?;
     if rows.is_empty() {
         return Err(format!("store at {dir} records no completed cells yet"));
     }
@@ -862,73 +854,26 @@ fn run_pareto(args: &[String]) -> Result<(), String> {
 fn run_query(args: &[String]) -> Result<(), String> {
     let mut dir: Option<String> = None;
     let mut filter = RowFilter::default();
-    let mut columns: Vec<String> = QUERY_COLUMNS.iter().map(|c| c.to_string()).collect();
-    let mut columns_explicit = false;
-    let mut group_by: Vec<String> = Vec::new();
+    let mut columns: Option<Vec<Column>> = None;
+    let mut group_by: Vec<Column> = Vec::new();
     let mut agg: Option<AggKind> = None;
     let mut limit: Option<usize> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| -> Result<&String, String> {
-            iter.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--workload" => filter.workload = Some(value("--workload")?.clone()),
-            "--scenario" => filter.scenario = Some(value("--scenario")?.clone()),
-            "--window" => filter.window = Some(value("--window")?.clone()),
-            "--load" => {
-                filter.load_factor = Some(
-                    value("--load")?
-                        .parse()
-                        .map_err(|_| "--load needs a number".to_string())?,
-                )
-            }
-            "--policy" => filter.policy = Some(value("--policy")?.clone()),
-            "--seed" => {
-                filter.seed = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|_| "--seed needs an integer".to_string())?,
-                )
-            }
-            "--racks" => {
-                filter.racks = Some(
-                    value("--racks")?
-                        .parse()
-                        .map_err(|_| "--racks needs an integer".to_string())?,
-                )
-            }
-            "--schedule" => filter.schedule = Some(value("--schedule")?.clone()),
-            "--faults" => filter.faults = Some(value("--faults")?.clone()),
-            "--columns" => {
-                columns = value("--columns")?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.trim().to_string())
-                    .collect();
-                if columns.is_empty() {
-                    return Err("--columns needs a non-empty comma-separated list".into());
-                }
-                columns_explicit = true;
-            }
-            "--group-by" => {
-                group_by = value("--group-by")?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.trim().to_string())
-                    .collect();
-                if group_by.is_empty() {
-                    return Err("--group-by needs a non-empty comma-separated list".into());
-                }
-            }
-            "--agg" => agg = Some(value("--agg")?.parse()?),
-            "--limit" => {
-                limit = Some(
-                    value("--limit")?
-                        .parse()
-                        .map_err(|_| "--limit needs an integer".to_string())?,
-                )
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next_arg() {
+        match arg {
+            "--workload" => filter.workload = Some(args.value()?.to_string()),
+            "--scenario" => filter.scenario = Some(args.value()?.to_string()),
+            "--window" => filter.window = Some(args.value()?.to_string()),
+            "--load" => filter.load_factor = Some(args.parse("a number")?),
+            "--policy" => filter.policy = Some(args.value()?.to_string()),
+            "--seed" => filter.seed = Some(args.parse("an integer")?),
+            "--racks" => filter.racks = Some(args.parse("an integer")?),
+            "--schedule" => filter.schedule = Some(args.value()?.to_string()),
+            "--faults" => filter.faults = Some(args.value()?.to_string()),
+            "--columns" => columns = Some(args.columns()?),
+            "--group-by" => group_by = args.columns()?,
+            "--agg" => agg = Some(args.value()?.parse()?),
+            "--limit" => limit = Some(args.parse("an integer")?),
             flag if flag.starts_with("--") => return Err(format!("unknown option: {flag}")),
             path if dir.is_none() => dir = Some(path.to_string()),
             extra => return Err(format!("unexpected argument: {extra}")),
@@ -938,32 +883,18 @@ fn run_query(args: &[String]) -> Result<(), String> {
     if agg.is_some() && group_by.is_empty() {
         return Err("--agg needs --group-by".into());
     }
-    // Validate the projection up front so a typo errors before any output.
-    if let Some(unknown) = columns
-        .iter()
-        .find(|c| !QUERY_COLUMNS.contains(&c.as_str()))
-    {
-        return Err(format!(
-            "unknown column {unknown:?} (valid: {})",
-            QUERY_COLUMNS.join(", ")
-        ));
-    }
 
     if !group_by.is_empty() {
         // Aggregation pushdown: fold rows into per-group accumulators as
         // the partitions stream past — the row set is never materialised.
-        let agg_columns: Vec<String> = if columns_explicit {
-            columns
-        } else {
-            DEFAULT_AGG_COLUMNS.iter().map(|c| c.to_string()).collect()
-        };
-        let mut aggregator =
-            GroupAggregator::new(&group_by, &agg_columns, agg.unwrap_or_default())?;
+        let agg_columns = columns.unwrap_or_else(|| {
+            let metrics = Column::ALL.into_iter().filter(|c| c.is_metric());
+            metrics.collect()
+        });
+        let mut aggregator = GroupAggregator::of(&group_by, &agg_columns, agg.unwrap_or_default())?;
         // The fold only reads the group-by and aggregated columns, so v3
         // blocks need not decode anything else.
-        let mut projected: Vec<String> = group_by.clone();
-        projected.extend(agg_columns.iter().cloned());
-        let projection = Projection::of(&projected)?;
+        let projection = group_by.iter().chain(&agg_columns).copied().collect();
         // Open (and thereby validate) the store before writing anything to
         // stdout — a bad directory must not leave a lone CSV header behind.
         let scanner = StoreScanner::open(&dir)?;
@@ -986,19 +917,20 @@ fn run_query(args: &[String]) -> Result<(), String> {
 
     // Projection pushdown: v3 blocks decode only the requested columns —
     // a narrow projection over a wide store skips most of the decode work.
-    let projection = Projection::of(&columns)?;
+    let columns = columns.unwrap_or_else(|| Column::ALL.to_vec());
+    let projection = columns.iter().copied().collect();
     // Open (and thereby validate) the store before writing anything to
     // stdout — a bad directory must not leave a lone CSV header behind.
     let scanner = StoreScanner::open(&dir)?;
-    println!("{}", columns.join(","));
+    let names: Vec<&str> = columns.iter().map(|c| c.name()).collect();
+    println!("{}", names.join(","));
     if limit == Some(0) {
         eprintln!("0 row(s) matched; 0 printed; 0 partition(s) zone-skipped");
         return Ok(());
     }
     let mut printed = 0usize;
     let stats = scanner.scan_projected(&filter, projection, |row| {
-        let fields: Result<Vec<String>, String> = columns.iter().map(|c| project(row, c)).collect();
-        println!("{}", fields?.join(","));
+        println!("{}", project_row(row, &columns));
         printed += 1;
         // --limit ends the scan here: partitions past the N-th match are
         // never opened.
@@ -1033,17 +965,10 @@ fn run_compact(args: &[String]) -> Result<(), String> {
     let mut dir: Option<String> = None;
     let mut per_part: Option<usize> = None;
     let mut quiet = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--per-part" => {
-                per_part = Some(
-                    iter.next()
-                        .ok_or_else(|| "--per-part needs a value".to_string())?
-                        .parse()
-                        .map_err(|_| "--per-part needs an integer".to_string())?,
-                );
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next_arg() {
+        match arg {
+            "--per-part" => per_part = Some(args.parse("an integer")?),
             "--quiet" => quiet = true,
             flag if flag.starts_with("--") => return Err(format!("unknown option: {flag}")),
             path if dir.is_none() => dir = Some(path.to_string()),
@@ -1072,11 +997,7 @@ fn run_report(args: &[String]) -> Result<(), String> {
     }
     let dir = dir.ok_or("report needs a result-store directory")?;
     let scanner = StoreScanner::open(&dir)?;
-    let mut rows = Vec::with_capacity(scanner.completed_count());
-    scanner.scan(&RowFilter::default(), |row| {
-        rows.push(row.clone());
-        Ok(ScanFlow::Continue)
-    })?;
+    let rows = scanner.rows()?;
     let state = if scanner.is_complete() {
         "complete"
     } else {

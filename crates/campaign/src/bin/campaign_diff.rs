@@ -31,7 +31,7 @@ use std::process::ExitCode;
 
 use apc_campaign::agg::summarize;
 use apc_campaign::diff::diff_summary_csv;
-use apc_campaign::query::{RowFilter, ScanFlow, StoreScanner};
+use apc_campaign::query::StoreScanner;
 use apc_campaign::sink::render_summary_csv;
 
 const USAGE: &str =
@@ -90,12 +90,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 fn load_summary(path_str: &str) -> Result<String, String> {
     let path = Path::new(path_str);
     if path.is_dir() {
-        let scanner = StoreScanner::open(path)?;
-        let mut rows = Vec::new();
-        scanner.scan(&RowFilter::default(), |row| {
-            rows.push(row.clone());
-            Ok(ScanFlow::Continue)
-        })?;
+        let rows = StoreScanner::open(path)?.rows()?;
         return Ok(render_summary_csv(&summarize(&rows)));
     }
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path_str}: {e}"))

@@ -44,13 +44,19 @@
 //! can hold no matching row before any column is decoded, and only
 //! matching rows are ever materialised as [`CellRow`]s.
 //!
+//! The column arrays keep the codec's own slot order (integer, float, then
+//! dictionary columns), not the `cells.csv` order of [`Column`]: that order
+//! is the on-disk format. The decoder names each column it fills through
+//! [`Column`], but its per-column code stays written out by hand: a loop
+//! over the table in the decode path made full scans measurably slower.
+//!
 //! [`DEFAULT_COMPACT_CELLS_PER_PART`]: crate::compact::DEFAULT_COMPACT_CELLS_PER_PART
 //! [`COMPACT_BLOCK_ROWS`]: crate::compact::COMPACT_BLOCK_ROWS
 
 use std::fs;
 use std::path::Path;
 
-use crate::agg::CellRow;
+use crate::agg::{is_labelled, CellRow, Column};
 use crate::query::RowFilter;
 
 /// File extension of a v3 partition.
@@ -176,7 +182,7 @@ pub fn encode_block(rows: &[CellRow]) -> Vec<u8> {
     // what the codec wrote before cap schedules and fault plans existed —
     // and any labelled row switches the whole block to the "APC4" layout
     // with the two extra dictionary columns.
-    let labelled = rows.iter().any(|r| r.schedule != "-" || r.faults != "-");
+    let labelled = rows.iter().any(|r| is_labelled(&r.schedule, &r.faults));
     let dict_cols = if labelled {
         DICT_COLS_LABELLED
     } else {
@@ -659,54 +665,53 @@ impl PartitionBuf {
         row: &mut CellRow,
         proj: crate::query::Projection,
     ) {
-        use crate::query as q;
-        if proj.bit(q::PC_INDEX) {
+        if proj.bit(Column::Index) {
             row.index = self.int_value(b, COL_INDEX, r) as usize;
         }
-        if proj.bit(q::PC_RACKS) {
+        if proj.bit(Column::Racks) {
             row.racks = self.int_value(b, COL_RACKS, r) as usize;
         }
-        if proj.bit(q::PC_SEED) {
+        if proj.bit(Column::Seed) {
             row.seed =
                 (self.flags(b, r) & FLAG_SEED_PRESENT != 0).then(|| self.int_value(b, COL_SEED, r));
         }
-        if proj.bit(q::PC_LAUNCHED_JOBS) {
+        if proj.bit(Column::LaunchedJobs) {
             row.launched_jobs = self.int_value(b, 3, r) as usize;
         }
-        if proj.bit(q::PC_COMPLETED_JOBS) {
+        if proj.bit(Column::CompletedJobs) {
             row.completed_jobs = self.int_value(b, 4, r) as usize;
         }
-        if proj.bit(q::PC_KILLED_JOBS) {
+        if proj.bit(Column::KilledJobs) {
             row.killed_jobs = self.int_value(b, 5, r) as usize;
         }
-        if proj.bit(q::PC_PENDING_JOBS) {
+        if proj.bit(Column::PendingJobs) {
             row.pending_jobs = self.int_value(b, 6, r) as usize;
         }
-        if proj.bit(q::PC_LOAD_FACTOR) {
+        if proj.bit(Column::LoadFactor) {
             row.load_factor = self.float_value(b, 0, r);
         }
-        if proj.bit(q::PC_CAP_PERCENT) {
+        if proj.bit(Column::CapPercent) {
             row.cap_percent = self.float_value(b, 1, r);
         }
-        if proj.bit(q::PC_WORK_CORE_SECONDS) {
+        if proj.bit(Column::WorkCoreSeconds) {
             row.work_core_seconds = self.float_value(b, 2, r);
         }
-        if proj.bit(q::PC_ENERGY_JOULES) {
+        if proj.bit(Column::EnergyJoules) {
             row.energy_joules = self.float_value(b, 3, r);
         }
-        if proj.bit(q::PC_ENERGY_NORMALIZED) {
+        if proj.bit(Column::EnergyNormalized) {
             row.energy_normalized = self.float_value(b, 4, r);
         }
-        if proj.bit(q::PC_LAUNCHED_JOBS_NORMALIZED) {
+        if proj.bit(Column::LaunchedJobsNormalized) {
             row.launched_jobs_normalized = self.float_value(b, 5, r);
         }
-        if proj.bit(q::PC_WORK_NORMALIZED) {
+        if proj.bit(Column::WorkNormalized) {
             row.work_normalized = self.float_value(b, 6, r);
         }
-        if proj.bit(q::PC_MEAN_WAIT_SECONDS) {
+        if proj.bit(Column::MeanWaitSeconds) {
             row.mean_wait_seconds = self.float_value(b, 7, r);
         }
-        if proj.bit(q::PC_PEAK_POWER_WATTS) {
+        if proj.bit(Column::PeakPowerWatts) {
             row.peak_power_watts = self.float_value(b, 8, r);
         }
         // Skip the copy when the reused buffer already holds the value —
@@ -718,37 +723,37 @@ impl PartitionBuf {
                 dst.push_str(src);
             }
         };
-        if proj.bit(q::PC_WORKLOAD) {
+        if proj.bit(Column::Workload) {
             set(
                 &mut row.workload,
                 self.dict_str(b, DCOL_WORKLOAD, self.dict_code(b, DCOL_WORKLOAD, r)),
             );
         }
-        if proj.bit(q::PC_SCENARIO) {
+        if proj.bit(Column::Scenario) {
             set(
                 &mut row.scenario,
                 self.dict_str(b, DCOL_SCENARIO, self.dict_code(b, DCOL_SCENARIO, r)),
             );
         }
-        if proj.bit(q::PC_WINDOW) {
+        if proj.bit(Column::Window) {
             set(
                 &mut row.window,
                 self.dict_str(b, DCOL_WINDOW, self.dict_code(b, DCOL_WINDOW, r)),
             );
         }
-        if proj.bit(q::PC_POLICY) {
+        if proj.bit(Column::Policy) {
             set(
                 &mut row.policy,
                 self.dict_str(b, DCOL_POLICY, self.dict_code(b, DCOL_POLICY, r)),
             );
         }
-        if proj.bit(q::PC_GROUPING) {
+        if proj.bit(Column::Grouping) {
             set(
                 &mut row.grouping,
                 self.dict_str(b, 4, self.dict_code(b, 4, r)),
             );
         }
-        if proj.bit(q::PC_DECISION_RULE) {
+        if proj.bit(Column::DecisionRule) {
             set(
                 &mut row.decision_rule,
                 self.dict_str(b, 5, self.dict_code(b, 5, r)),
@@ -757,7 +762,7 @@ impl PartitionBuf {
         // An "APC3" block predates the label columns: every row carries
         // the implicit "-" labels.
         let labelled = self.blocks[b].is_labelled();
-        if proj.bit(q::PC_SCHEDULE) {
+        if proj.bit(Column::Schedule) {
             set(
                 &mut row.schedule,
                 if labelled {
@@ -767,7 +772,7 @@ impl PartitionBuf {
                 },
             );
         }
-        if proj.bit(q::PC_FAULTS) {
+        if proj.bit(Column::Faults) {
             set(
                 &mut row.faults,
                 if labelled {
@@ -781,7 +786,7 @@ impl PartitionBuf {
 
     /// Decode row `r` of block `b` as a fresh [`CellRow`].
     pub fn decode(&self, b: usize, r: usize) -> CellRow {
-        let mut row = blank_row();
+        let mut row = CellRow::default();
         self.decode_into(b, r, &mut row);
         row
     }
@@ -800,63 +805,12 @@ impl PartitionBuf {
     }
 }
 
-/// A zero-valued scratch row for [`PartitionBuf::decode_into`].
-pub(crate) fn blank_row() -> CellRow {
-    CellRow {
-        index: 0,
-        racks: 0,
-        workload: String::new(),
-        seed: None,
-        load_factor: 0.0,
-        scenario: String::new(),
-        window: String::new(),
-        policy: String::new(),
-        cap_percent: 0.0,
-        grouping: String::new(),
-        decision_rule: String::new(),
-        schedule: String::new(),
-        faults: String::new(),
-        launched_jobs: 0,
-        completed_jobs: 0,
-        killed_jobs: 0,
-        pending_jobs: 0,
-        work_core_seconds: 0.0,
-        energy_joules: 0.0,
-        energy_normalized: 0.0,
-        launched_jobs_normalized: 0.0,
-        work_normalized: 0.0,
-        mean_wait_seconds: 0.0,
-        peak_power_watts: 0.0,
-    }
-}
-
 /// Field-by-field equality with floats compared by bit pattern (so NaN
 /// payloads count) — the round-trip contract of the codec. Test helper.
 pub fn rows_bit_identical(a: &CellRow, b: &CellRow) -> bool {
-    a.index == b.index
-        && a.racks == b.racks
-        && a.workload == b.workload
-        && a.seed == b.seed
-        && a.load_factor.to_bits() == b.load_factor.to_bits()
-        && a.scenario == b.scenario
-        && a.window == b.window
-        && a.policy == b.policy
-        && a.cap_percent.to_bits() == b.cap_percent.to_bits()
-        && a.grouping == b.grouping
-        && a.decision_rule == b.decision_rule
-        && a.schedule == b.schedule
-        && a.faults == b.faults
-        && a.launched_jobs == b.launched_jobs
-        && a.completed_jobs == b.completed_jobs
-        && a.killed_jobs == b.killed_jobs
-        && a.pending_jobs == b.pending_jobs
-        && a.work_core_seconds.to_bits() == b.work_core_seconds.to_bits()
-        && a.energy_joules.to_bits() == b.energy_joules.to_bits()
-        && a.energy_normalized.to_bits() == b.energy_normalized.to_bits()
-        && a.launched_jobs_normalized.to_bits() == b.launched_jobs_normalized.to_bits()
-        && a.work_normalized.to_bits() == b.work_normalized.to_bits()
-        && a.mean_wait_seconds.to_bits() == b.mean_wait_seconds.to_bits()
-        && a.peak_power_watts.to_bits() == b.peak_power_watts.to_bits()
+    Column::ALL
+        .into_iter()
+        .all(|c| a.field(c).same_bits(b.field(c)))
 }
 
 #[cfg(test)]
@@ -1235,9 +1189,11 @@ mod tests {
             "schedule".to_string(),
         ])
         .unwrap();
-        let mut scratch = blank_row();
-        scratch.workload = "sentinel".into();
-        scratch.launched_jobs = usize::MAX;
+        let mut scratch = CellRow {
+            workload: "sentinel".into(),
+            launched_jobs: usize::MAX,
+            ..CellRow::default()
+        };
         for (r, original) in rows.iter().enumerate() {
             buf.decode_into_projected(0, r, &mut scratch, proj);
             assert_eq!(scratch.index, original.index);
@@ -1251,9 +1207,84 @@ mod tests {
             assert_eq!(scratch.launched_jobs, usize::MAX);
         }
         // Projection::ALL is exactly decode_into.
-        let mut full = blank_row();
+        let mut full = CellRow::default();
         buf.decode_into_projected(0, 2, &mut full, crate::query::Projection::ALL);
         assert!(rows_bit_identical(&rows[2], &full));
+    }
+
+    #[test]
+    fn each_column_decodes_alone_and_leaves_the_other_23_untouched() {
+        use crate::query::Projection;
+        // A row differing from every encoded row in every column.
+        let sentinel = CellRow {
+            index: usize::MAX,
+            racks: usize::MAX,
+            workload: "sentinel".into(),
+            seed: Some(u64::MAX),
+            load_factor: -1.0,
+            scenario: "sentinel".into(),
+            window: "sentinel".into(),
+            policy: "sentinel".into(),
+            cap_percent: -1.0,
+            grouping: "sentinel".into(),
+            decision_rule: "sentinel".into(),
+            schedule: "sentinel".into(),
+            faults: "sentinel".into(),
+            launched_jobs: usize::MAX,
+            completed_jobs: usize::MAX,
+            killed_jobs: usize::MAX,
+            pending_jobs: usize::MAX,
+            work_core_seconds: -1.0,
+            energy_joules: -1.0,
+            energy_normalized: -1.0,
+            launched_jobs_normalized: -1.0,
+            work_normalized: -1.0,
+            mean_wait_seconds: -1.0,
+            peak_power_watts: -1.0,
+        };
+        // Both block layouts: "APC3" (labels implicit) and "APC4".
+        let plain: Vec<CellRow> = (0..6).map(row).collect();
+        let labelled: Vec<CellRow> = (0..6).map(labelled_row).collect();
+        for rows in [plain, labelled] {
+            let buf = PartitionBuf::parse(encode_block(&rows));
+            for column in Column::ALL {
+                let proj: Projection = [column].into_iter().collect();
+                assert_eq!(proj.len(), 1);
+                assert!(proj.bit(column) && !proj.is_all());
+                for (r, original) in rows.iter().enumerate() {
+                    let mut scratch = sentinel.clone();
+                    buf.decode_into_projected(0, r, &mut scratch, proj);
+                    assert!(
+                        !sentinel.field(column).same_bits(original.field(column)),
+                        "the sentinel must differ in {column:?}"
+                    );
+                    assert!(
+                        scratch.field(column).same_bits(original.field(column)),
+                        "{column:?} of row {r} decoded as {:?}",
+                        scratch.field(column)
+                    );
+                    for other in Column::ALL.into_iter().filter(|&c| c != column) {
+                        assert!(
+                            scratch.field(other).same_bits(sentinel.field(other)),
+                            "projecting {column:?} overwrote {other:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // The projection API over the same table.
+        let all = Projection::ALL;
+        assert!(all.is_all());
+        assert_eq!(all.len(), Column::ALL.len());
+        assert!(Column::ALL.into_iter().all(|c| all.bit(c)));
+        let narrow = Projection::of(&["index".to_string(), "faults".to_string()]).unwrap();
+        assert!(narrow.bit(Column::Index) && narrow.bit(Column::Faults));
+        assert!(!narrow.bit(Column::Workload) && !narrow.is_all());
+        assert_eq!(narrow.len(), 2);
+        assert!(Projection::of(&[]).unwrap().is_empty());
+        assert!(Projection::of(&["nope".to_string()])
+            .unwrap_err()
+            .contains("unknown column"));
     }
 
     #[test]

@@ -16,27 +16,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::sink::split_csv_line;
-
-/// Columns that identify a summary row rather than measure it.
-const KEY_COLUMNS: [&str; 8] = [
-    "racks",
-    "workload",
-    "load_factor",
-    "scenario",
-    "window",
-    "cap_percent",
-    "grouping",
-    "decision_rule",
-];
-
-/// Label columns that extend the row identity **when present**. Legacy
-/// summaries don't render them at all, and labelled summaries mark
-/// label-free rows with `-`; a `-` contributes nothing to the key, so a
-/// legacy row and its label-free rendering under the new schema produce the
-/// same identity — no silent relabeling when diffing an old store against a
-/// new one. Non-`-` labels join the key (they are identity, not metrics).
-const OPTIONAL_KEY_COLUMNS: [&str; 2] = ["schedule", "faults"];
+use crate::agg::Column;
+use crate::sink::{split_csv_line, SUMMARY_KEY};
 
 /// One metric of one grid row whose value differs between the two files.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,13 +173,23 @@ fn parse_summary_csv(which: &str, text: &str) -> Result<ParsedSummary, String> {
         .next()
         .ok_or_else(|| format!("{which} is empty — not a summary.csv"))?;
     let columns: Vec<&str> = header.split(',').collect();
-    for key in KEY_COLUMNS {
-        if !columns.contains(&key) {
+    for key in SUMMARY_KEY.iter().filter(|c| !c.is_optional_label()) {
+        if !columns.contains(&key.name()) {
             return Err(format!(
-                "{which} has no {key:?} column — not a summary.csv (header: {header})"
+                "{which} has no {:?} column — not a summary.csv (header: {header})",
+                key.name()
             ));
         }
     }
+    // The summary key columns identify a row; the rest are metrics.
+    // Legacy summaries don't render the optional label columns at all, and
+    // labelled ones mark label-free rows with `-`; a `-` contributes nothing
+    // to the key, so a legacy row and its label-free rendering under the
+    // new schema have the same identity.
+    let key_columns: Vec<Option<Column>> = columns
+        .iter()
+        .map(|name| SUMMARY_KEY.into_iter().find(|c| c.name() == *name))
+        .collect();
     let mut rows = ParsedSummary::new();
     for (lineno, line) in lines.enumerate() {
         if line.is_empty() {
@@ -214,13 +205,11 @@ fn parse_summary_csv(which: &str, text: &str) -> Result<ParsedSummary, String> {
                 columns.len()
             ));
         }
-        let mut key_parts = Vec::with_capacity(KEY_COLUMNS.len());
+        let mut key_parts = Vec::with_capacity(SUMMARY_KEY.len());
         let mut metrics = BTreeMap::new();
-        for (column, field) in columns.iter().zip(&fields) {
-            if KEY_COLUMNS.contains(column) {
-                key_parts.push(format!("{column}={field}"));
-            } else if OPTIONAL_KEY_COLUMNS.contains(column) {
-                if field != "-" {
+        for ((column, key), field) in columns.iter().zip(&key_columns).zip(&fields) {
+            if let Some(key) = key {
+                if !key.is_optional_label() || field != "-" {
                     key_parts.push(format!("{column}={field}"));
                 }
             } else {

@@ -5,25 +5,25 @@
 //! replay harness runs one `(Scenario, Trace)` cell at a time. This crate
 //! turns "replay one scenario" into "run a campaign":
 //!
-//! * [`spec`] — a declarative [`CampaignSpec`](spec::CampaignSpec) expanding
+//! * [`spec`] — a declarative [`CampaignSpec`] expanding
 //!   policies × caps × ablation knobs × intervals × seeds × rack scales into
-//!   densely-indexed [`CampaignCell`](spec::CampaignCell)s;
-//! * [`exec`] — a **work-stealing** [`CampaignRunner`](exec::CampaignRunner)
+//!   densely-indexed [`CampaignCell`]s;
+//! * [`exec`] — a **work-stealing** [`CampaignRunner`]
 //!   on `std::thread`: per-worker deques seeded by stable cell index with
 //!   steal-on-empty (so a straggler cell no longer idles the other
 //!   workers), shared generated traces through the
 //!   [`TraceCache`](apc_workload::TraceCache), worker-local harness reuse,
 //!   and **byte-identical results for any thread count**;
 //! * [`store`] — the append-only partitioned
-//!   [`ResultStore`](store::ResultStore) (binary columnar
+//!   [`ResultStore`] (binary columnar
 //!   `cells/part-NNNN.apc` partitions — see [`colstore`] — plus a manifest
 //!   recording the spec fingerprint and completed cell indices) that rows
 //!   stream into as they finish, giving crash-safe campaigns and
 //!   `--resume`; v2 CSV stores stay readable and [`compact`] migrates
 //!   them;
 //! * [`agg`] — streaming reduction of each replay outcome to a flat
-//!   [`CellRow`](agg::CellRow) plus across-seed mean/min/max/stddev
-//!   [`SummaryRow`](agg::SummaryRow)s, without ever buffering whole
+//!   [`CellRow`] plus across-seed mean/min/max/stddev
+//!   [`SummaryRow`]s, without ever buffering whole
 //!   [`ReplayOutcome`](apc_replay::ReplayOutcome)s;
 //! * [`sink`] — CSV and JSON render frontends over the store (or an
 //!   in-memory outcome) writing `cells.*` and `summary.*`;
@@ -66,7 +66,9 @@ pub mod store;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::agg::{summarize, CellRow, MetricSummary, SummaryRow};
+    pub use crate::agg::{
+        summarize, CellRow, Column, ColumnKind, Field, MetricSummary, SummaryRow,
+    };
     pub use crate::colstore::{encode_block, PartitionBuf};
     pub use crate::compact::{compact_store, CompactStats};
     pub use crate::diff::{diff_summary_csv, DiffReport, MetricDelta};
@@ -84,8 +86,8 @@ pub mod prelude {
     };
     pub use crate::progress::{render_lease_progress, render_progress, ProgressMonitor};
     pub use crate::query::{
-        numeric, project, scan_store, AggKind, GroupAggregator, Projection, RowFilter, ScanFlow,
-        ScanStats, StoreScanner, DEFAULT_AGG_COLUMNS, NUMERIC_COLUMNS, QUERY_COLUMNS,
+        numeric, project, project_row, scan_store, AggKind, GroupAggregator, Projection, RowFilter,
+        ScanFlow, ScanStats, StoreScanner,
     };
     pub use crate::sink::{
         render_cells_csv, render_cells_json, render_summary_csv, render_summary_json, CampaignSink,

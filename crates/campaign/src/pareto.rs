@@ -31,8 +31,8 @@
 //! higher variance; the cells front makes those variance-driven trade-offs
 //! visible.
 
-use crate::agg::{CellRow, SummaryRow};
-use crate::sink::csv_field;
+use crate::agg::{is_labelled, CellRow, Column, Field, SummaryRow};
+use crate::sink::{csv, fixed, header, shown, SUMMARY_KEY};
 
 /// The objective triple of one summary row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -218,36 +218,32 @@ pub fn pareto_front_cells(cells: &[CellRow]) -> Vec<ParetoCellRow> {
         .collect()
 }
 
-/// Header of the rendered `pareto.csv`.
-pub const PARETO_CSV_HEADER: &str = "racks,workload,load_factor,scenario,window,cap_percent,\
-grouping,decision_rule,replications,energy_normalized_mean,work_normalized_mean,\
-mean_wait_seconds_mean,dominated";
+/// The objective columns, in render order: `pareto.csv` prints their
+/// across-seed means, `pareto-cells.csv` their per-replication values.
+const OBJECTIVES: [Column; 3] = [
+    Column::EnergyNormalized,
+    Column::WorkNormalized,
+    Column::MeanWaitSeconds,
+];
 
-/// Header of `pareto.csv` when any front row carries a schedule or fault
-/// label. Label-free fronts keep the legacy header byte-for-byte.
-pub const PARETO_CSV_HEADER_LABELLED: &str =
-    "racks,workload,load_factor,scenario,window,cap_percent,\
-grouping,decision_rule,schedule,faults,replications,energy_normalized_mean,\
-work_normalized_mean,mean_wait_seconds_mean,dominated";
-
-/// Header of the per-replication `pareto --cells` CSV.
-pub const PARETO_CELLS_CSV_HEADER: &str = "racks,workload,load_factor,seed,scenario,window,\
-cap_percent,grouping,decision_rule,energy_normalized,work_normalized,\
-mean_wait_seconds,dominated";
-
-/// Labelled variant of the `pareto --cells` header.
-pub const PARETO_CELLS_CSV_HEADER_LABELLED: &str =
-    "racks,workload,load_factor,seed,scenario,window,\
-cap_percent,grouping,decision_rule,schedule,faults,energy_normalized,work_normalized,\
-mean_wait_seconds,dominated";
-
-fn float_field(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        String::new()
-    }
-}
+/// The `pareto-cells.csv` columns before `dominated`. Unlike `cells.csv`,
+/// the seed follows the load factor, and the policy and counts are left out.
+const CELL_FRONT: [Column; 14] = [
+    Column::Racks,
+    Column::Workload,
+    Column::LoadFactor,
+    Column::Seed,
+    Column::Scenario,
+    Column::Window,
+    Column::CapPercent,
+    Column::Grouping,
+    Column::DecisionRule,
+    Column::Schedule,
+    Column::Faults,
+    Column::EnergyNormalized,
+    Column::WorkNormalized,
+    Column::MeanWaitSeconds,
+];
 
 /// Render a Pareto front as CSV (with header and trailing newline), using
 /// the same float formatting as `summary.csv`. The `schedule`/`faults`
@@ -256,38 +252,24 @@ fn float_field(v: f64) -> String {
 pub fn render_pareto_csv(front: &[ParetoRow]) -> String {
     let labelled = front
         .iter()
-        .any(|r| r.summary.schedule != "-" || r.summary.faults != "-");
-    let mut out = String::from(if labelled {
-        PARETO_CSV_HEADER_LABELLED
-    } else {
-        PARETO_CSV_HEADER
-    });
-    out.push('\n');
-    for row in front {
-        let s = &row.summary;
-        let labels = if labelled {
-            format!("{},{},", csv_field(&s.schedule), csv_field(&s.faults))
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{labels}{},{},{},{},{}\n",
-            s.racks,
-            csv_field(&s.workload),
-            float_field(s.load_factor),
-            csv_field(&s.scenario),
-            csv_field(&s.window),
-            float_field(s.cap_percent),
-            csv_field(&s.grouping),
-            csv_field(&s.decision_rule),
-            s.replications,
-            float_field(row.objectives.energy_normalized),
-            float_field(row.objectives.work_normalized),
-            float_field(row.objectives.mean_wait_seconds),
-            row.dominated,
-        ));
-    }
-    out
+        .any(|r| is_labelled(&r.summary.schedule, &r.summary.faults));
+    let key = shown(&SUMMARY_KEY, labelled);
+    let mut names = header(&key);
+    names.push("replications".into());
+    names.extend(OBJECTIVES.map(|c| format!("{}_mean", c.name())));
+    names.push("dominated".into());
+    csv(
+        names,
+        front.iter().map(|row| {
+            let s = &row.summary;
+            let mut fields: Vec<String> =
+                key.iter().map(|&c| fixed(s.key_field(c), false)).collect();
+            fields.push(s.replications.to_string());
+            fields.extend(OBJECTIVES.map(|c| fixed(Field::Float(s.metric(c).mean), false)));
+            fields.push(row.dominated.to_string());
+            fields
+        }),
+    )
 }
 
 /// Render a per-replication front as CSV (`campaign pareto --cells`), with
@@ -295,38 +277,21 @@ pub fn render_pareto_csv(front: &[ParetoRow]) -> String {
 pub fn render_pareto_cells_csv(front: &[ParetoCellRow]) -> String {
     let labelled = front
         .iter()
-        .any(|r| r.cell.schedule != "-" || r.cell.faults != "-");
-    let mut out = String::from(if labelled {
-        PARETO_CELLS_CSV_HEADER_LABELLED
-    } else {
-        PARETO_CELLS_CSV_HEADER
-    });
-    out.push('\n');
-    for row in front {
-        let c = &row.cell;
-        let labels = if labelled {
-            format!("{},{},", csv_field(&c.schedule), csv_field(&c.faults))
-        } else {
-            String::new()
-        };
-        let seed = c.seed.map(|s| s.to_string()).unwrap_or_default();
-        out.push_str(&format!(
-            "{},{},{},{seed},{},{},{},{},{},{labels}{},{},{},{}\n",
-            c.racks,
-            csv_field(&c.workload),
-            float_field(c.load_factor),
-            csv_field(&c.scenario),
-            csv_field(&c.window),
-            float_field(c.cap_percent),
-            csv_field(&c.grouping),
-            csv_field(&c.decision_rule),
-            float_field(row.objectives.energy_normalized),
-            float_field(row.objectives.work_normalized),
-            float_field(row.objectives.mean_wait_seconds),
-            row.dominated,
-        ));
-    }
-    out
+        .any(|r| is_labelled(&r.cell.schedule, &r.cell.faults));
+    let columns = shown(&CELL_FRONT, labelled);
+    let mut names = header(&columns);
+    names.push("dominated".into());
+    csv(
+        names,
+        front.iter().map(|row| {
+            let mut fields: Vec<String> = columns
+                .iter()
+                .map(|&c| fixed(row.cell.field(c), false))
+                .collect();
+            fields.push(row.dominated.to_string());
+            fields
+        }),
+    )
 }
 
 #[cfg(test)]
@@ -477,12 +442,14 @@ mod tests {
         scheduled.faults = "3x600@7".into();
         let csv = render_pareto_csv(&pareto_front(&[scheduled]));
         let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], PARETO_CSV_HEADER_LABELLED);
-        assert!(lines[1].contains(",0+43200@80|43200+43200@40,3x600@7,"));
         assert_eq!(
-            lines[1].split(',').count(),
-            PARETO_CSV_HEADER_LABELLED.split(',').count()
+            lines[0],
+            "racks,workload,load_factor,scenario,window,cap_percent,grouping,decision_rule,\
+             schedule,faults,replications,energy_normalized_mean,work_normalized_mean,\
+             mean_wait_seconds_mean,dominated"
         );
+        assert!(lines[1].contains(",0+43200@80|43200+43200@40,3x600@7,"));
+        assert_eq!(lines[1].split(',').count(), lines[0].split(',').count());
     }
 
     #[test]
@@ -511,12 +478,13 @@ mod tests {
         let front = pareto_front_cells(&[cell(7, "A", 0.5, 0.8, 100.0)]);
         let csv = render_pareto_cells_csv(&front);
         let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], PARETO_CELLS_CSV_HEADER);
-        assert!(lines[1].starts_with("1,medianjob,1.800000,7,A,7200+3600,60.000000"));
         assert_eq!(
-            lines[1].split(',').count(),
-            PARETO_CELLS_CSV_HEADER.split(',').count()
+            lines[0],
+            "racks,workload,load_factor,seed,scenario,window,cap_percent,grouping,\
+             decision_rule,energy_normalized,work_normalized,mean_wait_seconds,dominated"
         );
+        assert!(lines[1].starts_with("1,medianjob,1.800000,7,A,7200+3600,60.000000"));
+        assert_eq!(lines[1].split(',').count(), lines[0].split(',').count());
     }
 
     #[test]
@@ -528,11 +496,13 @@ mod tests {
         let csv = render_pareto_csv(&pareto_front(&rows));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], PARETO_CSV_HEADER);
         assert_eq!(
-            lines[1].split(',').count(),
-            PARETO_CSV_HEADER.split(',').count()
+            lines[0],
+            "racks,workload,load_factor,scenario,window,cap_percent,grouping,decision_rule,\
+             replications,energy_normalized_mean,work_normalized_mean,mean_wait_seconds_mean,\
+             dominated"
         );
+        assert_eq!(lines[1].split(',').count(), lines[0].split(',').count());
         assert!(lines[1].starts_with("1,medianjob,1.800000,A,7200+3600,60.000000"));
         assert!(lines[1].ends_with(",1"), "dominated count column");
     }

@@ -27,12 +27,20 @@
 //! in the one partition its index maps to — and stays correct under
 //! zone-map skipping because skipping never changes *which* occurrence is
 //! last, only whether a partition provably contains no match at all.
+//!
+//! Column names resolve through [`Column`], the one table next to
+//! [`CellRow`]: [`project`], [`numeric`], [`Projection::of`] and
+//! [`GroupAggregator::new`] share its "unknown column" and "not numeric"
+//! errors, and an aggregator resolves its names once when it is built, so
+//! [`GroupAggregator::fold`] reads fields by column, never by name.
+//! `campaign query` prints floats in shortest round-trip form (`inf` as
+//! `inf`, NaN as an empty field), unlike the six-decimal renders.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::agg::CellRow;
+use crate::agg::{CellRow, Column, Field};
 use crate::colstore::PartitionBuf;
 use crate::store::{
     is_v3_part, load_part_rows, sorted_part_paths, ParsedManifest, MANIFEST_NAME, PARTS_DIR,
@@ -84,67 +92,10 @@ impl RowFilter {
     }
 }
 
-/// The column names [`project`] accepts, in canonical `cells.csv` order.
-pub const QUERY_COLUMNS: [&str; 24] = [
-    "index",
-    "racks",
-    "workload",
-    "seed",
-    "load_factor",
-    "scenario",
-    "window",
-    "policy",
-    "cap_percent",
-    "grouping",
-    "decision_rule",
-    "schedule",
-    "faults",
-    "launched_jobs",
-    "completed_jobs",
-    "killed_jobs",
-    "pending_jobs",
-    "work_core_seconds",
-    "energy_joules",
-    "energy_normalized",
-    "launched_jobs_normalized",
-    "work_normalized",
-    "mean_wait_seconds",
-    "peak_power_watts",
-];
-
-// Bit positions of every column in [`QUERY_COLUMNS`] order, used by the
-// v3 decoder to test a [`Projection`] without string compares on the
-// per-row path. `projection_bits_match_query_columns` pins the mapping.
-pub(crate) const PC_INDEX: usize = 0;
-pub(crate) const PC_RACKS: usize = 1;
-pub(crate) const PC_WORKLOAD: usize = 2;
-pub(crate) const PC_SEED: usize = 3;
-pub(crate) const PC_LOAD_FACTOR: usize = 4;
-pub(crate) const PC_SCENARIO: usize = 5;
-pub(crate) const PC_WINDOW: usize = 6;
-pub(crate) const PC_POLICY: usize = 7;
-pub(crate) const PC_CAP_PERCENT: usize = 8;
-pub(crate) const PC_GROUPING: usize = 9;
-pub(crate) const PC_DECISION_RULE: usize = 10;
-pub(crate) const PC_SCHEDULE: usize = 11;
-pub(crate) const PC_FAULTS: usize = 12;
-pub(crate) const PC_LAUNCHED_JOBS: usize = 13;
-pub(crate) const PC_COMPLETED_JOBS: usize = 14;
-pub(crate) const PC_KILLED_JOBS: usize = 15;
-pub(crate) const PC_PENDING_JOBS: usize = 16;
-pub(crate) const PC_WORK_CORE_SECONDS: usize = 17;
-pub(crate) const PC_ENERGY_JOULES: usize = 18;
-pub(crate) const PC_ENERGY_NORMALIZED: usize = 19;
-pub(crate) const PC_LAUNCHED_JOBS_NORMALIZED: usize = 20;
-pub(crate) const PC_WORK_NORMALIZED: usize = 21;
-pub(crate) const PC_MEAN_WAIT_SECONDS: usize = 22;
-pub(crate) const PC_PEAK_POWER_WATTS: usize = 23;
-
-/// The set of [`QUERY_COLUMNS`] a scan needs decoded — the column
-/// projection the v3 codec pushes down into each block (satellite of the
-/// scenario-engine refactor): unprojected columns are never read from the
-/// column arrays, so `query --columns index,energy_joules` skips every
-/// dictionary-string copy per row.
+/// The set of [`Column`]s a scan needs decoded — the column projection the
+/// v3 codec pushes down into each block: unprojected columns are never read
+/// from the column arrays, so `query --columns index,energy_joules` skips
+/// every dictionary-string copy per row.
 ///
 /// Projection is an *optimisation hint*: rows delivered from a v2 (CSV)
 /// partition or a multi-file partition group are always fully decoded, so
@@ -155,30 +106,17 @@ pub struct Projection(u32);
 
 impl Projection {
     /// Every column.
-    pub const ALL: Projection = Projection((1 << QUERY_COLUMNS.len()) - 1);
+    pub const ALL: Projection = Projection((1 << Column::ALL.len()) - 1);
 
-    /// The projection selecting exactly `columns`. Unknown names are an
-    /// error listing the valid columns.
+    /// The projection selecting exactly the columns named `columns`.
+    /// Unknown names are an error listing the valid columns.
     pub fn of(columns: &[String]) -> Result<Projection, String> {
-        let mut bits = 0u32;
-        for column in columns {
-            let i = QUERY_COLUMNS
-                .iter()
-                .position(|c| c == column)
-                .ok_or_else(|| {
-                    format!(
-                        "unknown column {column:?} (valid: {})",
-                        QUERY_COLUMNS.join(", ")
-                    )
-                })?;
-            bits |= 1 << i;
-        }
-        Ok(Projection(bits))
+        columns.iter().map(|c| Column::from_name(c)).collect()
     }
 
-    /// Is column bit `i` (a `PC_*` constant) selected?
-    pub(crate) fn bit(self, i: usize) -> bool {
-        self.0 >> i & 1 != 0
+    /// Is `column` selected?
+    pub(crate) fn bit(self, column: Column) -> bool {
+        self.0 >> column as u32 & 1 != 0
     }
 
     /// Does the projection select every column?
@@ -197,122 +135,43 @@ impl Projection {
     }
 }
 
-/// Render one named column of a row as a CSV-safe field (full precision,
-/// NaN/None as empty, labels quoted through the crate's `csv_field`
-/// escaping like every other CSV writer). Unknown names are an error
-/// listing the valid columns.
-pub fn project(row: &CellRow, column: &str) -> Result<String, String> {
-    use crate::sink::csv_field;
-    fn float(v: f64) -> String {
-        if v.is_nan() {
-            String::new()
-        } else {
-            v.to_string()
-        }
+impl FromIterator<Column> for Projection {
+    fn from_iter<I: IntoIterator<Item = Column>>(columns: I) -> Self {
+        Projection(columns.into_iter().fold(0, |bits, c| bits | 1 << c as u32))
     }
-    Ok(match column {
-        "index" => row.index.to_string(),
-        "racks" => row.racks.to_string(),
-        "workload" => csv_field(&row.workload),
-        "seed" => row.seed.map_or_else(String::new, |s| s.to_string()),
-        "load_factor" => float(row.load_factor),
-        "scenario" => csv_field(&row.scenario),
-        "window" => csv_field(&row.window),
-        "policy" => csv_field(&row.policy),
-        "cap_percent" => float(row.cap_percent),
-        "grouping" => csv_field(&row.grouping),
-        "decision_rule" => csv_field(&row.decision_rule),
-        "schedule" => csv_field(&row.schedule),
-        "faults" => csv_field(&row.faults),
-        "launched_jobs" => row.launched_jobs.to_string(),
-        "completed_jobs" => row.completed_jobs.to_string(),
-        "killed_jobs" => row.killed_jobs.to_string(),
-        "pending_jobs" => row.pending_jobs.to_string(),
-        "work_core_seconds" => float(row.work_core_seconds),
-        "energy_joules" => float(row.energy_joules),
-        "energy_normalized" => float(row.energy_normalized),
-        "launched_jobs_normalized" => float(row.launched_jobs_normalized),
-        "work_normalized" => float(row.work_normalized),
-        "mean_wait_seconds" => float(row.mean_wait_seconds),
-        "peak_power_watts" => float(row.peak_power_watts),
-        other => {
-            return Err(format!(
-                "unknown column {other:?} (valid: {})",
-                QUERY_COLUMNS.join(", ")
-            ))
-        }
-    })
 }
 
-/// Every numeric column [`numeric`] can extract (superset of
-/// [`DEFAULT_AGG_COLUMNS`]).
-pub const NUMERIC_COLUMNS: [&str; 16] = [
-    "index",
-    "racks",
-    "seed",
-    "load_factor",
-    "cap_percent",
-    "launched_jobs",
-    "completed_jobs",
-    "killed_jobs",
-    "pending_jobs",
-    "work_core_seconds",
-    "energy_joules",
-    "energy_normalized",
-    "launched_jobs_normalized",
-    "work_normalized",
-    "mean_wait_seconds",
-    "peak_power_watts",
-];
+/// A field as `campaign query` prints it: floats in shortest round-trip
+/// form (`inf` included), and an empty field for NaN or an absent seed.
+/// Labels are quoted like every other CSV writer's.
+fn query_field(field: Field) -> String {
+    match field {
+        Field::Int(v) => v.to_string(),
+        Field::Seed(s) => s.map_or_else(String::new, |s| s.to_string()),
+        Field::Float(v) if v.is_nan() => String::new(),
+        Field::Float(v) => v.to_string(),
+        Field::Label(s) => crate::sink::csv_field(s),
+    }
+}
 
-/// The numeric metric columns [`GroupAggregator`] folds by default when no
-/// explicit column list is given.
-pub const DEFAULT_AGG_COLUMNS: [&str; 11] = [
-    "launched_jobs",
-    "completed_jobs",
-    "killed_jobs",
-    "pending_jobs",
-    "work_core_seconds",
-    "energy_joules",
-    "energy_normalized",
-    "launched_jobs_normalized",
-    "work_normalized",
-    "mean_wait_seconds",
-    "peak_power_watts",
-];
+/// Render one named column of a row as a CSV-safe field, as `campaign
+/// query` prints it. Unknown names are an error listing the valid columns.
+pub fn project(row: &CellRow, column: &str) -> Result<String, String> {
+    Ok(query_field(row.field(Column::from_name(column)?)))
+}
+
+/// One `campaign query` output line: `columns` of `row`, comma-separated.
+pub fn project_row(row: &CellRow, columns: &[Column]) -> String {
+    let fields: Vec<String> = columns.iter().map(|&c| query_field(row.field(c))).collect();
+    fields.join(",")
+}
 
 /// Extract one named column of a row as a number, or `None` when the value
 /// is absent (a fixed-trace seed/load, a NaN metric). Non-numeric columns
 /// are an error listing the foldable ones.
 pub fn numeric(row: &CellRow, column: &str) -> Result<Option<f64>, String> {
-    fn float(v: f64) -> Option<f64> {
-        (!v.is_nan()).then_some(v)
-    }
-    Ok(match column {
-        "index" => Some(row.index as f64),
-        "racks" => Some(row.racks as f64),
-        "seed" => row.seed.map(|s| s as f64),
-        "load_factor" => float(row.load_factor),
-        "cap_percent" => float(row.cap_percent),
-        "launched_jobs" => Some(row.launched_jobs as f64),
-        "completed_jobs" => Some(row.completed_jobs as f64),
-        "killed_jobs" => Some(row.killed_jobs as f64),
-        "pending_jobs" => Some(row.pending_jobs as f64),
-        "work_core_seconds" => float(row.work_core_seconds),
-        "energy_joules" => float(row.energy_joules),
-        "energy_normalized" => float(row.energy_normalized),
-        "launched_jobs_normalized" => float(row.launched_jobs_normalized),
-        "work_normalized" => float(row.work_normalized),
-        "mean_wait_seconds" => float(row.mean_wait_seconds),
-        "peak_power_watts" => float(row.peak_power_watts),
-        other => {
-            return Err(format!(
-                "column {other:?} is not numeric and cannot be aggregated \
-                 (numeric: {})",
-                NUMERIC_COLUMNS.join(", ")
-            ))
-        }
-    })
+    let column = Column::from_name(column)?.numeric()?;
+    Ok(row.field(column).number())
 }
 
 /// The aggregation functions `campaign query --agg` supports.
@@ -435,46 +294,37 @@ fn compare_keys(a: &str, b: &str) -> std::cmp::Ordering {
 /// hitting an existing group) allocates only the projected field strings.
 #[derive(Debug)]
 pub struct GroupAggregator {
-    group_by: Vec<String>,
-    columns: Vec<String>,
+    group_by: Vec<Column>,
+    columns: Vec<Column>,
     kind: AggKind,
     groups: std::collections::HashMap<String, (u64, Vec<ColAcc>)>,
     key_scratch: String,
 }
 
 impl GroupAggregator {
-    /// Build an aggregator grouping on `group_by` columns and folding the
-    /// numeric `columns` (both validated up front).
+    /// Build an aggregator grouping on the columns named `group_by` and
+    /// folding the numeric columns named `columns` (both validated up
+    /// front).
     pub fn new(group_by: &[String], columns: &[String], kind: AggKind) -> Result<Self, String> {
+        let resolve = |names: &[String]| -> Result<Vec<Column>, String> {
+            names.iter().map(|c| Column::from_name(c)).collect()
+        };
+        Self::of(&resolve(group_by)?, &resolve(columns)?, kind)
+    }
+
+    /// Build an aggregator grouping on `group_by` and folding the numeric
+    /// `columns`; a column in both is only a group key.
+    pub fn of(group_by: &[Column], columns: &[Column], kind: AggKind) -> Result<Self, String> {
         if group_by.is_empty() {
             return Err("--group-by needs at least one column".into());
         }
-        if let Some(unknown) = group_by
-            .iter()
-            .find(|c| !QUERY_COLUMNS.contains(&c.as_str()))
-        {
-            return Err(format!(
-                "unknown column {unknown:?} (valid: {})",
-                QUERY_COLUMNS.join(", ")
-            ));
-        }
-        let columns: Vec<String> = columns
+        // Check every aggregated column is numeric up front so errors
+        // surface before any output.
+        let columns = columns
             .iter()
             .filter(|c| !group_by.contains(c))
-            .cloned()
-            .collect();
-        // Validate every aggregated column is numeric up front so errors
-        // surface before any output.
-        if let Some(bad) = columns
-            .iter()
-            .find(|c| !NUMERIC_COLUMNS.contains(&c.as_str()))
-        {
-            return Err(format!(
-                "column {bad:?} is not numeric and cannot be aggregated \
-                 (numeric: {})",
-                NUMERIC_COLUMNS.join(", ")
-            ));
-        }
+            .map(|c| c.numeric())
+            .collect::<Result<_, _>>()?;
         Ok(GroupAggregator {
             group_by: group_by.to_vec(),
             columns,
@@ -487,11 +337,11 @@ impl GroupAggregator {
     /// Fold one row into its group.
     pub fn fold(&mut self, row: &CellRow) -> Result<(), String> {
         self.key_scratch.clear();
-        for (i, column) in self.group_by.iter().enumerate() {
+        for (i, &column) in self.group_by.iter().enumerate() {
             if i > 0 {
                 self.key_scratch.push(KEY_SEP);
             }
-            self.key_scratch.push_str(&project(row, column)?);
+            self.key_scratch.push_str(&query_field(row.field(column)));
         }
         let (n, accs) = match self.groups.get_mut(self.key_scratch.as_str()) {
             Some(entry) => entry,
@@ -501,8 +351,8 @@ impl GroupAggregator {
                 .or_insert_with(|| (0, vec![ColAcc::default(); self.columns.len()])),
         };
         *n += 1;
-        for (acc, column) in accs.iter_mut().zip(&self.columns) {
-            if let Some(v) = numeric(row, column)? {
+        for (acc, &column) in accs.iter_mut().zip(&self.columns) {
+            if let Some(v) = row.field(column).number() {
                 acc.push(v);
             }
         }
@@ -517,10 +367,10 @@ impl GroupAggregator {
     /// CSV header: group columns, the group size, then one
     /// `<agg>_<column>` per folded column.
     pub fn header(&self) -> String {
-        let mut fields: Vec<String> = self.group_by.clone();
+        let mut fields: Vec<String> = self.group_by.iter().map(|c| c.name().into()).collect();
         fields.push("n".into());
         for column in &self.columns {
-            fields.push(format!("{}_{column}", self.kind.name()));
+            fields.push(format!("{}_{}", self.kind.name(), column.name()));
         }
         fields.join(",")
     }
@@ -624,6 +474,18 @@ impl StoreScanner {
         self.manifest.done.len() == self.manifest.total_cells
     }
 
+    /// Every trusted row, in cell-index order, read into memory at once —
+    /// for the reports (`pareto`, `report`, `campaign-diff`) that need the
+    /// whole row set.
+    pub fn rows(&self) -> Result<Vec<CellRow>, String> {
+        let mut rows = Vec::with_capacity(self.completed_count());
+        self.scan(&RowFilter::default(), |row| {
+            rows.push(row.clone());
+            Ok(ScanFlow::Continue)
+        })?;
+        Ok(rows)
+    }
+
     /// Stream every trusted, filter-matching row to `on_row`, in cell-index
     /// order, without ever holding more than one partition in memory.
     pub fn scan(
@@ -648,7 +510,7 @@ impl StoreScanner {
         mut on_row: impl FnMut(&CellRow) -> Result<ScanFlow, String>,
     ) -> Result<ScanStats, String> {
         let mut stats = ScanStats::default();
-        let mut scratch = crate::colstore::blank_row();
+        let mut scratch = CellRow::default();
         // Flatten the manifest's completion set into a bit-per-cell lookup
         // once per scan: the per-row trust check runs for every record of
         // every partition, and an O(log n) set probe there dominates large
@@ -1016,9 +878,9 @@ mod tests {
     #[test]
     fn projection_covers_every_column_and_rejects_unknown_ones() {
         let r = row(4, "medianjob", "60%/SHUT");
-        for column in QUERY_COLUMNS {
-            let value = project(&r, column).unwrap();
-            if column == "mean_wait_seconds" {
+        for column in Column::ALL {
+            let value = project(&r, column.name()).unwrap();
+            if column == Column::MeanWaitSeconds {
                 assert!(value.is_empty(), "NaN renders empty");
             }
         }
@@ -1144,54 +1006,10 @@ mod tests {
         r.seed = None;
         assert_eq!(numeric(&r, "seed").unwrap(), None);
         assert!(numeric(&r, "workload").is_err());
-        for column in NUMERIC_COLUMNS {
-            assert!(numeric(&r, column).is_ok());
+        for column in Column::ALL {
+            let is_label = column.kind() == crate::agg::ColumnKind::Label;
+            assert_eq!(numeric(&r, column.name()).is_err(), is_label, "{column:?}");
         }
-    }
-
-    #[test]
-    fn projection_bits_match_query_columns() {
-        // The PC_* constants must track QUERY_COLUMNS positions exactly —
-        // the v3 decoder trusts them.
-        for (i, name) in [
-            (PC_INDEX, "index"),
-            (PC_RACKS, "racks"),
-            (PC_WORKLOAD, "workload"),
-            (PC_SEED, "seed"),
-            (PC_LOAD_FACTOR, "load_factor"),
-            (PC_SCENARIO, "scenario"),
-            (PC_WINDOW, "window"),
-            (PC_POLICY, "policy"),
-            (PC_CAP_PERCENT, "cap_percent"),
-            (PC_GROUPING, "grouping"),
-            (PC_DECISION_RULE, "decision_rule"),
-            (PC_SCHEDULE, "schedule"),
-            (PC_FAULTS, "faults"),
-            (PC_LAUNCHED_JOBS, "launched_jobs"),
-            (PC_COMPLETED_JOBS, "completed_jobs"),
-            (PC_KILLED_JOBS, "killed_jobs"),
-            (PC_PENDING_JOBS, "pending_jobs"),
-            (PC_WORK_CORE_SECONDS, "work_core_seconds"),
-            (PC_ENERGY_JOULES, "energy_joules"),
-            (PC_ENERGY_NORMALIZED, "energy_normalized"),
-            (PC_LAUNCHED_JOBS_NORMALIZED, "launched_jobs_normalized"),
-            (PC_WORK_NORMALIZED, "work_normalized"),
-            (PC_MEAN_WAIT_SECONDS, "mean_wait_seconds"),
-            (PC_PEAK_POWER_WATTS, "peak_power_watts"),
-        ] {
-            assert_eq!(QUERY_COLUMNS[i], name, "bit {i}");
-        }
-        let all = Projection::ALL;
-        assert!(all.is_all());
-        assert_eq!(all.len(), QUERY_COLUMNS.len());
-        let narrow = Projection::of(&["index".to_string(), "faults".to_string()]).unwrap();
-        assert!(narrow.bit(PC_INDEX) && narrow.bit(PC_FAULTS));
-        assert!(!narrow.bit(PC_WORKLOAD) && !narrow.is_all());
-        assert_eq!(narrow.len(), 2);
-        assert!(Projection::of(&[]).unwrap().is_empty());
-        assert!(Projection::of(&["nope".to_string()])
-            .unwrap_err()
-            .contains("unknown column"));
     }
 
     #[test]

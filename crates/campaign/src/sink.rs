@@ -3,28 +3,106 @@
 //! The workspace's serde dependency is an offline marker stub (nothing
 //! actually serializes through it), so the renderers here are hand-rolled —
 //! which also makes the byte layout fully explicit, a requirement for the
-//! campaign's "byte-identical across thread counts" guarantee. Floats are
-//! printed with fixed precisions; non-finite values (an empty interval's
-//! mean wait, say) become empty CSV fields and JSON `null`s.
+//! campaign's "byte-identical across thread counts" guarantee. Each file is
+//! a list of [`Column`]s from the one table next to [`CellRow`], printed by
+//! one field writer per format: floats at six decimals, and non-finite
+//! values (an empty interval's mean wait, say) as empty CSV fields and JSON
+//! `null`s. The `schedule`/`faults` columns appear only when a row of the
+//! file carries a cap-schedule or fault-plan label.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::agg::{CellRow, MetricSummary, SummaryRow};
+use crate::agg::{is_labelled, CellRow, Column, Field, MetricSummary, SummaryRow};
 
 /// Decimal places used for every floating-point column.
 const FLOAT_PRECISION: usize = 6;
 
-/// Fixed-precision float field; empty/`null` for non-finite values.
-fn float_field(v: f64, json: bool) -> String {
-    if v.is_finite() {
-        format!("{v:.FLOAT_PRECISION$}")
-    } else if json {
-        "null".to_string()
-    } else {
-        String::new()
+/// The group-key columns of `summary.*` and `pareto.csv`, in render order.
+pub(crate) const SUMMARY_KEY: [Column; 10] = [
+    Column::Racks,
+    Column::Workload,
+    Column::LoadFactor,
+    Column::Scenario,
+    Column::Window,
+    Column::CapPercent,
+    Column::Grouping,
+    Column::DecisionRule,
+    Column::Schedule,
+    Column::Faults,
+];
+
+/// The metrics `summary.*` reports across seeds, in render order.
+const SUMMARY_METRICS: [Column; 5] = [
+    Column::LaunchedJobs,
+    Column::EnergyNormalized,
+    Column::WorkNormalized,
+    Column::MeanWaitSeconds,
+    Column::PeakPowerWatts,
+];
+
+/// The statistics of each summary metric, in render order.
+const STATS: [&str; 4] = ["mean", "min", "max", "stddev"];
+
+fn stats(m: &MetricSummary) -> [f64; 4] {
+    [m.mean, m.min, m.max, m.stddev]
+}
+
+/// A field as every rendered file prints it: floats at six decimals, and
+/// an empty CSV field or a JSON `null` for a non-finite float or an absent
+/// seed.
+pub(crate) fn fixed(field: Field, json: bool) -> String {
+    match field {
+        Field::Int(v) => v.to_string(),
+        Field::Seed(Some(s)) => s.to_string(),
+        Field::Float(v) if v.is_finite() => format!("{v:.FLOAT_PRECISION$}"),
+        Field::Seed(None) | Field::Float(_) if json => "null".to_string(),
+        Field::Seed(None) | Field::Float(_) => String::new(),
+        Field::Label(s) if json => json_string(s),
+        Field::Label(s) => csv_field(s),
     }
+}
+
+/// `columns` without the optional labels unless `labelled`.
+pub(crate) fn shown(columns: &[Column], labelled: bool) -> Vec<Column> {
+    columns
+        .iter()
+        .copied()
+        .filter(|c| labelled || !c.is_optional_label())
+        .collect()
+}
+
+/// The names of `columns`, as header fields.
+pub(crate) fn header(columns: &[Column]) -> Vec<String> {
+    columns.iter().map(|c| c.name().to_string()).collect()
+}
+
+/// A CSV file: the header line, then one line per row.
+pub(crate) fn csv(header: Vec<String>, rows: impl Iterator<Item = Vec<String>>) -> String {
+    let mut out = header.join(",");
+    out.push('\n');
+    for fields in rows {
+        out.push_str(&fields.join(","));
+        out.push('\n');
+    }
+    out
+}
+
+/// A JSON array of one object per row, one line each.
+fn json<'a>(rows: impl ExactSizeIterator<Item = Vec<(&'a str, String)>>) -> String {
+    let n = rows.len();
+    let mut out = String::from("[\n");
+    for (i, fields) in rows.enumerate() {
+        let fields: Vec<String> = fields
+            .iter()
+            .map(|(key, value)| format!("\"{key}\": {value}"))
+            .collect();
+        let comma = if i + 1 == n { "" } else { "," };
+        out.push_str(&format!("  {{{}}}{comma}\n", fields.join(", ")));
+    }
+    out.push_str("]\n");
+    out
 }
 
 /// Quote a CSV field if it contains a separator, quote or newline.
@@ -100,279 +178,86 @@ fn json_string(raw: &str) -> String {
     out
 }
 
-/// Header of the per-cell CSV.
-pub const CELLS_CSV_HEADER: &str = "index,racks,workload,seed,load_factor,scenario,window,\
-policy,cap_percent,grouping,decision_rule,launched_jobs,completed_jobs,killed_jobs,pending_jobs,\
-work_core_seconds,energy_joules,energy_normalized,launched_jobs_normalized,\
-work_normalized,mean_wait_seconds,peak_power_watts";
+/// The `cells.*` columns: the whole table, labels only when a row carries
+/// them.
+fn cell_columns(rows: &[CellRow]) -> Vec<Column> {
+    let labelled = rows.iter().any(|r| is_labelled(&r.schedule, &r.faults));
+    shown(&Column::ALL, labelled)
+}
 
-/// [`CELLS_CSV_HEADER`] with the `schedule`/`faults` columns, used when any
-/// rendered row carries a cap-schedule or fault-plan label.
-pub const CELLS_CSV_HEADER_LABELLED: &str = "index,racks,workload,seed,load_factor,scenario,\
-window,policy,cap_percent,grouping,decision_rule,schedule,faults,launched_jobs,completed_jobs,\
-killed_jobs,pending_jobs,work_core_seconds,energy_joules,energy_normalized,\
-launched_jobs_normalized,work_normalized,mean_wait_seconds,peak_power_watts";
-
-/// Do any of these rows carry a schedule or fault label? Decides whether
-/// the renderers emit the two label columns — campaigns without the new
-/// axes keep their pre-refactor output bytes exactly.
-fn cells_labelled(rows: &[CellRow]) -> bool {
-    rows.iter().any(|r| r.schedule != "-" || r.faults != "-")
+/// The `summary.*` key columns, labels only when a group carries them.
+fn summary_key(summaries: &[SummaryRow]) -> Vec<Column> {
+    let labelled = summaries
+        .iter()
+        .any(|s| is_labelled(&s.schedule, &s.faults));
+    shown(&SUMMARY_KEY, labelled)
 }
 
 /// Render the per-cell rows as CSV (with header and trailing newline).
 pub fn render_cells_csv(rows: &[CellRow]) -> String {
-    let labelled = cells_labelled(rows);
-    let mut out = String::from(if labelled {
-        CELLS_CSV_HEADER_LABELLED
-    } else {
-        CELLS_CSV_HEADER
-    });
-    out.push('\n');
-    for r in rows {
-        let labels = if labelled {
-            format!("{},{},", csv_field(&r.schedule), csv_field(&r.faults))
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{labels}{},{},{},{},{},{},{},{},{},{},{}\n",
-            r.index,
-            r.racks,
-            csv_field(&r.workload),
-            r.seed.map_or_else(String::new, |s| s.to_string()),
-            float_field(r.load_factor, false),
-            csv_field(&r.scenario),
-            csv_field(&r.window),
-            csv_field(&r.policy),
-            float_field(r.cap_percent, false),
-            csv_field(&r.grouping),
-            csv_field(&r.decision_rule),
-            r.launched_jobs,
-            r.completed_jobs,
-            r.killed_jobs,
-            r.pending_jobs,
-            float_field(r.work_core_seconds, false),
-            float_field(r.energy_joules, false),
-            float_field(r.energy_normalized, false),
-            float_field(r.launched_jobs_normalized, false),
-            float_field(r.work_normalized, false),
-            float_field(r.mean_wait_seconds, false),
-            float_field(r.peak_power_watts, false),
-        ));
-    }
-    out
-}
-
-fn summary_metric_csv(m: &MetricSummary) -> String {
-    format!(
-        "{},{},{},{}",
-        float_field(m.mean, false),
-        float_field(m.min, false),
-        float_field(m.max, false),
-        float_field(m.stddev, false)
+    let columns = cell_columns(rows);
+    csv(
+        header(&columns),
+        rows.iter()
+            .map(|r| columns.iter().map(|&c| fixed(r.field(c), false)).collect()),
     )
-}
-
-/// Header of the across-seed summary CSV.
-pub const SUMMARY_CSV_HEADER: &str =
-    "racks,workload,load_factor,scenario,window,cap_percent,grouping,decision_rule,replications,\
-launched_jobs_mean,launched_jobs_min,launched_jobs_max,launched_jobs_stddev,\
-energy_normalized_mean,energy_normalized_min,energy_normalized_max,energy_normalized_stddev,\
-work_normalized_mean,work_normalized_min,work_normalized_max,work_normalized_stddev,\
-mean_wait_seconds_mean,mean_wait_seconds_min,mean_wait_seconds_max,mean_wait_seconds_stddev,\
-peak_power_watts_mean,peak_power_watts_min,peak_power_watts_max,peak_power_watts_stddev";
-
-/// [`SUMMARY_CSV_HEADER`] with the `schedule`/`faults` columns, used when
-/// any summary group carries a cap-schedule or fault-plan label.
-pub const SUMMARY_CSV_HEADER_LABELLED: &str =
-    "racks,workload,load_factor,scenario,window,cap_percent,grouping,decision_rule,\
-schedule,faults,replications,\
-launched_jobs_mean,launched_jobs_min,launched_jobs_max,launched_jobs_stddev,\
-energy_normalized_mean,energy_normalized_min,energy_normalized_max,energy_normalized_stddev,\
-work_normalized_mean,work_normalized_min,work_normalized_max,work_normalized_stddev,\
-mean_wait_seconds_mean,mean_wait_seconds_min,mean_wait_seconds_max,mean_wait_seconds_stddev,\
-peak_power_watts_mean,peak_power_watts_min,peak_power_watts_max,peak_power_watts_stddev";
-
-/// Do any of these summary groups carry a schedule or fault label?
-fn summaries_labelled(summaries: &[SummaryRow]) -> bool {
-    summaries
-        .iter()
-        .any(|s| s.schedule != "-" || s.faults != "-")
 }
 
 /// Render the across-seed summaries as CSV (with header and trailing
 /// newline).
 pub fn render_summary_csv(summaries: &[SummaryRow]) -> String {
-    let labelled = summaries_labelled(summaries);
-    let mut out = String::from(if labelled {
-        SUMMARY_CSV_HEADER_LABELLED
-    } else {
-        SUMMARY_CSV_HEADER
-    });
-    out.push('\n');
-    for s in summaries {
-        let labels = if labelled {
-            format!("{},{},", csv_field(&s.schedule), csv_field(&s.faults))
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{labels}{},{},{},{},{},{}\n",
-            s.racks,
-            csv_field(&s.workload),
-            float_field(s.load_factor, false),
-            csv_field(&s.scenario),
-            csv_field(&s.window),
-            float_field(s.cap_percent, false),
-            csv_field(&s.grouping),
-            csv_field(&s.decision_rule),
-            s.replications,
-            summary_metric_csv(&s.launched_jobs),
-            summary_metric_csv(&s.energy_normalized),
-            summary_metric_csv(&s.work_normalized),
-            summary_metric_csv(&s.mean_wait_seconds),
-            summary_metric_csv(&s.peak_power_watts),
-        ));
+    let key = summary_key(summaries);
+    let mut names = header(&key);
+    names.push("replications".into());
+    for m in SUMMARY_METRICS {
+        names.extend(STATS.map(|stat| format!("{}_{stat}", m.name())));
     }
-    out
+    csv(
+        names,
+        summaries.iter().map(|s| {
+            let mut fields: Vec<String> =
+                key.iter().map(|&c| fixed(s.key_field(c), false)).collect();
+            fields.push(s.replications.to_string());
+            for m in SUMMARY_METRICS {
+                fields.extend(stats(s.metric(m)).map(|v| fixed(Field::Float(v), false)));
+            }
+            fields
+        }),
+    )
 }
 
 /// Render the per-cell rows as a JSON array (pretty, two-space indent).
 pub fn render_cells_json(rows: &[CellRow]) -> String {
-    let labelled = cells_labelled(rows);
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("  {");
-        out.push_str(&format!("\"index\": {}, ", r.index));
-        out.push_str(&format!("\"racks\": {}, ", r.racks));
-        out.push_str(&format!("\"workload\": {}, ", json_string(&r.workload)));
-        out.push_str(&format!(
-            "\"seed\": {}, ",
-            r.seed.map_or_else(|| "null".to_string(), |s| s.to_string())
-        ));
-        out.push_str(&format!(
-            "\"load_factor\": {}, ",
-            float_field(r.load_factor, true)
-        ));
-        out.push_str(&format!("\"scenario\": {}, ", json_string(&r.scenario)));
-        out.push_str(&format!("\"window\": {}, ", json_string(&r.window)));
-        out.push_str(&format!("\"policy\": {}, ", json_string(&r.policy)));
-        out.push_str(&format!(
-            "\"cap_percent\": {}, ",
-            float_field(r.cap_percent, true)
-        ));
-        out.push_str(&format!("\"grouping\": {}, ", json_string(&r.grouping)));
-        out.push_str(&format!(
-            "\"decision_rule\": {}, ",
-            json_string(&r.decision_rule)
-        ));
-        if labelled {
-            out.push_str(&format!("\"schedule\": {}, ", json_string(&r.schedule)));
-            out.push_str(&format!("\"faults\": {}, ", json_string(&r.faults)));
-        }
-        out.push_str(&format!("\"launched_jobs\": {}, ", r.launched_jobs));
-        out.push_str(&format!("\"completed_jobs\": {}, ", r.completed_jobs));
-        out.push_str(&format!("\"killed_jobs\": {}, ", r.killed_jobs));
-        out.push_str(&format!("\"pending_jobs\": {}, ", r.pending_jobs));
-        out.push_str(&format!(
-            "\"work_core_seconds\": {}, ",
-            float_field(r.work_core_seconds, true)
-        ));
-        out.push_str(&format!(
-            "\"energy_joules\": {}, ",
-            float_field(r.energy_joules, true)
-        ));
-        out.push_str(&format!(
-            "\"energy_normalized\": {}, ",
-            float_field(r.energy_normalized, true)
-        ));
-        out.push_str(&format!(
-            "\"launched_jobs_normalized\": {}, ",
-            float_field(r.launched_jobs_normalized, true)
-        ));
-        out.push_str(&format!(
-            "\"work_normalized\": {}, ",
-            float_field(r.work_normalized, true)
-        ));
-        out.push_str(&format!(
-            "\"mean_wait_seconds\": {}, ",
-            float_field(r.mean_wait_seconds, true)
-        ));
-        out.push_str(&format!(
-            "\"peak_power_watts\": {}",
-            float_field(r.peak_power_watts, true)
-        ));
-        out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
-    }
-    out.push_str("]\n");
-    out
-}
-
-fn summary_metric_json(name: &str, m: &MetricSummary) -> String {
-    format!(
-        "\"{name}\": {{\"mean\": {}, \"min\": {}, \"max\": {}, \"stddev\": {}}}",
-        float_field(m.mean, true),
-        float_field(m.min, true),
-        float_field(m.max, true),
-        float_field(m.stddev, true)
-    )
+    let columns = cell_columns(rows);
+    json(rows.iter().map(|r| {
+        columns
+            .iter()
+            .map(|&c| (c.name(), fixed(r.field(c), true)))
+            .collect()
+    }))
 }
 
 /// Render the across-seed summaries as a JSON array.
 pub fn render_summary_json(summaries: &[SummaryRow]) -> String {
-    let labelled = summaries_labelled(summaries);
-    let mut out = String::from("[\n");
-    for (i, s) in summaries.iter().enumerate() {
-        out.push_str("  {");
-        out.push_str(&format!("\"racks\": {}, ", s.racks));
-        out.push_str(&format!("\"workload\": {}, ", json_string(&s.workload)));
-        out.push_str(&format!(
-            "\"load_factor\": {}, ",
-            float_field(s.load_factor, true)
-        ));
-        out.push_str(&format!("\"scenario\": {}, ", json_string(&s.scenario)));
-        out.push_str(&format!("\"window\": {}, ", json_string(&s.window)));
-        out.push_str(&format!(
-            "\"cap_percent\": {}, ",
-            float_field(s.cap_percent, true)
-        ));
-        out.push_str(&format!("\"grouping\": {}, ", json_string(&s.grouping)));
-        out.push_str(&format!(
-            "\"decision_rule\": {}, ",
-            json_string(&s.decision_rule)
-        ));
-        if labelled {
-            out.push_str(&format!("\"schedule\": {}, ", json_string(&s.schedule)));
-            out.push_str(&format!("\"faults\": {}, ", json_string(&s.faults)));
+    let key = summary_key(summaries);
+    json(summaries.iter().map(|s| {
+        let mut fields: Vec<(&str, String)> = key
+            .iter()
+            .map(|&c| (c.name(), fixed(s.key_field(c), true)))
+            .collect();
+        fields.push(("replications", s.replications.to_string()));
+        for m in SUMMARY_METRICS {
+            let values = STATS
+                .iter()
+                .zip(stats(s.metric(m)))
+                .map(|(stat, v)| format!("\"{stat}\": {}", fixed(Field::Float(v), true)));
+            fields.push((
+                m.name(),
+                format!("{{{}}}", values.collect::<Vec<_>>().join(", ")),
+            ));
         }
-        out.push_str(&format!("\"replications\": {}, ", s.replications));
-        out.push_str(&summary_metric_json("launched_jobs", &s.launched_jobs));
-        out.push_str(", ");
-        out.push_str(&summary_metric_json(
-            "energy_normalized",
-            &s.energy_normalized,
-        ));
-        out.push_str(", ");
-        out.push_str(&summary_metric_json("work_normalized", &s.work_normalized));
-        out.push_str(", ");
-        out.push_str(&summary_metric_json(
-            "mean_wait_seconds",
-            &s.mean_wait_seconds,
-        ));
-        out.push_str(", ");
-        out.push_str(&summary_metric_json(
-            "peak_power_watts",
-            &s.peak_power_watts,
-        ));
-        out.push_str(if i + 1 == summaries.len() {
-            "}\n"
-        } else {
-            "},\n"
-        });
-    }
-    out.push_str("]\n");
-    out
+        fields
+    }))
 }
 
 /// A pluggable results sink.
@@ -607,7 +492,10 @@ mod tests {
         // A label-free render keeps the pre-refactor header and column
         // count exactly.
         let legacy = render_cells_csv(&rows());
-        assert!(legacy.starts_with(CELLS_CSV_HEADER));
+        assert!(legacy.starts_with(
+            "index,racks,workload,seed,load_factor,scenario,window,\
+                                    policy,cap_percent,grouping,decision_rule,launched_jobs,"
+        ));
         assert!(!legacy.contains("schedule"));
         // One labelled row switches both header and rows to the extended
         // layout, with "-" filled for label-free rows.
@@ -622,7 +510,11 @@ mod tests {
         });
         let csv = render_cells_csv(&labelled);
         let lines: Vec<&str> = csv.lines().collect();
-        assert!(lines[0].starts_with(CELLS_CSV_HEADER_LABELLED));
+        assert!(lines[0].starts_with(
+            "index,racks,workload,seed,load_factor,scenario,window,\
+                                      policy,cap_percent,grouping,decision_rule,schedule,faults,\
+                                      launched_jobs,"
+        ));
         for line in &lines[1..] {
             assert_eq!(line.split(',').count(), lines[0].split(',').count());
         }
@@ -636,7 +528,10 @@ mod tests {
         // Summaries follow the same rule.
         let summaries = crate::agg::summarize(&labelled);
         let sum_csv = render_summary_csv(&summaries);
-        assert!(sum_csv.starts_with(SUMMARY_CSV_HEADER_LABELLED));
+        assert!(sum_csv.starts_with(
+            "racks,workload,load_factor,scenario,window,cap_percent,\
+                                     grouping,decision_rule,schedule,faults,replications,"
+        ));
         assert!(sum_csv.contains(",0+7200@80,3x600@7,"));
         assert!(render_summary_json(&summaries).contains("\"schedule\": \"0+7200@80\""));
     }

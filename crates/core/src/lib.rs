@@ -18,7 +18,7 @@
 //!   state of every node — under every power cap overlapping the job's
 //!   execution window; keep the job pending if even the lowest permitted
 //!   frequency does not fit.
-//! * [`hook`] — the [`PowercapHook`](hook::PowercapHook) gluing both phases
+//! * [`hook`] — the [`PowercapHook`] gluing both phases
 //!   into the RJMS controller through the
 //!   [`SchedulingHook`](apc_rjms::SchedulingHook) interface (the grey boxes
 //!   of the paper's Fig. 1), including the optional "extreme actions"

@@ -6,7 +6,7 @@
 //! `CpuFreqXWatts`, node counts). [`Cluster`] is the dynamic state the
 //! controller mutates: per-node allocation, power states and the resulting
 //! instantaneous power and energy (via
-//! [`ClusterPowerAccountant`](apc_power::ClusterPowerAccountant)).
+//! [`ClusterPowerAccountant`]).
 
 use apc_power::{
     ClusterPowerAccountant, Frequency, FrequencyLadder, Joules, NodePowerProfile, PowerState,
