@@ -13,8 +13,8 @@
 //!
 //! [`Column`] is the one table of a row's columns: their names, their
 //! order in `cells.csv` and their kinds. Every render, `campaign query` and
-//! the v2 store reader take the schema from it through
-//! [`CellRow::field`].
+//! the v2 store reader take the schema from it, and [`CellRow::field`]
+//! reads one column of a row.
 
 use apc_replay::metrics::{NormalizedOutcome, PowerSeries};
 use apc_replay::{ReplayOutcome, ReplaySummary, SimulationReport};

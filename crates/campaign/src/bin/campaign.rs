@@ -887,10 +887,8 @@ fn run_query(args: &[String]) -> Result<(), String> {
     if !group_by.is_empty() {
         // Aggregation pushdown: fold rows into per-group accumulators as
         // the partitions stream past — the row set is never materialised.
-        let agg_columns = columns.unwrap_or_else(|| {
-            let metrics = Column::ALL.into_iter().filter(|c| c.is_metric());
-            metrics.collect()
-        });
+        let agg_columns =
+            columns.unwrap_or_else(|| Column::ALL.into_iter().filter(|c| c.is_metric()).collect());
         let mut aggregator = GroupAggregator::of(&group_by, &agg_columns, agg.unwrap_or_default())?;
         // The fold only reads the group-by and aggregated columns, so v3
         // blocks need not decode anything else.
