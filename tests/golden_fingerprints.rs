@@ -143,6 +143,40 @@ fn late_first_window_set_matches_the_recorded_schedule() {
     );
 }
 
+/// The tight-cap tail of the paper grid: every policy at 40 % over the
+/// seed-2012 24-hour interval. These cells run the most power-blocked
+/// schedule passes (deep queues where the postponed head job holds no
+/// shadow reservation), so they pin the scheduler's short-cuts hardest.
+#[test]
+fn day24h_tight_cap_cells_match_the_recorded_schedule() {
+    const GOLDEN: [(&str, PowercapPolicy, u64); 3] = [
+        ("24h 40%/SHUT", PowercapPolicy::Shut, GOLDEN_DAY24H_SHUT_40),
+        ("24h 40%/DVFS", PowercapPolicy::Dvfs, GOLDEN_DAY24H_DVFS_40),
+        ("24h 40%/MIX", PowercapPolicy::Mix, GOLDEN_DAY24H_MIX_40),
+    ];
+    let platform = Platform::curie_scaled(2);
+    let trace = CurieTraceGenerator::new(2012)
+        .interval(IntervalKind::Day24h)
+        .generate_for(&platform);
+    let harness = ReplayHarness::new(platform, trace);
+    let duration = harness.trace().duration;
+    let mut mismatches = Vec::new();
+    for (label, policy, expected) in GOLDEN {
+        let actual = replay_hash(&harness, &Scenario::paper(policy, 0.4, duration));
+        println!("golden {label}: 0x{actual:016x}");
+        if actual != expected {
+            mismatches.push(format!(
+                "{label}: expected 0x{expected:016x}, got 0x{actual:016x}"
+            ));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "24h tight-cap fingerprints moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
 // Recorded from the seed (pre-NodeMask) build; see module docs.
 const GOLDEN_BASELINE: u64 = 0xceee_ae71_8678_949f;
 const GOLDEN_SHUT_80: u64 = 0x1f12_570a_1aa1_d447;
@@ -158,3 +192,7 @@ const GOLDEN_MULTI_WINDOW_MIX_60: u64 = 0x14fc_51ce_1df7_ac4a;
 // Recorded from the build before window sets became uniform cap schedules,
 // where the same windows were a cap fraction plus a window list.
 const GOLDEN_LATE_FIRST_MIX_40: u64 = 0x4996_1d0c_61c7_f9a3;
+// Recorded before the schedule pass decided power ahead of node placement.
+const GOLDEN_DAY24H_SHUT_40: u64 = 0x0817_84e1_107f_35e0;
+const GOLDEN_DAY24H_DVFS_40: u64 = 0xec75_62e5_a662_5455;
+const GOLDEN_DAY24H_MIX_40: u64 = 0xcec8_9c6e_b020_0247;
