@@ -6,7 +6,7 @@
 //! * `plan_powercap` runs the offline planner when a powercap reservation is
 //!   submitted and returns the grouped switch-off node selection;
 //! * `authorize_start` runs the online frequency selection for every job the
-//!   controller is about to dispatch;
+//!   controller is about to dispatch, before its nodes are picked;
 //! * `runtime_factor` applies the policy's DVFS degradation so the controller
 //!   stretches runtimes and walltimes consistently;
 //! * `on_cap_start` optionally implements the paper's "extreme actions":
@@ -43,7 +43,7 @@ impl PowercapHook {
         PowercapHook {
             config,
             offline: OfflinePlanner::new(config),
-            online: OnlineScheduler::new(config.policy, &platform.ladder),
+            online: OnlineScheduler::new(config.policy, platform),
             degradation: config.policy.degradation(&platform.ladder),
             decisions: Vec::new(),
         }
@@ -85,12 +85,12 @@ impl SchedulingHook for PowercapHook {
         cluster: &Cluster,
         reservations: &ReservationBook,
         job: &Job,
-        candidate_nodes: &[usize],
+        node_count: usize,
         now: SimTime,
     ) -> StartDecision {
         match self
             .online
-            .choose(cluster, reservations, job, candidate_nodes, now)
+            .choose(cluster, reservations, job, node_count, now)
         {
             FrequencyChoice::Start(frequency) => StartDecision::Start { frequency },
             FrequencyChoice::Postpone => StartDecision::Postpone,
@@ -216,6 +216,52 @@ mod tests {
             .filter(|s| s.time >= window.0 && s.time < window.1)
             .map(|s| s.power)
             .fold(Watts::ZERO, Watts::max)
+    }
+
+    /// `rjms.probe.fast` counts decisions: every capped `authorize_start`
+    /// builds exactly one probe, whether it finds no cap, walks the ladder
+    /// or postpones the job at the power floor.
+    #[test]
+    fn every_capped_decision_takes_exactly_one_probe() {
+        let p = platform();
+        let cluster = Cluster::new(p.clone());
+        let idle = cluster.current_power();
+        let mut book = ReservationBook::new();
+        // A cap in [1000, 5000) that fits 10 nodes at 1.2 GHz only.
+        book.add(
+            TimeWindow::new(1000, 5000),
+            apc_rjms::reservation::ReservationKind::PowerCap {
+                cap: idle + Watts(10.0 * (193.0 - 117.0) + 1.0),
+            },
+        );
+        let job = |walltime| Job::new(0, JobSubmission::new(0, 0, 160, walltime, 60));
+        let cases = [
+            (10, job(500), 0),    // ends before the cap at any step
+            (10, job(3600), 0),   // inside the cap: ladder walk
+            (180, job(3600), 0),  // far above the cap: power floor
+            (1, job(60), 10_000), // after the cap
+        ];
+        for policy in [
+            PowercapPolicy::Shut,
+            PowercapPolicy::Dvfs,
+            PowercapPolicy::Mix,
+        ] {
+            let mut hook = PowercapHook::for_policy(policy, &p);
+            for (count, job, now) in &cases {
+                let (before, slow) = cluster.accountant().probe_counts();
+                hook.authorize_start(&cluster, &book, job, *count, *now);
+                assert_eq!(
+                    cluster.accountant().probe_counts(),
+                    (before + 1, slow),
+                    "{policy}: {count} nodes at t={now}"
+                );
+            }
+        }
+        // The uncapped policy decides without probing.
+        let mut hook = PowercapHook::for_policy(PowercapPolicy::None, &p);
+        let before = cluster.accountant().probe_counts();
+        hook.authorize_start(&cluster, &book, &job(3600), 180, 0);
+        assert_eq!(cluster.accountant().probe_counts(), before);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! window (Algorithm 2).
 
 use apc_power::{DegradationModel, Frequency, FrequencyLadder, Watts};
-use apc_rjms::cluster::Cluster;
+use apc_rjms::cluster::{Cluster, Platform};
 use apc_rjms::job::Job;
 use apc_rjms::reservation::ReservationBook;
 use apc_rjms::time::SimTime;
@@ -43,8 +43,8 @@ impl FrequencyChoice {
 
 /// The online scheduler (Algorithm 2).
 ///
-/// The policy's allowed ladder and degradation model are resolved once at
-/// construction (they only depend on the platform's full ladder), so the
+/// The policy's allowed ladder, degradation model and power floor are
+/// resolved once at construction (they only depend on the platform), so the
 /// per-job `choose` does not rebuild them per call.
 #[derive(Debug, Clone)]
 pub struct OnlineScheduler {
@@ -56,18 +56,27 @@ pub struct OnlineScheduler {
     allowed: FrequencyLadder,
     /// The policy's runtime-degradation model over that ladder.
     degradation: DegradationModel,
+    /// The least busy draw over the allowed steps: no step can start a job
+    /// whose start at this draw already breaks the cap.
+    least_busy: Watts,
 }
 
 impl OnlineScheduler {
-    /// Create an online scheduler for the given policy on a platform with
-    /// the given frequency ladder (the ladder must be the one of the cluster
-    /// later passed to [`choose`](Self::choose)).
-    pub fn new(policy: PowercapPolicy, ladder: &FrequencyLadder) -> Self {
+    /// Create an online scheduler for the given policy on `platform` (the
+    /// platform of the cluster later passed to [`choose`](Self::choose)).
+    pub fn new(policy: PowercapPolicy, platform: &Platform) -> Self {
+        let allowed = policy.allowed_ladder(&platform.ladder);
+        let least_busy = allowed
+            .steps()
+            .iter()
+            .map(|&f| platform.profile.busy_watts(f))
+            .fold(Watts(f64::INFINITY), Watts::min);
         OnlineScheduler {
             policy,
-            fmax: ladder.max(),
-            allowed: policy.allowed_ladder(ladder),
-            degradation: policy.degradation(ladder),
+            fmax: platform.ladder.max(),
+            degradation: policy.degradation(&platform.ladder),
+            allowed,
+            least_busy,
         }
     }
 
@@ -89,19 +98,22 @@ impl OnlineScheduler {
         reservations.cap_within(now, now.saturating_add(duration.max(1)))
     }
 
-    /// Choose the execution frequency for `job` on `candidate_nodes` at
-    /// `now`, or decide to keep it pending.
+    /// Choose the execution frequency for `job` on `node_count` idle nodes
+    /// at `now`, or decide to keep it pending.
     ///
-    /// The candidate set's idle baseline and shared-equipment switching
-    /// terms are frequency-independent, so they are probed once
-    /// ([`Cluster::busy_probe`]) and each ladder step costs O(1) — the walk
-    /// is O(steps) instead of O(steps × |nodes|).
+    /// Idle candidates make the probe depend on their count alone
+    /// ([`idle_busy_probe`](apc_power::ClusterPowerAccountant::idle_busy_probe)),
+    /// and each ladder step then costs O(1). Before the walk, the power
+    /// floor postpones a job that breaks the cap over its unstretched window
+    /// even at the least allowed draw. That is exact: a stretched walltime
+    /// is never shorter, so every step's window contains that one, and every
+    /// step's cap is at most its cap.
     pub fn choose(
         &self,
         cluster: &Cluster,
         reservations: &ReservationBook,
         job: &Job,
-        candidate_nodes: &[usize],
+        node_count: usize,
         now: SimTime,
     ) -> FrequencyChoice {
         debug_assert_eq!(
@@ -114,15 +126,25 @@ impl OnlineScheduler {
         }
         let profile = &cluster.platform().profile;
         let current = cluster.current_power();
-        let probe = cluster.busy_probe(candidate_nodes);
+        let probe = cluster.accountant().idle_busy_probe(node_count);
+        let walltime = job.submission.walltime;
+        let unstretched_cap = self.applicable_cap(reservations, now, walltime);
+        if let Some(cap) = unstretched_cap {
+            if current + probe.delta(self.least_busy) > cap {
+                return FrequencyChoice::Postpone;
+            }
+        }
 
         for frequency in self.allowed.steps_descending() {
             // The job's walltime is stretched with the frequency, so the
             // window whose caps must be honoured depends on the probe.
-            let stretched_walltime = self
-                .degradation
-                .stretch_runtime(job.submission.walltime, frequency);
-            let Some(cap) = self.applicable_cap(reservations, now, stretched_walltime) else {
+            let stretched_walltime = self.degradation.stretch_runtime(walltime, frequency);
+            let cap = if stretched_walltime == walltime {
+                unstretched_cap
+            } else {
+                self.applicable_cap(reservations, now, stretched_walltime)
+            };
+            let Some(cap) = cap else {
                 // No cap overlaps the job's execution at all: run flat out.
                 return FrequencyChoice::Start(self.fmax);
             };
@@ -139,7 +161,6 @@ impl OnlineScheduler {
 mod tests {
     use super::*;
     use apc_power::Watts;
-    use apc_rjms::cluster::Platform;
     use apc_rjms::job::JobSubmission;
     use apc_rjms::reservation::ReservationKind;
     use apc_rjms::time::TimeWindow;
@@ -148,9 +169,9 @@ mod tests {
         Cluster::new(Platform::curie_scaled(1)) // 90 nodes
     }
 
-    /// Scheduler over the Curie ladder the test clusters use.
+    /// Scheduler over the Curie platform the test clusters use.
     fn scheduler(policy: PowercapPolicy) -> OnlineScheduler {
-        OnlineScheduler::new(policy, &apc_power::FrequencyLadder::curie())
+        OnlineScheduler::new(policy, &Platform::curie_scaled(1))
     }
 
     fn job(cores: u32, walltime: SimTime) -> Job {
@@ -168,7 +189,7 @@ mod tests {
         let c = cluster();
         let book = ReservationBook::new();
         let sched = scheduler(PowercapPolicy::Dvfs);
-        let choice = sched.choose(&c, &book, &job(160, 3600), &(0..10).collect::<Vec<_>>(), 0);
+        let choice = sched.choose(&c, &book, &job(160, 3600), 10, 0);
         assert_eq!(choice, FrequencyChoice::Start(Frequency::from_ghz(2.7)));
         assert_eq!(choice.frequency(), Some(Frequency::from_ghz(2.7)));
     }
@@ -179,23 +200,21 @@ mod tests {
         // Cap far in the future, job finishes well before.
         let book = book_with_cap(TimeWindow::new(100_000, 200_000), Watts(1.0));
         let sched = scheduler(PowercapPolicy::Dvfs);
-        let choice = sched.choose(&c, &book, &job(160, 3600), &(0..10).collect::<Vec<_>>(), 0);
+        let choice = sched.choose(&c, &book, &job(160, 3600), 10, 0);
         assert_eq!(choice, FrequencyChoice::Start(Frequency::from_ghz(2.7)));
     }
 
     #[test]
     fn tight_cap_lowers_the_frequency() {
         let c = cluster();
-        let platform = c.platform().clone();
-        let nodes: Vec<usize> = (0..60).collect();
+        let nodes = 60;
         // Budget: idle cluster + 60 nodes at 2.0 GHz (not enough for 2.7 GHz).
         let idle_power = c.current_power();
         let cap = idle_power + Watts(60.0 * (269.0 - 117.0) + 1.0);
         let book = book_with_cap(TimeWindow::new(0, 100_000), cap);
         let sched = scheduler(PowercapPolicy::Dvfs);
-        let choice = sched.choose(&c, &book, &job(960, 3600), &nodes, 0);
+        let choice = sched.choose(&c, &book, &job(960, 3600), nodes, 0);
         assert_eq!(choice, FrequencyChoice::Start(Frequency::from_ghz(2.0)));
-        let _ = platform;
     }
 
     #[test]
@@ -208,7 +227,7 @@ mod tests {
             PowercapPolicy::Mix,
         ] {
             let sched = scheduler(policy);
-            let choice = sched.choose(&c, &book, &job(160, 3600), &(0..10).collect::<Vec<_>>(), 0);
+            let choice = sched.choose(&c, &book, &job(160, 3600), 10, 0);
             assert_eq!(choice, FrequencyChoice::Postpone, "{policy}");
             assert_eq!(choice.frequency(), None);
         }
@@ -219,7 +238,7 @@ mod tests {
         let c = cluster();
         let book = book_with_cap(TimeWindow::new(0, 100_000), Watts(1.0));
         let sched = scheduler(PowercapPolicy::None);
-        let choice = sched.choose(&c, &book, &job(160, 3600), &(0..10).collect::<Vec<_>>(), 0);
+        let choice = sched.choose(&c, &book, &job(160, 3600), 10, 0);
         assert_eq!(choice, FrequencyChoice::Start(Frequency::from_ghz(2.7)));
     }
 
@@ -230,17 +249,17 @@ mod tests {
         // Enough for 10 nodes at 2.0 GHz but not at 2.7 GHz.
         let cap = idle_power + Watts(10.0 * (269.0 - 117.0) + 1.0);
         let book = book_with_cap(TimeWindow::new(0, 100_000), cap);
-        let nodes: Vec<usize> = (0..10).collect();
+        let nodes = 10;
         // SHUT: cannot lower the frequency, so the job stays pending.
         let shut = scheduler(PowercapPolicy::Shut);
         assert_eq!(
-            shut.choose(&c, &book, &job(160, 3600), &nodes, 0),
+            shut.choose(&c, &book, &job(160, 3600), nodes, 0),
             FrequencyChoice::Postpone
         );
         // DVFS: the job runs at 2.0 GHz instead.
         let dvfs = scheduler(PowercapPolicy::Dvfs);
         assert_eq!(
-            dvfs.choose(&c, &book, &job(160, 3600), &nodes, 0),
+            dvfs.choose(&c, &book, &job(160, 3600), nodes, 0),
             FrequencyChoice::Start(Frequency::from_ghz(2.0))
         );
     }
@@ -252,17 +271,17 @@ mod tests {
         // Enough headroom for 10 nodes at 1.2 GHz but not at 2.0 GHz.
         let cap = idle_power + Watts(10.0 * (193.0 - 117.0) + 1.0);
         let book = book_with_cap(TimeWindow::new(0, 100_000), cap);
-        let nodes: Vec<usize> = (0..10).collect();
+        let nodes = 10;
         // DVFS can drop to 1.2 GHz and start.
         let dvfs = scheduler(PowercapPolicy::Dvfs);
         assert_eq!(
-            dvfs.choose(&c, &book, &job(160, 3600), &nodes, 0),
+            dvfs.choose(&c, &book, &job(160, 3600), nodes, 0),
             FrequencyChoice::Start(Frequency::from_ghz(1.2))
         );
         // MIX may not go below 2.0 GHz, so it must postpone.
         let mix = scheduler(PowercapPolicy::Mix);
         assert_eq!(
-            mix.choose(&c, &book, &job(160, 3600), &nodes, 0),
+            mix.choose(&c, &book, &job(160, 3600), nodes, 0),
             FrequencyChoice::Postpone
         );
     }
@@ -275,14 +294,14 @@ mod tests {
         // The cap window opens at t = 4000.
         let book = book_with_cap(TimeWindow::new(4000, 8000), cap);
         let sched = scheduler(PowercapPolicy::Dvfs);
-        let nodes: Vec<usize> = (0..60).collect();
+        let nodes = 60;
         // A short job (walltime 1000 s) ends before the cap: full speed.
         assert_eq!(
-            sched.choose(&c, &book, &job(960, 1000), &nodes, 0),
+            sched.choose(&c, &book, &job(960, 1000), nodes, 0),
             FrequencyChoice::Start(Frequency::from_ghz(2.7))
         );
         // A long job overlaps the cap window and must slow down.
-        let choice = sched.choose(&c, &book, &job(960, 50_000), &nodes, 0);
+        let choice = sched.choose(&c, &book, &job(960, 50_000), nodes, 0);
         match choice {
             FrequencyChoice::Start(f) => assert!(f < Frequency::from_ghz(2.7)),
             FrequencyChoice::Postpone => panic!("a frequency below 2.7 GHz fits this cap"),

@@ -118,10 +118,14 @@ pub struct ClusterPowerAccountant {
     /// Recorded samples (one per change) for time-series plots.
     samples: Vec<PowerSample>,
     record_samples: bool,
+    /// `idle_sums[k]`: the draw of `k` idle nodes, summed by the same left
+    /// fold [`busy_probe`](Self::busy_probe) runs over `k` idle candidates.
+    idle_sums: Vec<Watts>,
     /// Reusable probe scratch (see [`ProbeScratch`]).
     scratch: RefCell<ProbeScratch>,
     /// Probes served by the frequency-independent `Busy` fast path
-    /// ([`busy_probe`](Self::busy_probe) and everything routed through it).
+    /// ([`busy_probe`](Self::busy_probe), [`idle_busy_probe`](Self::idle_busy_probe)
+    /// and everything routed through them).
     probe_fast: Cell<u64>,
     /// Probes that walked the per-group scratch (`power_if` with an
     /// `Off`/`Idle` target).
@@ -148,6 +152,11 @@ impl ClusterPowerAccountant {
             integrator: EnergyIntegrator::new(0),
             samples: Vec::new(),
             record_samples: false,
+            idle_sums: std::iter::successors(Some(Watts::ZERO), |&sum| {
+                Some(sum + profile.idle_watts())
+            })
+            .take(n + 1)
+            .collect(),
             scratch: RefCell::new(ProbeScratch::new(topology)),
             probe_fast: Cell::new(0),
             probe_slow: Cell::new(0),
@@ -348,6 +357,23 @@ impl ClusterPowerAccountant {
             count: nodes.len(),
             sum_old,
             bonus,
+        }
+    }
+
+    /// [`busy_probe`](Self::busy_probe) over any `count` nodes that are all
+    /// idle, in O(1) without naming them: idle nodes are powered, so no dark
+    /// group comes back and only the count and their summed draw matter. The
+    /// sum is the same left fold `busy_probe` runs, so both return the same
+    /// `f64`s for any profile. Counts as one fast probe.
+    ///
+    /// # Panics
+    /// Panics if `count` exceeds the number of nodes.
+    pub fn idle_busy_probe(&self, count: usize) -> BusyProbe {
+        self.probe_fast.set(self.probe_fast.get() + 1);
+        BusyProbe {
+            count,
+            sum_old: self.idle_sums[count],
+            bonus: Watts::ZERO,
         }
     }
 
@@ -651,6 +677,33 @@ mod tests {
     }
 
     #[test]
+    fn idle_busy_probe_is_busy_probe_over_idle_nodes() {
+        // Non-integer watts, so the summation order shows in the bits.
+        let profile = NodePowerProfile::new(
+            Watts(13.7),
+            Watts(117.3),
+            [
+                (Frequency::from_ghz(1.2), Watts(191.9)),
+                (Frequency::from_ghz(2.7), Watts(357.1)),
+            ],
+        )
+        .unwrap();
+        let mut acct = ClusterPowerAccountant::new(&Topology::curie_scaled(2), &profile);
+        for node in 0..18 {
+            acct.set_state(node, PowerState::Off, 0);
+        }
+        acct.set_state(30, PowerState::Busy(Frequency::from_ghz(2.7)), 0);
+        let idle: Vec<NodeId> = (18..180).filter(|&n| n != 30).collect();
+        for count in [0, 1, 7, 90, idle.len()] {
+            assert_eq!(
+                acct.idle_busy_probe(count),
+                acct.busy_probe(&idle[..count]),
+                "{count} idle nodes"
+            );
+        }
+    }
+
+    #[test]
     fn probe_counts_split_fast_and_slow_paths() {
         let acct = curie_accountant();
         assert_eq!(acct.probe_counts(), (0, 0));
@@ -658,10 +711,11 @@ mod tests {
         // Busy targets route through the frequency-independent fast path …
         acct.power_if(&nodes, PowerState::Busy(Frequency::from_ghz(2.0)));
         acct.busy_probe(&nodes);
+        acct.idle_busy_probe(nodes.len());
         // … while Off/Idle targets walk the per-group scratch.
         acct.power_if(&nodes, PowerState::Off);
         acct.power_if(&nodes, PowerState::Idle);
-        assert_eq!(acct.probe_counts(), (2, 2));
+        assert_eq!(acct.probe_counts(), (3, 2));
     }
 
     #[test]

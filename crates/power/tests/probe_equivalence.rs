@@ -149,4 +149,37 @@ proptest! {
         let full = acct.power_if(&nodes, PowerState::Busy(f));
         prop_assert!(fast.approx_eq(full, 1e-6), "{fast} != {full} at {f}");
     }
+
+    /// The count-only probe over idle nodes is `busy_probe` over any that
+    /// many idle nodes, to the bit, on the Curie profile and on one with
+    /// non-integer watts where the summation order would show.
+    #[test]
+    fn idle_busy_probe_is_bitwise_equal_to_busy_probe_on_idle_nodes(
+        topo in arbitrary_topology(),
+        changes in proptest::collection::vec((0usize..1000, arbitrary_state()), 0..120),
+        take in 0usize..1000,
+        fractional in 0usize..2,
+    ) {
+        let profile = if fractional == 1 {
+            let busy = FrequencyLadder::curie()
+                .steps()
+                .iter()
+                .enumerate()
+                .map(|(i, &f)| (f, Watts(190.7 + 23.3 * i as f64)))
+                .collect::<Vec<_>>();
+            NodePowerProfile::new(Watts(13.9), Watts(117.1), busy).unwrap()
+        } else {
+            NodePowerProfile::curie()
+        };
+        let mut acct = ClusterPowerAccountant::new(&topo, &profile);
+        let n = topo.total_nodes();
+        for (i, (node, state)) in changes.into_iter().enumerate() {
+            acct.set_state(node % n, state, i as u64);
+        }
+        let idle: Vec<usize> = (0..n)
+            .filter(|&node| acct.state(node) == PowerState::Idle)
+            .collect();
+        let count = take % (idle.len() + 1);
+        prop_assert_eq!(acct.idle_busy_probe(count), acct.busy_probe(&idle[..count]));
+    }
 }

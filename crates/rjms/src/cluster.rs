@@ -175,15 +175,6 @@ impl Cluster {
         self.accountant.power_if(nodes, PowerState::Busy(freq))
     }
 
-    /// Frequency-independent probe over a candidate set, for evaluating many
-    /// hypothetical frequencies against the same nodes in O(1) each (the
-    /// online algorithm's ladder walk). `current_power() + probe.delta(w)`
-    /// equals [`power_if_busy`](Self::power_if_busy) at the matching
-    /// frequency, bit for bit.
-    pub fn busy_probe(&self, nodes: &[usize]) -> apc_power::BusyProbe {
-        self.accountant.busy_probe(nodes)
-    }
-
     /// Hypothetical cluster power if `nodes` were switched off.
     pub fn power_if_off(&self, nodes: &[usize]) -> Watts {
         self.accountant.power_if(nodes, PowerState::Off)

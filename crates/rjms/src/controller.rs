@@ -4,13 +4,13 @@
 //! the reservation book and the scheduling hook. It advances the simulation
 //! clock by consuming events (submissions, completions, reservation windows)
 //! and runs a scheduling pass — priority sort, FCFS + EASY backfilling,
-//! node selection, hook authorisation — after every event batch.
+//! hook authorisation, node selection — after every event batch.
 //!
 //! Because the simulation is a pure discrete-event system, the cluster state
 //! only changes at events, so running the scheduler exactly once per event
 //! timestamp is both sufficient and deterministic.
 
-use apc_power::{Frequency, Joules, Watts};
+use apc_power::{Frequency, Joules, PowerState, Watts};
 
 use crate::backfill::{can_backfill, shadow_reservation, ShadowReservation};
 use crate::cluster::{Cluster, Platform};
@@ -81,6 +81,9 @@ struct BlockedEntry {
 /// its high-water capacity and is merely cleared.
 #[derive(Debug, Default)]
 struct ScheduleScratch {
+    /// `(priority, submit time, id)` of every pending job, computed once
+    /// per pass by the priority sort.
+    priority_keys: Vec<(f64, SimTime, JobId)>,
     /// Snapshot of the priority-sorted pending queue for this pass.
     order: Vec<JobId>,
     /// `(walltime_end, node_count)` of running jobs, for the shadow
@@ -108,7 +111,8 @@ impl ScheduleScratch {
     /// allocate". Units are mixed (elements and words); only growth
     /// matters.
     fn footprint(&self) -> usize {
-        self.order.capacity()
+        self.priority_keys.capacity()
+            + self.order.capacity()
             + self.releases.capacity()
             + self.selected.capacity()
             + self.selected_mask.word_capacity()
@@ -625,6 +629,12 @@ impl Controller {
             queue_depth: self.pending.len(),
             ..PassMeasurements::default()
         };
+        // Take the scratch buffers out of `self` for the pass so their
+        // borrows are disjoint from the controller's own fields; they go
+        // back (with their grown capacities) at the end.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let footprint_before = scratch.footprint();
+
         self.fairshare.decay_to(self.now);
         let total_cores = self.cluster.platform().total_cores();
         let cores_per_node = self.cluster.platform().cores_per_node;
@@ -634,13 +644,8 @@ impl Controller {
             self.now,
             total_cores,
             &self.fairshare,
+            &mut scratch.priority_keys,
         );
-
-        // Take the scratch buffers out of `self` for the pass so their
-        // borrows are disjoint from the controller's own fields; they go
-        // back (with their grown capacities) at the end.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let footprint_before = scratch.footprint();
 
         let backfill_cfg = self.config.params.backfill;
         let depth = if backfill_cfg.enabled {
@@ -661,6 +666,7 @@ impl Controller {
         // pass falls back to exact per-job computation instead of silently
         // ignoring the overflow (reservation #129 blocks nodes too).
         let ScheduleScratch {
+            priority_keys: _,
             order,
             releases,
             selected,
@@ -779,25 +785,34 @@ impl Controller {
                 continue;
             }
 
-            let blocked: &NodeMask = match cache_index {
-                Some(i) => &cache[i].blocked,
-                None => exact_blocked,
-            };
-            if !self
-                .selector
-                .select_into(&self.cluster, needed, blocked, select, selected)
-            {
-                continue;
-            }
+            // Decide before placing: `needed` selectable nodes exist and all
+            // of them are idle, so the power decision does not depend on
+            // which ones are picked — nodes are selected only for a start.
             let decision = self.hook.authorize_start(
                 &self.cluster,
                 &self.reservations,
                 &self.jobs[job_id],
-                selected,
+                needed,
                 self.now,
             );
             match decision {
                 StartDecision::Start { frequency } => {
+                    let blocked: &NodeMask = match cache_index {
+                        Some(i) => &cache[i].blocked,
+                        None => exact_blocked,
+                    };
+                    if !self
+                        .selector
+                        .select_into(&self.cluster, needed, blocked, select, selected)
+                    {
+                        continue;
+                    }
+                    debug_assert!(
+                        selected
+                            .iter()
+                            .all(|&n| self.cluster.accountant().state(n) == PowerState::Idle),
+                        "a selectable node is not idle"
+                    );
                     selected_mask.clear();
                     selected_mask.extend(selected.iter().copied());
                     self.start_job(job_id, selected, selected_mask, frequency);

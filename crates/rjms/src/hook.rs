@@ -36,18 +36,24 @@ pub struct OfflinePlan {
 
 /// Interface between the controller and the power-aware scheduling logic.
 pub trait SchedulingHook {
-    /// Called during the allocation phase, before a pending job is started on
-    /// `candidate_nodes` at `now`. The default implementation starts every
-    /// job at the platform's maximum frequency.
+    /// Called during the allocation phase, *before* node placement: the
+    /// controller has found `node_count` selectable nodes for `job` at `now`
+    /// and picks them only if this returns [`StartDecision::Start`].
+    ///
+    /// Every selectable node comes from the cluster's availability mask
+    /// (free, powered, undrained), so all of them are idle: starting the job
+    /// turns `node_count` idle nodes busy, whichever ones are picked. The
+    /// default implementation starts every job at the platform's maximum
+    /// frequency.
     fn authorize_start(
         &mut self,
         cluster: &Cluster,
         reservations: &ReservationBook,
         job: &Job,
-        candidate_nodes: &[usize],
+        node_count: usize,
         now: SimTime,
     ) -> StartDecision {
-        let _ = (cluster, reservations, job, candidate_nodes, now);
+        let _ = (cluster, reservations, job, node_count, now);
         StartDecision::Start {
             frequency: cluster_max_frequency(cluster),
         }
@@ -125,7 +131,7 @@ mod tests {
         let reservations = ReservationBook::new();
         let job = Job::new(0, JobSubmission::new(0, 0, 64, 3600, 60));
         let mut hook = NullHook;
-        let decision = hook.authorize_start(&cluster, &reservations, &job, &[0, 1, 2, 3], 0);
+        let decision = hook.authorize_start(&cluster, &reservations, &job, 4, 0);
         assert_eq!(
             decision,
             StartDecision::Start {

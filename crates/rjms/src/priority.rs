@@ -18,7 +18,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-use crate::job::Job;
+use crate::job::{Job, JobId};
 use crate::time::SimTime;
 
 /// Weights of the multifactor priority.
@@ -151,29 +151,36 @@ impl MultifactorPriority {
         w.age * age_factor + w.size * size_factor + w.fairshare * fs_factor
     }
 
-    /// Order pending job indices by decreasing priority (stable: ties keep
-    /// submission order, which preserves FCFS among equals).
+    /// Order pending job indices by decreasing priority, ties broken by
+    /// submission time (FCFS among equals) and then by job id. The id makes
+    /// the order unique, so it does not depend on the input order.
+    ///
+    /// Each job's priority is computed once, into `keys` (a reusable buffer,
+    /// cleared first), and the `(priority, submit time, id)` keys are sorted.
     pub fn sort_pending(
         &self,
         jobs: &[Job],
-        pending: &mut [usize],
+        pending: &mut [JobId],
         now: SimTime,
         total_cores: u64,
         fairshare: &FairShareTracker,
+        keys: &mut Vec<(f64, SimTime, JobId)>,
     ) {
-        pending.sort_by(|&a, &b| {
-            let pa = self.priority(&jobs[a], now, total_cores, fairshare);
-            let pb = self.priority(&jobs[b], now, total_cores, fairshare);
-            pb.partial_cmp(&pa)
+        keys.clear();
+        keys.extend(pending.iter().map(|&id| {
+            let job = &jobs[id];
+            let priority = self.priority(job, now, total_cores, fairshare);
+            (priority, job.submission.submit_time, id)
+        }));
+        keys.sort_by(|(pa, sa, a), (pb, sb, b)| {
+            pb.partial_cmp(pa)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(
-                    jobs[a]
-                        .submission
-                        .submit_time
-                        .cmp(&jobs[b].submission.submit_time),
-                )
-                .then(a.cmp(&b))
+                .then(sa.cmp(sb))
+                .then(a.cmp(b))
         });
+        for (slot, &(_, _, id)) in pending.iter_mut().zip(keys.iter()) {
+            *slot = id;
+        }
     }
 }
 
@@ -245,7 +252,7 @@ mod tests {
         let b = job(1, 1, 500, 64);
         let jobs = vec![a, b];
         let mut pending = vec![1, 0];
-        prio.sort_pending(&jobs, &mut pending, 1000, 80_640, &fs);
+        prio.sort_pending(&jobs, &mut pending, 1000, 80_640, &fs, &mut Vec::new());
         assert_eq!(pending, vec![0, 1], "light user first");
     }
 
@@ -255,7 +262,7 @@ mod tests {
         let fs = FairShareTracker::default();
         let jobs = vec![job(0, 0, 100, 64), job(1, 0, 100, 64), job(2, 0, 100, 64)];
         let mut pending = vec![2, 0, 1];
-        prio.sort_pending(&jobs, &mut pending, 80_640, 5000, &fs);
+        prio.sort_pending(&jobs, &mut pending, 80_640, 5000, &fs, &mut Vec::new());
         assert_eq!(pending, vec![0, 1, 2]);
     }
 
