@@ -9,6 +9,8 @@
 //! * **replay** — one full scheduler replay of the reduced bench workload
 //!   per policy (the `scheduler_replay` criterion target), median-of-rounds
 //!   wall time plus the controller's events/second over the capped replays;
+//!   and the paper grid's tight-cap tail: the seed-2012 24-hour 2-rack trace
+//!   replayed uncapped and under DVFS at a 40 % cap;
 //! * **schedule_pass** — a pending-heavy microbench (thousands of queued
 //!   jobs competing for a saturated cluster under a cap) isolating the cost
 //!   of one scheduling pass;
@@ -63,6 +65,7 @@ use apc_rjms::config::ControllerConfig;
 use apc_rjms::controller::Controller;
 use apc_rjms::job::JobSubmission;
 use apc_rjms::time::{SimTime, HOUR};
+use apc_workload::{CurieTraceGenerator, IntervalKind};
 
 const USAGE: &str = "usage: perf-baseline [--label NAME] [--out FILE] [--quick] \
                      [--check] [--against FILE] [--threshold PCT] [--self-test]";
@@ -142,37 +145,71 @@ struct ReplayNumbers {
     shut_ns: u128,
     dvfs_ns: u128,
     mix_ns: u128,
+    baseline_24h_ns: u128,
+    cap40_dvfs_24h_ns: u128,
     events_per_sec: f64,
 }
 
-/// All five gated quantities — the four per-policy replays and the
-/// schedule-pass microbench — timed over interleaved rounds so every ratio's
-/// numerator and denominator sample the same machine state, plus the
-/// controller's events/second (not gated, measured separately after).
+/// All seven gated quantities — the four per-policy replays, the 24-hour
+/// uncapped and 40 % DVFS replays, and the schedule-pass microbench — timed
+/// over interleaved rounds so every ratio's numerator and denominator
+/// sample the same machine state, plus the controller's events/second (not
+/// gated, measured separately after).
 fn measure_gated(budget: Duration) -> (ReplayNumbers, u64, f64) {
     let platform = bench_platform();
     let trace = bench_trace(&platform);
     let harness = ReplayHarness::new(platform, trace);
     let duration = harness.trace().duration;
+    // The paper grid's slowest cells: a tight cap over a 24-hour interval.
+    let platform_24h = bench_platform();
+    let trace_24h = CurieTraceGenerator::new(2012)
+        .interval(IntervalKind::Day24h)
+        .generate_for(&platform_24h);
+    let harness_24h = ReplayHarness::new(platform_24h, trace_24h);
+    let duration_24h = harness_24h.trace().duration;
 
     let scenarios = [
-        Scenario::baseline(),
-        Scenario::paper(PowercapPolicy::Shut, 0.6, duration),
-        Scenario::paper(PowercapPolicy::Dvfs, 0.6, duration),
-        Scenario::paper(PowercapPolicy::Mix, 0.6, duration),
+        (&harness, Scenario::baseline()),
+        (
+            &harness,
+            Scenario::paper(PowercapPolicy::Shut, 0.6, duration),
+        ),
+        (
+            &harness,
+            Scenario::paper(PowercapPolicy::Dvfs, 0.6, duration),
+        ),
+        (
+            &harness,
+            Scenario::paper(PowercapPolicy::Mix, 0.6, duration),
+        ),
+        (&harness_24h, Scenario::baseline()),
+        (
+            &harness_24h,
+            Scenario::paper(PowercapPolicy::Dvfs, 0.4, duration_24h),
+        ),
     ];
-    // `replay` captures only shared borrows, so the four per-scenario
-    // closures can all hold it at once.
+    // `replay` captures only shared borrows, so the per-scenario closures
+    // can all hold it at once.
     let replay = |i: usize| {
-        std::hint::black_box(harness.run(&scenarios[i]).report.launched_jobs);
+        let (harness, scenario) = &scenarios[i];
+        std::hint::black_box(harness.run(scenario).report.launched_jobs);
     };
     let (mut r0, mut r1, mut r2, mut r3) = (|| replay(0), || replay(1), || replay(2), || replay(3));
+    let (mut r4, mut r5) = (|| replay(4), || replay(5));
     let pass_platform = bench_platform();
     let mut passes = 0u64;
     let mut pass_bench = || passes = run_pass_bench(&pass_platform);
-    let [baseline, shut, dvfs, mix, pass_wall] = median_of_interleaved(
+    let [baseline, shut, dvfs, mix, baseline_24h, dvfs_24h, pass_wall] = median_of_interleaved(
         budget,
-        [&mut r0, &mut r1, &mut r2, &mut r3, &mut pass_bench],
+        [
+            &mut r0,
+            &mut r1,
+            &mut r2,
+            &mut r3,
+            &mut r4,
+            &mut r5,
+            &mut pass_bench,
+        ],
     );
 
     // Events/second through the raw controller (the harness hides it), on
@@ -202,6 +239,8 @@ fn measure_gated(budget: Duration) -> (ReplayNumbers, u64, f64) {
         shut_ns: shut.as_nanos(),
         dvfs_ns: dvfs.as_nanos(),
         mix_ns: mix.as_nanos(),
+        baseline_24h_ns: baseline_24h.as_nanos(),
+        cap40_dvfs_24h_ns: dvfs_24h.as_nanos(),
         events_per_sec,
     };
     let ns_per_pass = pass_wall.as_nanos() as f64 / passes.max(1) as f64;
@@ -411,7 +450,8 @@ fn json_entry(label: &str) -> String {
     format!(
         "  {{\"label\": \"{label}\", \"recorded_unix\": {recorded}, \"host\": \"{host}\", \
          \"replay\": {{\"baseline_none_ns\": {}, \"cap60_shut_ns\": {}, \
-         \"cap60_dvfs_ns\": {}, \"cap60_mix_ns\": {}, \"events_per_sec\": {:.0}}}, \
+         \"cap60_dvfs_ns\": {}, \"cap60_mix_ns\": {}, \"baseline_24h_ns\": {}, \
+         \"cap40_dvfs_24h_ns\": {}, \"events_per_sec\": {:.0}}}, \
          \"schedule_pass\": {{\"passes\": {passes}, \"ns_per_pass\": {:.1}}}, \
          \"store\": {{\"rows\": {}, \"block_read_ns\": {}, \"v3_scan_ns\": {}, \
          \"scan_over_read\": {scan_over_read:.2}, \"v3_narrow_scan_ns\": {}, \
@@ -421,6 +461,8 @@ fn json_entry(label: &str) -> String {
         replay.shut_ns,
         replay.dvfs_ns,
         replay.mix_ns,
+        replay.baseline_24h_ns,
+        replay.cap40_dvfs_24h_ns,
         replay.events_per_sec,
         ns_per_pass,
         store.rows,
@@ -474,7 +516,8 @@ fn committed_reference(text: &str, fresh_label: &str) -> Option<gate::PerfEntry>
 
 /// `--self-test`: prove the gate is live without measuring anything. The
 /// committed reference must pass against itself and must *fail* against a
-/// fabricated 1.5× DVFS-replay regression.
+/// fabricated 1.5× DVFS-replay regression, and against a fabricated 1.5×
+/// regression of the 24-hour tail when the reference recorded one.
 fn run_self_test(against: &str) -> ExitCode {
     let text = match std::fs::read_to_string(against) {
         Ok(t) => t,
@@ -492,12 +535,26 @@ fn run_self_test(against: &str) -> ExitCode {
     let tripped = gate::check(&committed, &regressed, gate::DEFAULT_THRESHOLD);
     eprintln!("{clean}");
     eprintln!("{tripped}");
-    if clean.passed() && !tripped.passed() {
+    let tail_tripped = match committed.with_synthetic_tail_regression(1.5) {
+        Some(regressed) => {
+            let report = gate::check(&committed, &regressed, gate::DEFAULT_THRESHOLD);
+            eprintln!("{report}");
+            !report.passed()
+        }
+        None => {
+            eprintln!(
+                "self-test: '{}' predates the 24h tail ratio; skipping its check",
+                committed.label
+            );
+            true
+        }
+    };
+    if clean.passed() && !tripped.passed() && tail_tripped {
         eprintln!("self-test: gate passes a clean entry and trips on a synthetic regression");
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "self-test: gate is NOT live (clean={}, tripped={})",
+            "self-test: gate is NOT live (clean={}, tripped={}, tail tripped={tail_tripped})",
             clean.passed(),
             !tripped.passed()
         );

@@ -10,6 +10,11 @@
 //! so a fresh CI entry can be checked against the committed trajectory even
 //! though both were recorded on different machines.
 //!
+//! The tight-cap tail of the paper grid has its own ratio: a 24-hour 40 %
+//! DVFS replay over the uncapped replay of the same 24-hour trace
+//! (`cap40_dvfs_24h / baseline_24h`), where power-blocked schedule passes
+//! dominate.
+//!
 //! A check fails when any fresh ratio exceeds the committed ratio by more
 //! than the threshold (default 15 %). Ratios *improving* is never a failure.
 
@@ -27,6 +32,9 @@ pub const DEFAULT_THRESHOLD: f64 = 0.15;
 /// so it is host-independent).
 pub const STORE_SCAN_CEILING: f64 = 7.0;
 
+/// Name of the tight-cap tail ratio in gate reports.
+pub const TAIL_RATIO: &str = "cap40_dvfs_24h / baseline_24h";
+
 /// One entry of the perf trajectory, reduced to the fields the gate tracks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfEntry {
@@ -42,6 +50,11 @@ pub struct PerfEntry {
     pub cap60_mix_ns: f64,
     /// Cost of one scheduling pass in the pending-heavy microbench.
     pub ns_per_pass: f64,
+    /// Uncapped replay wall time of the 24-hour trace, when the entry
+    /// recorded it — the normalizer of the tight-cap tail ratio.
+    pub baseline_24h_ns: Option<f64>,
+    /// The same 24-hour trace replayed under DVFS at a 40 % cap.
+    pub cap40_dvfs_24h_ns: Option<f64>,
     /// Read-and-validate wall time of the ~100k-row synthetic compacted
     /// store (every partition file read, block framing and checksums
     /// checked, no row decoded), when the entry recorded it.
@@ -67,6 +80,9 @@ impl PerfEntry {
             ("cap60_mix / baseline", self.cap60_mix_ns / base),
             ("schedule_pass / baseline", self.ns_per_pass / base),
         ];
+        if let (Some(base), Some(dvfs)) = (self.baseline_24h_ns, self.cap40_dvfs_24h_ns) {
+            out.push((TAIL_RATIO, dvfs / base.max(1.0)));
+        }
         if let Some(ratio) = self.store_scan_over_read() {
             // Bigger = the scan lost ground against reading the same bytes.
             out.push(("store_v3_scan / store_block_read", ratio));
@@ -92,6 +108,16 @@ impl PerfEntry {
             cap60_dvfs_ns: self.cap60_dvfs_ns * factor,
             ..self.clone()
         }
+    }
+
+    /// A copy with the 24-hour DVFS replay inflated by `factor`, when the
+    /// entry recorded it — the self-test's regression of the tail ratio.
+    pub fn with_synthetic_tail_regression(&self, factor: f64) -> Option<PerfEntry> {
+        Some(PerfEntry {
+            label: format!("{}+synthetic-tail", self.label),
+            cap40_dvfs_24h_ns: Some(self.cap40_dvfs_24h_ns? * factor),
+            ..self.clone()
+        })
     }
 }
 
@@ -210,6 +236,8 @@ fn parse_entry_line(line: &str) -> Option<PerfEntry> {
         cap60_dvfs_ns: number_field(line, "cap60_dvfs_ns")?,
         cap60_mix_ns: number_field(line, "cap60_mix_ns")?,
         ns_per_pass: number_field(line, "ns_per_pass")?,
+        baseline_24h_ns: number_field(line, "baseline_24h_ns"),
+        cap40_dvfs_24h_ns: number_field(line, "cap40_dvfs_24h_ns"),
         store_block_read_ns: number_field(line, "block_read_ns"),
         store_v3_scan_ns: number_field(line, "v3_scan_ns"),
         host: string_field(line, "host"),
@@ -299,6 +327,8 @@ mod tests {
             cap60_dvfs_ns: committed.cap60_dvfs_ns / 2.0,
             cap60_mix_ns: committed.cap60_mix_ns / 2.0,
             ns_per_pass: committed.ns_per_pass / 2.0,
+            baseline_24h_ns: None,
+            cap40_dvfs_24h_ns: None,
             store_block_read_ns: None,
             store_v3_scan_ns: None,
             host: None,
@@ -412,6 +442,34 @@ mod tests {
             .map(|c| c.name)
             .collect();
         assert_eq!(breached, vec!["cap60_dvfs / baseline"]);
+    }
+
+    #[test]
+    fn the_tail_ratio_gates_by_name_and_trips_alone() {
+        let line = LINE.replace(
+            "\"events_per_sec\"",
+            "\"baseline_24h_ns\": 8000000, \"cap40_dvfs_24h_ns\": 14000000, \"events_per_sec\"",
+        );
+        let tail = parse_trajectory(&line).pop().expect("line parses");
+        assert_eq!(tail.baseline_24h_ns, Some(8_000_000.0));
+        assert_eq!(tail.cap40_dvfs_24h_ns, Some(14_000_000.0));
+        let report = check(&tail, &tail, DEFAULT_THRESHOLD);
+        let ratio = report.checks.iter().find(|c| c.name == TAIL_RATIO);
+        assert_eq!(ratio.map(|c| c.fresh), Some(1.75));
+        // Older entries lack the tail: it is skipped, not misaligned.
+        assert_eq!(entry().with_synthetic_tail_regression(1.5), None);
+        assert_eq!(check(&entry(), &tail, DEFAULT_THRESHOLD).checks.len(), 4);
+        assert_eq!(check(&tail, &entry(), DEFAULT_THRESHOLD).checks.len(), 4);
+        // A regressed tail breaches that ratio and no other.
+        let regressed = tail.with_synthetic_tail_regression(1.5).unwrap();
+        let report = check(&tail, &regressed, DEFAULT_THRESHOLD);
+        let breached: Vec<_> = report
+            .checks
+            .iter()
+            .filter(|c| c.breached)
+            .map(|c| c.name)
+            .collect();
+        assert_eq!(breached, vec![TAIL_RATIO]);
     }
 
     #[test]
