@@ -23,7 +23,10 @@
 //! at every instant), and only then are the partition directories renamed.
 //! A crash mid-swap leaves either the old store, the new store, or the new
 //! manifest over the old partitions — all three open fine; rerunning
-//! `compact` converges.
+//! `compact` converges. Every new file and the temp partition directory are
+//! synced before the first rename, and the store directory after the last,
+//! so the old partitions are deleted only once the swap is durable: a power
+//! loss cannot leave renamed-but-empty files with the old copies gone.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -115,7 +118,7 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
 
     let parts_dir = dir.join(PARTS_DIR);
     let tmp_parts = dir.join(TMP_PARTS);
-    let _ = fs::remove_dir_all(&tmp_parts);
+    remove_stale(&tmp_parts)?;
     fs::create_dir_all(&tmp_parts)
         .map_err(|e| format!("cannot create {}: {e}", tmp_parts.display()))?;
 
@@ -142,12 +145,7 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
         stats.bytes_out += data.len() as u64;
         stats.partitions_out += 1;
         rows.clear();
-        let mut file = fs::File::create(&path)
-            .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-        file.write_all(&data)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        file.flush()
-            .map_err(|e| format!("cannot flush {}: {e}", path.display()))
+        write_synced(&path, &data)
     };
     let parts = sorted_part_paths(&parts_dir)?;
     for group in parts.chunk_by(|a, b| a.0 == b.0) {
@@ -212,8 +210,8 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
         m.push_str(&format!("done {idx}\n"));
     }
     let tmp_manifest = dir.join(TMP_MANIFEST);
-    fs::write(&tmp_manifest, m)
-        .map_err(|e| format!("cannot write {}: {e}", tmp_manifest.display()))?;
+    write_synced(&tmp_manifest, m.as_bytes())?;
+    sync_dir(&tmp_parts)?;
 
     // Swap, crash-tolerant at every point: manifest first (readers dispatch
     // per partition-file extension, so the new manifest over the old
@@ -221,14 +219,42 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
     fs::rename(&tmp_manifest, &manifest_path)
         .map_err(|e| format!("cannot swap in {}: {e}", manifest_path.display()))?;
     let old_parts = dir.join(OLD_PARTS);
-    let _ = fs::remove_dir_all(&old_parts);
+    remove_stale(&old_parts)?;
     fs::rename(&parts_dir, &old_parts)
         .map_err(|e| format!("cannot retire {}: {e}", parts_dir.display()))?;
     fs::rename(&tmp_parts, &parts_dir)
         .map_err(|e| format!("cannot swap in {}: {e}", parts_dir.display()))?;
+    // The renames must be durable before the only other copy goes.
+    sync_dir(dir)?;
     fs::remove_dir_all(&old_parts)
         .map_err(|e| format!("cannot remove {}: {e}", old_parts.display()))?;
     Ok(stats)
+}
+
+/// Create `path` holding `data` and sync it to disk.
+fn write_synced(path: &Path, data: &[u8]) -> Result<(), String> {
+    let mut file =
+        fs::File::create(path).map_err(|e| format!("cannot create {}: {e}", path.display()))?;
+    file.write_all(data)
+        .and_then(|()| file.sync_all())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// Sync a directory, making the creations and renames inside it durable.
+fn sync_dir(dir: &Path) -> Result<(), String> {
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| format!("cannot sync {}: {e}", dir.display()))
+}
+
+/// Remove a left-over temp directory from a crashed run, if there is one.
+fn remove_stale(dir: &Path) -> Result<(), String> {
+    match fs::remove_dir_all(dir) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            Err(format!("cannot remove {}: {e}", dir.display()))
+        }
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -387,6 +413,30 @@ mod tests {
         assert!(rows.windows(2).all(|w| w[0].index < w[1].index));
         // Resume honours the new width recorded in the manifest.
         assert!(compact_store(&dir, Some(0)).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Left-over temp directories from a crashed run are replaced, but a
+    /// stale entry that cannot be removed is an error, reported before the
+    /// old partitions are touched: the store still reads every row.
+    #[test]
+    fn compact_clears_crash_leftovers_and_reports_what_it_cannot_remove() {
+        let dir = temp_dir("leftovers");
+        let mut store = ResultStore::create(&dir, 1, 40).unwrap();
+        for i in 0..40 {
+            store.append(&row(i)).unwrap();
+        }
+        drop(store);
+        fs::create_dir_all(dir.join(TMP_PARTS).join("part-0009.apc")).unwrap();
+        fs::create_dir_all(dir.join(OLD_PARTS)).unwrap();
+        fs::write(dir.join(OLD_PARTS).join("part-0000.apc"), b"stale").unwrap();
+        assert_eq!(compact_store(&dir, None).unwrap().rows, 40);
+        assert!(!dir.join(TMP_PARTS).exists() && !dir.join(OLD_PARTS).exists());
+        // A file where the retired-partitions directory goes.
+        fs::write(dir.join(OLD_PARTS), b"not a directory").unwrap();
+        let err = compact_store(&dir, None).unwrap_err();
+        assert!(err.contains(OLD_PARTS), "{err}");
+        assert_eq!(scan_all(&dir).len(), 40);
         fs::remove_dir_all(&dir).unwrap();
     }
 
