@@ -106,8 +106,9 @@ impl OnlineScheduler {
     /// and each ladder step then costs O(1). Before the walk, the power
     /// floor postpones a job that breaks the cap over its unstretched window
     /// even at the least allowed draw. That is exact: a stretched walltime
-    /// is never shorter, so every step's window contains that one, and every
-    /// step's cap is at most its cap.
+    /// is never shorter, so every step's window contains the unstretched
+    /// one, no step's cap is looser than that window's, and no step draws
+    /// less than the least draw.
     pub fn choose(
         &self,
         cluster: &Cluster,
@@ -137,7 +138,8 @@ impl OnlineScheduler {
 
         for frequency in self.allowed.steps_descending() {
             // The job's walltime is stretched with the frequency, so the
-            // window whose caps must be honoured depends on the probe.
+            // window whose caps must be honoured depends on the probe (an
+            // unstretched step reuses the floor's lookup).
             let stretched_walltime = self.degradation.stretch_runtime(walltime, frequency);
             let cap = if stretched_walltime == walltime {
                 unstretched_cap

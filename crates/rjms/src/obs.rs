@@ -18,6 +18,10 @@
 //! | `rjms.blocked_cache.misses`      | counter   | … misses (set built from scratch)     |
 //! | `rjms.probe.fast`                | counter   | power probes on the `Busy` fast path  |
 //! | `rjms.probe.slow`                | counter   | power probes walking the group scratch|
+//!
+//! `rjms.probe.fast` counts one probe per start decision of a capped
+//! policy: the count-only idle probe is built once per `authorize_start`,
+//! also when the power floor postpones the job without a ladder walk.
 
 use apc_obs::{Counter, Histogram, Registry, SpanRecorder, SpanStart};
 
