@@ -17,14 +17,17 @@
 //! * **campaign** — the paper grid (policies × caps × intervals × seeds)
 //!   through the single-threaded campaign executor, in cells/second;
 //! * **store** — a ~100k-row synthetic result store, appended and then
-//!   compacted, timed three ways over interleaved rounds like the replay
-//!   numbers: a full scan, a narrow two-column projected scan, and a
+//!   compacted, timed four ways over interleaved rounds like the replay
+//!   numbers: a full scan, a narrow two-column projected scan, a store
+//!   open ([`StoreScanner::open`]: manifest read and parsed), and a
 //!   read-and-validate pass ([`PartitionBuf::read`] of every partition
 //!   file: file read, block framing and checksums, no row decoding); plus
 //!   the zone-map partition-skip count of a filtered query. The scan cost
 //!   over the read-and-validate cost joins the gated ratios, and `--check`
-//!   additionally enforces the absolute [`gate::STORE_SCAN_CEILING`] (a
-//!   full scan may cost at most 7× reading the same bytes).
+//!   additionally enforces two absolute ceilings:
+//!   [`gate::STORE_SCAN_CEILING`] (a full scan may cost at most 7× reading
+//!   the same bytes) and [`gate::STORE_OPEN_CEILING`] (an open at most a
+//!   quarter of it).
 //!
 //! The replay and schedule-pass numbers feed the gate's ratios, so they are
 //! measured as *medians over interleaved rounds* (every round times each of
@@ -44,7 +47,8 @@
 //! see [`apc_bench::gate`] — and exits nonzero on a regression beyond the
 //! threshold (default 15 %). `--self-test` skips measurement entirely and
 //! verifies the gate trips on a fabricated regression of the committed
-//! entry, so CI can prove the gate is live.
+//! entry and on a fabricated store-open regression, so CI can prove the
+//! gate is live.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -296,6 +300,7 @@ struct StoreNumbers {
     block_read_ns: u128,
     v3_scan_ns: u128,
     v3_narrow_scan_ns: u128,
+    open_ns: u128,
     zone_skipped_parts: usize,
 }
 
@@ -343,9 +348,10 @@ fn synthetic_row(i: usize, total: usize) -> CellRow {
 /// Build the synthetic store — appended one row per block, as a live
 /// campaign writes it, then compacted — and time full scans of it
 /// interleaved with a narrow two-column projected scan (the decoder
-/// materialises only the requested columns) and a read-and-validate pass
-/// over the same partition files; also run one zone-map-filtered query and
-/// record how many partitions its zone maps let it skip.
+/// materialises only the requested columns), a store open and a
+/// read-and-validate pass over the same partition files; also run one
+/// zone-map-filtered query and record how many partitions its zone maps
+/// let it skip.
 fn measure_store(budget: Duration, rows: usize) -> StoreNumbers {
     let dir: PathBuf = std::env::temp_dir().join(format!("apc-perf-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -397,8 +403,15 @@ fn measure_store(budget: Duration, rows: usize) -> StoreNumbers {
         }
         assert_eq!(validated, rows, "every block must validate");
     };
-    let [v3_wall, v3_narrow_wall, read_wall] =
-        median_of_interleaved(budget, [&mut full_scan, &mut narrow_scan, &mut block_read]);
+    // What every query pays before its scan: read and parse the manifest.
+    let mut open = || {
+        let scanner = StoreScanner::open(&dir).expect("open store");
+        assert_eq!(scanner.completed_count(), rows, "every cell is recorded");
+    };
+    let [v3_wall, v3_narrow_wall, open_wall, read_wall] = median_of_interleaved(
+        budget,
+        [&mut full_scan, &mut narrow_scan, &mut open, &mut block_read],
+    );
 
     // A filtered query: the first-half partitions hold only "smalljob"
     // rows, so their zone maps prove them row-free for this filter.
@@ -420,6 +433,7 @@ fn measure_store(budget: Duration, rows: usize) -> StoreNumbers {
         block_read_ns: read_wall.as_nanos(),
         v3_scan_ns: v3_wall.as_nanos(),
         v3_narrow_scan_ns: v3_narrow_wall.as_nanos(),
+        open_ns: open_wall.as_nanos(),
         zone_skipped_parts: stats.partitions_skipped,
     }
 }
@@ -439,6 +453,7 @@ fn json_entry(label: &str) -> String {
     let store = measure_store(budget, if quick { 20_000 } else { 120_000 });
     let scan_over_read = store.v3_scan_ns as f64 / store.block_read_ns.max(1) as f64;
     let projection_speedup = store.v3_scan_ns as f64 / store.v3_narrow_scan_ns.max(1) as f64;
+    let open_over_read = store.open_ns as f64 / store.block_read_ns.max(1) as f64;
     eprintln!(
         "  projection pushdown: narrow 2-column scan {projection_speedup:.2}x \
          faster than the full v3 decode"
@@ -455,7 +470,8 @@ fn json_entry(label: &str) -> String {
          \"schedule_pass\": {{\"passes\": {passes}, \"ns_per_pass\": {:.1}}}, \
          \"store\": {{\"rows\": {}, \"block_read_ns\": {}, \"v3_scan_ns\": {}, \
          \"scan_over_read\": {scan_over_read:.2}, \"v3_narrow_scan_ns\": {}, \
-         \"projection_speedup\": {projection_speedup:.1}, \"zone_skipped_parts\": {}}}, \
+         \"projection_speedup\": {projection_speedup:.1}, \"open_ns\": {}, \
+         \"open_over_read\": {open_over_read:.3}, \"zone_skipped_parts\": {}}}, \
          \"campaign\": {{\"cells\": {cells}, \"wall_s\": {:.3}, \"cells_per_sec\": {:.1}}}}}",
         replay.baseline_ns,
         replay.shut_ns,
@@ -469,6 +485,7 @@ fn json_entry(label: &str) -> String {
         store.block_read_ns,
         store.v3_scan_ns,
         store.v3_narrow_scan_ns,
+        store.open_ns,
         store.zone_skipped_parts,
         wall_s,
         cells_per_sec,
@@ -494,8 +511,8 @@ fn write_trajectory(path: &str, label: &str, entry: String) -> Result<(), String
         "{{\n\"schema\": 1,\n\
          \"description\": \"Perf trajectory of the replay/campaign hot paths; \
          one entry per PR, appended by `cargo run --release -p apc-bench --bin \
-         perf-baseline -- --label NAME`. Replay, schedule-pass, store-scan and \
-         block-read times are medians of interleaved rounds; events_per_sec and the \
+         perf-baseline -- --label NAME`. Replay, schedule-pass, store-scan, \
+         store-open and block-read times are medians of interleaved rounds; events_per_sec and the \
          campaign wall time are best-of-N. Compare entries recorded on the \
          same host only.\",\n\
          \"entries\": [\n{body}\n]\n}}\n"
@@ -515,9 +532,12 @@ fn committed_reference(text: &str, fresh_label: &str) -> Option<gate::PerfEntry>
 }
 
 /// `--self-test`: prove the gate is live without measuring anything. The
-/// committed reference must pass against itself and must *fail* against a
-/// fabricated 1.5× DVFS-replay regression, and against a fabricated 1.5×
-/// regression of the 24-hour tail when the reference recorded one.
+/// committed reference must pass against itself, ceilings included, and
+/// must *fail* against a fabricated 1.5× DVFS-replay regression, against a
+/// fabricated 1.5× regression of the 24-hour tail when the reference
+/// recorded one, and against a fabricated store open costing 2.4× its
+/// read-and-validate pass (what one `done` line per cell cost a 200k-row
+/// store) when the reference recorded an open time.
 fn run_self_test(against: &str) -> ExitCode {
     let text = match std::fs::read_to_string(against) {
         Ok(t) => t,
@@ -531,9 +551,14 @@ fn run_self_test(against: &str) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let clean = gate::check(&committed, &committed, gate::DEFAULT_THRESHOLD);
+    let clean_ceilings = gate::ceiling_checks(&committed);
+    let ceilings_clean = clean_ceilings.iter().all(|c| !c.breached());
     let regressed = committed.with_synthetic_regression(1.5);
     let tripped = gate::check(&committed, &regressed, gate::DEFAULT_THRESHOLD);
     eprintln!("{clean}");
+    for ceiling in &clean_ceilings {
+        eprintln!("  {ceiling}");
+    }
     eprintln!("{tripped}");
     let tail_tripped = match committed.with_synthetic_tail_regression(1.5) {
         Some(regressed) => {
@@ -549,12 +574,32 @@ fn run_self_test(against: &str) -> ExitCode {
             true
         }
     };
-    if clean.passed() && !tripped.passed() && tail_tripped {
+    let open_tripped = match committed.with_synthetic_open_regression(2.4) {
+        Some(regressed) => {
+            let checks = gate::ceiling_checks(&regressed);
+            eprintln!("ceilings of '{}':", regressed.label);
+            for ceiling in &checks {
+                eprintln!("  {ceiling}");
+            }
+            checks
+                .iter()
+                .any(|c| c.name == "store open" && c.breached())
+        }
+        None => {
+            eprintln!(
+                "self-test: '{}' predates the store open time; skipping its ceiling",
+                committed.label
+            );
+            true
+        }
+    };
+    if clean.passed() && ceilings_clean && !tripped.passed() && tail_tripped && open_tripped {
         eprintln!("self-test: gate passes a clean entry and trips on a synthetic regression");
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "self-test: gate is NOT live (clean={}, tripped={}, tail tripped={tail_tripped})",
+            "self-test: gate is NOT live (clean={}, ceilings clean={ceilings_clean}, \
+             tripped={}, tail tripped={tail_tripped}, open tripped={open_tripped})",
             clean.passed(),
             !tripped.passed()
         );
@@ -667,23 +712,21 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        // Absolute ceiling, independent of the committed baseline: a full
-        // scan may cost at most a fixed multiple of reading and validating
-        // the same bytes, measured side by side in this very run.
-        if let Some(ratio) = fresh.store_scan_over_read() {
+        // Absolute ceilings, independent of the committed baseline: a full
+        // scan and a store open may each cost at most a fixed multiple of
+        // reading and validating the same bytes, measured side by side in
+        // this very run.
+        let ceilings = gate::ceiling_checks(&fresh);
+        for ceiling in &ceilings {
+            eprintln!("{ceiling}");
+        }
+        if let Some(over) = ceilings.iter().find(|c| c.breached()) {
             eprintln!(
-                "store scan: a full scan costs {ratio:.2}x a read-and-validate pass \
-                 (ceiling {:.1}x)",
-                gate::STORE_SCAN_CEILING
+                "perf gate failed: {} costs {:.3}x a read-and-validate pass, above the \
+                 {}x ceiling",
+                over.name, over.over_read, over.ceiling
             );
-            if ratio > gate::STORE_SCAN_CEILING {
-                eprintln!(
-                    "perf gate failed: store scan costs {ratio:.2}x a read-and-validate \
-                     pass, above the {:.1}x ceiling",
-                    gate::STORE_SCAN_CEILING
-                );
-                return ExitCode::FAILURE;
-            }
+            return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS

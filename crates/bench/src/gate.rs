@@ -17,6 +17,10 @@
 //!
 //! A check fails when any fresh ratio exceeds the committed ratio by more
 //! than the threshold (default 15 %). Ratios *improving* is never a failure.
+//!
+//! Two store costs also have absolute ceilings, checked on the fresh entry
+//! alone ([`ceiling_checks`]): a full scan and a store open, each as a
+//! multiple of a read-and-validate pass over the same store.
 
 use std::fmt;
 
@@ -31,6 +35,15 @@ pub const DEFAULT_THRESHOLD: f64 = 0.15;
 /// add on top; both sides are measured in the same run on the same host,
 /// so it is host-independent).
 pub const STORE_SCAN_CEILING: f64 = 7.0;
+
+/// Maximum allowed cost of opening the same compacted store
+/// (`StoreScanner::open`: manifest read, header and completion log
+/// parsed), as a fraction of the read-and-validate pass. Opening must cost
+/// in proportion to the store's partitions, not its cells; with the
+/// completion log written as ranges it is microseconds. Absolute, like
+/// [`STORE_SCAN_CEILING`], and not a ratio-growth check: a microsecond
+/// open is too noisy a numerator for a 15 % bound.
+pub const STORE_OPEN_CEILING: f64 = 0.25;
 
 /// Name of the tight-cap tail ratio in gate reports.
 pub const TAIL_RATIO: &str = "cap40_dvfs_24h / baseline_24h";
@@ -61,6 +74,8 @@ pub struct PerfEntry {
     pub store_block_read_ns: Option<f64>,
     /// Full scan wall time of the same store.
     pub store_v3_scan_ns: Option<f64>,
+    /// `StoreScanner::open` wall time on the same store.
+    pub store_open_ns: Option<f64>,
     /// Fingerprint of the recording host (`"<cpu model> xN"`), when the
     /// entry recorded one — lets a check warn on cross-host comparisons
     /// (the tracked ratios are host-independent, absolute times are not).
@@ -98,6 +113,27 @@ impl PerfEntry {
             (Some(read), Some(scan)) => Some(scan / read.max(1.0)),
             _ => None,
         }
+    }
+
+    /// The store open's cost as a fraction of the read-and-validate pass,
+    /// when the entry recorded both; compare against
+    /// [`STORE_OPEN_CEILING`].
+    pub fn store_open_over_read(&self) -> Option<f64> {
+        match (self.store_block_read_ns, self.store_open_ns) {
+            (Some(read), Some(open)) => Some(open / read.max(1.0)),
+            _ => None,
+        }
+    }
+
+    /// A copy whose store open costs `over_read` times its read-and-validate
+    /// pass, when the entry recorded both — the self-test's open regression.
+    pub fn with_synthetic_open_regression(&self, over_read: f64) -> Option<PerfEntry> {
+        self.store_open_ns?;
+        Some(PerfEntry {
+            label: format!("{}+synthetic-open", self.label),
+            store_open_ns: Some(self.store_block_read_ns? * over_read),
+            ..self.clone()
+        })
     }
 
     /// A copy with the DVFS replay inflated by `factor` — used by the gate
@@ -208,6 +244,63 @@ pub fn check(committed: &PerfEntry, fresh: &PerfEntry, threshold: f64) -> GateRe
     }
 }
 
+/// One absolute store-cost ceiling, checked on a single entry.
+#[derive(Debug, Clone)]
+pub struct CeilingCheck {
+    /// What is measured (`store scan`, `store open`).
+    pub name: &'static str,
+    /// Its cost as a multiple of the read-and-validate pass.
+    pub over_read: f64,
+    /// The largest allowed multiple.
+    pub ceiling: f64,
+}
+
+impl CeilingCheck {
+    /// Whether the cost is above its ceiling.
+    pub fn breached(&self) -> bool {
+        self.over_read > self.ceiling
+    }
+}
+
+impl fmt::Display for CeilingCheck {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = if self.breached() { "BREACHED" } else { "ok" };
+        write!(
+            f,
+            "{}: costs {:.3}x a read-and-validate pass (ceiling {}x)  {verdict}",
+            self.name, self.over_read, self.ceiling
+        )
+    }
+}
+
+/// The absolute store ceilings that apply to `entry`: the full scan
+/// against [`STORE_SCAN_CEILING`] and the open against
+/// [`STORE_OPEN_CEILING`]. An entry that did not record a quantity skips
+/// its ceiling.
+pub fn ceiling_checks(entry: &PerfEntry) -> Vec<CeilingCheck> {
+    [
+        (
+            "store scan",
+            entry.store_scan_over_read(),
+            STORE_SCAN_CEILING,
+        ),
+        (
+            "store open",
+            entry.store_open_over_read(),
+            STORE_OPEN_CEILING,
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(name, over_read, ceiling)| {
+        Some(CeilingCheck {
+            name,
+            over_read: over_read?,
+            ceiling,
+        })
+    })
+    .collect()
+}
+
 /// Parse every entry of a trajectory file written by `perf-baseline`.
 ///
 /// The writer keeps a one-entry-per-line layout (every entry line starts
@@ -240,6 +333,7 @@ fn parse_entry_line(line: &str) -> Option<PerfEntry> {
         cap40_dvfs_24h_ns: number_field(line, "cap40_dvfs_24h_ns"),
         store_block_read_ns: number_field(line, "block_read_ns"),
         store_v3_scan_ns: number_field(line, "v3_scan_ns"),
+        store_open_ns: number_field(line, "open_ns"),
         host: string_field(line, "host"),
     })
 }
@@ -331,6 +425,7 @@ mod tests {
             cap40_dvfs_24h_ns: None,
             store_block_read_ns: None,
             store_v3_scan_ns: None,
+            store_open_ns: None,
             host: None,
         };
         assert!(check(&committed, &fresh, DEFAULT_THRESHOLD).passed());
@@ -427,6 +522,47 @@ mod tests {
         let above = entry_with_store(1e7, 7.5e7).store_scan_over_read().unwrap();
         assert!(above > STORE_SCAN_CEILING, "7.5x must trip the 7x ceiling");
         assert_eq!(entry().store_scan_over_read(), None);
+    }
+
+    #[test]
+    fn the_open_ceiling_parses_trips_alone_and_skips_entries_without_it() {
+        let line = LINE.replace(
+            "\"campaign\":",
+            "\"store\": {\"rows\": 120000, \"block_read_ns\": 10000000, \
+             \"v3_scan_ns\": 50000000, \"open_ns\": 500000, \"scan_over_read\": 5.00}, \
+             \"campaign\":",
+        );
+        let e = parse_trajectory(&line).pop().expect("line parses");
+        assert_eq!(e.store_open_ns, Some(500_000.0));
+        assert_eq!(e.store_open_over_read(), Some(0.05));
+        let checks = ceiling_checks(&e);
+        let names: Vec<_> = checks.iter().map(|c| c.name).collect();
+        assert_eq!(names, ["store scan", "store open"]);
+        assert!(checks.iter().all(|c| !c.breached()));
+        // The open is not a growth-gated ratio: it is too small to bound
+        // relatively, so only the ceiling judges it.
+        assert_eq!(check(&e, &e, DEFAULT_THRESHOLD).checks.len(), 5);
+        // An open costing what one `done` line per cell did (2.4x the read
+        // pass) breaches the open ceiling and nothing else.
+        let regressed = e.with_synthetic_open_regression(2.4).unwrap();
+        let breached: Vec<_> = ceiling_checks(&regressed)
+            .into_iter()
+            .filter(|c| c.breached())
+            .map(|c| c.name)
+            .collect();
+        assert_eq!(breached, ["store open"]);
+        assert!(check(&e, &regressed, DEFAULT_THRESHOLD).passed());
+        // At the ceiling exactly is still within it.
+        let at = e
+            .with_synthetic_open_regression(STORE_OPEN_CEILING)
+            .unwrap();
+        assert!(ceiling_checks(&at).iter().all(|c| !c.breached()));
+        // Entries without an open time skip its ceiling.
+        let older = entry_with_store(1e7, 5e7);
+        assert_eq!(older.with_synthetic_open_regression(2.4), None);
+        let names: Vec<_> = ceiling_checks(&older).iter().map(|c| c.name).collect();
+        assert_eq!(names, ["store scan"]);
+        assert!(ceiling_checks(&entry()).is_empty());
     }
 
     #[test]

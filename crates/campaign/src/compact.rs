@@ -14,6 +14,9 @@
 //! dominates a scan over thousands of 64-cell live partitions, while the
 //! moderate block size keeps zone maps fine-grained enough to skip
 //! unmatchable row ranges *within* a partition, not just whole files.
+//! The new manifest records the kept cells as `done A-B` ranges, one line
+//! per maximal run (`done N` for a run of one), so opening the compacted
+//! store parses a handful of lines instead of one per cell.
 //!
 //! The swap is crash-tolerant without ever leaving the store unreadable:
 //! the new partitions are fully written to a temp directory first, then the
@@ -28,7 +31,7 @@
 //! so the old partitions are deleted only once the swap is durable: a power
 //! loss cannot leave renamed-but-empty files with the old copies gone.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
@@ -36,8 +39,8 @@ use std::path::Path;
 use crate::agg::CellRow;
 use crate::colstore::encode_block;
 use crate::store::{
-    load_part_rows, sorted_part_paths, ParsedManifest, MANIFEST_NAME, PARTS_DIR,
-    STORE_SCHEMA_VERSION,
+    load_part_rows, manifest_header, sorted_part_paths, DoneSet, ParsedManifest, MANIFEST_NAME,
+    PARTS_DIR, STORE_SCHEMA_VERSION,
 };
 
 /// Temp names used during the swap; left-over copies from a crashed run
@@ -134,8 +137,8 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
     // to right whatever the old and new widths are.
     let mut out_rows: Vec<CellRow> = Vec::new();
     let mut out_part: Option<usize> = None;
-    let mut done_sorted: Vec<usize> = Vec::new();
-    let mut seen: BTreeSet<usize> = BTreeSet::new();
+    // The kept cells: the new manifest's completed set.
+    let mut seen = DoneSet::new(manifest.total_cells);
     let flush = |part: usize, rows: &mut Vec<CellRow>, stats: &mut CompactStats| {
         let path = tmp_parts.join(format!("part-{part:04}.apc"));
         let mut data = Vec::new();
@@ -160,7 +163,7 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
                 stats.bytes_in += meta.len();
             }
             for row in load_part_rows(path)? {
-                if !manifest.done.contains(&row.index) {
+                if !manifest.done.contains(row.index) {
                     stats.dropped_untrusted += 1;
                 } else if keep.insert(row.index, row).is_some() {
                     stats.dropped_duplicates += 1;
@@ -189,7 +192,6 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
             }
             out_part = Some(part);
             out_rows.push(row);
-            done_sorted.push(idx);
             stats.rows += 1;
         }
     }
@@ -197,18 +199,12 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
         flush(current, &mut out_rows, &mut stats)?;
     }
 
-    // New manifest: v3 header plus one done line per kept row. A done
-    // entry whose record was lost (torn beyond repair) drops out here,
-    // exactly as the read side already refuses to trust it.
-    done_sorted.sort_unstable();
-    let mut m = String::new();
-    m.push_str(&format!(
-        "apc-campaign-store {STORE_SCHEMA_VERSION}\nspec {:016x}\ncells {}\nper-part {width}\n",
-        manifest.spec_hash, manifest.total_cells
-    ));
-    for idx in &done_sorted {
-        m.push_str(&format!("done {idx}\n"));
-    }
+    // New manifest: v3 header plus the kept rows' cells as `done` ranges,
+    // one line per maximal run. A done entry whose record was lost (torn
+    // beyond repair) drops out here, exactly as the read side already
+    // refuses to trust it.
+    let mut m = manifest_header(manifest.spec_hash, manifest.total_cells, width);
+    seen.write_manifest_lines(&mut m);
     let tmp_manifest = dir.join(TMP_MANIFEST);
     write_synced(&tmp_manifest, m.as_bytes())?;
     sync_dir(&tmp_parts)?;

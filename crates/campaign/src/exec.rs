@@ -365,7 +365,9 @@ impl CampaignRunner {
                     backoff.reset();
                     // The manifest, not the lease log, is the ground truth
                     // for completed cells: skip everything recorded — by us,
-                    // by the batch's dead previous holder, by anyone.
+                    // by the batch's dead previous holder, by anyone. The
+                    // refresh reads only the lines appended since the last
+                    // claim, not the whole log.
                     store.refresh_done()?;
                     let pending: Vec<usize> = lease
                         .header()

@@ -511,21 +511,9 @@ impl StoreScanner {
     ) -> Result<ScanStats, String> {
         let mut stats = ScanStats::default();
         let mut scratch = CellRow::default();
-        // Flatten the manifest's completion set into a bit-per-cell lookup
-        // once per scan: the per-row trust check runs for every record of
-        // every partition, and an O(log n) set probe there dominates large
-        // scans.
-        let done_len = self
-            .manifest
-            .done
-            .iter()
-            .next_back()
-            .map_or(0, |&last| last + 1);
-        let mut done = vec![false; done_len];
-        for &idx in &self.manifest.done {
-            done[idx] = true;
-        }
-        let is_done = |idx: usize| idx < done.len() && done[idx];
+        // The per-row trust check runs for every record of every
+        // partition: one bit test in the manifest's completion bitmap.
+        let is_done = |idx: usize| self.manifest.done.contains(idx);
         let parts = sorted_part_paths(&self.dir.join(PARTS_DIR))?;
         for group in parts.chunk_by(|a, b| a.0 == b.0) {
             let path = &group[0].1;

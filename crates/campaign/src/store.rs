@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! <dir>/
-//!   manifest.txt            # header + one `done <index>` line per cell
+//!   manifest.txt            # header + the completion log (`done` lines)
 //!   cells/part-0000.apc     # binary columnar rows for cells [0, 64)
 //!   cells/part-0001.apc     # cells [64, 128), …
 //! ```
@@ -17,6 +17,19 @@
 //! written to its partition, so a row without a matching `done` entry (a
 //! crash between the two writes, or a record torn mid-write) is simply not
 //! trusted and the cell reruns on resume.
+//!
+//! A log entry may also name an inclusive range, `done <first>-<last>`.
+//! `campaign compact` writes the completed set that way, one line per
+//! maximal run of consecutive cells, so a compacted store's manifest is
+//! its header plus a handful of lines and opens in microseconds. Readers
+//! accept both forms in any mix: live appends stay one `done <index>` line
+//! per cell, and manifests written before ranges existed read unchanged.
+//! The row layout is the same, so there is no schema bump; a binary older
+//! than range lines reads one as torn and sees its cells as missing.
+//! Every reader holds the set as one `DoneSet` bitmap bounded by the
+//! header's cell count: an entry naming a cell at or past it is skipped
+//! like a torn line, so no entry can make a reader allocate beyond the
+//! header.
 //!
 //! Partitions (`part-NNNN.apc`) are sequences of self-contained columnar
 //! blocks (see [`crate::colstore`]): the executor appends one single-row
@@ -53,7 +66,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::agg::CellRow;
@@ -163,6 +176,136 @@ pub(crate) fn load_part_rows(path: &Path) -> Result<Vec<CellRow>, String> {
     }
 }
 
+/// A set of completed cell indices: one bit per cell, plus a count.
+///
+/// Its capacity is fixed at construction — the manifest's `cells` header —
+/// and nothing can insert at or past it, so no manifest entry grows the
+/// set beyond the header. Words are allocated up to the highest inserted
+/// cell only. Iteration is in ascending index order.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct DoneSet {
+    words: Vec<u64>,
+    cells: usize,
+    len: usize,
+}
+
+impl DoneSet {
+    /// An empty set over the cells `[0, cells)`.
+    pub(crate) fn new(cells: usize) -> Self {
+        DoneSet {
+            words: Vec::new(),
+            cells,
+            len: 0,
+        }
+    }
+
+    /// Number of cells in the set.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Is cell `idx` in the set? False for any index past the capacity.
+    pub(crate) fn contains(&self, idx: usize) -> bool {
+        self.words
+            .get(idx / 64)
+            .is_some_and(|w| w >> (idx % 64) & 1 == 1)
+    }
+
+    /// Add cell `idx`; returns whether it was absent.
+    ///
+    /// # Panics
+    /// If `idx` is at or past the set's capacity.
+    pub(crate) fn insert(&mut self, idx: usize) -> bool {
+        let before = self.len;
+        self.insert_range(idx, idx);
+        self.len > before
+    }
+
+    /// Add every cell of the inclusive range `[first, last]`, a whole word
+    /// at a time.
+    ///
+    /// # Panics
+    /// If the range is reversed or reaches the set's capacity.
+    fn insert_range(&mut self, first: usize, last: usize) {
+        assert!(
+            first <= last && last < self.cells,
+            "cells {first}-{last} outside a {}-cell done set",
+            self.cells
+        );
+        let (lo_word, hi_word) = (first / 64, last / 64);
+        if self.words.len() <= hi_word {
+            self.words.resize(hi_word + 1, 0);
+        }
+        for (w, word) in self.words[lo_word..=hi_word].iter_mut().enumerate() {
+            let w = lo_word + w;
+            let from = if w == lo_word { first % 64 } else { 0 };
+            let to = if w == hi_word { last % 64 } else { 63 };
+            let mask = (u64::MAX << from) & (u64::MAX >> (63 - to));
+            self.len += (mask & !*word).count_ones() as usize;
+            *word |= mask;
+        }
+    }
+
+    /// Apply the value of one manifest `done` entry: a cell index `N` or an
+    /// inclusive range `A-B`. An entry that does not parse, is reversed or
+    /// names a cell at or past the capacity changes nothing: like a torn
+    /// line, it is not trusted.
+    fn insert_entry(&mut self, value: &str) {
+        let (first, last) = value.split_once('-').unwrap_or((value, value));
+        if let (Ok(first), Ok(last)) = (first.parse::<usize>(), last.parse::<usize>()) {
+            if first <= last && last < self.cells {
+                self.insert_range(first, last);
+            }
+        }
+    }
+
+    /// The cells in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// Append the set to `out` as manifest lines, one per maximal run of
+    /// consecutive cells: `done A-B`, or `done N` for a run of one.
+    pub(crate) fn write_manifest_lines(&self, out: &mut String) {
+        let mut cells = self.iter().peekable();
+        while let Some(first) = cells.next() {
+            let mut last = first;
+            while cells.next_if_eq(&(last + 1)).is_some() {
+                last += 1;
+            }
+            if first == last {
+                out.push_str(&format!("done {first}\n"));
+            } else {
+                out.push_str(&format!("done {first}-{last}\n"));
+            }
+        }
+    }
+}
+
+/// The 4-line manifest header of a v3 store: format magic and schema
+/// version, spec fingerprint, cell count and partition width.
+pub(crate) fn manifest_header(spec_hash: u64, total_cells: usize, cells_per_part: usize) -> String {
+    format!(
+        "{MANIFEST_MAGIC} {STORE_SCHEMA_VERSION}\nspec {spec_hash:016x}\ncells {total_cells}\n\
+         per-part {cells_per_part}\n"
+    )
+}
+
+/// Length of the prefix of `bytes` made of complete (`\n`-terminated)
+/// lines.
+fn complete_lines_len(bytes: &[u8]) -> usize {
+    bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
+}
+
 /// A parsed `manifest.txt`: the header fields plus the trusted `done` set.
 /// Shared by the full loader ([`ResultStore::open`]), the streaming query
 /// path ([`crate::query::scan_store`]) and [`crate::compact`] so all three
@@ -173,7 +316,7 @@ pub(crate) struct ParsedManifest {
     pub(crate) spec_hash: u64,
     pub(crate) total_cells: usize,
     pub(crate) cells_per_part: usize,
-    pub(crate) done: std::collections::BTreeSet<usize>,
+    pub(crate) done: DoneSet,
 }
 
 impl ParsedManifest {
@@ -201,9 +344,9 @@ impl ParsedManifest {
             ));
         }
         let mut spec_hash = None;
-        let mut total_cells = None;
         let mut cells_per_part = DEFAULT_CELLS_PER_PART;
-        let mut done = std::collections::BTreeSet::new();
+        // Created by the `cells` header line, which bounds every entry.
+        let mut done: Option<DoneSet> = None;
         for line in lines {
             let mut words = line.split_whitespace();
             match (words.next(), words.next()) {
@@ -214,10 +357,19 @@ impl ParsedManifest {
                     );
                 }
                 (Some("cells"), Some(v)) => {
-                    total_cells = Some(
-                        v.parse()
-                            .map_err(|_| format!("bad cell count in manifest: {v:?}"))?,
-                    );
+                    let cells = v
+                        .parse()
+                        .map_err(|_| format!("bad cell count in manifest: {v:?}"))?;
+                    match &done {
+                        Some(set) if set.cells != cells => {
+                            return Err(format!(
+                                "manifest records two cell counts ({} and {cells})",
+                                set.cells
+                            ));
+                        }
+                        Some(_) => {}
+                        None => done = Some(DoneSet::new(cells)),
+                    }
                 }
                 (Some("per-part"), Some(v)) => {
                     cells_per_part = v
@@ -229,9 +381,12 @@ impl ParsedManifest {
                 }
                 // A torn trailing `done` line (no index, or a half-written
                 // number) means that cell never finished — skip it.
+                // `insert_entry` skips an entry outside the header's cells
+                // the same way; one before the `cells` line has no bound
+                // and is skipped too.
                 (Some("done"), Some(v)) => {
-                    if let Ok(idx) = v.parse::<usize>() {
-                        done.insert(idx);
+                    if let Some(set) = done.as_mut() {
+                        set.insert_entry(v);
                     }
                 }
                 // Anything else is a line torn by a crash (or a future
@@ -239,10 +394,12 @@ impl ParsedManifest {
                 _ => {}
             }
         }
+        let spec_hash = spec_hash.ok_or("manifest has no spec hash")?;
+        let done = done.ok_or("manifest has no cell count")?;
         Ok(ParsedManifest {
             schema,
-            spec_hash: spec_hash.ok_or("manifest has no spec hash")?,
-            total_cells: total_cells.ok_or("manifest has no cell count")?,
+            spec_hash,
+            total_cells: done.cells,
             cells_per_part,
             done,
         })
@@ -269,9 +426,12 @@ pub struct ResultStore {
     /// worker handle seeds it from the raw manifest `done` log and
     /// [`refresh_done`](Self::refresh_done) merges completions other
     /// workers appended since.
-    done: std::collections::BTreeSet<usize>,
+    done: DoneSet,
     /// Append handle for the manifest completion log.
     manifest: fs::File,
+    /// Byte offset just past the last complete manifest line this handle
+    /// has read: [`refresh_done`](Self::refresh_done) reads from here.
+    manifest_pos: u64,
     /// Cached append handle for the most recently written partition.
     current_part: Option<(usize, fs::File)>,
     /// Worker id recorded in this handle's partition file names
@@ -282,6 +442,30 @@ pub struct ResultStore {
     /// after it (the ordering a crash cannot reorder). On by default;
     /// `--no-sync` clears it for tests and benches.
     sync: bool,
+}
+
+/// Read and parse the manifest of the store at `dir` and open it for
+/// appending. Returns the parsed manifest, the append handle and the
+/// length of the text's complete lines (where an incremental reader
+/// resumes).
+fn open_manifest(dir: &Path) -> Result<(ParsedManifest, fs::File, u64), String> {
+    let manifest_path = dir.join(MANIFEST_NAME);
+    let text = fs::read_to_string(&manifest_path)
+        .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
+    let parsed = ParsedManifest::parse(dir, &text)?;
+    let mut manifest = fs::OpenOptions::new()
+        .append(true)
+        .open(&manifest_path)
+        .map_err(|e| format!("cannot reopen {}: {e}", manifest_path.display()))?;
+    // If the previous run died mid-line, terminate the torn line so the
+    // next `done` append starts on a fresh one.
+    if !text.is_empty() && !text.ends_with('\n') {
+        manifest
+            .write_all(b"\n")
+            .map_err(|e| format!("cannot repair {}: {e}", manifest_path.display()))?;
+    }
+    let pos = complete_lines_len(text.as_bytes()) as u64;
+    Ok((parsed, manifest, pos))
 }
 
 impl ResultStore {
@@ -302,10 +486,8 @@ impl ResultStore {
         fs::create_dir_all(&parts)?;
         let manifest_path = dir.join(MANIFEST_NAME);
         let mut manifest = fs::File::create(&manifest_path)?;
-        writeln!(manifest, "{MANIFEST_MAGIC} {STORE_SCHEMA_VERSION}")?;
-        writeln!(manifest, "spec {spec_hash:016x}")?;
-        writeln!(manifest, "cells {total_cells}")?;
-        writeln!(manifest, "per-part {DEFAULT_CELLS_PER_PART}")?;
+        let header = manifest_header(spec_hash, total_cells, DEFAULT_CELLS_PER_PART);
+        manifest.write_all(header.as_bytes())?;
         manifest.flush()?;
         // One-off: make the header durable before any worker trusts it.
         manifest.sync_data()?;
@@ -315,8 +497,9 @@ impl ResultStore {
             total_cells,
             cells_per_part: DEFAULT_CELLS_PER_PART,
             rows: BTreeMap::new(),
-            done: std::collections::BTreeSet::new(),
+            done: DoneSet::new(total_cells),
             manifest,
+            manifest_pos: header.len() as u64,
             current_part: None,
             worker_tag: None,
             sync: true,
@@ -328,54 +511,36 @@ impl ResultStore {
     ///
     /// Untrusted data is skipped, never fatal: rows without a `done`
     /// manifest entry (crash between row and log append), records that fail
-    /// to parse (a line or block torn by a crash), and trailing torn `done`
-    /// lines.
+    /// to parse (a line or block torn by a crash), trailing torn `done`
+    /// lines, and `done` entries outside the header's cell count.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, String> {
         let dir = dir.into();
-        let manifest_path = dir.join(MANIFEST_NAME);
-        let text = fs::read_to_string(&manifest_path)
-            .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-        let manifest = ParsedManifest::parse(&dir, &text)?;
-        let ParsedManifest {
-            spec_hash,
-            total_cells,
-            cells_per_part,
-            done,
-            ..
-        } = manifest;
-
+        let (parsed, manifest, manifest_pos) = open_manifest(&dir)?;
         // Load rows from the partitions, trusting only indices in the done
         // set and keeping the last intact record per index.
         let mut rows = BTreeMap::new();
         for (_, path) in sorted_part_paths(&dir.join(PARTS_DIR))? {
             for row in load_part_rows(&path)? {
-                if done.contains(&row.index) {
+                if parsed.done.contains(row.index) {
                     rows.insert(row.index, row);
                 }
             }
         }
         // A done entry whose row is missing or unreadable is dropped from
         // the trusted set; the executor will simply rerun that cell.
-        let mut manifest = fs::OpenOptions::new()
-            .append(true)
-            .open(&manifest_path)
-            .map_err(|e| format!("cannot reopen {}: {e}", manifest_path.display()))?;
-        // If the previous run died mid-line, terminate the torn line so the
-        // next `done` append starts on a fresh one.
-        if !text.is_empty() && !text.ends_with('\n') {
-            manifest
-                .write_all(b"\n")
-                .map_err(|e| format!("cannot repair {}: {e}", manifest_path.display()))?;
+        let mut done = DoneSet::new(parsed.total_cells);
+        for &idx in rows.keys() {
+            done.insert(idx);
         }
-        let done = rows.keys().copied().collect();
         Ok(ResultStore {
             dir,
-            spec_hash,
-            total_cells,
-            cells_per_part,
+            spec_hash: parsed.spec_hash,
+            total_cells: parsed.total_cells,
+            cells_per_part: parsed.cells_per_part,
             rows,
             done,
             manifest,
+            manifest_pos,
             current_part: None,
             worker_tag: None,
             sync: true,
@@ -393,19 +558,7 @@ impl ResultStore {
     /// processes on a local filesystem.
     pub fn open_worker(dir: impl Into<PathBuf>, worker: usize) -> Result<Self, String> {
         let dir = dir.into();
-        let manifest_path = dir.join(MANIFEST_NAME);
-        let text = fs::read_to_string(&manifest_path)
-            .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-        let parsed = ParsedManifest::parse(&dir, &text)?;
-        let mut manifest = fs::OpenOptions::new()
-            .append(true)
-            .open(&manifest_path)
-            .map_err(|e| format!("cannot reopen {}: {e}", manifest_path.display()))?;
-        if !text.is_empty() && !text.ends_with('\n') {
-            manifest
-                .write_all(b"\n")
-                .map_err(|e| format!("cannot repair {}: {e}", manifest_path.display()))?;
-        }
+        let (parsed, manifest, manifest_pos) = open_manifest(&dir)?;
         Ok(ResultStore {
             dir,
             spec_hash: parsed.spec_hash,
@@ -414,27 +567,55 @@ impl ResultStore {
             rows: BTreeMap::new(),
             done: parsed.done,
             manifest,
+            manifest_pos,
             current_part: None,
             worker_tag: Some(worker),
             sync: true,
         })
     }
 
-    /// Re-read the manifest's completion log and merge `done` entries other
-    /// workers appended since this handle last looked. Returns the total
-    /// completed count. Torn trailing lines are skipped exactly as on open.
+    /// Merge the `done` entries appended to the manifest since this handle
+    /// last read it — by other workers or by this handle. Returns the total
+    /// completed count.
+    ///
+    /// Only the bytes past the last complete line already consumed are
+    /// read, so a refresh costs the appends since the previous one, not the
+    /// whole log. A trailing line without its `\n` may still be being
+    /// written; it is left for the refresh after it completes. A manifest
+    /// now shorter than that offset was replaced (by `campaign compact`),
+    /// and is re-read from the start: its completed set replaces this
+    /// handle's. This handle's own appends still go to the file it opened,
+    /// so compact a store only while no worker is running.
     pub fn refresh_done(&mut self) -> Result<usize, String> {
         let manifest_path = self.dir.join(MANIFEST_NAME);
-        let text = fs::read_to_string(&manifest_path)
-            .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-        for line in text.lines() {
-            let mut words = line.split_whitespace();
-            if let (Some("done"), Some(v)) = (words.next(), words.next()) {
-                if let Ok(idx) = v.parse::<usize>() {
-                    self.done.insert(idx);
+        let read_err = |e: io::Error| format!("cannot read {}: {e}", manifest_path.display());
+        let mut file = fs::File::open(&manifest_path).map_err(read_err)?;
+        let replaced = file.metadata().map_err(read_err)?.len() < self.manifest_pos;
+        let from = if replaced { 0 } else { self.manifest_pos };
+        let mut buf = Vec::new();
+        file.seek(SeekFrom::Start(from))
+            .and_then(|_| file.read_to_end(&mut buf))
+            .map_err(read_err)?;
+        let complete = complete_lines_len(&buf);
+        let text = String::from_utf8_lossy(&buf[..complete]);
+        if replaced {
+            let parsed = ParsedManifest::parse(&self.dir, &text)?;
+            if parsed.spec_hash != self.spec_hash || parsed.total_cells != self.total_cells {
+                return Err(format!(
+                    "{} was replaced by the manifest of a different store",
+                    manifest_path.display()
+                ));
+            }
+            self.done = parsed.done;
+        } else {
+            for line in text.lines() {
+                let mut words = line.split_whitespace();
+                if let (Some("done"), Some(v)) = (words.next(), words.next()) {
+                    self.done.insert_entry(v);
                 }
             }
         }
+        self.manifest_pos = from + complete as u64;
         Ok(self.done.len())
     }
 
@@ -473,7 +654,19 @@ impl ResultStore {
     /// line to the manifest (fsync'd likewise) — the ordering that makes a
     /// crash at any point safe: a `done` entry is only ever durable *after*
     /// the row it vouches for.
+    ///
+    /// A row whose index is outside the store's cells is refused before
+    /// anything is written: no reader would trust its `done` entry.
     pub fn append(&mut self, row: &CellRow) -> io::Result<()> {
+        if row.index >= self.total_cells {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "cell {} is outside the store's {} cells",
+                    row.index, self.total_cells
+                ),
+            ));
+        }
         let part_no = row.index / self.cells_per_part;
         if self.current_part.as_ref().map(|(n, _)| *n) != Some(part_no) {
             let path = self.part_path(part_no);
@@ -548,7 +741,7 @@ impl ResultStore {
 
     /// Indices of the cells recorded so far (trusted entries only).
     pub fn completed(&self) -> impl Iterator<Item = usize> + '_ {
-        self.done.iter().copied()
+        self.done.iter()
     }
 
     /// Number of trusted recorded cells.
@@ -558,7 +751,7 @@ impl ResultStore {
 
     /// Whether a cell's result is already recorded.
     pub fn contains(&self, index: usize) -> bool {
-        self.done.contains(&index)
+        self.done.contains(index)
     }
 
     /// Has every cell of the campaign been recorded?
@@ -901,6 +1094,184 @@ mod tests {
         let reopened = ResultStore::open(&dir).unwrap();
         assert_eq!(reopened.spec_hash(), 2);
         assert_eq!(reopened.completed_count(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// SplitMix64: a seeded stream for the randomized model test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// `DoneSet` against a `BTreeSet` reference: inserts, range inserts,
+    /// membership, length, ascending iteration, and the manifest lines the
+    /// set renders parsing back to the same set.
+    #[test]
+    fn done_set_matches_a_btreeset_model() {
+        let mut rng = 0x5eed_d0e5_u64;
+        for case in 0..300 {
+            let cells = 1 + (splitmix(&mut rng) % 400) as usize;
+            let mut set = DoneSet::new(cells);
+            let mut model = std::collections::BTreeSet::new();
+            for _ in 0..splitmix(&mut rng) % 40 {
+                let a = (splitmix(&mut rng) % cells as u64) as usize;
+                let b = (splitmix(&mut rng) % cells as u64) as usize;
+                match splitmix(&mut rng) % 3 {
+                    0 => assert_eq!(set.insert(a), model.insert(a), "case {case}"),
+                    1 => {
+                        let (lo, hi) = (a.min(b), a.max(b));
+                        set.insert_entry(&format!("{lo}-{hi}"));
+                        model.extend(lo..=hi);
+                    }
+                    // Short runs exercise word edges as well as long ones.
+                    _ => {
+                        let hi = (a + (b % 70)).min(cells - 1);
+                        set.insert_entry(&format!("{a}-{hi}"));
+                        model.extend(a..=hi);
+                    }
+                }
+                assert_eq!(set.len(), model.len(), "case {case}");
+            }
+            for idx in 0..cells + 70 {
+                assert_eq!(
+                    set.contains(idx),
+                    model.contains(&idx),
+                    "case {case} cell {idx}"
+                );
+            }
+            let listed: Vec<usize> = set.iter().collect();
+            assert_eq!(listed, model.iter().copied().collect::<Vec<_>>());
+
+            let mut text = format!("{MANIFEST_MAGIC} 3\nspec 1\ncells {cells}\n");
+            set.write_manifest_lines(&mut text);
+            for line in text.lines().skip(3) {
+                let value = line.strip_prefix("done ").expect("a done line");
+                let (first, last) = value.split_once('-').unwrap_or((value, value));
+                let (first, last): (usize, usize) = (first.parse().unwrap(), last.parse().unwrap());
+                assert!(first < last || value == first.to_string(), "{line}");
+                assert!((first..=last).all(|c| model.contains(&c)), "{line}");
+                assert!(
+                    first == 0 || !model.contains(&(first - 1)),
+                    "{line} not maximal"
+                );
+                assert!(!model.contains(&(last + 1)), "{line} not maximal");
+            }
+            let parsed = ParsedManifest::parse(Path::new("model"), &text).unwrap();
+            assert_eq!(parsed.done, set, "case {case}: rendered runs parse back");
+        }
+    }
+
+    /// Entries no reader may trust are skipped like torn lines, and none
+    /// allocates past the `cells` header; every reader counts the rest.
+    #[test]
+    fn done_entries_outside_the_header_are_skipped_by_every_reader() {
+        let dir = temp_dir("bounded-done");
+        let mut store = ResultStore::create(&dir, 1, 10).unwrap();
+        for i in 0..3 {
+            store.append(&row(i)).unwrap();
+        }
+        drop(store);
+        let manifest_path = dir.join(MANIFEST_NAME);
+        let mut text = fs::read_to_string(&manifest_path).unwrap();
+        for bad in [
+            "done 10",
+            "done 99",
+            "done 5-3",
+            "done 7-",
+            "done -3",
+            "done 0-18446744073709551615",
+            "done 18446744073709551615",
+        ] {
+            text.push_str(bad);
+            text.push('\n');
+        }
+        fs::write(&manifest_path, &text).unwrap();
+        let full = ResultStore::open(&dir).unwrap();
+        assert_eq!(full.completed().collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(full.rows().len(), 3);
+        let worker = ResultStore::open_worker(&dir, 0).unwrap();
+        assert_eq!(worker.completed().collect::<Vec<_>>(), [0, 1, 2]);
+        let scanner = crate::query::StoreScanner::open(&dir).unwrap();
+        assert_eq!(scanner.completed_count(), 3);
+        assert_eq!(scanner.rows().unwrap().len(), 3);
+        // A store append cannot name a cell the header does not have.
+        let mut worker = worker;
+        let err = worker.append(&row(10)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        // An entry before the `cells` line has no bound and is skipped; a
+        // second, different cell count is an error.
+        let reordered = format!("{MANIFEST_MAGIC} 3\nspec 1\ndone 1\ncells 10\ndone 2\n");
+        let parsed = ParsedManifest::parse(&dir, &reordered).unwrap();
+        assert_eq!(parsed.done.iter().collect::<Vec<_>>(), [2]);
+        let err = ParsedManifest::parse(&dir, &format!("{reordered}cells 11\n")).unwrap_err();
+        assert!(err.contains("two cell counts"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refresh_reads_only_complete_appended_lines() {
+        let dir = temp_dir("refresh");
+        drop(ResultStore::create(&dir, 0xfeed, 200).unwrap());
+        let mut w0 = ResultStore::open_worker(&dir, 0).unwrap();
+        let mut w1 = ResultStore::open_worker(&dir, 1).unwrap();
+        w1.set_sync(false);
+        for i in [3, 70, 4] {
+            w1.append(&row(i)).unwrap();
+        }
+        assert_eq!(w0.refresh_done().unwrap(), 3);
+        assert!(w0.contains(70));
+        // A line still being written: `done 12` may yet become `done 123`.
+        let manifest_path = dir.join(MANIFEST_NAME);
+        let mut log = fs::OpenOptions::new()
+            .append(true)
+            .open(&manifest_path)
+            .unwrap();
+        log.write_all(b"done 12").unwrap();
+        assert_eq!(w0.refresh_done().unwrap(), 3);
+        assert!(!w0.contains(12));
+        log.write_all(b"3\n").unwrap();
+        assert_eq!(w0.refresh_done().unwrap(), 4);
+        assert!(w0.contains(123) && !w0.contains(12));
+        // Appends after a refresh are read from where it stopped.
+        w1.append(&row(5)).unwrap();
+        assert_eq!(w0.refresh_done().unwrap(), 5);
+        assert_eq!(w0.completed().collect::<Vec<_>>(), [3, 4, 5, 70, 123]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refresh_rereads_a_manifest_replaced_by_a_shorter_one() {
+        let dir = temp_dir("refresh-replaced");
+        let mut store = ResultStore::create(&dir, 0xfeed, 20).unwrap();
+        store.set_sync(false);
+        for i in 0..10 {
+            store.append(&row(i)).unwrap();
+        }
+        drop(store);
+        let mut w0 = ResultStore::open_worker(&dir, 0).unwrap();
+        assert_eq!(w0.completed_count(), 10);
+        // Swap in a shorter manifest with a different completed set, as a
+        // compaction's rename does: read from the old offset it would
+        // yield nothing, so the refresh must start over.
+        let manifest_path = dir.join(MANIFEST_NAME);
+        let text = fs::read_to_string(&manifest_path).unwrap();
+        let header: String = text.lines().take(4).map(|l| format!("{l}\n")).collect();
+        let replacement = format!("{header}done 0-3\ndone 6-11\n");
+        assert!(replacement.len() < text.len());
+        fs::write(dir.join("manifest.new"), &replacement).unwrap();
+        fs::rename(dir.join("manifest.new"), &manifest_path).unwrap();
+        assert_eq!(w0.refresh_done().unwrap(), 10);
+        assert_eq!(
+            w0.completed().collect::<Vec<_>>(),
+            [0, 1, 2, 3, 6, 7, 8, 9, 10, 11]
+        );
+        // A replacement belonging to another store is an error.
+        fs::write(&manifest_path, header.replace("cells 20", "cells 21")).unwrap();
+        let err = w0.refresh_done().unwrap_err();
+        assert!(err.contains("different store"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

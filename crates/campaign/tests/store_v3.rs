@@ -17,7 +17,8 @@
 //!
 //! Plus a deterministic crash-resume test mirroring `campaign_resume.rs`
 //! at the store level: a torn v3 append is repaired on reopen and the
-//! re-run row wins.
+//! re-run row wins; and one that takes a store with holes and a re-run
+//! through compaction (range `done` lines) and a resume after it.
 
 use std::fs;
 use std::path::PathBuf;
@@ -25,6 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use apc_campaign::agg::CellRow;
 use apc_campaign::colstore::{encode_block, rows_bit_identical, PartitionBuf};
+use apc_campaign::compact::compact_store;
 use apc_campaign::query::{RowFilter, ScanFlow, StoreScanner};
 use apc_campaign::store::ResultStore;
 use proptest::prelude::*;
@@ -318,5 +320,119 @@ fn v3_store_resumes_after_a_torn_append() {
             assert!(rows_bit_identical(got, original));
         }
     }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every trusted row of the store at `dir`, as the scanner delivers them.
+fn scan_all(dir: &std::path::Path) -> Vec<CellRow> {
+    let mut rows = Vec::new();
+    StoreScanner::open(dir)
+        .unwrap()
+        .scan(&RowFilter::default(), |row| {
+            rows.push(row.clone());
+            Ok(ScanFlow::Continue)
+        })
+        .unwrap();
+    rows
+}
+
+fn assert_rows_bit_identical(got: &[CellRow], want: &[CellRow]) {
+    assert_eq!(got.len(), want.len());
+    for (a, b) in got.iter().zip(want) {
+        assert!(rows_bit_identical(a, b), "cell {}: {a:?} vs {b:?}", a.index);
+    }
+}
+
+/// A live store with holes — cells appended in a shuffled completion
+/// order, every 7th `done` line lost, one cell re-run — is compacted into
+/// a manifest that mixes `done A-B` ranges with single `done N` lines,
+/// without changing a bit of any scanned row. A resume then appends
+/// single lines after the ranges, and the full loader, a worker handle and
+/// the scanner agree on the completed set and the rows.
+#[test]
+fn compacted_done_ranges_survive_holes_a_rerun_and_a_resume() {
+    let dir = temp_dir("done-ranges");
+    let total = 448;
+    let rows: Vec<CellRow> = (0..total)
+        .map(|i| build_row(i, i as u64 * 31 + 5, i as u64 ^ 0xabc, (i % 11) as u8))
+        .collect();
+    let mut order: Vec<usize> = (0..total).collect();
+    let mut state = 0x0de5_u64;
+    for i in (1..total).rev() {
+        order.swap(i, (mix(&mut state) % (i as u64 + 1)) as usize);
+    }
+    let mut store = ResultStore::create(&dir, 0xd0e5, total).unwrap();
+    store.set_sync(false);
+    for &i in &order {
+        store.append(&rows[i]).unwrap();
+    }
+    let mut rerun = rows[order[0]].clone();
+    rerun.launched_jobs = 1010;
+    store.append(&rerun).unwrap();
+    drop(store);
+    let mut expected = rows.clone();
+    expected[order[0]] = rerun;
+
+    let manifest = dir.join("manifest.txt");
+    let text = fs::read_to_string(&manifest).unwrap();
+    let mut kept = String::new();
+    let mut holes = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        match line.strip_prefix("done ") {
+            Some(cell) if (n - 3) % 7 == 0 => holes.push(cell.parse::<usize>().unwrap()),
+            _ => kept.push_str(&format!("{line}\n")),
+        }
+    }
+    fs::write(&manifest, kept).unwrap();
+    holes.sort_unstable();
+    assert!(!holes.contains(&order[0]), "the re-run stays trusted");
+    let trusted: Vec<CellRow> = expected
+        .iter()
+        .filter(|r| holes.binary_search(&r.index).is_err())
+        .cloned()
+        .collect();
+
+    let before = scan_all(&dir);
+    assert_rows_bit_identical(&before, &trusted);
+    let stats = compact_store(&dir, None).unwrap();
+    assert_eq!(stats.rows, trusted.len());
+    assert_eq!(stats.dropped_untrusted, holes.len());
+    let text = fs::read_to_string(&manifest).unwrap();
+    let done: Vec<&str> = text.lines().filter(|l| l.starts_with("done ")).collect();
+    assert!(
+        done.iter().any(|l| l.contains('-')),
+        "no range line in {done:?}"
+    );
+    assert!(
+        done.iter().any(|l| !l.contains('-')),
+        "no single line in {done:?}"
+    );
+    assert_rows_bit_identical(&scan_all(&dir), &before);
+
+    // Resume: the compacted store takes the holes back as single lines.
+    let mut store = ResultStore::open(&dir).unwrap();
+    let trusted_cells: Vec<usize> = trusted.iter().map(|r| r.index).collect();
+    assert_eq!(store.completed().collect::<Vec<_>>(), trusted_cells);
+    for &i in &holes {
+        store.append(&expected[i]).unwrap();
+    }
+    assert!(store.is_complete());
+    drop(store);
+    let text = fs::read_to_string(&manifest).unwrap();
+    let tail: Vec<&str> = text.lines().rev().take(holes.len()).collect();
+    assert!(tail
+        .iter()
+        .all(|l| l.starts_with("done ") && !l.contains('-')));
+
+    let all: Vec<usize> = (0..total).collect();
+    let full = ResultStore::open(&dir).unwrap();
+    assert_eq!(full.completed().collect::<Vec<_>>(), all);
+    let worker = ResultStore::open_worker(&dir, 0).unwrap();
+    assert_eq!(worker.completed().collect::<Vec<_>>(), all);
+    let scanner = StoreScanner::open(&dir).unwrap();
+    assert!(scanner.is_complete());
+    assert_eq!(scanner.completed_count(), total);
+    assert_rows_bit_identical(&full.rows(), &expected);
+    assert_rows_bit_identical(&scan_all(&dir), &expected);
     fs::remove_dir_all(&dir).unwrap();
 }
