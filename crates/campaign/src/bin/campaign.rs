@@ -57,7 +57,8 @@
 //!   --format WHICH     csv | json | both (default both)
 //!   --quiet            suppress the per-group stdout table
 //!   --progress         live top-style progress view on stderr (overall %,
-//!                      cells/s, ETA, steals, per-worker queue depths)
+//!                      cells/s, ETA, cells done per worker); with
+//!                      --distributed, the lease summary `report` prints
 //!   --metrics          dump the metrics registry snapshot to stderr at
 //!                      the end of the run
 //!   --trace-out FILE   record one span per cell and write them to FILE in
@@ -639,19 +640,15 @@ fn run_distributed(options: Options, raw_args: &[String]) -> Result<(), String> 
             // workers coordinate through — no channel to the children.
             if let Ok(log) = LeaseLog::open(&dir_path) {
                 eprint!(
-                    "{}",
-                    render_lease_progress(log.state(), log.header(), now_ms(), started.elapsed())
+                    "{:.1} s elapsed, {}",
+                    started.elapsed().as_secs_f64(),
+                    render_leases(&log)
                 );
             }
         }
     }
 
-    let log = LeaseLog::open(&dir_path)?;
-    eprint!(
-        "{}",
-        log.state()
-            .render(log.header().lease_cells, log.header().total_cells, now_ms())
-    );
+    eprint!("{}", render_leases(&LeaseLog::open(&dir_path)?));
     let store = ResultStore::open(&dir)?;
     if !store.is_complete() {
         let why = if failed.is_empty() {
@@ -687,6 +684,14 @@ fn run_distributed(options: Options, raw_args: &[String]) -> Result<(), String> 
         eprintln!("wrote {}", path.display());
     }
     Ok(())
+}
+
+/// The lease-state summary of `log` judged now: what `report` prints and
+/// the `--distributed` coordinator shows while and after its workers run.
+fn render_leases(log: &LeaseLog) -> String {
+    let header = log.header();
+    log.state()
+        .render(header.lease_cells, header.total_cells, now_ms())
 }
 
 /// `campaign worker DIR --worker-id N [grid flags]`: one distributed
@@ -1010,11 +1015,7 @@ fn run_report(args: &[String]) -> Result<(), String> {
     let dir_path = std::path::Path::new(&dir);
     if dir_path.join(LEASES_NAME).exists() {
         match LeaseLog::open(dir_path) {
-            Ok(log) => print!(
-                "{}",
-                log.state()
-                    .render(log.header().lease_cells, log.header().total_cells, now_ms())
-            ),
+            Ok(log) => print!("{}", render_leases(&log)),
             Err(e) => println!("lease log unreadable: {e}"),
         }
     }

@@ -1,10 +1,13 @@
-//! The deterministic work-stealing campaign executor.
+//! The deterministic campaign executor.
 //!
-//! Cells are seeded round-robin by **stable cell index** into one deque per
-//! worker (worker `w` starts with cells `w, w + N, w + 2N, …`). Each worker
-//! pulls from the *front* of its own deque; when that runs dry it steals
-//! from the *back* of a victim's deque instead of idling — so one 24 h
-//! straggler cell never pins every other worker to an empty shard.
+//! Worker threads share one cursor over the pending cell indices: an idle
+//! worker takes the next pending cell, so a straggler never holds cells
+//! that another worker could run. The cells are independent, known up
+//! front and milliseconds long, so this greedy list schedule balances the
+//! load without per-worker queues, and on one thread it visits the cells
+//! in exactly their pending order. Stealing exists only between processes,
+//! in the [lease log](crate::lease), where it recovers a dead worker's
+//! batch.
 //!
 //! For every pulled cell the worker builds (or **reuses**, when the cell
 //! shares the previous cell's platform scale and workload) a
@@ -16,19 +19,17 @@
 //!
 //! Determinism contract: each cell's replay depends only on its own
 //! `(platform, trace, scenario)` triple — workers share nothing mutable but
-//! the trace cache, whose values are pure functions of their keys. Rows are
-//! re-ordered by cell index before aggregation, so the campaign output is
-//! **byte-identical for any thread count** (asserted by
+//! the cursor and the trace cache, whose values are pure functions of their
+//! keys. Rows are re-ordered by cell index before aggregation, so the
+//! campaign output is **byte-identical for any thread count** (asserted by
 //! `tests/campaign_determinism.rs`), even though which worker runs which
-//! cell is scheduling-dependent under stealing.
+//! cell is scheduling-dependent.
 
-use std::collections::VecDeque;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use apc_obs::Registry;
 use apc_replay::ReplayHarness;
 use apc_rjms::cluster::Platform;
 use apc_workload::{CurieTraceGenerator, TraceCache};
@@ -46,8 +47,6 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Cells this worker completed.
     pub completed: usize,
-    /// Of those, cells stolen from another worker's deque.
-    pub stolen: usize,
 }
 
 /// Run-wide counters reported next to the results.
@@ -64,21 +63,15 @@ pub struct RunStats {
     pub trace_cache_hits: usize,
     /// Distinct traces generated.
     pub trace_cache_misses: usize,
-    /// Per-worker completion/steal counters, indexed by worker id. (Which
-    /// worker ran which cell is scheduling-dependent; only the results are
+    /// Per-worker completion counters, indexed by worker id. (Which worker
+    /// ran which cell is scheduling-dependent; only the results are
     /// deterministic.)
     pub per_worker: Vec<WorkerStats>,
 }
 
 impl RunStats {
-    /// Total cells that moved between workers via stealing.
-    pub fn total_steals(&self) -> usize {
-        self.per_worker.iter().map(|w| w.stolen).sum()
-    }
-
-    /// The human summary the `campaign` CLI prints: run totals (including
-    /// total steals) on the first line, then one line per worker with its
-    /// completion rate and the share of its cells that were stolen.
+    /// The human summary the `campaign` CLI prints: run totals on the first
+    /// line, then one line per worker with its completion rate.
     pub fn render(&self, wall: Duration) -> String {
         let skipped = if self.skipped > 0 {
             format!(", {} resumed from store", self.skipped)
@@ -88,23 +81,14 @@ impl RunStats {
         let secs = wall.as_secs_f64();
         let mut out = format!(
             "ran {} cells on {} thread(s) in {secs:.2} s ({} trace(s) generated, \
-             {} cache hits, {} steal(s){skipped})\n",
-            self.cells,
-            self.threads,
-            self.trace_cache_misses,
-            self.trace_cache_hits,
-            self.total_steals(),
+             {} cache hits{skipped})\n",
+            self.cells, self.threads, self.trace_cache_misses, self.trace_cache_hits,
         );
         for w in &self.per_worker {
             let rate = w.completed as f64 / secs.max(1e-9);
-            let stolen_share = if w.completed > 0 {
-                w.stolen as f64 * 100.0 / w.completed as f64
-            } else {
-                0.0
-            };
             out.push_str(&format!(
-                "  w{}: {} cell(s) ({rate:.1} cells/s), {} stolen ({stolen_share:.0}%)\n",
-                w.worker, w.completed, w.stolen
+                "  w{}: {} cell(s) ({rate:.1} cells/s)\n",
+                w.worker, w.completed
             ));
         }
         out
@@ -191,17 +175,6 @@ impl CampaignRunner {
         }
     }
 
-    /// The worker count [`run`](Self::run) will actually use: the resolved
-    /// thread count clamped to the number of cells.
-    pub fn effective_threads(&self) -> usize {
-        let cell_count = self.cells().map_or(1, |c| c.len());
-        self.clamped_threads(cell_count)
-    }
-
-    fn clamped_threads(&self, cell_count: usize) -> usize {
-        self.resolved_threads().clamp(1, cell_count.max(1))
-    }
-
     /// Execute every cell in memory and aggregate the results.
     ///
     /// Fails fast (before spawning anything) if the spec does not validate.
@@ -211,24 +184,16 @@ impl CampaignRunner {
         let pending: Vec<usize> = (0..cells.len()).collect();
         let started = Instant::now();
         let mut rows: Vec<CellRow> = Vec::with_capacity(cells.len());
-        let inner = self.execute(&cells, &pending, |row| {
+        let stats = self.execute(&cells, &pending, |row| {
             rows.push(row);
             Ok(())
         })?;
         let wall = started.elapsed();
         rows.sort_by_key(|r| r.index);
-        let summaries = summarize(&rows);
         Ok(CampaignOutcome {
-            stats: RunStats {
-                cells: rows.len(),
-                skipped: 0,
-                threads: inner.threads,
-                trace_cache_hits: inner.hits,
-                trace_cache_misses: inner.misses,
-                per_worker: inner.per_worker,
-            },
+            summaries: summarize(&rows),
             rows,
-            summaries,
+            stats,
             wall,
         })
     }
@@ -241,38 +206,33 @@ impl CampaignRunner {
     ///
     /// The store must belong to this campaign: its manifest fingerprint is
     /// checked against [`fingerprint`](Self::fingerprint) before anything
-    /// runs.
+    /// runs. It must also be a full handle ([`ResultStore::create`] or
+    /// [`ResultStore::open`]): a [`ResultStore::open_worker`] handle loads
+    /// no rows, so it is refused before any cell runs.
     pub fn run_with_store(&self, store: &mut ResultStore) -> Result<CampaignOutcome, String> {
         self.spec.validate_for(&self.source)?;
         let cells = self.cells()?;
         store.validate_spec(self.fingerprint(), cells.len())?;
+        if store.is_worker() {
+            return Err(format!(
+                "store at {} is open as a distributed worker, which loads no rows — \
+                 open it with ResultStore::open to run or resume it in one process",
+                store.dir().display()
+            ));
+        }
         let skipped = store.completed_count();
         let pending: Vec<usize> = (0..cells.len()).filter(|i| !store.contains(*i)).collect();
-        let executed = pending.len();
         let started = Instant::now();
-        let inner = self.execute(&cells, &pending, |row| {
-            store
-                .append(&row)
-                .map_err(|e| format!("cannot append cell {} to result store: {e}", row.index))
-        })?;
+        let stats = self.execute(&cells, &pending, |row| append_row(store, &row))?;
         let wall = started.elapsed();
         // Rows come back out of the store — including the skipped ones from
         // the previous run — so every render frontend downstream reads one
         // consistent, index-sorted view.
-        let rows = store.rows();
-        debug_assert_eq!(rows.len(), cells.len());
-        let summaries = summarize(&rows);
+        let rows = complete_rows(store)?;
         Ok(CampaignOutcome {
-            stats: RunStats {
-                cells: executed,
-                skipped,
-                threads: inner.threads,
-                trace_cache_hits: inner.hits,
-                trace_cache_misses: inner.misses,
-                per_worker: inner.per_worker,
-            },
+            summaries: summarize(&rows),
             rows,
-            summaries,
+            stats: RunStats { skipped, ..stats },
             wall,
         })
     }
@@ -284,8 +244,8 @@ impl CampaignRunner {
     /// log, take the [`LeaseAction`] it prescribes — claim a free batch,
     /// steal an expired one (after the jittered [`Backoff`] when a claim
     /// race was lost), wait, or finish — then execute the batch's
-    /// unrecorded cells through the same in-process work-stealing pool as a
-    /// local run, appending rows to this worker's own partition files and
+    /// unrecorded cells through the same in-process thread pool as a local
+    /// run, appending rows to this worker's own partition files and
     /// heartbeat-renewing the lease at half its TTL as rows stream in. The
     /// manifest `done` set is re-read at claim time, so a stolen batch
     /// re-executes only what its dead holder had not recorded.
@@ -317,11 +277,7 @@ impl CampaignRunner {
         let ttl_ms = lease.header().ttl_ms;
         // Per-worker lease counters, published like the executor's worker
         // counters (on the caller's registry when one is attached).
-        let registry = if self.obs.registry.is_live() {
-            self.obs.registry.clone()
-        } else {
-            Registry::new()
-        };
+        let registry = self.obs.live_registry();
         let claims_c = registry.counter(&format!("campaign.worker.{worker}.lease.claims"));
         let steals_c = registry.counter(&format!("campaign.worker.{worker}.lease.steals"));
         let renews_c = registry.counter(&format!("campaign.worker.{worker}.lease.renews"));
@@ -380,9 +336,7 @@ impl CampaignRunner {
                         let store = &mut store;
                         let lease = &mut lease;
                         self.execute(&cells, &pending, |row| {
-                            store.append(&row).map_err(|e| {
-                                format!("cannot append cell {} to result store: {e}", row.index)
-                            })?;
+                            append_row(store, &row)?;
                             let t = now_ms();
                             if t.saturating_sub(last_beat) >= ttl_ms / 2 {
                                 lease.append_renew(batch, worker, t)?;
@@ -407,62 +361,52 @@ impl CampaignRunner {
     /// Run the `pending` cell indices through the worker pool, handing each
     /// finished row to `on_row` on the coordinator thread (in completion
     /// order, *not* index order). An `on_row` error stops the run early.
+    ///
+    /// Workers share one cursor over `pending`: each idle worker takes the
+    /// next cell, so one thread visits `pending` in order.
     fn execute(
         &self,
         cells: &[CampaignCell],
         pending: &[usize],
         mut on_row: impl FnMut(CellRow) -> Result<(), String>,
-    ) -> Result<ExecInner, String> {
-        let threads = self.clamped_threads(pending.len());
-        let cache = TraceCache::new();
+    ) -> Result<RunStats, String> {
+        let threads = self.resolved_threads().clamp(1, pending.len().max(1));
         if pending.is_empty() {
-            return Ok(ExecInner {
+            return Ok(RunStats {
                 threads,
-                per_worker: Vec::new(),
-                hits: 0,
-                misses: 0,
+                ..RunStats::default()
             });
         }
-        // Run statistics live on the metrics registry: the caller's when one
-        // is attached (so a progress monitor sampling it sees the same
-        // numbers), a private live one otherwise — either way the executor
-        // publishes identically and RunStats is read back off the registry.
-        let registry = if self.obs.registry.is_live() {
-            self.obs.registry.clone()
-        } else {
-            Registry::new()
-        };
-        let obs = ExecObs::new(&registry, self.obs.spans.clone(), threads);
-        let queues = WorkQueues::seed(pending, threads);
+        let cache = TraceCache::new();
+        let obs = ExecObs::new(&self.obs.live_registry(), self.obs.spans.clone(), threads);
+        // The cursor only hands out distinct positions in `pending`; it
+        // publishes no other data (the cells are shared read-only), so
+        // `Relaxed` increments suffice.
+        let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<CellRow>();
         let mut sink_err: Option<String> = None;
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
             for worker in 0..threads {
                 let tx = tx.clone();
-                let queues = &queues;
-                let cache = &cache;
-                let spec = &self.spec;
-                let source = &self.source;
-                let obs = &obs;
+                let (cursor, cache, obs) = (&cursor, &cache, &obs);
+                let (spec, source) = (&self.spec, &self.source);
                 handles.push(scope.spawn(move || {
                     // Worker-local harness slot: consecutive pulled cells of
                     // the same (racks, workload) reuse one ReplayHarness
                     // instead of rebuilding the platform and re-fetching the
                     // trace per cell.
                     let mut harness: Option<HarnessSlot> = None;
-                    while let Some((idx, was_stolen)) = queues.next(worker) {
-                        obs.set_queue_depth(worker, queues.depth(worker));
+                    while let Some(&idx) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                         let cell_span = obs.cell_begin();
                         let row = run_cell(spec, source, cache, &cells[idx], &mut harness);
-                        obs.cell_end(cell_span, worker, idx, was_stolen, &row.scenario);
+                        obs.cell_end(cell_span, worker, idx, &row.scenario);
                         // The receiver only disappears if the coordinator's
                         // sink failed; stop producing rows then.
                         if tx.send(row).is_err() {
                             break;
                         }
                     }
-                    obs.set_queue_depth(worker, 0);
                 }));
             }
             drop(tx);
@@ -482,13 +426,37 @@ impl CampaignRunner {
             return Err(e);
         }
         obs.publish_cache(cache.hits(), cache.misses());
-        Ok(ExecInner {
+        Ok(RunStats {
+            cells: pending.len(),
+            skipped: 0,
             threads,
+            trace_cache_hits: cache.hits(),
+            trace_cache_misses: cache.misses(),
             per_worker: obs.per_worker_stats(),
-            hits: cache.hits(),
-            misses: cache.misses(),
         })
     }
+}
+
+/// Append one finished row to `store`, naming the cell in the error.
+fn append_row(store: &mut ResultStore, row: &CellRow) -> Result<(), String> {
+    store
+        .append(row)
+        .map_err(|e| format!("cannot append cell {} to result store: {e}", row.index))
+}
+
+/// Every row of a finished campaign, read back out of its store: an error
+/// unless the store records exactly one row per cell.
+fn complete_rows(store: &ResultStore) -> Result<Vec<CellRow>, String> {
+    let rows = store.rows();
+    if rows.len() != store.total_cells() {
+        return Err(format!(
+            "result store at {} holds {} of its {} rows after the run",
+            store.dir().display(),
+            rows.len(),
+            store.total_cells()
+        ));
+    }
+    Ok(rows)
 }
 
 /// What one distributed worker process did
@@ -525,67 +493,6 @@ impl WorkerOutcome {
             self.renews,
             self.conflicts,
         )
-    }
-}
-
-/// What [`CampaignRunner::execute`] hands back to the run wrappers.
-struct ExecInner {
-    threads: usize,
-    per_worker: Vec<WorkerStats>,
-    hits: usize,
-    misses: usize,
-}
-
-/// One deque of pending cell indices per worker, stealable from the back.
-struct WorkQueues {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl WorkQueues {
-    /// Deal `pending` round-robin: worker `w` starts with cells
-    /// `w, w + N, w + 2N, …` of the pending list.
-    fn seed(pending: &[usize], workers: usize) -> Self {
-        let mut deques: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, &cell) in pending.iter().enumerate() {
-            deques[i % workers].push_back(cell);
-        }
-        WorkQueues {
-            deques: deques.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Cells left in `worker`'s own deque (for the queue-depth gauge).
-    fn depth(&self, worker: usize) -> usize {
-        self.deques[worker]
-            .lock()
-            .expect("work deque poisoned")
-            .len()
-    }
-
-    /// Pull the next cell for `worker`: own deque front first, then the
-    /// back of the nearest non-empty victim. Returns
-    /// `(cell index, was_stolen)`, or `None` when every deque is drained —
-    /// cells never re-enter a deque, so drained means done.
-    fn next(&self, worker: usize) -> Option<(usize, bool)> {
-        if let Some(idx) = self.deques[worker]
-            .lock()
-            .expect("work deque poisoned")
-            .pop_front()
-        {
-            return Some((idx, false));
-        }
-        let n = self.deques.len();
-        for offset in 1..n {
-            let victim = (worker + offset) % n;
-            if let Some(idx) = self.deques[victim]
-                .lock()
-                .expect("work deque poisoned")
-                .pop_back()
-            {
-                return Some((idx, true));
-            }
-        }
-        None
     }
 }
 
@@ -651,7 +558,9 @@ fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apc_obs::ArgValue;
     use apc_workload::IntervalKind;
+    use std::path::PathBuf;
 
     /// A grid small and light enough for unit tests.
     fn small_spec() -> CampaignSpec {
@@ -665,6 +574,33 @@ mod tests {
             backlog_factor: 0.2,
             ..CampaignSpec::default()
         }
+    }
+
+    /// The small grid over four seeds: 8 cells, enough for 8 threads.
+    fn eight_cell_spec() -> CampaignSpec {
+        CampaignSpec {
+            seeds: vec![1, 2, 3, 4],
+            ..small_spec()
+        }
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("apc-exec-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The `index` args of the `cell` spans, in the order they were recorded.
+    fn cell_span_indices(obs: &CampaignObs) -> Vec<usize> {
+        obs.spans
+            .take_events()
+            .iter()
+            .filter(|e| e.name == "cell")
+            .map(|e| match e.args.iter().find(|(k, _)| *k == "index") {
+                Some((_, ArgValue::U64(i))) => *i as usize,
+                other => panic!("cell span without an index arg: {other:?}"),
+            })
+            .collect()
     }
 
     #[test]
@@ -694,18 +630,16 @@ mod tests {
         assert_eq!(outcome.stats.per_worker.len(), 3);
         let completed: usize = outcome.stats.per_worker.iter().map(|w| w.completed).sum();
         assert_eq!(completed, outcome.rows.len());
-        assert!(outcome.stats.total_steals() <= completed);
         for (i, w) in outcome.stats.per_worker.iter().enumerate() {
             assert_eq!(w.worker, i);
-            assert!(w.stolen <= w.completed);
         }
     }
 
     #[test]
-    fn oversubscribed_workers_drain_the_queue_by_stealing() {
-        // 8 workers over 4 cells: most workers own an empty or one-cell
-        // deque and must steal or exit cleanly — the run still completes
-        // with every cell executed exactly once.
+    fn oversubscribed_workers_drain_the_shared_cursor() {
+        // 8 workers over 4 cells: the pool clamps to 4, and workers that
+        // find the cursor past the end exit cleanly — the run still
+        // completes with every cell executed exactly once.
         let outcome = CampaignRunner::new(small_spec())
             .with_threads(8)
             .run()
@@ -799,26 +733,76 @@ mod tests {
     }
 
     #[test]
-    fn work_queues_hand_out_every_cell_exactly_once() {
-        let pending = [3usize, 5, 8, 13, 21, 34];
-        let queues = WorkQueues::seed(&pending, 3);
-        // Worker 2 drains everything alone: 2 cells of its own, 4 stolen.
-        let mut own = 0;
-        let mut stolen = 0;
-        let mut seen = Vec::new();
-        while let Some((idx, was_stolen)) = queues.next(2) {
-            seen.push(idx);
-            if was_stolen {
-                stolen += 1;
-            } else {
-                own += 1;
-            }
+    fn one_thread_runs_pending_cells_in_order() {
+        // A fresh run visits every cell in index order…
+        let obs = CampaignObs::full();
+        let runner = CampaignRunner::new(eight_cell_spec())
+            .with_threads(1)
+            .with_obs(obs.clone());
+        let fresh = runner.run().unwrap();
+        assert_eq!(cell_span_indices(&obs), (0..8).collect::<Vec<_>>());
+        // …and a resumed store with holes visits only the holes, in order.
+        let dir = temp_dir("order");
+        let mut store = ResultStore::create(&dir, runner.fingerprint(), 8).unwrap();
+        store.set_sync(false);
+        for i in [0, 2, 3, 6] {
+            store.append(&fresh.rows[i]).unwrap();
         }
-        assert_eq!(own, 2);
-        assert_eq!(stolen, 4);
-        seen.sort_unstable();
-        assert_eq!(seen, pending);
-        // Drained means done for every worker.
-        assert!(queues.next(0).is_none());
+        drop(store);
+        let mut store = ResultStore::open(&dir).unwrap();
+        store.set_sync(false);
+        let resumed = runner.run_with_store(&mut store).unwrap();
+        assert_eq!(cell_span_indices(&obs), [1, 4, 5, 7]);
+        assert_eq!(resumed.rows, fresh.rows);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sink_errors_stop_the_run_at_any_thread_count() {
+        for threads in [1, 2, 8] {
+            let runner = CampaignRunner::new(eight_cell_spec()).with_threads(threads);
+            let dir = temp_dir(&format!("sink-{threads}"));
+            let mut store = ResultStore::create(&dir, runner.fingerprint(), 8).unwrap();
+            // Every append now fails: its partition directory is gone.
+            std::fs::remove_dir_all(dir.join(crate::store::PARTS_DIR)).unwrap();
+            let err = runner.run_with_store(&mut store).unwrap_err();
+            assert!(err.starts_with("cannot append cell "), "{threads}: {err}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn run_with_store_refuses_a_worker_handle_before_running() {
+        let runner = CampaignRunner::new(small_spec());
+        let dir = temp_dir("worker-handle");
+        drop(ResultStore::create(&dir, runner.fingerprint(), 4).unwrap());
+        let mut worker = ResultStore::open_worker(&dir, 0).unwrap();
+        let err = runner.run_with_store(&mut worker).unwrap_err();
+        assert!(err.contains("distributed worker"), "{err}");
+        // Nothing ran: no cell is recorded and no partition was written.
+        assert_eq!(ResultStore::open(&dir).unwrap().completed_count(), 0);
+        assert_eq!(
+            std::fs::read_dir(dir.join(crate::store::PARTS_DIR))
+                .unwrap()
+                .count(),
+            0
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn complete_rows_is_an_error_unless_every_cell_is_recorded() {
+        let rows = CampaignRunner::new(small_spec()).run().unwrap().rows;
+        let dir = temp_dir("complete-rows");
+        let mut store = ResultStore::create(&dir, 0xfeed, 4).unwrap();
+        store.set_sync(false);
+        append_row(&mut store, &rows[1]).unwrap();
+        let err = complete_rows(&store).unwrap_err();
+        assert!(err.contains("holds 1 of its 4 rows"), "{err}");
+        for row in [&rows[0], &rows[2], &rows[3]] {
+            append_row(&mut store, row).unwrap();
+        }
+        assert_eq!(complete_rows(&store).unwrap(), rows);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -939,6 +939,21 @@ mod tests {
             text.contains("w2: 1 claim(s) (1 stolen, 0 voided)"),
             "{text}"
         );
+        // Heartbeat ages are judged at the render clock: w0 was last seen
+        // at 100, w2 at its done record at 600.
+        let beat = |text: &str, worker: &str, age: &str| {
+            text.lines()
+                .any(|l| l.starts_with(&format!("  {worker}: ")) && l.ends_with(age))
+        };
+        assert!(beat(&text, "w0", "heartbeat 0.7 s ago"), "{text}");
+        assert!(beat(&text, "w2", "heartbeat 0.2 s ago"), "{text}");
+        // Once w0's deadline (1000) passes, its live lease reads as expired.
+        let later = s.render(10, 25, 1_200);
+        assert!(
+            later.contains("1 done, 0 active, 1 expired, 1 steal(s)"),
+            "{later}"
+        );
+        assert!(beat(&later, "w0", "heartbeat 1.1 s ago"), "{later}");
     }
 
     #[test]

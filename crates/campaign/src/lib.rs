@@ -8,12 +8,13 @@
 //! * [`spec`] — a declarative [`CampaignSpec`] expanding
 //!   policies × caps × ablation knobs × intervals × seeds × rack scales into
 //!   densely-indexed [`CampaignCell`]s;
-//! * [`exec`] — a **work-stealing** [`CampaignRunner`]
-//!   on `std::thread`: per-worker deques seeded by stable cell index with
-//!   steal-on-empty (so a straggler cell no longer idles the other
-//!   workers), shared generated traces through the
-//!   [`TraceCache`](apc_workload::TraceCache), worker-local harness reuse,
-//!   and **byte-identical results for any thread count**;
+//! * [`exec`] — the [`CampaignRunner`] on `std::thread`: workers take the
+//!   next pending cell from one shared cursor (so a straggler cell never
+//!   idles the other workers), share generated traces through the
+//!   [`TraceCache`](apc_workload::TraceCache), reuse worker-local
+//!   harnesses, and give **byte-identical results for any thread count**;
+//!   `run_worker` runs one process of a distributed campaign, claiming
+//!   batches through the [`lease`] log, where an expired batch is stolen;
 //! * [`store`] — the append-only partitioned
 //!   [`ResultStore`] (binary columnar
 //!   `cells/part-NNNN.apc` partitions — see [`colstore`] — plus a manifest
@@ -84,7 +85,7 @@ pub mod prelude {
         pareto_front, pareto_front_cells, render_pareto_cells_csv, render_pareto_csv, Objectives,
         ParetoCellRow, ParetoRow,
     };
-    pub use crate::progress::{render_lease_progress, render_progress, ProgressMonitor};
+    pub use crate::progress::{render_progress, ProgressMonitor};
     pub use crate::query::{
         numeric, project, project_row, scan_store, AggKind, GroupAggregator, Projection, RowFilter,
         ScanFlow, ScanStats, StoreScanner,
@@ -123,7 +124,7 @@ fn thread_safety_audit() {
     send::<apc_replay::ReplayOutcome>();
     send::<apc_rjms::controller::SimulationReport>();
     send::<agg::CellRow>();
-    // Worker-local state and per-worker results under the stealing executor.
+    // Worker-local state and per-worker results of the executor's pool.
     send::<apc_replay::ReplayHarness>();
     send::<exec::WorkerStats>();
 }

@@ -13,18 +13,25 @@
 //!
 //! Metric names (all under the `campaign.` prefix):
 //!
-//! | name                             | kind      | meaning                                |
-//! |----------------------------------|-----------|----------------------------------------|
-//! | `campaign.cells.completed`       | counter   | cells executed                         |
-//! | `campaign.cells.stolen`          | counter   | of those, pulled from a victim's deque |
-//! | `campaign.cell.latency_ns`       | histogram | wall time of one cell replay           |
-//! | `campaign.trace_cache.hits`      | counter   | trace-cache lookups served from cache  |
-//! | `campaign.trace_cache.misses`    | counter   | distinct traces generated              |
-//! | `campaign.worker.W.completed`    | counter   | cells completed by worker `W`          |
-//! | `campaign.worker.W.stolen`       | counter   | cells worker `W` stole                 |
-//! | `campaign.worker.W.queue_depth`  | gauge     | cells left in worker `W`'s own deque   |
+//! | name                                   | kind      | meaning                                   |
+//! |----------------------------------------|-----------|-------------------------------------------|
+//! | `campaign.cells.completed`             | counter   | cells executed                            |
+//! | `campaign.cell.latency_ns`             | histogram | wall time of one cell replay              |
+//! | `campaign.trace_cache.hits`            | counter   | trace-cache lookups served from cache     |
+//! | `campaign.trace_cache.misses`          | counter   | distinct traces generated                 |
+//! | `campaign.worker.W.completed`          | counter   | cells completed by worker thread `W`      |
+//! | `campaign.worker.W.lease.claims`       | counter   | lease claims worker process `W` won       |
+//! | `campaign.worker.W.lease.steals`       | counter   | of those, claims over an expired lease    |
+//! | `campaign.worker.W.lease.renews`       | counter   | heartbeat renews worker process `W` wrote |
+//! | `campaign.worker.W.lease.conflicts`    | counter   | claim races worker process `W` lost       |
+//! | `campaign.worker.W.lease.batches_done` | counter   | lease batches worker process `W` retired  |
+//!
+//! The `lease.*` counters come from
+//! [`run_worker`](crate::exec::CampaignRunner::run_worker), where `W` is the
+//! process's `--worker-id`; the others from every run, where `W` is the
+//! thread index inside one process.
 
-use apc_obs::{ArgValue, Counter, Gauge, Histogram, Registry, SpanRecorder, SpanStart};
+use apc_obs::{ArgValue, Counter, Histogram, Registry, SpanRecorder, SpanStart};
 
 use crate::exec::WorkerStats;
 
@@ -59,23 +66,31 @@ impl CampaignObs {
             spans: SpanRecorder::new(),
         }
     }
+
+    /// The registry a run publishes on: the attached one when it is live
+    /// (so a progress monitor sampling it sees the same numbers), a
+    /// private live one otherwise. Either way the run publishes the same
+    /// instruments and reads its statistics back off them.
+    pub(crate) fn live_registry(&self) -> Registry {
+        if self.registry.is_live() {
+            self.registry.clone()
+        } else {
+            Registry::new()
+        }
+    }
 }
 
-/// Per-worker instrument handles.
+/// One worker's completion counter.
 pub(crate) struct WorkerObs {
     completed: Counter,
-    stolen: Counter,
-    queue_depth: Gauge,
-    /// Counter values at run start, so a registry shared across several
-    /// runs still yields exact per-run [`WorkerStats`].
+    /// The counter's value at run start, so a registry shared across
+    /// several runs still yields exact per-run [`WorkerStats`].
     base_completed: u64,
-    base_stolen: u64,
 }
 
 /// One run's executor instruments, shared read-only by every worker.
 pub(crate) struct ExecObs {
     cells_completed: Counter,
-    cells_stolen: Counter,
     cell_latency: Histogram,
     cache_hits: Counter,
     cache_misses: Counter,
@@ -90,19 +105,14 @@ impl ExecObs {
         let workers = (0..threads)
             .map(|w| {
                 let completed = registry.counter(&format!("campaign.worker.{w}.completed"));
-                let stolen = registry.counter(&format!("campaign.worker.{w}.stolen"));
                 WorkerObs {
                     base_completed: completed.get(),
-                    base_stolen: stolen.get(),
                     completed,
-                    stolen,
-                    queue_depth: registry.gauge(&format!("campaign.worker.{w}.queue_depth")),
                 }
             })
             .collect();
         ExecObs {
             cells_completed: registry.counter("campaign.cells.completed"),
-            cells_stolen: registry.counter("campaign.cells.stolen"),
             cell_latency: registry.histogram("campaign.cell.latency_ns"),
             cache_hits: registry.counter("campaign.trace_cache.hits"),
             cache_misses: registry.counter("campaign.trace_cache.misses"),
@@ -121,21 +131,10 @@ impl ExecObs {
     /// Publish one finished cell: worker + run counters, the latency
     /// histogram, and (when a recorder is attached) a span on the worker's
     /// trace lane.
-    pub(crate) fn cell_end(
-        &self,
-        cell: SpanStart,
-        worker: usize,
-        index: usize,
-        was_stolen: bool,
-        scenario: &str,
-    ) {
+    pub(crate) fn cell_end(&self, cell: SpanStart, worker: usize, index: usize, scenario: &str) {
         self.cell_latency.record(cell.elapsed_ns());
         self.cells_completed.inc();
         self.workers[worker].completed.inc();
-        if was_stolen {
-            self.cells_stolen.inc();
-            self.workers[worker].stolen.inc();
-        }
         self.spans.complete(
             cell,
             "cell",
@@ -144,15 +143,8 @@ impl ExecObs {
             vec![
                 ("index", index.into()),
                 ("scenario", ArgValue::Str(scenario.to_string())),
-                ("stolen", u64::from(was_stolen).into()),
             ],
         );
-    }
-
-    /// Update a worker's own-deque depth gauge.
-    #[inline]
-    pub(crate) fn set_queue_depth(&self, worker: usize, depth: usize) {
-        self.workers[worker].queue_depth.set(depth as i64);
     }
 
     /// Publish the trace cache's end-of-run totals.
@@ -170,7 +162,6 @@ impl ExecObs {
             .map(|(worker, w)| WorkerStats {
                 worker,
                 completed: (w.completed.get() - w.base_completed) as usize,
-                stolen: (w.stolen.get() - w.base_stolen) as usize,
             })
             .collect()
     }
@@ -185,19 +176,15 @@ mod tests {
         let registry = Registry::new();
         // A previous run left counts behind.
         registry.counter("campaign.worker.0.completed").add(7);
-        registry.counter("campaign.worker.0.stolen").add(2);
         let obs = ExecObs::new(&registry, SpanRecorder::disabled(), 2);
-        obs.cell_end(obs.cell_begin(), 0, 3, false, "60%/SHUT");
-        obs.cell_end(obs.cell_begin(), 1, 4, true, "60%/MIX");
+        obs.cell_end(obs.cell_begin(), 0, 3, "60%/SHUT");
+        obs.cell_end(obs.cell_begin(), 1, 4, "60%/MIX");
         let stats = obs.per_worker_stats();
         assert_eq!(stats[0].completed, 1, "previous run's 7 are excluded");
-        assert_eq!(stats[0].stolen, 0);
         assert_eq!(stats[1].completed, 1);
-        assert_eq!(stats[1].stolen, 1);
         // The run-wide counters are cumulative across runs by design.
         let snap = registry.snapshot();
         assert_eq!(snap.counter("campaign.cells.completed"), Some(2));
-        assert_eq!(snap.counter("campaign.cells.stolen"), Some(1));
         assert_eq!(snap.histogram("campaign.cell.latency_ns").unwrap().count, 2);
     }
 
@@ -205,7 +192,7 @@ mod tests {
     fn cell_spans_land_on_the_worker_lane() {
         let spans = SpanRecorder::new();
         let obs = ExecObs::new(&Registry::new(), spans.clone(), 3);
-        obs.cell_end(obs.cell_begin(), 2, 9, true, "40%/DVFS");
+        obs.cell_end(obs.cell_begin(), 2, 9, "40%/DVFS");
         let events = spans.take_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].tid, 2);
@@ -214,17 +201,5 @@ mod tests {
             .args
             .iter()
             .any(|(k, v)| *k == "scenario" && *v == ArgValue::Str("40%/DVFS".into())));
-    }
-
-    #[test]
-    fn queue_depth_gauge_tracks_the_latest_value() {
-        let registry = Registry::new();
-        let obs = ExecObs::new(&registry, SpanRecorder::disabled(), 1);
-        obs.set_queue_depth(0, 5);
-        obs.set_queue_depth(0, 3);
-        assert_eq!(
-            registry.snapshot().gauge("campaign.worker.0.queue_depth"),
-            Some(3)
-        );
     }
 }

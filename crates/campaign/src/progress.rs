@@ -3,8 +3,10 @@
 //! A [`ProgressMonitor`] is a sampling thread over the campaign's metrics
 //! [`Registry`]: it never talks to the executor, it just snapshots the
 //! counters the workers publish and renders a top-style view — overall
-//! completion, cells/s, ETA, steal total, and one line per worker with its
-//! completion/steal counts and remaining own-deque depth.
+//! completion, cells/s, ETA, and one line per worker with its completed
+//! count. (A `--distributed` coordinator has no registry shared with its
+//! worker processes; it prints the lease log's own
+//! [`LeaseState::render`](crate::lease::LeaseState::render) instead.)
 //!
 //! Everything goes to **stderr**: stdout carries campaign data (tables,
 //! query output) and must stay byte-identical with monitoring on or off.
@@ -19,48 +21,15 @@ use std::time::{Duration, Instant};
 
 use apc_obs::{Registry, Snapshot};
 
-use crate::lease::{BatchLease, LeaseHeader, LeaseState};
-
 /// How often the interactive view redraws.
 const INTERACTIVE_TICK: Duration = Duration::from_millis(200);
 /// How often the piped (non-terminal) fallback prints a line.
 const PLAIN_TICK: Duration = Duration::from_secs(2);
 
-/// One worker's numbers extracted from a snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WorkerProgress {
-    completed: u64,
-    stolen: u64,
-    queue_depth: i64,
-}
-
-/// Pull the per-worker series out of a snapshot (workers are discovered by
-/// name, so the renderer needs no side channel about the thread count).
-fn workers_of(snapshot: &Snapshot) -> Vec<WorkerProgress> {
-    let mut workers = Vec::new();
-    loop {
-        let w = workers.len();
-        let Some(completed) = snapshot.counter(&format!("campaign.worker.{w}.completed")) else {
-            break;
-        };
-        workers.push(WorkerProgress {
-            completed,
-            stolen: snapshot
-                .counter(&format!("campaign.worker.{w}.stolen"))
-                .unwrap_or(0),
-            queue_depth: snapshot
-                .gauge(&format!("campaign.worker.{w}.queue_depth"))
-                .unwrap_or(0),
-        });
-    }
-    workers
-}
-
 /// Render the top-style progress view from a snapshot: a header line plus
 /// one line per worker. Pure — the monitor thread and the tests share it.
 pub fn render_progress(snapshot: &Snapshot, total: usize, elapsed: Duration) -> String {
     let done = snapshot.counter("campaign.cells.completed").unwrap_or(0);
-    let steals = snapshot.counter("campaign.cells.stolen").unwrap_or(0);
     let secs = elapsed.as_secs_f64().max(1e-9);
     let rate = done as f64 / secs;
     let eta = if done > 0 && (done as usize) < total {
@@ -78,60 +47,15 @@ pub fn render_progress(snapshot: &Snapshot, total: usize, elapsed: Duration) -> 
     };
     let mut out = format!(
         "campaign {done}/{total} cells ({percent:.0}%)  {rate:.1} cells/s  {eta}  \
-         {steals} steal(s)  {secs:.1} s elapsed\n"
+         {secs:.1} s elapsed\n"
     );
-    for (w, p) in workers_of(snapshot).iter().enumerate() {
-        out.push_str(&format!(
-            "  w{w}: {:>4} done  {:>3} stolen  queue {}\n",
-            p.completed, p.stolen, p.queue_depth
-        ));
-    }
-    out
-}
-
-/// Render the distributed coordinator's progress view from a lease-log
-/// replay: batch completion, active/expired lease counts, steals, and one
-/// heartbeat-age line per worker. Pure — the `--distributed` monitor loop
-/// and the tests share it. (The coordinator has no shared registry with
-/// its worker *processes*; the lease log itself is the telemetry channel.)
-pub fn render_lease_progress(
-    state: &LeaseState,
-    header: &LeaseHeader,
-    now_ms: u64,
-    elapsed: Duration,
-) -> String {
-    let total = header.batch_count();
-    let done = state.done_count();
-    let expired = state
-        .batches()
-        .iter()
-        .filter(|b| matches!(b, BatchLease::Held { deadline_ms, .. } if *deadline_ms <= now_ms))
-        .count();
-    let active = state
-        .batches()
-        .iter()
-        .filter(|b| matches!(b, BatchLease::Held { .. }))
-        .count()
-        - expired;
-    let percent = if total > 0 {
-        done as f64 * 100.0 / total as f64
-    } else {
-        100.0
-    };
-    let mut out = format!(
-        "leases {done}/{total} batch(es) ({percent:.0}%)  {active} active  {expired} expired  \
-         {} steal(s)  {:.1} s elapsed\n",
-        state.total_steals(),
-        elapsed.as_secs_f64(),
-    );
-    for (worker, stats) in state.worker_stats() {
-        out.push_str(&format!(
-            "  w{worker}: {:>3} done  {:>3} claim(s) ({} stolen)  heartbeat {:.1} s ago\n",
-            stats.batches_done,
-            stats.claims,
-            stats.steals,
-            now_ms.saturating_sub(stats.last_seen_ms) as f64 / 1e3,
-        ));
+    // Workers are discovered by name, so the renderer needs no side
+    // channel about the thread count.
+    for w in 0.. {
+        let Some(completed) = snapshot.counter(&format!("campaign.worker.{w}.completed")) else {
+            break;
+        };
+        out.push_str(&format!("  w{w}: {completed:>4} done\n"));
     }
     out
 }
@@ -219,13 +143,8 @@ mod tests {
     fn populated_registry() -> Registry {
         let registry = Registry::new();
         registry.counter("campaign.cells.completed").add(6);
-        registry.counter("campaign.cells.stolen").add(2);
         registry.counter("campaign.worker.0.completed").add(4);
-        registry.counter("campaign.worker.0.stolen").add(0);
-        registry.gauge("campaign.worker.0.queue_depth").set(3);
         registry.counter("campaign.worker.1.completed").add(2);
-        registry.counter("campaign.worker.1.stolen").add(2);
-        registry.gauge("campaign.worker.1.queue_depth").set(0);
         registry
     }
 
@@ -236,15 +155,8 @@ mod tests {
         assert!(text.starts_with("campaign 6/12 cells (50%)"), "{text}");
         assert!(text.contains("2.0 cells/s"), "{text}");
         assert!(text.contains("ETA 3 s"), "{text}");
-        assert!(text.contains("2 steal(s)"), "{text}");
-        assert!(
-            text.contains("w0:    4 done    0 stolen  queue 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("w1:    2 done    2 stolen  queue 0"),
-            "{text}"
-        );
+        assert!(text.contains("w0:    4 done\n"), "{text}");
+        assert!(text.contains("w1:    2 done\n"), "{text}");
         assert_eq!(text.lines().count(), 3, "header + one line per worker");
     }
 
@@ -270,8 +182,11 @@ mod tests {
         monitor.stop();
     }
 
+    /// The `--distributed` progress view is the lease log's own summary,
+    /// judged at the render clock.
     #[test]
     fn lease_progress_counts_active_expired_and_heartbeats() {
+        use crate::lease::{LeaseHeader, LeaseState};
         let header = LeaseHeader {
             spec_hash: 0xabc,
             total_cells: 16,
@@ -280,7 +195,7 @@ mod tests {
         };
         let mut state = LeaseState::new(header.batch_count());
         // w0 done with batch 0; w1 alive on batch 1; w2's lease on batch 2
-        // expired at t=5000 and was then stolen and finished by w1.
+        // expired at t=4000 and was then stolen and finished by w1.
         assert!(state.apply_line("claim 0 0 1000 2000"));
         assert!(state.apply_line("done 0 0 1900"));
         assert!(state.apply_line("claim 1 1 4500 5500"));
@@ -288,19 +203,38 @@ mod tests {
         assert!(state.apply_line("claim 2 1 4600 5600"));
         assert!(state.apply_line("done 2 1 4900"));
         assert!(state.apply_line("claim 3 2 4950 5950"));
-        let text = render_lease_progress(&state, &header, 5_000, Duration::from_secs(4));
+        let render = |now_ms| state.render(header.lease_cells, header.total_cells, now_ms);
+        let text = render(5_000);
         assert!(
-            text.starts_with("leases 2/4 batch(es) (50%)  2 active  0 expired  1 steal(s)"),
+            text.starts_with(
+                "leases: 4 batch(es) of 4 cell(s): 2 done, 2 active, 0 expired, 1 steal(s)"
+            ),
             "{text}"
         );
+        assert!(text.contains("stolen cell range(s): [8, 12)"), "{text}");
+        let worker = |text: &str, w: &str| {
+            text.lines()
+                .find(|l| l.starts_with(&format!("  {w}: ")))
+                .unwrap_or_default()
+                .to_string()
+        };
+        let w1 = worker(&text, "w1");
+        assert!(w1.contains("2 claim(s) (1 stolen, 0 voided)"), "{text}");
+        assert!(w1.contains("1 batch(es) done"), "{text}");
+        // Heartbeat ages: w1 was last seen at its done record (4900), w0 at
+        // its own (1900).
+        assert!(w1.ends_with("heartbeat 0.1 s ago"), "{text}");
         assert!(
-            text.contains("w1:   1 done    2 claim(s) (1 stolen)"),
+            worker(&text, "w0").ends_with("heartbeat 3.1 s ago"),
             "{text}"
         );
-        assert!(text.contains("heartbeat 0.1 s ago"), "{text}");
         // Once w1's lease deadline passes it reads as expired while w2's
         // later deadline keeps its lease active.
-        let later = render_lease_progress(&state, &header, 5_700, Duration::from_secs(5));
-        assert!(later.contains("1 active  1 expired"), "{later}");
+        let later = render(5_700);
+        assert!(later.contains("2 done, 1 active, 1 expired"), "{later}");
+        assert!(
+            worker(&later, "w1").ends_with("heartbeat 0.8 s ago"),
+            "{later}"
+        );
     }
 }

@@ -724,6 +724,12 @@ impl ResultStore {
         self.dir.join(PARTS_DIR).join(name)
     }
 
+    /// Whether this is an [`open_worker`](Self::open_worker) handle, which
+    /// holds no rows.
+    pub(crate) fn is_worker(&self) -> bool {
+        self.worker_tag.is_some()
+    }
+
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -816,8 +822,8 @@ mod tests {
         let mut store = ResultStore::create(&dir, 0xfeed, 200).unwrap();
         let manifest = fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap();
         assert!(manifest.starts_with(&format!("{MANIFEST_MAGIC} {STORE_SCHEMA_VERSION}\n")));
-        // Out-of-order appends across several partitions, as a work-stealing
-        // run produces them.
+        // Out-of-order appends across several partitions, as a
+        // multi-threaded run produces them.
         for i in [150usize, 3, 64, 0, 199, 65] {
             store.append(&row(i)).unwrap();
         }

@@ -1,8 +1,7 @@
 //! Campaign determinism: the aggregated CSV/JSON output must be
 //! byte-identical for `--threads 1`, `2` and `8` on the same grid — the
-//! executor's core guarantee, which the work-stealing scheduler must
-//! uphold even though which worker runs which cell is now
-//! scheduling-dependent. Checked for the in-memory path and the
+//! executor's core guarantee, which its shared-cursor pool must uphold
+//! even though which worker runs which cell is scheduling-dependent. Checked for the in-memory path and the
 //! store-backed path (rows round-tripping through the partitioned
 //! on-disk store).
 

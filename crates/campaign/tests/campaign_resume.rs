@@ -78,7 +78,7 @@ fn resumed_campaign_output_is_byte_identical_to_uninterrupted() {
     let expected = read_outputs(&full_dir);
 
     // "Crash" a single-thread run after 2 cells, then resume with 2
-    // stealing workers — different thread count on purpose.
+    // workers — different thread count on purpose.
     let crash_dir = temp_dir("crashed");
     run_full(&crash_dir, 1);
     truncate_manifest(&crash_dir, 2);
