@@ -306,7 +306,7 @@ pub fn ceiling_checks(entry: &PerfEntry) -> Vec<CeilingCheck> {
 /// The writer keeps a one-entry-per-line layout (every entry line starts
 /// with `{"label":` after indentation), so a line scan with per-key field
 /// extraction is exact for this format — no JSON library required (the
-/// vendored `serde` is an offline stub).
+/// workspace has no serialization dependency).
 pub fn parse_trajectory(text: &str) -> Vec<PerfEntry> {
     text.lines()
         .map(str::trim_start)

@@ -51,6 +51,8 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
+use apc_workload::rng::SplitMix64;
+
 /// Name of the lease log inside a store directory.
 pub const LEASES_NAME: &str = "leases.log";
 
@@ -692,13 +694,14 @@ impl LeaseLog {
     }
 }
 
-/// Jittered exponential backoff for lost claim races: delays grow
-/// `base * 2^attempt` and each carries a deterministic seeded jitter in
-/// `[0, delay)`, so two workers that lose the same race do not retry in
+/// Jittered exponential backoff for lost claim races: each delay's
+/// ceiling grows `base * 2^attempt` up to the cap, and the delay is drawn
+/// from `[ceiling/2, ceiling]` ("equal jitter": half the ceiling fixed,
+/// half random), so two workers that lose the same race do not retry in
 /// lockstep. Purely a function of the seed and the attempt counter.
 #[derive(Debug)]
 pub struct Backoff {
-    state: u64,
+    rng: SplitMix64,
     attempt: u32,
     base_ms: u64,
     cap_ms: u64,
@@ -709,27 +712,23 @@ impl Backoff {
     /// `base_ms` and capped at `cap_ms` per delay.
     pub fn new(seed: u64, base_ms: u64, cap_ms: u64) -> Self {
         Backoff {
-            state: seed ^ 0x9e37_79b9_7f4a_7c15,
+            rng: SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15),
             attempt: 0,
             base_ms: base_ms.max(1),
             cap_ms: cap_ms.max(1),
         }
     }
 
-    /// The next delay: exponential with full jitter, capped.
+    /// The next delay: exponential with equal jitter, in
+    /// `[ceiling/2, ceiling]` for this attempt's capped ceiling.
     pub fn next_delay(&mut self) -> Duration {
-        // SplitMix64 step for the jitter draw.
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
         let ceiling = self
             .base_ms
             .saturating_mul(1 << self.attempt.min(10))
             .min(self.cap_ms);
         self.attempt = self.attempt.saturating_add(1);
-        Duration::from_millis(ceiling / 2 + z % (ceiling / 2 + 1))
+        let half = ceiling / 2;
+        Duration::from_millis(half + self.rng.range(0..half + 1))
     }
 
     /// Reset after a won race.

@@ -1,14 +1,14 @@
 //! Result sinks: CSV and JSON renderers plus directory writers.
 //!
-//! The workspace's serde dependency is an offline marker stub (nothing
-//! actually serializes through it), so the renderers here are hand-rolled —
-//! which also makes the byte layout fully explicit, a requirement for the
-//! campaign's "byte-identical across thread counts" guarantee. Each file is
-//! a list of [`Column`]s from the one table next to [`CellRow`], printed by
-//! one field writer per format: floats at six decimals, and non-finite
-//! values (an empty interval's mean wait, say) as empty CSV fields and JSON
-//! `null`s. The `schedule`/`faults` columns appear only when a row of the
-//! file carries a cap-schedule or fault-plan label.
+//! The renderers are hand-rolled (the workspace has no serialization
+//! dependency), which makes the byte layout fully explicit — a requirement
+//! for the campaign's "byte-identical across thread counts" guarantee.
+//! Each file is a list of [`Column`]s from the one table next to
+//! [`CellRow`], printed by one field writer per format: floats at six
+//! decimals, and non-finite values (an empty interval's mean wait, say) as
+//! empty CSV fields and JSON `null`s. The `schedule`/`faults` columns
+//! appear only when a row of the file carries a cap-schedule or
+//! fault-plan label.
 
 use std::fs;
 use std::io;

@@ -15,6 +15,7 @@ use apc_power::tradeoff::DecisionRule;
 use apc_replay::scenario::{CapSchedule, FaultPlan};
 use apc_replay::Scenario;
 use apc_rjms::time::{TimeWindow, HOUR};
+use apc_workload::rng::{fnv1a, FNV_OFFSET};
 use apc_workload::IntervalKind;
 
 /// One cap-window placement of a window-sweep axis: a start fraction in
@@ -214,17 +215,6 @@ impl Default for CampaignSpec {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold bytes into a running FNV-1a hash.
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
 /// `a * b`, or a clear complaint naming the axes that overflowed.
 fn checked_mul(a: usize, b: usize, what: &str) -> Result<usize, String> {
     a.checked_mul(b)
@@ -252,10 +242,9 @@ impl CampaignSpec {
     pub fn fingerprint(&self, source: &TraceSource) -> u64 {
         let mut h = FNV_OFFSET;
         let mut put = |label: &str, value: &str| {
-            fnv1a(&mut h, label.as_bytes());
-            fnv1a(&mut h, b"=");
-            fnv1a(&mut h, value.as_bytes());
-            fnv1a(&mut h, b";");
+            for part in [label.as_bytes(), b"=", value.as_bytes(), b";"] {
+                h = fnv1a(h, part);
+            }
         };
         for &r in &self.racks {
             put("rack", &r.to_string());
@@ -324,16 +313,19 @@ impl CampaignSpec {
         match source {
             TraceSource::Synthetic => put("source", "synthetic"),
             TraceSource::Fixed(trace) => {
-                let mut t = FNV_OFFSET;
-                fnv1a(&mut t, &trace.duration.to_le_bytes());
+                let mut t = fnv1a(FNV_OFFSET, &trace.duration.to_le_bytes());
                 for job in &trace.jobs {
-                    fnv1a(&mut t, &(job.id as u64).to_le_bytes());
-                    fnv1a(&mut t, &job.submit_time.to_le_bytes());
-                    fnv1a(&mut t, &job.run_time.to_le_bytes());
-                    fnv1a(&mut t, &u64::from(job.cores).to_le_bytes());
-                    fnv1a(&mut t, &job.requested_time.to_le_bytes());
-                    fnv1a(&mut t, &(job.user as u64).to_le_bytes());
-                    fnv1a(&mut t, &u64::from(job.app_class).to_le_bytes());
+                    for field in [
+                        job.id as u64,
+                        job.submit_time,
+                        job.run_time,
+                        u64::from(job.cores),
+                        job.requested_time,
+                        job.user as u64,
+                        u64::from(job.app_class),
+                    ] {
+                        t = fnv1a(t, &field.to_le_bytes());
+                    }
                 }
                 put("source", &format!("fixed:{t:016x}"));
             }

@@ -776,6 +776,7 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apc_workload::rng::SplitMix64;
 
     fn row(index: usize) -> CellRow {
         CellRow {
@@ -1103,29 +1104,20 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// SplitMix64: a seeded stream for the randomized model test.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     /// `DoneSet` against a `BTreeSet` reference: inserts, range inserts,
     /// membership, length, ascending iteration, and the manifest lines the
     /// set renders parsing back to the same set.
     #[test]
     fn done_set_matches_a_btreeset_model() {
-        let mut rng = 0x5eed_d0e5_u64;
+        let mut rng = SplitMix64::new(0x5eed_d0e5);
         for case in 0..300 {
-            let cells = 1 + (splitmix(&mut rng) % 400) as usize;
+            let cells = 1 + rng.range(0..400) as usize;
             let mut set = DoneSet::new(cells);
             let mut model = std::collections::BTreeSet::new();
-            for _ in 0..splitmix(&mut rng) % 40 {
-                let a = (splitmix(&mut rng) % cells as u64) as usize;
-                let b = (splitmix(&mut rng) % cells as u64) as usize;
-                match splitmix(&mut rng) % 3 {
+            for _ in 0..rng.range(0..40) {
+                let a = rng.range(0..cells as u64) as usize;
+                let b = rng.range(0..cells as u64) as usize;
+                match rng.range(0..3) {
                     0 => assert_eq!(set.insert(a), model.insert(a), "case {case}"),
                     1 => {
                         let (lo, hi) = (a.min(b), a.max(b));

@@ -29,6 +29,7 @@ use apc_campaign::colstore::{encode_block, rows_bit_identical, PartitionBuf};
 use apc_campaign::compact::compact_store;
 use apc_campaign::query::{RowFilter, ScanFlow, StoreScanner};
 use apc_campaign::store::ResultStore;
+use apc_workload::rng::SplitMix64;
 use proptest::prelude::*;
 
 const WORKLOADS: [&str; 3] = ["smalljob", "medianjob", "24h"];
@@ -39,32 +40,23 @@ const POLICIES: [&str; 4] = ["none", "shut", "dvfs", "mix"];
 const SCHEDULES: [&str; 3] = ["-", "0+43200@80|43200+43200@40", "0+3600@60"];
 const FAULTS: [&str; 3] = ["-", "3x600@7", "1x1800@2012"];
 
-/// splitmix64: expand one sampled u64 into a stream of derived values so a
-/// 4-tuple strategy can populate every row field.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Build a full row from one sampled (entropy, entropy, selector) triple.
-/// Floats come straight from raw bit patterns, so subnormals, infinities
-/// and NaNs with arbitrary payloads all occur; a few are forced so every
-/// run exercises the special cases.
+/// Build a full row from one sampled (entropy, entropy, selector) triple:
+/// `a` seeds a SplitMix64 stream that populates every field. Floats come
+/// straight from raw bit patterns, so subnormals, infinities and NaNs with
+/// arbitrary payloads all occur; a few are forced so every run exercises
+/// the special cases.
 fn build_row(index: usize, a: u64, b: u64, sel: u8) -> CellRow {
-    let mut s = a;
-    let f = |s: &mut u64| f64::from_bits(mix(s));
+    let mut s = SplitMix64::new(a);
+    let f = |s: &mut SplitMix64| f64::from_bits(s.next_u64());
     CellRow {
         index,
-        racks: (mix(&mut s) % 64) as usize,
+        racks: s.range(0..64) as usize,
         workload: WORKLOADS[(sel as usize) % WORKLOADS.len()].to_string(),
         seed: if sel.is_multiple_of(3) { None } else { Some(b) },
         load_factor: if sel.is_multiple_of(11) {
             f64::NAN
         } else {
-            (mix(&mut s) % 32) as f64 / 8.0
+            s.range(0..32) as f64 / 8.0
         },
         scenario: SCENARIOS[(sel as usize / 3) % SCENARIOS.len()].to_string(),
         window: WINDOWS[(sel as usize / 2) % WINDOWS.len()].to_string(),
@@ -87,10 +79,10 @@ fn build_row(index: usize, a: u64, b: u64, sel: u8) -> CellRow {
         // truncation and corruption properties cover both codecs.
         schedule: SCHEDULES[(sel as usize / 7) % SCHEDULES.len()].to_string(),
         faults: FAULTS[(sel as usize / 11) % FAULTS.len()].to_string(),
-        launched_jobs: (mix(&mut s) % 10_000) as usize,
-        completed_jobs: (mix(&mut s) % 10_000) as usize,
-        killed_jobs: (mix(&mut s) % 100) as usize,
-        pending_jobs: (mix(&mut s) % 100) as usize,
+        launched_jobs: s.range(0..10_000) as usize,
+        completed_jobs: s.range(0..10_000) as usize,
+        killed_jobs: s.range(0..100) as usize,
+        pending_jobs: s.range(0..100) as usize,
         work_core_seconds: f(&mut s),
         energy_joules: f(&mut s),
         energy_normalized: f(&mut s),
@@ -357,9 +349,9 @@ fn compacted_done_ranges_survive_holes_a_rerun_and_a_resume() {
         .map(|i| build_row(i, i as u64 * 31 + 5, i as u64 ^ 0xabc, (i % 11) as u8))
         .collect();
     let mut order: Vec<usize> = (0..total).collect();
-    let mut state = 0x0de5_u64;
+    let mut rng = SplitMix64::new(0x0de5);
     for i in (1..total).rev() {
-        order.swap(i, (mix(&mut state) % (i as u64 + 1)) as usize);
+        order.swap(i, rng.range(0..i as u64 + 1) as usize);
     }
     let mut store = ResultStore::create(&dir, 0xd0e5, total).unwrap();
     store.set_sync(false);

@@ -2,13 +2,12 @@
 
 use apc_power::bonus::GroupingStrategy;
 use apc_power::tradeoff::DecisionRule;
-use serde::{Deserialize, Serialize};
 
 use crate::policy::PowercapPolicy;
 
 /// Configuration bundle for the powercap hook (the SLURM implementation's
 /// `SchedulerParameters=powercap_*` options).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PowercapConfig {
     /// Which policy (SHUT / DVFS / MIX / None) arbitrates power reductions.
     pub policy: PowercapPolicy,

@@ -12,11 +12,10 @@
 //! 2.0 GHz instead of 1.2 GHz" and its degradation is 1.29 instead of 1.63.
 
 use apc_power::{DegradationModel, Frequency, FrequencyLadder};
-use serde::{Deserialize, Serialize};
 
 /// The administrator-selectable powercap scheduling mode
 /// (`SchedulerParameters` option in the SLURM implementation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PowercapPolicy {
     /// No power control at all: the paper's "100 %/None" baseline.
     None,

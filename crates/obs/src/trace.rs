@@ -5,8 +5,8 @@
 //! duration, plus a small bag of typed args. [`write_chrome_trace`] renders
 //! the collected events as a JSON array with one event object per line — the
 //! layout chrome://tracing and Perfetto load directly, and line-oriented
-//! tools can still grep. The writer is hand-rolled (the vendored `serde` is
-//! an offline stub).
+//! tools can still grep. The writer is hand-rolled: the workspace has no
+//! serialization dependency.
 //!
 //! Like the metrics side, a recorder handle is either live (`Arc`-shared
 //! buffer behind a mutex) or disabled (`Default`), and a disabled handle's

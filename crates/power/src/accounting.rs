@@ -16,12 +16,11 @@ use crate::profile::NodePowerProfile;
 use crate::state::PowerState;
 use crate::topology::{NodeId, Topology};
 use crate::units::{Joules, Watts};
-use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 
 /// A timestamped power reading, used to build power time series for the
 /// paper's Figures 6 and 7.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSample {
     /// Simulation time in seconds.
     pub time: u64,
@@ -440,7 +439,7 @@ impl ClusterPowerAccountant {
 /// Call [`advance`](EnergyIntegrator::advance) with the power level that was
 /// held *since the previous call* whenever the power changes or whenever an
 /// energy reading is needed.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EnergyIntegrator {
     last_time: u64,
     total: Joules,

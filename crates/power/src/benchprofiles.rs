@@ -21,10 +21,9 @@ use crate::freq::{Frequency, FrequencyLadder};
 use crate::profile::NodePowerProfile;
 use crate::tradeoff::PowercapTradeoff;
 use crate::units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// The workload classes characterised in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchmarkApp {
     /// HPL / Linpack: dense linear algebra, compute bound.
     Linpack,
@@ -109,7 +108,7 @@ impl std::fmt::Display for BenchmarkApp {
 
 /// Literature reference points quoted in Fig. 5 alongside the measured
 /// applications.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiteratureDegradation {
     /// Row label ("SPEC Float", "Common value", ...).
     pub name: &'static str,
@@ -139,7 +138,7 @@ pub const LITERATURE_DEGRADATIONS: [LiteratureDegradation; 4] = [
 
 /// One point of a Fig. 3 curve: the behaviour of an application at one
 /// frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrequencyPoint {
     /// CPU frequency.
     pub frequency: Frequency,
@@ -150,7 +149,7 @@ pub struct FrequencyPoint {
 }
 
 /// Power/performance profile of one application across the frequency ladder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkProfile {
     /// Which application the profile describes.
     pub app: BenchmarkApp,
@@ -224,7 +223,7 @@ impl BenchmarkProfile {
 }
 
 /// One row of the reproduced Fig. 5 table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Row {
     /// Row label.
     pub name: String,

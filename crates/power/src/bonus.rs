@@ -15,11 +15,10 @@
 use crate::profile::NodePowerProfile;
 use crate::topology::{NodeId, Topology};
 use crate::units::Watts;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// How nodes are grouped when planning a shutdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GroupingStrategy {
     /// Prefer complete top-level groups (racks), then chassis, then single
     /// nodes — the paper's strategy.
@@ -61,7 +60,7 @@ impl std::str::FromStr for GroupingStrategy {
 }
 
 /// The outcome of planning a shutdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShutdownPlan {
     /// Nodes selected for switch-off, ascending.
     pub nodes: Vec<NodeId>,

@@ -12,10 +12,9 @@
 //! 2.0 GHz.
 
 use crate::freq::{Frequency, FrequencyLadder};
-use serde::{Deserialize, Serialize};
 
 /// Linear DVFS degradation model between a maximum and a minimum frequency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradationModel {
     /// Runtime multiplier at `fmin` relative to `fmax` (e.g. 1.63).
     degmin: f64,

@@ -5,16 +5,13 @@
 //! discrete steps ("the next slower value", "the highest allowed value"), so
 //! the ladder is modelled as an ordered list of [`Frequency`] values.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A CPU frequency, stored in megahertz.
 ///
 /// Stored as an integer so that frequencies can be used as map keys, compared
 /// exactly and serialized losslessly.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Frequency(u32);
 
 impl Frequency {
@@ -57,7 +54,7 @@ impl fmt::Display for Frequency {
 /// and [`next_higher`](FrequencyLadder::next_higher) are the primary lookups.
 ///
 /// [`next_lower`]: FrequencyLadder::next_lower
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrequencyLadder {
     /// Sorted ascending, deduplicated, non-empty.
     steps: Vec<Frequency>,

@@ -9,7 +9,6 @@
 use crate::freq::{Frequency, FrequencyLadder};
 use crate::state::PowerState;
 use crate::units::Watts;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Errors produced when validating a power profile.
@@ -42,7 +41,7 @@ impl std::fmt::Display for ProfileError {
 impl std::error::Error for ProfileError {}
 
 /// Maximum power consumption of a node in each of its states.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodePowerProfile {
     /// Power drawn when the node is switched off (BMC still powered).
     off: Watts,

@@ -7,11 +7,10 @@
 //! power state.
 
 use crate::freq::Frequency;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The power-relevant state of a compute node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PowerState {
     /// The node is switched off. Only the BMC remains powered (14 W on Curie)
     /// so that the node can be woken up over the network.

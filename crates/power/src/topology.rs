@@ -19,13 +19,12 @@
 
 use crate::profile::NodePowerProfile;
 use crate::units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a compute node: a dense index in `0..topology.total_nodes()`.
 pub type NodeId = usize;
 
 /// One aggregation level above the node (chassis, rack, ...).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyLevel {
     /// Human-readable name ("chassis", "rack", ...).
     pub name: String,
@@ -55,7 +54,7 @@ impl TopologyLevel {
 /// chassis `i / 18`, to rack `i / (18*5)` and so on. This matches how Curie
 /// numbers its Bullx B chassis and how the paper groups contiguous nodes for
 /// switch-off.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     levels: Vec<TopologyLevel>,
     total_nodes: usize,

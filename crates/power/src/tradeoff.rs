@@ -33,11 +33,10 @@
 use crate::degradation::DegradationModel;
 use crate::profile::NodePowerProfile;
 use crate::units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// Which formula arbitrates between DVFS and switch-off when both can satisfy
 /// the cap on their own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecisionRule {
     /// The rule exactly as printed in the paper: DVFS is chosen when ρ > 0
     /// (so switch-off whenever ρ ≤ 0). This is what Algorithm 1 implements
@@ -80,7 +79,7 @@ impl std::str::FromStr for DecisionRule {
 }
 
 /// The mechanism selected for a given power cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mechanism {
     /// The cap is above the cluster's maximum power: nothing to do.
     Uncapped,
@@ -98,7 +97,7 @@ pub enum Mechanism {
 }
 
 /// Outcome of the trade-off analysis for one power cap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TradeoffDecision {
     /// Selected mechanism.
     pub mechanism: Mechanism,
@@ -124,7 +123,7 @@ impl TradeoffDecision {
 }
 
 /// The Section III model for a homogeneous cluster of `N` nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowercapTradeoff {
     n: usize,
     p_max: Watts,

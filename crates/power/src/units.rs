@@ -4,7 +4,6 @@
 //! as plain `u64` seconds (simulation clock ticks) by the RJMS crate; the
 //! helpers here convert between the three.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -15,11 +14,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// mixed with energy or time values. All arithmetic that makes physical sense
 /// is implemented (`Watts + Watts`, `Watts * f64`, `Watts * seconds ->
 /// Joules`, ...).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Watts(pub f64);
 
 /// Energy, in joules.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Joules(pub f64);
 
 impl Watts {

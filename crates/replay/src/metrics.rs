@@ -18,10 +18,9 @@ use apc_rjms::controller::SimulationReport;
 use apc_rjms::log::{SimEventKind, SimLog};
 use apc_rjms::time::SimTime;
 use apc_workload::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Cores in each state at one instant.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UtilizationSample {
     /// Sample time.
     pub time: SimTime,
@@ -40,7 +39,7 @@ impl UtilizationSample {
 }
 
 /// Step-function time series of core states.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UtilizationSeries {
     samples: Vec<UtilizationSample>,
     total_cores: u64,
@@ -168,7 +167,7 @@ impl UtilizationSeries {
 }
 
 /// Power time series (taken straight from the power accountant's samples).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PowerSeries {
     /// `(time, watts)` change points.
     pub samples: Vec<(SimTime, Watts)>,
@@ -219,7 +218,7 @@ impl PowerSeries {
 }
 
 /// The normalised outcome triple of the paper's Fig. 8.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalizedOutcome {
     /// Total consumed energy.
     pub energy: Joules,

@@ -12,12 +12,12 @@ use apc_power::tradeoff::DecisionRule;
 use apc_power::Watts;
 use apc_rjms::cluster::Platform;
 use apc_rjms::time::{SimTime, TimeWindow, HOUR};
-use serde::{Deserialize, Serialize};
+use apc_workload::rng::SplitMix64;
 
 /// One segment of a cap schedule: a window plus its own cap fraction, so
 /// tariff-shaped day/night caps or trace-driven (carbon-intensity /
 /// spot-price style) profiles are expressible.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapSegment {
     /// Start of the segment, seconds into the interval.
     pub start: SimTime,
@@ -59,7 +59,7 @@ impl CapSegment {
 /// the paper's "one hour at 60 %" and every `--caps × --windows` cell — and
 /// records that level, which is what labels such a scenario `60%/MIX`
 /// rather than `SCHED/MIX`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapSchedule {
     segments: Vec<CapSegment>,
     /// The shared fraction of a [`uniform`](Self::uniform) schedule; `None`
@@ -69,8 +69,8 @@ pub struct CapSchedule {
 
 impl CapSchedule {
     /// Build a schedule from explicit segments. Segments must be non-empty,
-    /// sorted by start, pairwise non-overlapping, with positive durations
-    /// and fractions in `(0, 1]`.
+    /// sorted by start, pairwise non-overlapping, with positive durations,
+    /// ends that fit in a [`SimTime`], and fractions in `(0, 1]`.
     pub fn new(segments: Vec<CapSegment>) -> Result<Self, String> {
         if segments.is_empty() {
             return Err("cap schedule needs at least one segment".to_string());
@@ -78,6 +78,12 @@ impl CapSchedule {
         for (i, s) in segments.iter().enumerate() {
             if s.duration == 0 {
                 return Err(format!("segment {i} has zero duration"));
+            }
+            if s.start.checked_add(s.duration).is_none() {
+                return Err(format!(
+                    "segment {i} end {} + {} overflows",
+                    s.start, s.duration
+                ));
             }
             if !(s.fraction > 0.0 && s.fraction <= 1.0) {
                 return Err(format!(
@@ -209,7 +215,7 @@ impl CapSchedule {
 /// * `:chassis` — each drawn failure takes down the whole chassis of the
 ///   drawn node (shared power/cooling equipment failure), not just the one
 ///   node: one event becomes `nodes_per_chassis` simultaneous outages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultPlan {
     /// Number of injected outages.
     pub count: usize,
@@ -335,20 +341,12 @@ impl FaultPlan {
         if total_nodes == 0 || horizon == 0 {
             return Vec::new();
         }
-        let mut state = self.seed ^ 0x5851_f42d_4c95_7f2d;
-        let mut draw = move || {
-            // SplitMix64: the standard avalanche of a Weyl sequence.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut rng = SplitMix64::new(self.seed ^ 0x5851_f42d_4c95_7f2d);
         // Draw interleaving matches the legacy path exactly — node then
         // instant per event — so the `weibull`/`chassis` variants reuse the
         // same node choices a plain plan with this seed makes.
         let raw: Vec<(usize, u64)> = (0..self.count)
-            .map(|_| ((draw() % total_nodes as u64) as usize, draw()))
+            .map(|_| (rng.range(0..total_nodes as u64) as usize, rng.next_u64()))
             .collect();
         let downs: Vec<SimTime> = match self.weibull_shape() {
             // Legacy: instants uniform over the horizon.
@@ -363,7 +361,7 @@ impl FaultPlan {
                     // 53 uniform bits, clamped away from 0 so ln stays finite.
                     (((t >> 11) as f64) / (1u64 << 53) as f64).max(f64::MIN_POSITIVE)
                 };
-                let tail_gap = (-uniform(draw()).ln()).powf(1.0 / k);
+                let tail_gap = (-uniform(rng.next_u64()).ln()).powf(1.0 / k);
                 let gaps: Vec<f64> = raw
                     .iter()
                     .map(|&(_, t)| (-uniform(t).ln()).powf(1.0 / k))
@@ -397,7 +395,7 @@ impl FaultPlan {
 }
 
 /// One experimental scenario: a policy plus an optional cap schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// The powercap policy.
     pub policy: PowercapPolicy,
@@ -739,6 +737,25 @@ mod tests {
         assert!(CapSchedule::parse("0 10").is_err());
         assert!(CapSchedule::parse("0 10 2.0").is_err());
         assert!(CapSchedule::parse("").is_err());
+    }
+
+    #[test]
+    fn schedule_rejects_segment_ends_that_overflow() {
+        // The first end wraps to 0, which would let the second segment
+        // pass the overlap check.
+        let err = CapSchedule::parse("18446744073709551615 1 0.5\n0 1 0.5").unwrap_err();
+        assert!(
+            err.contains("segment 0") && err.contains("overflows"),
+            "{err}"
+        );
+        // A lone overflowing segment has no neighbour to trip over.
+        let err = CapSchedule::parse("18446744073709551615 2 0.5").unwrap_err();
+        assert!(
+            err.contains("segment 0") && err.contains("overflows"),
+            "{err}"
+        );
+        let last = CapSchedule::new(vec![CapSegment::new(u64::MAX - 1, 1, 0.5)]).unwrap();
+        assert_eq!(last.end(), u64::MAX);
     }
 
     #[test]

@@ -14,12 +14,10 @@
 //! ("backfilling is not efficient because of wrong walltime estimations") and
 //! that the replay reproduces.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Backfilling configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackfillConfig {
     /// Master switch.
     pub enabled: bool,

@@ -12,7 +12,6 @@ use apc_power::{
     ClusterPowerAccountant, Frequency, FrequencyLadder, Joules, NodePowerProfile, PowerState,
     Topology, Watts,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::job::JobId;
 use crate::mask::NodeMask;
@@ -20,7 +19,7 @@ use crate::node::{AllocationState, SimNode};
 use crate::time::SimTime;
 
 /// Static description of the simulated machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Hierarchical topology (nodes, chassis, racks).
     pub topology: Topology,

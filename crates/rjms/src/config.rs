@@ -1,14 +1,12 @@
 //! Controller configuration (the simulator's `slurm.conf`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::backfill::BackfillConfig;
 use crate::priority::PriorityWeights;
 use crate::select::SelectionPolicy;
 use crate::time::SimTime;
 
 /// Scheduler tuning knobs (SLURM's `SchedulerParameters`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerParameters {
     /// Backfilling configuration.
     pub backfill: BackfillConfig,
@@ -30,7 +28,7 @@ impl Default for SchedulerParameters {
 }
 
 /// Full controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ControllerConfig {
     /// Scheduler parameters.
     pub params: SchedulerParameters,
@@ -38,7 +36,6 @@ pub struct ControllerConfig {
     /// power time-series figures; off by default to keep replays lean).
     pub record_power_samples: bool,
     /// Node-selection policy.
-    #[serde(skip)]
     pub selection: SelectionPolicy,
 }
 

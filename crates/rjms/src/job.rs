@@ -9,7 +9,6 @@
 //! walltime (paper Section V).
 
 use apc_power::Frequency;
-use serde::{Deserialize, Serialize};
 
 use crate::mask::NodeMask;
 use crate::time::SimTime;
@@ -18,7 +17,7 @@ use crate::time::SimTime;
 pub type JobId = usize;
 
 /// What a user submits: the static description of a job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSubmission {
     /// Submitting user (index into the fair-share accounts).
     pub user: usize,
@@ -62,7 +61,7 @@ impl JobSubmission {
 }
 
 /// Lifecycle state of a job inside the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// Waiting in the pending queue.
     Pending,
@@ -75,7 +74,7 @@ pub enum JobState {
 }
 
 /// How a job left the system (recorded in the accounting log).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobOutcome {
     /// Ran to completion.
     Completed,
@@ -86,7 +85,7 @@ pub enum JobOutcome {
 }
 
 /// A job tracked by the controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Identifier assigned at submission.
     pub id: JobId,

@@ -6,14 +6,13 @@
 //! scheduler behaviour without poking at controller internals.
 
 use apc_power::{Frequency, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::job::JobId;
 use crate::reservation::ReservationId;
 use crate::time::SimTime;
 
 /// The kind of a logged event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SimEventKind {
     /// A job entered the pending queue.
     JobSubmitted {
@@ -76,7 +75,7 @@ pub enum SimEventKind {
 }
 
 /// A timestamped log entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimEvent {
     /// Simulation time of the event.
     pub time: SimTime,
@@ -85,7 +84,7 @@ pub struct SimEvent {
 }
 
 /// Append-only simulation log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimLog {
     events: Vec<SimEvent>,
 }

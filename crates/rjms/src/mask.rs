@@ -10,8 +10,6 @@
 //! `popcnt`, and iteration is a `trailing_zeros` scan — all branch-light
 //! and allocation-free once the words are sized for the platform.
 
-use serde::{Deserialize, Serialize};
-
 const WORD_BITS: usize = u64::BITS as usize;
 
 /// A set of node ids backed by a bit vector.
@@ -21,7 +19,7 @@ const WORD_BITS: usize = u64::BITS as usize;
 /// scheduling passes stop allocating once they have seen the platform's
 /// node count. The number of set bits is cached, making [`len`](Self::len)
 /// O(1).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeMask {
     words: Vec<u64>,
     ones: usize,

@@ -9,10 +9,9 @@
 //!   sync by the [`Cluster`](crate::cluster::Cluster) wrapper.
 
 use crate::job::JobId;
-use serde::{Deserialize, Serialize};
 
 /// Scheduling-relevant state of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AllocationState {
     /// Powered on, not running any job, available for scheduling.
     #[default]
@@ -41,7 +40,7 @@ impl AllocationState {
 }
 
 /// One compute node as tracked by the controller.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimNode {
     /// Dense node identifier (matches the power topology's `NodeId`).
     pub id: usize,

@@ -15,14 +15,13 @@
 //! * `fs_factor` is `2^(−usage/shares)`, SLURM's classic fair-share decay of
 //!   recent usage.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::job::{Job, JobId};
 use crate::time::SimTime;
 
 /// Weights of the multifactor priority.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriorityWeights {
     /// Weight of the age factor.
     pub age: f64,
@@ -48,7 +47,7 @@ impl Default for PriorityWeights {
 }
 
 /// Per-user fair-share accounting with exponential decay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FairShareTracker {
     /// Decayed core-seconds consumed per user.
     usage: HashMap<usize, f64>,
@@ -119,7 +118,7 @@ impl FairShareTracker {
 }
 
 /// The multifactor priority calculator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MultifactorPriority {
     weights: PriorityWeights,
 }

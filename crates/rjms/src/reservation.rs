@@ -7,7 +7,6 @@
 //! on specific node groups.
 
 use apc_power::Watts;
-use serde::{Deserialize, Serialize};
 
 use crate::mask::NodeMask;
 use crate::time::{SimTime, TimeWindow};
@@ -16,7 +15,7 @@ use crate::time::{SimTime, TimeWindow};
 pub type ReservationId = usize;
 
 /// What a reservation reserves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ReservationKind {
     /// A powercap window: during the window the cluster's power consumption
     /// must stay below the given budget (the paper's `Watts` reservation
@@ -39,7 +38,7 @@ pub enum ReservationKind {
 }
 
 /// A reservation: a kind plus a time window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Reservation {
     /// Identifier assigned by the controller.
     pub id: ReservationId,

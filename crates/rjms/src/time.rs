@@ -15,7 +15,7 @@ pub const HOUR: SimTime = 3600;
 pub const DAY: SimTime = 24 * HOUR;
 
 /// A half-open time window `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimeWindow {
     /// Inclusive start.
     pub start: SimTime,

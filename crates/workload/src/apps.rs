@@ -7,10 +7,9 @@
 //! single "common value" used in the paper's main evaluation.
 
 use apc_power::{BenchmarkApp, DegradationModel};
-use serde::{Deserialize, Serialize};
 
 /// The application class of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppClass {
     /// Compute-bound (Linpack-like), highest DVFS sensitivity.
     ComputeBound,

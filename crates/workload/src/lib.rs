@@ -21,13 +21,16 @@
 //! * [`stats`] — trace statistics used both by the calibration tests and by
 //!   the experiment reports;
 //! * [`cache`] — a concurrency-safe trace cache so multi-threaded experiment
-//!   campaigns generate each `(platform, interval, seed)` workload only once.
+//!   campaigns generate each `(platform, interval, seed)` workload only once;
+//! * [`rng`] — the workspace's one generator (SplitMix64) and one byte hash
+//!   (FNV-1a), which every synthetic trace and fingerprint is pinned to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apps;
 pub mod cache;
+pub mod rng;
 pub mod stats;
 pub mod swf;
 pub mod synth;

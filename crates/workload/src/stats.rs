@@ -4,12 +4,10 @@
 //! Curie generator matches the quantitative statements of the paper, and the
 //! experiment reports describing the replayed intervals.
 
-use serde::{Deserialize, Serialize};
-
 use crate::trace::Trace;
 
 /// Summary statistics of a workload trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Number of jobs.
     pub job_count: usize,

@@ -20,14 +20,12 @@
 //! kind, mirroring the deterministic replays of the paper.
 
 use apc_rjms::cluster::Platform;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
+use crate::rng::SplitMix64;
 use crate::trace::{Trace, TraceJob};
 
 /// The four replay intervals of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IntervalKind {
     /// 5 hours, more small jobs than the median interval.
     SmallJob,
@@ -109,7 +107,7 @@ enum SizeClass {
 }
 
 /// The synthetic Curie workload generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CurieTraceGenerator {
     seed: u64,
     interval: IntervalKind,
@@ -192,9 +190,8 @@ impl CurieTraceGenerator {
         let mix = self.interval.class_mix();
         // Mix the interval kind into the seed so the four flavours differ even
         // with the same base seed.
-        let mut rng = StdRng::seed_from_u64(
-            self.seed ^ (self.interval as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
+        let mut rng =
+            SplitMix64::new(self.seed ^ (self.interval as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
         let mut jobs: Vec<TraceJob> = Vec::new();
         let mut id = 0usize;
@@ -216,7 +213,7 @@ impl CurieTraceGenerator {
         let target_work = self.load_factor * capacity;
         let mut submitted_work = 0.0;
         while submitted_work < target_work {
-            let submit = rng.gen_range(0..duration);
+            let submit = rng.range(0..duration);
             let job = self.sample_job(&mut rng, id, submit, mix, total_cores, cores_per_node);
             submitted_work += job.core_seconds();
             jobs.push(job);
@@ -226,8 +223,8 @@ impl CurieTraceGenerator {
         Trace::new(jobs, duration)
     }
 
-    fn sample_class(&self, rng: &mut StdRng, mix: [f64; 4]) -> SizeClass {
-        let x: f64 = rng.gen();
+    fn sample_class(&self, rng: &mut SplitMix64, mix: [f64; 4]) -> SizeClass {
+        let x = rng.next_f64();
         if x < mix[0] {
             SizeClass::Small
         } else if x < mix[0] + mix[1] {
@@ -240,24 +237,24 @@ impl CurieTraceGenerator {
     }
 
     /// Log-uniform integer in `[lo, hi]`.
-    fn log_uniform(rng: &mut StdRng, lo: u64, hi: u64) -> u64 {
+    fn log_uniform(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
         debug_assert!(lo >= 1 && hi >= lo);
         let (llo, lhi) = ((lo as f64).ln(), (hi as f64).ln());
-        let v = (rng.gen_range(llo..=lhi)).exp();
+        let v = rng.uniform(llo, lhi).exp();
         (v.round() as u64).clamp(lo, hi)
     }
 
     /// Log-normal sample with the given median and sigma (Box–Muller).
-    fn log_normal(rng: &mut StdRng, median: f64, sigma: f64) -> f64 {
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen();
+    fn log_normal(rng: &mut SplitMix64, median: f64, sigma: f64) -> f64 {
+        let u1 = rng.uniform(f64::EPSILON, 1.0);
+        let u2 = rng.next_f64();
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         median * (sigma * z).exp()
     }
 
     fn sample_job(
         &self,
-        rng: &mut StdRng,
+        rng: &mut SplitMix64,
         id: usize,
         submit_time: u64,
         mix: [f64; 4],
@@ -269,7 +266,7 @@ impl CurieTraceGenerator {
         let (nodes, run_time) = match class {
             SizeClass::Small => (
                 Self::log_uniform(rng, 1, 31.min(max_nodes)),
-                rng.gen_range(15..115),
+                rng.range(15..115),
             ),
             SizeClass::Medium => (
                 Self::log_uniform(rng, 2, 256.min(max_nodes)),
@@ -280,8 +277,8 @@ impl CurieTraceGenerator {
                 Self::log_uniform(rng, 600, 18_000),
             ),
             SizeClass::Huge => (
-                rng.gen_range((max_nodes / 2).max(1)..=max_nodes),
-                rng.gen_range(3 * 3600..6 * 3600),
+                rng.range((max_nodes / 2).max(1)..max_nodes + 1),
+                rng.range(3 * 3600..6 * 3600),
             ),
         };
         let cores = (nodes * cores_per_node as u64).min(total_cores) as u32;
@@ -293,7 +290,7 @@ impl CurieTraceGenerator {
             .max(run_time as f64)
             .round() as u64;
         // Skewed user popularity (a few users submit most of the jobs).
-        let u: f64 = rng.gen();
+        let u = rng.next_f64();
         let user = ((u * u) * self.user_count as f64) as usize;
         TraceJob {
             id,
@@ -302,7 +299,7 @@ impl CurieTraceGenerator {
             cores,
             requested_time,
             user,
-            app_class: rng.gen_range(0..4),
+            app_class: rng.range(0..4) as u8,
         }
     }
 }

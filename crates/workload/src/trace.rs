@@ -5,10 +5,9 @@
 //! interval length it describes.
 
 use apc_rjms::job::JobSubmission;
-use serde::{Deserialize, Serialize};
 
 /// One job of a workload trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceJob {
     /// Job number (SWF field 1).
     pub id: usize,
@@ -55,7 +54,7 @@ impl TraceJob {
 }
 
 /// A workload trace covering one replay interval.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     /// Jobs ordered by submission time.
     pub jobs: Vec<TraceJob>,

@@ -15,15 +15,7 @@
 
 use adaptive_powercap::prelude::*;
 use adaptive_powercap::rjms::time::TimeWindow;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
-}
+use adaptive_powercap::workload::rng::{fnv1a, FNV_OFFSET};
 
 /// Render everything observable about an outcome into one byte string —
 /// the exact format `tests/determinism.rs` compares.
@@ -48,7 +40,7 @@ fn golden_harness() -> ReplayHarness {
 }
 
 fn replay_hash(harness: &ReplayHarness, scenario: &Scenario) -> u64 {
-    fnv1a64(fingerprint(&harness.run(scenario)).as_bytes())
+    fnv1a(FNV_OFFSET, fingerprint(&harness.run(scenario)).as_bytes())
 }
 
 /// The paper scenario set: the uncapped baseline plus every policy at the

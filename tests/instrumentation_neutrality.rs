@@ -13,15 +13,7 @@
 
 use adaptive_powercap::obs::{Registry, SpanRecorder};
 use adaptive_powercap::prelude::*;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
-}
+use adaptive_powercap::workload::rng::{fnv1a, FNV_OFFSET};
 
 /// The same observable fingerprint `tests/golden_fingerprints.rs` hashes.
 fn fingerprint(outcome: &ReplayOutcome) -> String {
@@ -72,7 +64,7 @@ fn instrumented_replays_match_the_golden_fingerprints() {
         };
         let obs = ControllerObs::new(&registry, spans.clone());
         let outcome = harness.run_with_obs(&scenario, obs);
-        let actual = fnv1a64(fingerprint(&outcome).as_bytes());
+        let actual = fnv1a(FNV_OFFSET, fingerprint(&outcome).as_bytes());
         assert_eq!(
             actual, expected,
             "{label}: instrumentation moved the schedule \

@@ -346,6 +346,50 @@ proptest! {
     }
 }
 
+/// A cap-schedule field: anywhere in `u64`, or small enough that several
+/// segments can chain without overlapping.
+fn schedule_field() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..=u64::MAX, 0u64..100_000]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Cap-schedule files are parsed totally: any 1–4 `START DURATION
+    /// FRACTION` lines give `Ok` exactly when every segment is valid and
+    /// the segments are sorted and disjoint, and an error never panics and
+    /// names its line or segment.
+    #[test]
+    fn cap_schedule_parsing_is_total(
+        lines in proptest::collection::vec((schedule_field(), schedule_field(), 0.0f64..1.5), 1..5)
+    ) {
+        let text: Vec<String> = lines.iter().map(|(s, d, f)| format!("{s} {d} {f}")).collect();
+        let parsed = CapSchedule::parse(&text.join("\n"));
+        let valid = lines
+            .iter()
+            .all(|&(s, d, f)| d > 0 && f > 0.0 && f <= 1.0 && s.checked_add(d).is_some())
+            && lines.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0);
+        match parsed {
+            Ok(schedule) => {
+                prop_assert!(valid, "accepted {text:?}");
+                let segments = schedule.segments();
+                prop_assert_eq!(segments.len(), lines.len());
+                for s in segments {
+                    prop_assert!(s.start.checked_add(s.duration).is_some());
+                }
+                for w in segments.windows(2) {
+                    prop_assert!(w[0].end() <= w[1].start, "{text:?}");
+                }
+                prop_assert_eq!(schedule.end(), segments.last().unwrap().end());
+            }
+            Err(err) => {
+                prop_assert!(!valid, "rejected {text:?}: {err}");
+                prop_assert!(err.contains("line") || err.contains("segment"), "{err}");
+            }
+        }
+    }
+}
+
 /// The node-list reference for the count-based decision: Algorithm 2's
 /// ladder walk, probing `Cluster::power_if_busy` on the picked nodes at
 /// every step over the step's stretched window.
