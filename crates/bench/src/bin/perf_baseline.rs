@@ -23,8 +23,12 @@
 //!   read-and-validate pass ([`PartitionBuf::read`] of every partition
 //!   file: file read, block framing and checksums, no row decoding); plus
 //!   the zone-map partition-skip count of a filtered query. The scan cost
-//!   over the read-and-validate cost joins the gated ratios, and `--check`
-//!   additionally enforces two absolute ceilings:
+//!   over the read-and-validate cost joins the gated ratios. Its
+//!   denominator is the read path every scan runs first, so a change that
+//!   makes block validation faster raises the ratio even when the scan got
+//!   faster too: compare both absolute times, and record such a change as
+//!   a new baseline entry. `--check` additionally enforces two absolute
+//!   ceilings:
 //!   [`gate::STORE_SCAN_CEILING`] (a full scan may cost at most 7× reading
 //!   the same bytes) and [`gate::STORE_OPEN_CEILING`] (an open at most a
 //!   quarter of it).

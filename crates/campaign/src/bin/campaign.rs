@@ -1001,14 +1001,20 @@ fn run_report(args: &[String]) -> Result<(), String> {
     let dir = dir.ok_or("report needs a result-store directory")?;
     let scanner = StoreScanner::open(&dir)?;
     let rows = scanner.rows()?;
-    let state = if scanner.is_complete() {
-        "complete"
+    // Count the rows the scan could read, not the manifest's `done` log: a
+    // logged cell whose row fails its checksum is not recorded, and
+    // `--resume` runs it again.
+    let unreadable = scanner.completed_count().saturating_sub(rows.len());
+    let state = if unreadable > 0 {
+        format!("{unreadable} logged but unreadable; finish it with --resume")
+    } else if rows.len() == scanner.total_cells() {
+        "complete".to_string()
     } else {
-        "partial — finish it with --resume"
+        "partial — finish it with --resume".to_string()
     };
     println!(
         "campaign {dir}: {}/{} cells recorded ({state}), spec {}",
-        scanner.completed_count(),
+        rows.len(),
         scanner.total_cells(),
         scanner.spec_hash(),
     );

@@ -29,7 +29,11 @@
 //! Every reader holds the set as one `DoneSet` bitmap bounded by the
 //! header's cell count: an entry naming a cell at or past it is skipped
 //! like a torn line, so no entry can make a reader allocate beyond the
-//! header.
+//! header. The header itself is bounded too: a store holds at most
+//! [`MAX_STORE_CELLS`] (`u32::MAX`) cells, so a completed set never needs
+//! more than a 512 MiB bitmap. [`ResultStore::create`] refuses a larger
+//! grid, and every reader rejects a manifest that claims one before it
+//! allocates anything.
 //!
 //! Partitions (`part-NNNN.apc`) are sequences of self-contained columnar
 //! blocks (see [`crate::colstore`]): the executor appends one single-row
@@ -100,6 +104,10 @@ pub const STORE_SCHEMA_V2: u32 = 2;
 
 /// Default number of cells per partition file.
 pub const DEFAULT_CELLS_PER_PART: usize = 64;
+
+/// The most cells one store holds: the bound on a manifest's `cells`
+/// header, and so on its completion bitmap (512 MiB at worst).
+pub const MAX_STORE_CELLS: usize = u32::MAX as usize;
 
 /// Name of the manifest file inside a store directory.
 pub const MANIFEST_NAME: &str = "manifest.txt";
@@ -357,9 +365,15 @@ impl ParsedManifest {
                     );
                 }
                 (Some("cells"), Some(v)) => {
-                    let cells = v
+                    let cells: usize = v
                         .parse()
                         .map_err(|_| format!("bad cell count in manifest: {v:?}"))?;
+                    if cells > MAX_STORE_CELLS {
+                        return Err(format!(
+                            "manifest cell count {cells} exceeds the limit of \
+                             {MAX_STORE_CELLS} cells per store"
+                        ));
+                    }
                     match &done {
                         Some(set) if set.cells != cells => {
                             return Err(format!(
@@ -475,8 +489,18 @@ impl ResultStore {
     /// expanded grid size; both are recorded in the manifest and re-checked
     /// on [`open`](Self::open)+[`validate_spec`](Self::validate_spec).
     ///
+    /// A grid of more than [`MAX_STORE_CELLS`] cells is refused with
+    /// [`io::ErrorKind::InvalidInput`] before anything is written, so every
+    /// store this writes opens again.
+    ///
     /// [`fingerprint`]: crate::spec::CampaignSpec::fingerprint
     pub fn create(dir: impl Into<PathBuf>, spec_hash: u64, total_cells: usize) -> io::Result<Self> {
+        if total_cells > MAX_STORE_CELLS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("a store holds at most {MAX_STORE_CELLS} cells, not {total_cells}"),
+            ));
+        }
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let parts = dir.join(PARTS_DIR);
@@ -777,6 +801,7 @@ impl ResultStore {
 mod tests {
     use super::*;
     use apc_workload::rng::SplitMix64;
+    use proptest::prelude::*;
 
     fn row(index: usize) -> CellRow {
         CellRow {
@@ -1271,5 +1296,115 @@ mod tests {
         let err = w0.refresh_done().unwrap_err();
         assert!(err.contains("different store"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `cells` header past the limit is refused by every reader before
+    /// anything is allocated — these two once asked for 12.5 GB and
+    /// 2.3 EB — and `create` refuses the same count.
+    #[test]
+    fn cell_counts_past_the_limit_are_refused_by_every_reader() {
+        let dir = temp_dir("huge-header");
+        for (cells, done) in [
+            ("100000000000", "0-99999999999"),
+            ("18446744073709551615", "0-18446744073709551614"),
+        ] {
+            drop(ResultStore::create(&dir, 1, 10).unwrap());
+            let manifest = format!(
+                "{MANIFEST_MAGIC} {STORE_SCHEMA_VERSION}\nspec 1\ncells {cells}\n\
+                 per-part 64\ndone {done}\n"
+            );
+            fs::write(dir.join(MANIFEST_NAME), manifest).unwrap();
+            let errors = [
+                crate::query::StoreScanner::open(&dir).unwrap_err(),
+                ResultStore::open(&dir).unwrap_err(),
+                ResultStore::open_worker(&dir, 0).unwrap_err(),
+            ];
+            for err in errors {
+                assert!(
+                    err.contains(&format!("cell count {cells} exceeds the limit")),
+                    "{err}"
+                );
+            }
+        }
+        let before = fs::read(dir.join(MANIFEST_NAME)).unwrap();
+        let err = ResultStore::create(&dir, 1, MAX_STORE_CELLS + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(
+            err.to_string().contains("at most 4294967295 cells"),
+            "{err}"
+        );
+        // Refused before it wrote anything.
+        assert_eq!(fs::read(dir.join(MANIFEST_NAME)).unwrap(), before);
+        let limit = format!("{MANIFEST_MAGIC} 3\nspec 1\ncells {MAX_STORE_CELLS}\n");
+        let parsed = ParsedManifest::parse(&dir, &limit).unwrap();
+        assert_eq!(parsed.total_cells, MAX_STORE_CELLS);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The manifest header's values, from well-formed to hostile.
+    fn header_value() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0u64..200).prop_map(|v| v.to_string()),
+            (0usize..10).prop_map(|i| {
+                [
+                    "4294967295",
+                    "4294967296",
+                    "100000000000",
+                    "18446744073709551615",
+                    "18446744073709551616",
+                    "-1",
+                    "0x10",
+                    "",
+                    "3 3",
+                    "feed",
+                ][i]
+                    .to_string()
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Mutated 4-line headers — huge or malformed numbers, fields
+        /// dropped or repeated — parse to `Ok` or a clean `Err`, never a
+        /// panic, and an accepted count is within the limit. The `done`
+        /// entries stay small: an accepted header may legitimately size a
+        /// bitmap for up to `u32::MAX` cells.
+        #[test]
+        fn manifest_header_parsing_is_total(
+            edits in proptest::collection::vec((0usize..4, header_value()), 4..5),
+            done in (0u64..300, 0u64..300),
+        ) {
+            let header = [
+                ("apc-campaign-store", "3"),
+                ("spec", "1"),
+                ("cells", "100"),
+                ("per-part", "64"),
+            ];
+            let mut lines = Vec::new();
+            for ((field, default), (action, value)) in header.into_iter().zip(&edits) {
+                match action {
+                    0 => lines.push(format!("{field} {default}")),
+                    1 => lines.push(format!("{field} {value}")),
+                    2 => {
+                        lines.push(format!("{field} {default}"));
+                        lines.push(format!("{field} {value}"));
+                    }
+                    _ => {} // the field is missing
+                }
+            }
+            lines.push(format!("done {}-{}", done.0, done.1));
+            lines.push(format!("done {}", done.0));
+            let text = lines.join("\n") + "\n";
+            match ParsedManifest::parse(Path::new("fuzz"), &text) {
+                Ok(parsed) => {
+                    prop_assert!(parsed.total_cells <= MAX_STORE_CELLS, "{text}");
+                    prop_assert!(parsed.done.len() <= parsed.total_cells, "{text}");
+                    prop_assert!(parsed.cells_per_part >= 1, "{text}");
+                }
+                Err(err) => prop_assert!(!err.is_empty(), "{text}"),
+            }
+        }
     }
 }

@@ -319,3 +319,82 @@ fn resume_with_a_mismatched_spec_is_rejected() {
     assert_eq!(untouched.completed_count(), store.completed_count());
     fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A bit flipped in the middle of a live partition: the report must not
+/// call the store complete, must name the logged cells it cannot read, and
+/// `--resume` must re-run exactly those and render the intact bytes again.
+/// Drives the real `campaign` binary, as users see the report.
+#[test]
+fn report_counts_only_the_rows_a_corrupted_store_can_read() {
+    let campaign = env!("CARGO_BIN_EXE_campaign");
+    let dir = temp_dir("report-corrupted");
+    let run = |args: &[&str]| {
+        let output = std::process::Command::new(campaign)
+            .args(args)
+            .output()
+            .expect("run the campaign binary");
+        assert!(
+            output.status.success(),
+            "campaign {args:?} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        String::from_utf8(output.stdout).unwrap()
+    };
+    let dir_arg = dir.to_str().unwrap();
+    let grid = |mode: &'static str| -> Vec<&str> {
+        vec![
+            "--threads",
+            "1",
+            "--seeds",
+            "2",
+            "--racks",
+            "1",
+            "--intervals",
+            "medianjob",
+            "--policies",
+            "shut,mix",
+            "--caps",
+            "60",
+            "--load",
+            "0.8",
+            "--backlog",
+            "0.3",
+            "--no-sync",
+            "--quiet",
+            mode,
+            dir_arg,
+        ]
+    };
+    run(&grid("--out"));
+    let intact = read_outputs(&dir);
+    let report = run(&["report", dir_arg]);
+    assert!(report.contains("6/6 cells recorded (complete)"), "{report}");
+
+    let part = dir.join("cells/part-0000.apc");
+    let mut bytes = fs::read(&part).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x01;
+    fs::write(&part, bytes).unwrap();
+    for name in OUTPUTS {
+        fs::remove_file(dir.join(name)).unwrap();
+    }
+    let report = run(&["report", dir_arg]);
+    let head = report.lines().next().unwrap();
+    assert!(!head.contains("(complete)"), "{report}");
+    // Six one-row blocks; the flipped byte sits in the fourth, so three
+    // rows stay readable and three logged cells do not.
+    assert!(
+        head.contains("3/6 cells recorded (3 logged but unreadable; finish it with --resume)"),
+        "{report}"
+    );
+
+    run(&grid("--resume"));
+    assert_eq!(
+        read_outputs(&dir),
+        intact,
+        "resume re-rendered different bytes"
+    );
+    let report = run(&["report", dir_arg]);
+    assert!(report.contains("6/6 cells recorded (complete)"), "{report}");
+    fs::remove_dir_all(&dir).unwrap();
+}

@@ -8,10 +8,12 @@
 //!   CSV/JSON exports rendered from a v3 store are byte-identical to those
 //!   rendered from the v2 CSV rows;
 //! * **truncation** — cutting a partition file at *any* byte yields a
-//!   clean prefix of the original rows, never a garbled row;
+//!   clean prefix of the original rows, never a garbled row: exactly the
+//!   blocks that end at or before the cut;
 //! * **corruption** — flipping any single bit is caught by the block
 //!   checksum (or the structural checks) and confines the damage to a
-//!   prefix, again never a garbled row;
+//!   prefix, again never a garbled row: exactly the blocks before the one
+//!   holding the flipped bit;
 //! * **zone maps** — a scan with partition skipping returns exactly the
 //!   rows a brute-force filter over all decoded rows returns.
 //!
@@ -112,6 +114,23 @@ fn encode_partition(rows: &[CellRow], chunk: usize) -> Vec<u8> {
     data
 }
 
+/// The end offset of each block [`encode_partition`] writes for `rows`.
+fn block_ends(rows: &[CellRow], chunk: usize) -> Vec<usize> {
+    rows.chunks(chunk.max(1))
+        .scan(0, |end, block| {
+            *end += encode_block(block).len();
+            Some(*end)
+        })
+        .collect()
+}
+
+/// The exact trusted prefix when block `kept` is the first one lost: its
+/// byte length, and the rows of the blocks before it.
+fn exact_prefix(ends: &[usize], chunk: usize, rows: usize, kept: usize) -> (usize, usize) {
+    let len = kept.checked_sub(1).map_or(0, |last| ends[last]);
+    (len, (kept * chunk.max(1)).min(rows))
+}
+
 fn assert_bit_identical_prefix(decoded: &[CellRow], original: &[CellRow]) {
     assert!(
         decoded.len() <= original.len(),
@@ -168,6 +187,13 @@ proptest! {
         // Whole blocks survive: the decoded count is a multiple of the
         // chunking that produced them, up to the cut.
         prop_assert!(decoded.len().is_multiple_of(chunk) || decoded.len() == rows.len());
+        // Exactly the blocks that end at or before the cut survive.
+        let ends = block_ends(&rows, chunk);
+        let kept = ends.iter().take_while(|&&end| end <= cut).count();
+        let (len, row_count) = exact_prefix(&ends, chunk, rows.len(), kept);
+        prop_assert_eq!(buf.block_count(), kept, "cut at {}", cut);
+        prop_assert_eq!(buf.trusted_len(), len, "cut at {}", cut);
+        prop_assert_eq!(decoded.len(), row_count, "cut at {}", cut);
     }
 
     #[test]
@@ -192,6 +218,13 @@ proptest! {
         // the survivors are exactly the untouched prefix.
         prop_assert!(decoded.len() < rows.len(), "corruption went undetected");
         assert_bit_identical_prefix(&decoded, &rows);
+        // Exactly the blocks before the one holding the flipped bit survive.
+        let ends = block_ends(&rows, chunk);
+        let kept = ends.iter().take_while(|&&end| end <= byte).count();
+        let (len, row_count) = exact_prefix(&ends, chunk, rows.len(), kept);
+        prop_assert_eq!(buf.block_count(), kept, "bit {} of byte {}", bit, byte);
+        prop_assert_eq!(buf.trusted_len(), len, "bit {} of byte {}", bit, byte);
+        prop_assert_eq!(decoded.len(), row_count, "bit {} of byte {}", bit, byte);
     }
 
     #[test]

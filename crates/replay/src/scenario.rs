@@ -70,30 +70,41 @@ pub struct CapSchedule {
 impl CapSchedule {
     /// Build a schedule from explicit segments. Segments must be non-empty,
     /// sorted by start, pairwise non-overlapping, with positive durations,
-    /// ends that fit in a [`SimTime`], and fractions in `(0, 1]`.
+    /// ends that fit in a [`SimTime`], and fractions in `(0, 1]`. An error
+    /// names the offending segment by its position, `segment I`.
     pub fn new(segments: Vec<CapSegment>) -> Result<Self, String> {
+        Self::checked(segments, |i| format!("segment {i}"))
+    }
+
+    /// [`new`](Self::new)'s checks, with `name(i)` naming segment `i` in
+    /// every error.
+    fn checked(segments: Vec<CapSegment>, name: impl Fn(usize) -> String) -> Result<Self, String> {
         if segments.is_empty() {
             return Err("cap schedule needs at least one segment".to_string());
         }
         for (i, s) in segments.iter().enumerate() {
             if s.duration == 0 {
-                return Err(format!("segment {i} has zero duration"));
+                return Err(format!("{} has zero duration", name(i)));
             }
             if s.start.checked_add(s.duration).is_none() {
                 return Err(format!(
-                    "segment {i} end {} + {} overflows",
-                    s.start, s.duration
+                    "{} end {} + {} overflows",
+                    name(i),
+                    s.start,
+                    s.duration
                 ));
             }
             if !(s.fraction > 0.0 && s.fraction <= 1.0) {
                 return Err(format!(
-                    "segment {i} fraction {} outside (0, 1]",
+                    "{} fraction {} outside (0, 1]",
+                    name(i),
                     s.fraction
                 ));
             }
             if i > 0 && s.start < segments[i - 1].end() {
                 return Err(format!(
-                    "segment {i} starting at {} overlaps the previous one ending at {}",
+                    "{} starting at {} overlaps the previous one ending at {}",
+                    name(i),
                     s.start,
                     segments[i - 1].end()
                 ));
@@ -131,8 +142,11 @@ impl CapSchedule {
     /// Parse the schedule-file format: one segment per line as
     /// `START DURATION FRACTION` (whitespace-separated, seconds and a
     /// fraction in `(0, 1]`), with `#` comments and blank lines ignored.
+    /// Every error names its line of `text`; [`new`](Self::new)'s checks
+    /// name the segment after it (`line 4: segment 1 …`).
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut segments = Vec::new();
+        let mut linenos = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
@@ -156,8 +170,9 @@ impl CapSchedule {
                 .parse()
                 .map_err(|_| format!("line {}: bad fraction {:?}", lineno + 1, fields[2]))?;
             segments.push(CapSegment::new(start, duration, fraction));
+            linenos.push(lineno + 1);
         }
-        CapSchedule::new(segments)
+        Self::checked(segments, |i| format!("line {}: segment {i}", linenos[i]))
     }
 
     /// The segments, in registration order.
@@ -737,6 +752,38 @@ mod tests {
         assert!(CapSchedule::parse("0 10").is_err());
         assert!(CapSchedule::parse("0 10 2.0").is_err());
         assert!(CapSchedule::parse("").is_err());
+    }
+
+    #[test]
+    fn schedule_file_errors_name_the_line_past_comments_and_blanks() {
+        let err = CapSchedule::parse("# tariff\n\n0 7200 0.8\n3600 100 0.5\n").unwrap_err();
+        assert_eq!(
+            err,
+            "line 4: segment 1 starting at 3600 overlaps the previous one ending at 7200"
+        );
+        for (text, expect) in [
+            ("# a\n0 0 0.5", "line 2: segment 0 has zero duration"),
+            (
+                "\n\n0 10 1.5",
+                "line 3: segment 0 fraction 1.5 outside (0, 1]",
+            ),
+            (
+                "0 1 0.5\n# b\n18446744073709551615 1 0.5",
+                "line 3: segment 1 end 18446744073709551615 + 1 overflows",
+            ),
+        ] {
+            assert_eq!(CapSchedule::parse(text).unwrap_err(), expect);
+        }
+        // Direct callers of `new` still get the segment's position.
+        let err = CapSchedule::new(vec![
+            CapSegment::new(0, 7200, 0.8),
+            CapSegment::new(3600, 100, 0.5),
+        ])
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "segment 1 starting at 3600 overlaps the previous one ending at 7200"
+        );
     }
 
     #[test]
