@@ -495,10 +495,10 @@ fn run(options: Options) -> Result<(), String> {
         print!("{}", summary_table(&outcome.summaries));
     }
 
-    // Render the store-derived outcome (run_with_store reads every row —
-    // including resumed ones — back out of the store, so this is the
-    // render-from-store path without re-cloning and re-folding per sink;
-    // `write_store_renders_the_same_bytes_as_write` pins the equivalence).
+    // Render the store-derived outcome: run_with_store reads every row —
+    // including resumed ones — back out of the store, so these are the
+    // store's rows, folded once for both sinks (`campaign_resume.rs` pins
+    // a resumed store's renders to an uninterrupted run's bytes).
     let written = render_outputs(
         &options.out_dir,
         options.format,

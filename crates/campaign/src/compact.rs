@@ -7,8 +7,11 @@
 //! beside it). [`compact_store`] rewrites the partitions into their ideal
 //! form — **wide partitions of
 //! [`DEFAULT_COMPACT_CELLS_PER_PART`] cells, each a run of
-//! [`COMPACT_BLOCK_ROWS`]-row columnar blocks** — duplicates resolved to
-//! the last trusted occurrence, untrusted records dropped, everything v3.
+//! [`COMPACT_BLOCK_ROWS`]-row columnar blocks** — everything v3. It takes
+//! its rows from the same scan `campaign query` and `--resume` read
+//! through ([`crate::query`]), so a compacted store holds exactly the rows
+//! they read before: duplicates resolved to the last trusted occurrence,
+//! untrusted records dropped, and both counted by that scan.
 //! That is both smaller (shared dictionaries, no per-row framing) and
 //! faster to scan: wide partitions amortize the per-file open cost that
 //! dominates a scan over thousands of 64-cell live partitions, while the
@@ -31,16 +34,16 @@
 //! so the old partitions are deleted only once the swap is durable: a power
 //! loss cannot leave renamed-but-empty files with the old copies gone.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
 
 use crate::agg::CellRow;
 use crate::colstore::encode_block;
+use crate::query::{scan_parts, Projection, RowFilter, ScanFlow};
 use crate::store::{
-    load_part_rows, manifest_header, sorted_part_paths, DoneSet, ParsedManifest, MANIFEST_NAME,
-    PARTS_DIR, STORE_SCHEMA_VERSION,
+    manifest_header, sorted_part_paths, DoneSet, ParsedManifest, MANIFEST_NAME, PARTS_DIR,
+    STORE_SCHEMA_VERSION,
 };
 
 /// Temp names used during the swap; left-over copies from a crashed run
@@ -101,7 +104,7 @@ impl CompactStats {
 }
 
 /// Compact the store at `dir` in place: merge duplicate/superseded records
-/// (last trusted occurrence wins, exactly the read-side rule), drop
+/// (last trusted occurrence wins, read by the read side's own scan), drop
 /// untrusted rows, and rewrite the partitions as wide v3 columnar files
 /// ([`COMPACT_BLOCK_ROWS`]-row blocks). A v2 store migrates to v3; a v3
 /// store's single-row append blocks merge. `cells_per_part` overrides the
@@ -125,16 +128,24 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
     fs::create_dir_all(&tmp_parts)
         .map_err(|e| format!("cannot create {}: {e}", tmp_parts.display()))?;
 
+    let parts = sorted_part_paths(&parts_dir)?;
     let mut stats = CompactStats {
         from_schema: manifest.schema,
+        partitions_in: parts.len(),
+        bytes_in: parts
+            .iter()
+            .filter_map(|(_, path)| fs::metadata(path).ok())
+            .map(|meta| meta.len())
+            .sum(),
         cells_per_part: width,
         ..CompactStats::default()
     };
 
-    // Stream input partitions in index order, buffering one *output*
-    // partition of rows at a time. Input partitions hold contiguous index
-    // ranges in file-number order, so output partitions fill strictly left
-    // to right whatever the old and new widths are.
+    // Stream the trusted rows out of the one store reader, in index order,
+    // buffering one *output* partition of rows at a time. Input partitions
+    // hold contiguous index ranges in file-number order, so output
+    // partitions fill strictly left to right whatever the old and new
+    // widths are.
     let mut out_rows: Vec<CellRow> = Vec::new();
     let mut out_part: Option<usize> = None;
     // The kept cells: the new manifest's completed set.
@@ -150,51 +161,33 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
         rows.clear();
         write_synced(&path, &data)
     };
-    let parts = sorted_part_paths(&parts_dir)?;
-    for group in parts.chunk_by(|a, b| a.0 == b.0) {
-        // Last-wins over the trusted records of every file of one partition
-        // number, in sorted-file order — the rule every reader applies
-        // (cells of one index share a partition number, but a resumed v2
-        // store or a bounced lease spreads them over several files).
-        let mut keep: BTreeMap<usize, CellRow> = BTreeMap::new();
-        for (_, path) in group {
-            stats.partitions_in += 1;
-            if let Ok(meta) = fs::metadata(path) {
-                stats.bytes_in += meta.len();
-            }
-            for row in load_part_rows(path)? {
-                if !manifest.done.contains(row.index) {
-                    stats.dropped_untrusted += 1;
-                } else if keep.insert(row.index, row).is_some() {
-                    stats.dropped_duplicates += 1;
-                }
-            }
+    let all = RowFilter::default();
+    let scan = scan_parts(dir, &manifest.done, &all, Projection::ALL, |row| {
+        let idx = row.index;
+        if !seen.insert(idx) {
+            // A foreign store could repeat an index across partition
+            // numbers; the first wins rather than corrupting the output.
+            stats.dropped_duplicates += 1;
+            return Ok(ScanFlow::Continue);
         }
-        for (idx, row) in keep {
-            if !seen.insert(idx) {
-                // A foreign store could repeat an index across partitions;
-                // first partition wins rather than corrupting the output.
-                stats.dropped_duplicates += 1;
-                continue;
+        let part = idx / width;
+        if let Some(current) = out_part.filter(|&current| current != part) {
+            if part < current {
+                return Err(format!(
+                    "store partitions at {} are not index-ordered \
+                     (cell {idx} after partition {current})",
+                    dir.display()
+                ));
             }
-            let part = idx / width;
-            if let Some(current) = out_part {
-                if part != current {
-                    if part < current {
-                        return Err(format!(
-                            "store partitions at {} are not index-ordered \
-                             (cell {idx} after partition {current})",
-                            dir.display()
-                        ));
-                    }
-                    flush(current, &mut out_rows, &mut stats)?;
-                }
-            }
-            out_part = Some(part);
-            out_rows.push(row);
-            stats.rows += 1;
+            flush(current, &mut out_rows, &mut stats)?;
         }
-    }
+        out_part = Some(part);
+        out_rows.push(row.clone());
+        stats.rows += 1;
+        Ok(ScanFlow::Continue)
+    })?;
+    stats.dropped_untrusted = scan.untrusted;
+    stats.dropped_duplicates += scan.superseded;
     if let Some(current) = out_part {
         flush(current, &mut out_rows, &mut stats)?;
     }

@@ -26,8 +26,8 @@
 //!   [`CellRow`] plus across-seed mean/min/max/stddev
 //!   [`SummaryRow`]s, without ever buffering whole
 //!   [`ReplayOutcome`](apc_replay::ReplayOutcome)s;
-//! * [`sink`] — CSV and JSON render frontends over the store (or an
-//!   in-memory outcome) writing `cells.*` and `summary.*`;
+//! * [`sink`] — CSV and JSON renderers writing `cells.*` and
+//!   `summary.*` from the store's rows (or an in-memory outcome);
 //! * [`diff`] — cross-campaign comparison of two `summary.csv` files with
 //!   a regression threshold, exposed as the `campaign-diff` binary;
 //! * the `campaign` binary (`cargo run --release -p apc-campaign --bin
@@ -91,8 +91,8 @@ pub mod prelude {
         ScanFlow, ScanStats, StoreScanner,
     };
     pub use crate::sink::{
-        render_cells_csv, render_cells_json, render_summary_csv, render_summary_json, CampaignSink,
-        CsvSink, JsonSink,
+        render_cells_csv, render_cells_json, render_summary_csv, render_summary_json, CsvSink,
+        JsonSink,
     };
     pub use crate::spec::{
         place_windows, CampaignCell, CampaignSpec, CellWorkload, TraceSource, WindowPlacement,

@@ -1,32 +1,31 @@
-//! Streaming queries over a partitioned result store.
+//! Streaming queries over a partitioned result store: the one store reader.
 //!
-//! [`ResultStore::open`](crate::store::ResultStore::open) loads every
-//! trusted row into memory — right for resuming, wrong for *inspecting* a
-//! huge campaign. The query path instead reads the manifest's completion
-//! log once and then streams the partition files **one at a time**, keeping
-//! only the current partition resident: a million-cell store is filtered
-//! with the memory footprint of one partition plus the matches the caller
-//! retains.
+//! `campaign query`, `report` and `pareto` ([`StoreScanner`]), `--resume`
+//! ([`ResultStore::open`](crate::store::ResultStore::open)) and
+//! [`compact_store`](crate::compact::compact_store) all take their rows
+//! from the function behind [`StoreScanner::scan_projected`]. It reads the
+//! manifest's completion log once and then streams the partitions **one
+//! partition number at a time**: a million-cell store is filtered with the
+//! memory footprint of one partition plus the matches the caller retains.
 //!
-//! On schema v3 partitions the scan never materialises non-matching rows at
-//! all: each block's [`RowFilter`] is resolved once against the block's
-//! dictionaries and zone maps ([`crate::colstore`]) — a partition every one
-//! of whose blocks provably holds no matching row is **skipped** without
-//! touching its column data, and within scanned blocks rows are matched by
-//! integer compares on the raw columns, decoding only the matches into a
-//! reused scratch row. Partition numbers held by several files (worker
-//! partitions, or a resumed v2 store's `.apc` reruns beside its CSV file)
-//! and lone v2 CSV partitions stream through the same [`StoreScanner`] as
-//! fully decoded rows merged per partition number. The callback steers the
-//! scan: returning [`ScanFlow::Stop`] ends it early (`--limit`), and the
-//! returned [`ScanStats`] report matches plus partitions scanned/skipped.
+//! Non-matching rows are never materialised: each block's [`RowFilter`] is
+//! resolved once against the block's dictionaries and zone maps
+//! ([`crate::colstore`]) — a partition number every block of whose files
+//! provably holds no matching row is **skipped** without touching its
+//! column data, and within scanned blocks rows are matched by integer
+//! compares on the raw columns, decoding only the matches into a reused
+//! scratch row. A v2 CSV file is read as one such block. The callback
+//! steers the scan: returning [`ScanFlow::Stop`] ends it early (`--limit`),
+//! and the returned [`ScanStats`] count matches, partitions scanned and
+//! skipped, and the untrusted and superseded records left out.
 //!
-//! Duplicate records for a cell (a torn record followed by its rerun)
-//! resolve to the last intact occurrence, exactly as the full loader does;
-//! this stays correct under streaming because a cell's records always live
-//! in the one partition its index maps to — and stays correct under
-//! zone-map skipping because skipping never changes *which* occurrence is
-//! last, only whether a partition provably contains no match at all.
+//! Duplicate records for a cell (a torn record followed by its rerun, or a
+//! lease run twice) resolve to the last intact occurrence in sorted-file
+//! order. This stays correct under streaming because a cell's records
+//! always live in the files of the partition number its index maps to —
+//! and under zone-map skipping because skipping never changes *which*
+//! occurrence is last, only whether a partition number provably holds no
+//! match at all.
 //!
 //! Column names resolve through [`Column`], the one table next to
 //! [`CellRow`]: [`project`], [`numeric`], [`Projection::of`] and
@@ -43,7 +42,7 @@ use std::path::{Path, PathBuf};
 use crate::agg::{CellRow, Column, Field};
 use crate::colstore::PartitionBuf;
 use crate::store::{
-    is_v3_part, load_part_rows, sorted_part_paths, ParsedManifest, MANIFEST_NAME, PARTS_DIR,
+    read_part, sorted_part_paths, DoneSet, ParsedManifest, MANIFEST_NAME, PARTS_DIR,
 };
 
 /// A conjunctive row filter: every populated field must match.
@@ -93,14 +92,13 @@ impl RowFilter {
 }
 
 /// The set of [`Column`]s a scan needs decoded — the column projection the
-/// v3 codec pushes down into each block: unprojected columns are never read
+/// scan pushes down into each block: unprojected columns are never read
 /// from the column arrays, so `query --columns index,energy_joules` skips
 /// every dictionary-string copy per row.
 ///
-/// Projection is an *optimisation hint*: rows delivered from a v2 (CSV)
-/// partition or a multi-file partition group are always fully decoded, so
-/// callers must treat unprojected fields as unspecified, never as
-/// guaranteed-blank.
+/// Projection is an *optimisation hint*: the scan's scratch row keeps
+/// whatever an earlier row left in the unprojected fields, so callers must
+/// treat them as unspecified, never as guaranteed-blank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Projection(u32);
 
@@ -408,18 +406,25 @@ pub enum ScanFlow {
     Stop,
 }
 
-/// What a [`StoreScanner::scan`] did: matches delivered and, on v3 stores,
-/// how much work the zone maps saved.
+/// What a [`StoreScanner::scan`] did: matches delivered, how much work the
+/// zone maps saved, and the records it left out. Partitions are counted
+/// per file holding an intact block; the record counts cover the
+/// partitions scanned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Rows that passed the filter and were delivered to the callback.
     pub matched: usize,
-    /// Partitions whose records were actually read.
+    /// Partition files whose records were actually read.
     pub partitions_scanned: usize,
-    /// Partitions proven row-free for this filter by their blocks'
-    /// dictionaries/zone maps and skipped without reading column data
-    /// (always 0 on v2 CSV partitions, which carry no zone maps).
+    /// Partition files proven row-free for this filter by their blocks'
+    /// dictionaries/zone maps and skipped without reading column data.
     pub partitions_skipped: usize,
+    /// Intact records of cells the manifest's completion log does not
+    /// list (a crash between the row and its `done` line).
+    pub untrusted: usize,
+    /// Trusted records replaced by a later record of the same cell (a torn
+    /// cell's rerun, or a lease executed twice).
+    pub superseded: usize,
     /// Did the callback end the scan with [`ScanFlow::Stop`]?
     pub stopped_early: bool,
 }
@@ -431,7 +436,7 @@ pub struct ScanStats {
 /// [`ResultStore::open`](crate::store::ResultStore::open) does, so a v1
 /// store or a foreign directory is rejected *before* the caller produces
 /// any output; [`scan`](StoreScanner::scan) then streams the partitions,
-/// dispatching per file on the v2 (CSV) or v3 (columnar) codec.
+/// reading v2 (CSV) files as v3 (columnar) blocks.
 #[derive(Debug)]
 pub struct StoreScanner {
     dir: PathBuf,
@@ -497,139 +502,130 @@ impl StoreScanner {
     }
 
     /// [`scan`](Self::scan) with a column projection pushed down into the
-    /// v3 block decoder: only the projected columns of matching rows are
-    /// read from the column arrays (filtering and duplicate resolution
-    /// still run on the raw columns, so the match set is identical to an
-    /// unprojected scan). Unprojected fields of the delivered row are
-    /// unspecified — the callback must only read projected columns. Rows of
-    /// v2 CSV partitions and multi-file groups are fully decoded regardless.
+    /// block decoder: only the projected columns of matching rows are read
+    /// from the column arrays (filtering and duplicate resolution still run
+    /// on the raw columns, so the match set is identical to an unprojected
+    /// scan). Unprojected fields of the delivered row are unspecified — the
+    /// callback must only read projected columns.
     pub fn scan_projected(
         &self,
         filter: &RowFilter,
         projection: Projection,
-        mut on_row: impl FnMut(&CellRow) -> Result<ScanFlow, String>,
+        on_row: impl FnMut(&CellRow) -> Result<ScanFlow, String>,
     ) -> Result<ScanStats, String> {
-        let mut stats = ScanStats::default();
-        let mut scratch = CellRow::default();
-        // The per-row trust check runs for every record of every
-        // partition: one bit test in the manifest's completion bitmap.
-        let is_done = |idx: usize| self.manifest.done.contains(idx);
-        let parts = sorted_part_paths(&self.dir.join(PARTS_DIR))?;
-        for group in parts.chunk_by(|a, b| a.0 == b.0) {
-            let path = &group[0].1;
-            if group.len() > 1 || !is_v3_part(path) {
-                // Several files share this partition number — a distributed
-                // campaign whose lease bounced between workers
-                // (`part-N-wW.apc`), or a resumed v2 store whose reruns sit
-                // in `part-N.apc` beside `part-N.csv` — or the partition is
-                // a lone v2 CSV file. A cell's duplicate records can then
-                // span files, so merge the whole group in sorted-file order
-                // before last-wins resolution (per-file resolution would
-                // emit such a cell once per file), trading the zone-map
-                // machinery for a plain merge on these small, rare groups.
-                let mut merged: BTreeMap<usize, CellRow> = BTreeMap::new();
-                for (_, path) in group {
-                    stats.partitions_scanned += 1;
-                    for row in load_part_rows(path)? {
-                        if is_done(row.index) {
-                            merged.insert(row.index, row);
-                        }
-                    }
-                }
-                for row in merged.values() {
-                    if filter.matches(row) {
-                        stats.matched += 1;
-                        if on_row(row)? == ScanFlow::Stop {
-                            stats.stopped_early = true;
+        scan_parts(&self.dir, &self.manifest.done, filter, projection, on_row)
+    }
+}
+
+/// The one store reader: stream every trusted, `filter`-matching row under
+/// `dir` to `on_row`, in cell-index order. A record is trusted when `done`
+/// holds its cell; among the files of one partition number, in
+/// [`sorted_part_paths`] order, a cell's last intact trusted record is its
+/// row.
+pub(crate) fn scan_parts(
+    dir: &Path,
+    done: &DoneSet,
+    filter: &RowFilter,
+    projection: Projection,
+    mut on_row: impl FnMut(&CellRow) -> Result<ScanFlow, String>,
+) -> Result<ScanStats, String> {
+    let mut stats = ScanStats::default();
+    let mut scratch = CellRow::default();
+    let mut emit = |buf: &PartitionBuf, b: usize, r: usize, stats: &mut ScanStats| {
+        buf.decode_into_projected(b, r, &mut scratch, projection);
+        stats.matched += 1;
+        stats.stopped_early = on_row(&scratch)? == ScanFlow::Stop;
+        Ok::<_, String>(stats.stopped_early)
+    };
+    let parts = sorted_part_paths(&dir.join(PARTS_DIR))?;
+    for group in parts.chunk_by(|a, b| a.0 == b.0) {
+        // Usually one file; a lease that bounced between workers
+        // (`part-N-wW.apc`) or a resumed v2 store (`part-N.csv` plus
+        // `part-N.apc`) leaves several, and a cell's records can span them.
+        let bufs = group
+            .iter()
+            .map(|(_, path)| read_part(path))
+            .collect::<Result<Vec<_>, _>>()?;
+        let files = bufs.iter().filter(|buf| buf.block_count() > 0).count();
+        if files == 0 {
+            continue; // fully torn or empty files: nothing trusted
+        }
+        // Resolve the filter once per block: string criteria become
+        // dictionary codes, numeric criteria check the zone maps. A block
+        // that resolves to None provably holds no match.
+        let resolved: Vec<Vec<_>> = bufs
+            .iter()
+            .map(|buf| {
+                (0..buf.block_count())
+                    .map(|b| buf.resolve_filter(b, filter))
+                    .collect()
+            })
+            .collect();
+        if resolved.iter().flatten().all(Option::is_none) {
+            // Every block of every file is proven row-free for the filter:
+            // skip the group without touching any column data.
+            // (Unreachable for an empty filter, which always resolves.)
+            stats.partitions_skipped += files;
+            continue;
+        }
+        stats.partitions_scanned += files;
+        // Last-wins resolution needs only the (file, block, row) of each
+        // cell's final trusted record, found from the index column alone.
+        // Indexes strictly increasing across the files (any compacted
+        // store, and every live one that never re-ran a cell) prove there
+        // are no duplicates and that file order *is* index order: emit
+        // directly. A last record inside an unmatchable block still wins
+        // (and emits nothing), so skipping never changes which one wins.
+        if records(&bufs).is_sorted_by(|a, b| a.3 < b.3) {
+            for (buf, resolved) in bufs.iter().zip(&resolved) {
+                for (b, rf) in resolved.iter().enumerate() {
+                    let rows = 0..buf.block_rows(b);
+                    let Some(rf) = rf else {
+                        stats.untrusted += rows
+                            .filter(|&r| !done.contains(buf.cell_index(b, r)))
+                            .count();
+                        continue;
+                    };
+                    // An unconstrained filter passes every row, so the
+                    // per-row match call is pure overhead on full scans.
+                    let check = !rf.is_unconstrained();
+                    for r in rows {
+                        if !done.contains(buf.cell_index(b, r)) {
+                            stats.untrusted += 1;
+                        } else if (!check || buf.matches(b, r, rf)) && emit(buf, b, r, &mut stats)?
+                        {
                             return Ok(stats);
                         }
                     }
                 }
-                continue;
             }
-            let buf = PartitionBuf::read(path)?;
-            let blocks = buf.block_count();
-            if blocks == 0 {
-                continue; // fully torn or empty file: nothing trusted
-            }
-            // Resolve the filter once per block: string criteria become
-            // dictionary codes, numeric criteria check the zone maps. A
-            // block that resolves to None provably holds no match.
-            let resolved: Vec<_> = (0..blocks).map(|b| buf.resolve_filter(b, filter)).collect();
-            if resolved.iter().all(|r| r.is_none()) {
-                // Every block of this partition is proven row-free for
-                // the filter: skip the partition without touching any
-                // column data. (Unreachable for an empty filter, which
-                // always resolves.)
-                stats.partitions_skipped += 1;
-                continue;
-            }
-            stats.partitions_scanned += 1;
-            // Cells of one index always land in the same partition, so
-            // last-wins duplicate resolution needs only the (block, row)
-            // of each index's final trusted occurrence — found by
-            // reading the index column alone. The common case (any
-            // compacted store, and every live store that never re-ran a
-            // cell) has strictly increasing indexes, which proves there
-            // are no duplicates and the file order *is* index order: emit
-            // directly, no dedup map. A last occurrence inside an
-            // unmatchable block still wins (and simply emits nothing),
-            // keeping skip decisions and duplicate resolution
-            // independent.
-            let mut monotone = true;
-            let mut prev: Option<usize> = None;
-            'check: for b in 0..blocks {
-                for r in 0..buf.block_rows(b) {
-                    let idx = buf.cell_index(b, r);
-                    if prev.is_some_and(|p| p >= idx) {
-                        monotone = false;
-                        break 'check;
-                    }
-                    prev = Some(idx);
-                }
-            }
-            if monotone {
-                for (b, rf) in resolved.iter().enumerate() {
-                    let Some(rf) = rf else { continue };
-                    // An unconstrained filter passes every row, so the
-                    // per-row match call is pure overhead on full scans.
-                    let check = !rf.is_unconstrained();
-                    for r in 0..buf.block_rows(b) {
-                        if is_done(buf.cell_index(b, r)) && (!check || buf.matches(b, r, rf)) {
-                            buf.decode_into_projected(b, r, &mut scratch, projection);
-                            stats.matched += 1;
-                            if on_row(&scratch)? == ScanFlow::Stop {
-                                stats.stopped_early = true;
-                                return Ok(stats);
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            let mut last: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
-            for b in 0..blocks {
-                for r in 0..buf.block_rows(b) {
-                    let idx = buf.cell_index(b, r);
-                    if is_done(idx) {
-                        last.insert(idx, (b, r));
-                    }
-                }
-            }
-            for &(b, r) in last.values() {
-                let Some(rf) = &resolved[b] else { continue };
-                if buf.matches(b, r, rf) {
-                    buf.decode_into_projected(b, r, &mut scratch, projection);
-                    stats.matched += 1;
-                    if on_row(&scratch)? == ScanFlow::Stop {
-                        stats.stopped_early = true;
-                        return Ok(stats);
-                    }
-                }
+            continue;
+        }
+        let mut last: BTreeMap<usize, (usize, usize, usize)> = BTreeMap::new();
+        for (f, b, r, idx) in records(&bufs) {
+            if !done.contains(idx) {
+                stats.untrusted += 1;
+            } else if last.insert(idx, (f, b, r)).is_some() {
+                stats.superseded += 1;
             }
         }
-        Ok(stats)
+        for &(f, b, r) in last.values() {
+            let Some(rf) = &resolved[f][b] else { continue };
+            if bufs[f].matches(b, r, rf) && emit(&bufs[f], b, r, &mut stats)? {
+                return Ok(stats);
+            }
+        }
     }
+    Ok(stats)
+}
+
+/// Every record of one partition number's files, in sorted-file order, as
+/// (file, block, row, cell index).
+fn records(bufs: &[PartitionBuf]) -> impl Iterator<Item = (usize, usize, usize, usize)> + '_ {
+    bufs.iter().enumerate().flat_map(|(f, buf)| {
+        (0..buf.block_count())
+            .flat_map(move |b| (0..buf.block_rows(b)).map(move |r| (f, b, r, buf.cell_index(b, r))))
+    })
 }
 
 /// One-shot convenience over [`StoreScanner`]: validate, then stream.

@@ -1,5 +1,10 @@
 //! Result sinks: CSV and JSON renderers plus directory writers.
 //!
+//! The executor streams every row into the partitioned
+//! [`ResultStore`](crate::store::ResultStore); [`CsvSink`] and
+//! [`JsonSink`] render the index-sorted rows it reads back, and the
+//! summaries folded from them, into `cells.*`/`summary.*`.
+//!
 //! The renderers are hand-rolled (the workspace has no serialization
 //! dependency), which makes the byte layout fully explicit — a requirement
 //! for the campaign's "byte-identical across thread counts" guarantee.
@@ -260,29 +265,6 @@ pub fn render_summary_json(summaries: &[SummaryRow]) -> String {
     }))
 }
 
-/// A pluggable results sink.
-///
-/// Since the executor streams every row into the partitioned
-/// [`ResultStore`](crate::store::ResultStore), the sinks here are **render
-/// frontends over the store**: [`write_store`](CampaignSink::write_store)
-/// pulls the index-sorted rows back out, folds the summaries and renders
-/// `cells.*`/`summary.*` exactly as the pre-store whole-file sinks did —
-/// the output bytes are unchanged.
-pub trait CampaignSink {
-    /// Persist the rows and summaries; returns the paths written.
-    fn write(&mut self, rows: &[CellRow], summaries: &[SummaryRow]) -> io::Result<Vec<PathBuf>>;
-
-    /// Render everything a result store records (rows sorted by cell
-    /// index, summaries re-folded from them) — byte-identical to a
-    /// [`write`](CampaignSink::write) of the same campaign's in-memory
-    /// outcome.
-    fn write_store(&mut self, store: &crate::store::ResultStore) -> io::Result<Vec<PathBuf>> {
-        let rows = store.rows();
-        let summaries = crate::agg::summarize(&rows);
-        self.write(&rows, &summaries)
-    }
-}
-
 fn write_into(dir: &Path, name: &str, content: &str) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
     let path = dir.join(name);
@@ -301,10 +283,13 @@ impl CsvSink {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         CsvSink { dir: dir.into() }
     }
-}
 
-impl CampaignSink for CsvSink {
-    fn write(&mut self, rows: &[CellRow], summaries: &[SummaryRow]) -> io::Result<Vec<PathBuf>> {
+    /// Render the rows and summaries; returns the paths written.
+    pub fn write(
+        &mut self,
+        rows: &[CellRow],
+        summaries: &[SummaryRow],
+    ) -> io::Result<Vec<PathBuf>> {
         Ok(vec![
             write_into(&self.dir, "cells.csv", &render_cells_csv(rows))?,
             write_into(&self.dir, "summary.csv", &render_summary_csv(summaries))?,
@@ -323,10 +308,13 @@ impl JsonSink {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         JsonSink { dir: dir.into() }
     }
-}
 
-impl CampaignSink for JsonSink {
-    fn write(&mut self, rows: &[CellRow], summaries: &[SummaryRow]) -> io::Result<Vec<PathBuf>> {
+    /// Render the rows and summaries; returns the paths written.
+    pub fn write(
+        &mut self,
+        rows: &[CellRow],
+        summaries: &[SummaryRow],
+    ) -> io::Result<Vec<PathBuf>> {
         Ok(vec![
             write_into(&self.dir, "cells.json", &render_cells_json(rows))?,
             write_into(&self.dir, "summary.json", &render_summary_json(summaries))?,
@@ -399,36 +387,6 @@ mod tests {
         assert!(split_csv_line("\"unterminated").is_err());
         assert!(split_csv_line("\"x\"tail,y").is_err());
         assert!(split_csv_line("mid\"quote").is_err());
-    }
-
-    #[test]
-    fn write_store_renders_the_same_bytes_as_write() {
-        let dir = std::env::temp_dir().join(format!(
-            "apc-campaign-sink-store-test-{}",
-            std::process::id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        let rows = rows();
-        let summaries = crate::agg::summarize(&rows);
-        let mut store =
-            crate::store::ResultStore::create(dir.join("store"), 7, rows.len()).unwrap();
-        for row in &rows {
-            store.append(row).unwrap();
-        }
-        let direct_dir = dir.join("direct");
-        let fronted_dir = dir.join("fronted");
-        CsvSink::new(&direct_dir).write(&rows, &summaries).unwrap();
-        JsonSink::new(&direct_dir).write(&rows, &summaries).unwrap();
-        CsvSink::new(&fronted_dir).write_store(&store).unwrap();
-        JsonSink::new(&fronted_dir).write_store(&store).unwrap();
-        for name in ["cells.csv", "summary.csv", "cells.json", "summary.json"] {
-            assert_eq!(
-                fs::read(direct_dir.join(name)).unwrap(),
-                fs::read(fronted_dir.join(name)).unwrap(),
-                "{name} differs between direct render and store frontend"
-            );
-        }
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -46,13 +46,13 @@
 //! its rerun) resolve to the **last** intact occurrence.
 //!
 //! Schema v2 stores (`part-NNNN.csv`, text rows written by older versions)
-//! stay readable, resumable and migratable: every reader dispatches on the
-//! partition file's extension, never on the manifest, and decodes CSV
-//! partitions through [`CellRow::parse_store_line`], whose shortest
-//! round-trip floats are bit-exact too. A resumed v2 store appends its
-//! missing cells as `.apc` partitions beside the CSV ones, and
-//! `campaign compact` migrates it to v3. Extension dispatch also keeps the
-//! compact swap crash-tolerant.
+//! stay readable, resumable and migratable: the reader dispatches on the
+//! partition file's extension, never on the manifest, and re-encodes a CSV
+//! partition as one in-memory block of the lines
+//! [`CellRow::parse_store_line`] accepts (bit-exact too). A resumed v2
+//! store appends its missing cells as `.apc` partitions beside the CSV
+//! ones, and `campaign compact` migrates it to v3. Extension dispatch also
+//! keeps the compact swap crash-tolerant.
 //!
 //! Appends are fsync'd by default — the partition file before the `done`
 //! line, the manifest after it — so a crash cannot reorder a completion
@@ -60,9 +60,10 @@
 //! tests and benches). Distributed workers
 //! ([`ResultStore::open_worker`]) write worker-owned
 //! `cells/part-NNNN-wW.apc` partitions and share only the manifest, whose
-//! `done` lines are single atomic `O_APPEND` writes; readers merge all
-//! files of one partition number in one fixed order (plain before
-//! worker-suffixed, CSV before `.apc`) with the same last-wins rule.
+//! `done` lines are single atomic `O_APPEND` writes. The one reader behind
+//! every path ([`crate::query`]) merges all files of one partition number
+//! in one fixed order (plain before worker-suffixed, CSV before `.apc`)
+//! with the same last-wins rule.
 //!
 //! [`CampaignSpec::fingerprint`]: crate::spec::CampaignSpec::fingerprint
 //! [`DEFAULT_COMPACT_CELLS_PER_PART`]: crate::compact::DEFAULT_COMPACT_CELLS_PER_PART
@@ -75,6 +76,7 @@ use std::path::{Path, PathBuf};
 
 use crate::agg::CellRow;
 use crate::colstore::{self, PartitionBuf};
+use crate::query::{scan_parts, Projection, RowFilter, ScanFlow};
 
 /// Store format magic + schema version, the first manifest line.
 const MANIFEST_MAGIC: &str = "apc-campaign-store";
@@ -158,30 +160,23 @@ pub(crate) fn sorted_part_paths(parts_dir: &Path) -> Result<Vec<(usize, PathBuf)
         .collect())
 }
 
-/// Is this partition path a v3 (binary columnar) file? Readers dispatch on
-/// the extension, not the manifest schema, so a directory mixing `.csv` and
-/// `.apc` partitions (a resumed v2 store, or one mid-migration) reads
-/// correctly.
-pub(crate) fn is_v3_part(path: &Path) -> bool {
-    path.extension().and_then(|e| e.to_str()) == Some(colstore::PART_EXT_V3)
-}
-
-/// Decode every record of one partition file, whatever its codec, in file
-/// order. Torn records are dropped by the codec (unparseable CSV line /
-/// checksum-failing block); `done`-set filtering and last-wins duplicate
-/// resolution are the caller's, exactly as before.
-pub(crate) fn load_part_rows(path: &Path) -> Result<Vec<CellRow>, String> {
-    if is_v3_part(path) {
-        Ok(PartitionBuf::read(path)?.decode_all())
-    } else {
-        let text =
-            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Ok(text
-            .lines()
-            .skip(1)
-            .filter_map(|line| CellRow::parse_store_line(line).ok())
-            .collect())
+/// Read one partition file as v3 blocks, dispatching on its extension (not
+/// the manifest's schema, so a store mixing `.csv` and `.apc` files reads
+/// correctly). A v2 CSV file becomes one in-memory block of the lines that
+/// parse: a line torn by a crash drops out like a block failing its
+/// checksum.
+pub(crate) fn read_part(path: &Path) -> Result<PartitionBuf, String> {
+    if path.extension().and_then(|e| e.to_str()) == Some(colstore::PART_EXT_V3) {
+        return PartitionBuf::read(path);
     }
+    let text =
+        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let rows: Vec<CellRow> = text
+        .lines()
+        .skip(1)
+        .filter_map(|line| CellRow::parse_store_line(line).ok())
+        .collect();
+    Ok(PartitionBuf::parse(colstore::encode_block(&rows)))
 }
 
 /// A set of completed cell indices: one bit per cell, plus a count.
@@ -540,22 +535,17 @@ impl ResultStore {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, String> {
         let dir = dir.into();
         let (parsed, manifest, manifest_pos) = open_manifest(&dir)?;
-        // Load rows from the partitions, trusting only indices in the done
-        // set and keeping the last intact record per index.
+        // Every trusted row, as the one store reader resolves it. A done
+        // entry whose row is missing or unreadable is dropped from the
+        // trusted set; the executor will simply rerun that cell.
         let mut rows = BTreeMap::new();
-        for (_, path) in sorted_part_paths(&dir.join(PARTS_DIR))? {
-            for row in load_part_rows(&path)? {
-                if parsed.done.contains(row.index) {
-                    rows.insert(row.index, row);
-                }
-            }
-        }
-        // A done entry whose row is missing or unreadable is dropped from
-        // the trusted set; the executor will simply rerun that cell.
         let mut done = DoneSet::new(parsed.total_cells);
-        for &idx in rows.keys() {
-            done.insert(idx);
-        }
+        let all = RowFilter::default();
+        scan_parts(&dir, &parsed.done, &all, Projection::ALL, |row| {
+            done.insert(row.index);
+            rows.insert(row.index, row.clone());
+            Ok(ScanFlow::Continue)
+        })?;
         Ok(ResultStore {
             dir,
             spec_hash: parsed.spec_hash,

@@ -64,8 +64,8 @@ fn repeated_runs_are_byte_identical() {
     assert_eq!(rendered_outputs(2), rendered_outputs(2));
 }
 
-/// Run the small grid through the on-disk store and render with the sink
-/// frontends, returning the four output files' bytes.
+/// Run the small grid through the on-disk store and render the rows read
+/// back from it with the sinks, returning the four output files' bytes.
 fn store_outputs(threads: usize) -> [Vec<u8>; 4] {
     let dir =
         std::env::temp_dir().join(format!("apc-determinism-{threads}-{}", std::process::id()));
@@ -75,8 +75,10 @@ fn store_outputs(threads: usize) -> [Vec<u8>; 4] {
         ResultStore::create(&dir, runner.fingerprint(), runner.cells().unwrap().len()).unwrap();
     let outcome = runner.run_with_store(&mut store).unwrap();
     assert_eq!(outcome.rows.len(), runner.cells().unwrap().len());
-    CsvSink::new(&dir).write_store(&store).unwrap();
-    JsonSink::new(&dir).write_store(&store).unwrap();
+    let rows = store.rows();
+    let summaries = summarize(&rows);
+    CsvSink::new(&dir).write(&rows, &summaries).unwrap();
+    JsonSink::new(&dir).write(&rows, &summaries).unwrap();
     let outputs = ["cells.csv", "summary.csv", "cells.json", "summary.json"]
         .map(|name| std::fs::read(dir.join(name)).unwrap());
     std::fs::remove_dir_all(&dir).unwrap();

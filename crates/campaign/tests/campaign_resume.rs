@@ -47,8 +47,10 @@ fn run_full(dir: &Path, threads: usize) -> CampaignOutcome {
 }
 
 fn render(dir: &Path, store: &ResultStore) {
-    CsvSink::new(dir).write_store(store).unwrap();
-    JsonSink::new(dir).write_store(store).unwrap();
+    let rows = store.rows();
+    let summaries = summarize(&rows);
+    CsvSink::new(dir).write(&rows, &summaries).unwrap();
+    JsonSink::new(dir).write(&rows, &summaries).unwrap();
 }
 
 fn read_outputs(dir: &Path) -> [Vec<u8>; 4] {
