@@ -191,21 +191,30 @@ impl PowerSeries {
         }
     }
 
-    /// Peak power inside `[start, end)`: the level carried in at `start`
-    /// maxed with every change point inside the window.
+    /// Peak power inside `[start, end)`: the level the cluster held at
+    /// `start` maxed with the level it settled at after each change
+    /// instant inside the window — the largest [`at`](Self::at) over `start`
+    /// and those instants.
+    ///
+    /// Several changes at one instant (a job ending as the next starts, a
+    /// node powering off) leave one sample each, but only the last is a
+    /// level the cluster held; the intermediate ones last no time and are
+    /// not peaks.
     ///
     /// The samples are change points in nondecreasing time order, so the
     /// window is located by binary search — multi-window campaign cells
     /// query many windows against the same series, and a full scan per call
     /// made that O(windows × samples).
     pub fn peak_within(&self, start: SimTime, end: SimTime) -> Watts {
-        let start_level = self.at(start);
-        let lo = self.samples.partition_point(|s| s.0 < start);
+        // `at(start)` already covers the instant `start` itself; the window
+        // slice then holds whole instants, as no instant straddles either
+        // boundary.
+        let lo = self.samples.partition_point(|s| s.0 <= start);
         let hi = lo + self.samples[lo..].partition_point(|s| s.0 < end);
         self.samples[lo..hi]
-            .iter()
-            .map(|(_, p)| *p)
-            .fold(start_level, Watts::max)
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|instant| instant[instant.len() - 1].1)
+            .fold(self.at(start), Watts::max)
     }
 
     /// Resample at a fixed step.
@@ -421,6 +430,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Only the level settled after the last change of an instant counts:
+    /// the intermediate samples of an instant, inside the window or at
+    /// `start`, are levels the cluster never held.
+    #[test]
+    fn peak_within_ignores_the_intermediate_samples_of_an_instant() {
+        let series = PowerSeries::from_samples(&[
+            PowerSample {
+                time: 0,
+                power: Watts(100.0),
+            },
+            PowerSample {
+                time: 10,
+                power: Watts(900.0),
+            },
+            PowerSample {
+                time: 10,
+                power: Watts(200.0),
+            },
+            PowerSample {
+                time: 20,
+                power: Watts(800.0),
+            },
+            PowerSample {
+                time: 20,
+                power: Watts(300.0),
+            },
+            PowerSample {
+                time: 30,
+                power: Watts(150.0),
+            },
+        ]);
+        // Two changes at `start` and two inside the window.
+        assert_eq!(series.peak_within(10, 30), Watts(300.0));
+        assert_eq!(series.peak_within(10, 20), Watts(200.0));
+        assert_eq!(series.peak_within(0, 30), Watts(300.0));
+        assert_eq!(series.peak_within(5, 40), Watts(300.0));
+        assert_eq!(series.peak_within(25, 40), Watts(300.0));
     }
 
     #[test]

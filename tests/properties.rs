@@ -390,6 +390,36 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The stored peak is the largest level the cluster held in the window:
+    /// the max of `at(t)` over `start` and every change time in
+    /// `[start, end)`, however many changes share one instant.
+    #[test]
+    fn peak_within_is_the_largest_level_held(
+        steps in proptest::collection::vec((0u64..3, 0u32..1000), 0..40),
+        window in (0u64..50, 0u64..50),
+    ) {
+        let mut time = 0;
+        let samples: Vec<apc_power::PowerSample> = steps
+            .iter()
+            .map(|&(dt, watts)| {
+                time += dt;
+                apc_power::PowerSample { time, power: Watts(watts as f64) }
+            })
+            .collect();
+        let series = apc_replay::metrics::PowerSeries::from_samples(&samples);
+        let (start, end) = (window.0, window.0 + window.1);
+        let reference = samples
+            .iter()
+            .filter(|s| s.time >= start && s.time < end)
+            .map(|s| series.at(s.time))
+            .fold(series.at(start), Watts::max);
+        prop_assert_eq!(series.peak_within(start, end), reference, "[{}, {})", start, end);
+    }
+}
+
 /// The node-list reference for the count-based decision: Algorithm 2's
 /// ladder walk, probing `Cluster::power_if_busy` on the picked nodes at
 /// every step over the step's stretched window.
