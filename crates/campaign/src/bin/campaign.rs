@@ -1013,7 +1013,7 @@ fn run_report(args: &[String]) -> Result<(), String> {
         "partial — finish it with --resume".to_string()
     };
     println!(
-        "campaign {dir}: {}/{} cells recorded ({state}), spec {}",
+        "campaign {dir}: {}/{} cells recorded ({state}), spec {:016x}",
         rows.len(),
         scanner.total_cells(),
         scanner.spec_hash(),

@@ -53,6 +53,8 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use apc_workload::rng::SplitMix64;
 
+use crate::store::MAX_STORE_CELLS;
+
 /// Name of the lease log inside a store directory.
 pub const LEASES_NAME: &str = "leases.log";
 
@@ -66,6 +68,12 @@ const LEASES_VERSION: u32 = 1;
 /// (one claim + a few renews per batch) is amortised over tens of seconds
 /// of execution.
 pub const DEFAULT_LEASE_CELLS: usize = 4096;
+
+/// The most batches one lease log tracks: the bound on the per-batch table
+/// every reader sizes from the header (40 B a batch, so 40 MiB). It admits
+/// the largest store, [`MAX_STORE_CELLS`] cells, at the default
+/// [`DEFAULT_LEASE_CELLS`]-cell lease.
+pub const MAX_LEASE_BATCHES: usize = 1 << 20;
 
 /// Default lease TTL. Workers heartbeat at half the TTL, so a lease is
 /// stolen between one and one-and-a-half TTLs after its holder dies.
@@ -475,6 +483,27 @@ impl LeaseHeader {
         self.total_cells.div_ceil(self.lease_cells)
     }
 
+    /// Is the geometry within the store's cell limit and the lease log's
+    /// batch limit? Checked before anything is sized from it.
+    fn check_bounds(&self) -> Result<(), String> {
+        if self.total_cells > MAX_STORE_CELLS {
+            return Err(format!(
+                "{} cells exceed the limit of {MAX_STORE_CELLS} cells per store",
+                self.total_cells
+            ));
+        }
+        if self.batch_count() > MAX_LEASE_BATCHES {
+            return Err(format!(
+                "{} cells in {}-cell leases are {} batches, more than the \
+                 {MAX_LEASE_BATCHES} a lease log tracks",
+                self.total_cells,
+                self.lease_cells,
+                self.batch_count()
+            ));
+        }
+        Ok(())
+    }
+
     /// The cell-index range of `batch`.
     pub fn batch_range(&self, batch: usize) -> std::ops::Range<usize> {
         let start = batch * self.lease_cells;
@@ -502,6 +531,11 @@ impl LeaseLog {
     /// Create a fresh lease log in `dir` (truncating any previous one —
     /// stale leases from an earlier run must not outlive it; completed
     /// cells are protected by the manifest, not the lease log).
+    ///
+    /// A geometry [`open`](Self::open) would refuse — more than
+    /// [`MAX_STORE_CELLS`] cells, or more than [`MAX_LEASE_BATCHES`]
+    /// batches — is refused before anything is written, so every log this
+    /// writes opens again.
     pub fn create(
         dir: &Path,
         spec_hash: u64,
@@ -515,6 +549,18 @@ impl LeaseLog {
         if ttl_ms == 0 {
             return Err("--lease-ttl must be > 0".into());
         }
+        let header = LeaseHeader {
+            spec_hash,
+            total_cells,
+            lease_cells,
+            ttl_ms,
+        };
+        header.check_bounds().map_err(|e| {
+            format!(
+                "--lease-cells {lease_cells}: {e}; use --lease-cells {} or more",
+                total_cells.div_ceil(MAX_LEASE_BATCHES)
+            )
+        })?;
         let path = dir.join(LEASES_NAME);
         let mut file = fs::File::create(&path)
             .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
@@ -528,7 +574,9 @@ impl LeaseLog {
     }
 
     /// Open an existing lease log, parse its header, and replay the
-    /// records present so far.
+    /// records present so far. A header whose geometry
+    /// [`create`](Self::create) would refuse is an error before the
+    /// per-batch table is sized from it.
     pub fn open(dir: &Path) -> Result<Self, String> {
         let path = dir.join(LEASES_NAME);
         let mut file = fs::OpenOptions::new()
@@ -578,6 +626,9 @@ impl LeaseLog {
             lease_cells: lease_cells as usize,
             ttl_ms,
         };
+        header
+            .check_bounds()
+            .map_err(|e| format!("lease log header {header_line:?}: {e}"))?;
         let header_len = text
             .find('\n')
             .map(|i| i + 1)
@@ -769,6 +820,39 @@ mod tests {
         assert!(log.validate_spec(0xabcd, 999).is_err());
         assert!(LeaseLog::create(&dir, 1, 10, 0, 5_000).is_err());
         assert!(LeaseLog::create(&dir, 1, 10, 4, 0).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Headers that once crashed every reader — `capacity overflow` and a
+    /// 4 TB allocation — are clean errors, and `create` refuses the same
+    /// geometry with a hint at `--lease-cells`.
+    #[test]
+    fn oversized_geometry_is_refused_before_the_batch_table_is_sized() {
+        let dir = temp_dir("huge-header");
+        for cells in ["18446744073709551615", "100000000000"] {
+            fs::write(
+                dir.join(LEASES_NAME),
+                format!("{LEASES_MAGIC} 1 000000000000abcd {cells} 1 30000\n"),
+            )
+            .unwrap();
+            let err = LeaseLog::open(&dir).unwrap_err();
+            assert!(
+                err.contains(&format!("{cells} cells exceed the limit")),
+                "{err}"
+            );
+        }
+        let err = LeaseLog::create(&dir, 1, MAX_LEASE_BATCHES + 1, 1, 5_000).unwrap_err();
+        assert!(
+            err.contains("more than the 1048576 a lease log tracks")
+                && err.contains("use --lease-cells 2 or more"),
+            "{err}"
+        );
+        let err = LeaseLog::create(&dir, 1, MAX_STORE_CELLS + 1, 4096, 5_000).unwrap_err();
+        assert!(err.contains("--lease-cells 4096"), "{err}");
+        // The largest store at the default lease is exactly the bound.
+        LeaseLog::create(&dir, 1, MAX_STORE_CELLS, DEFAULT_LEASE_CELLS, 5_000).unwrap();
+        let log = LeaseLog::open(&dir).unwrap();
+        assert_eq!(log.header().batch_count(), MAX_LEASE_BATCHES);
         fs::remove_dir_all(&dir).unwrap();
     }
 

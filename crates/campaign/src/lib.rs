@@ -79,6 +79,7 @@ pub mod prelude {
     pub use crate::lease::{
         now_ms, Backoff, BatchLease, LeaseAction, LeaseHeader, LeaseLog, LeaseState,
         WorkerLeaseStats, DEFAULT_LEASE_CELLS, DEFAULT_LEASE_TTL_MS, LEASES_NAME,
+        MAX_LEASE_BATCHES,
     };
     pub use crate::obs::CampaignObs;
     pub use crate::pareto::{

@@ -17,9 +17,11 @@
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use apc_campaign::prelude::*;
+use apc_campaign::store::MAX_STORE_CELLS;
 use proptest::prelude::*;
 
 const TTL_MS: u64 = 1_000;
@@ -212,4 +214,133 @@ fn merged_records_are_skipped() {
     assert!(state.apply_line("claim 0 0 5 1005"));
     assert_eq!(state.owner(0), Some(0));
     assert_eq!(state.owner(1), None);
+}
+
+/// The lease-log header's values, from well-formed to hostile.
+fn header_value() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0u64..5000).prop_map(|v| v.to_string()),
+        (0usize..13).prop_map(|i| {
+            [
+                "0",
+                "1",
+                "4096",
+                "1048576",
+                "4294967295",
+                "4294967296",
+                "100000000000",
+                "18446744073709551615",
+                "18446744073709551616",
+                "-1",
+                "0x10",
+                "",
+                "feed",
+            ][i]
+                .to_string()
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Mutated headers — huge or malformed numbers, fields dropped — open
+    /// to `Ok` or a clean `Err`, never a panic or an abort, and an accepted
+    /// header is within both the store's cell limit and the batch limit.
+    #[test]
+    fn lease_header_parsing_is_total(
+        edits in proptest::collection::vec((0usize..3, header_value()), 6..7),
+    ) {
+        let defaults = ["apc-campaign-leases", "1", "feedbeefdeadcafe", "32", "8", "1000"];
+        let words: Vec<String> = defaults
+            .iter()
+            .zip(&edits)
+            .filter_map(|(default, (action, value))| match action {
+                0 => Some(default.to_string()),
+                1 => Some(value.clone()),
+                _ => None, // the field is missing
+            })
+            .collect();
+        let dir = temp_dir("header-fuzz");
+        let text = format!("{}\nclaim 0 1 100 600\n", words.join(" "));
+        fs::write(dir.join(LEASES_NAME), &text).unwrap();
+        match LeaseLog::open(&dir) {
+            Ok(log) => {
+                let header = log.header();
+                prop_assert!(header.total_cells <= MAX_STORE_CELLS, "{text}");
+                prop_assert!(header.batch_count() <= MAX_LEASE_BATCHES, "{text}");
+                prop_assert!(header.lease_cells >= 1 && header.ttl_ms >= 1, "{text}");
+            }
+            Err(err) => prop_assert!(!err.is_empty(), "{text}"),
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// `campaign report` prints an oversized lease header as unreadable and
+/// goes on (exit 0) — it once panicked or aborted before the
+/// `lease log unreadable` branch — and a worker refuses it with a clean
+/// error. The report prints the spec fingerprint in hex, as the manifest
+/// records it.
+#[test]
+fn oversized_lease_headers_are_reported_not_crashed_on() {
+    const BIN: &str = env!("CARGO_BIN_EXE_campaign");
+    let grid = [
+        "--seeds",
+        "1",
+        "--racks",
+        "1",
+        "--intervals",
+        "medianjob",
+        "--policies",
+        "shut",
+        "--caps",
+        "60",
+        "--no-sync",
+        "--quiet",
+    ];
+    let dir = temp_dir("report-huge");
+    let dir_arg = dir.to_str().unwrap();
+    let status = Command::new(BIN)
+        .args(grid)
+        .args([
+            "--distributed",
+            dir_arg,
+            "--workers",
+            "0",
+            "--lease-cells",
+            "1",
+        ])
+        .output()
+        .unwrap()
+        .status;
+    assert!(status.success());
+    let manifest = fs::read_to_string(dir.join("manifest.txt")).unwrap();
+    let spec = manifest
+        .lines()
+        .nth(1)
+        .unwrap()
+        .strip_prefix("spec ")
+        .unwrap();
+    for cells in ["18446744073709551615", "100000000000"] {
+        let header = format!("apc-campaign-leases 1 {spec} {cells} 1 30000\n");
+        fs::write(dir.join(LEASES_NAME), header).unwrap();
+        let report = Command::new(BIN)
+            .args(["report", dir_arg])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&report.stdout);
+        assert_eq!(report.status.code(), Some(0), "{stdout}");
+        assert!(stdout.contains("lease log unreadable:"), "{stdout}");
+        assert!(stdout.contains(&format!(", spec {spec}\n")), "{stdout}");
+        let worker = Command::new(BIN)
+            .args(["worker", dir_arg, "--worker-id", "0"])
+            .args(grid)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&worker.stderr);
+        assert_eq!(worker.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains("cells exceed the limit"), "{stderr}");
+    }
+    fs::remove_dir_all(&dir).ok();
 }
