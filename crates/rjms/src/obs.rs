@@ -14,6 +14,7 @@
 //! |----------------------------------|-----------|---------------------------------------|
 //! | `rjms.schedule_pass.duration_ns` | histogram | wall time of one non-empty pass       |
 //! | `rjms.schedule_pass.queue_depth` | histogram | pending jobs at the start of the pass |
+//! | `rjms.schedule_pass.idle`        | counter   | non-empty passes that started no job  |
 //! | `rjms.blocked_cache.hits`        | counter   | blocked-set signature cache hits      |
 //! | `rjms.blocked_cache.misses`      | counter   | … misses (set built from scratch)     |
 //! | `rjms.probe.fast`                | counter   | power probes on the `Busy` fast path  |
@@ -45,6 +46,7 @@ pub struct PassMeasurements {
 pub struct ControllerObs {
     pass_duration_ns: Histogram,
     pass_queue_depth: Histogram,
+    pass_idle: Counter,
     blocked_cache_hits: Counter,
     blocked_cache_misses: Counter,
     probe_fast: Counter,
@@ -68,6 +70,7 @@ impl ControllerObs {
         ControllerObs {
             pass_duration_ns: registry.histogram("rjms.schedule_pass.duration_ns"),
             pass_queue_depth: registry.histogram("rjms.schedule_pass.queue_depth"),
+            pass_idle: registry.counter("rjms.schedule_pass.idle"),
             blocked_cache_hits: registry.counter("rjms.blocked_cache.hits"),
             blocked_cache_misses: registry.counter("rjms.blocked_cache.misses"),
             probe_fast: registry.counter("rjms.probe.fast"),
@@ -102,14 +105,16 @@ impl ControllerObs {
         self.spans.start_if(self.is_live())
     }
 
-    /// Publish one finished schedule pass: histograms, cache counters, the
-    /// probe-count deltas since the previous publication, and a span.
+    /// Publish one finished schedule pass: histograms, the idle-pass and
+    /// cache counters, the probe-count deltas since the previous
+    /// publication, and a span.
     pub fn pass_end(&mut self, pass: SpanStart, m: PassMeasurements, probe_counts: (u64, u64)) {
         if !self.is_live() {
             return;
         }
         self.pass_duration_ns.record(pass.elapsed_ns());
         self.pass_queue_depth.record(m.queue_depth as u64);
+        self.pass_idle.add(u64::from(m.started == 0));
         self.blocked_cache_hits.add(m.cache_hits);
         self.blocked_cache_misses.add(m.cache_misses);
         let (fast, slow) = probe_counts;
@@ -172,6 +177,25 @@ mod tests {
         let depth = snap.histogram("rjms.schedule_pass.queue_depth").unwrap();
         assert_eq!(depth.count, 2);
         assert_eq!(depth.min, 12);
+        assert_eq!(snap.counter("rjms.schedule_pass.idle"), Some(0));
+    }
+
+    #[test]
+    fn idle_counter_counts_only_passes_that_start_nothing() {
+        let registry = Registry::new();
+        let mut obs = ControllerObs::new(&registry, SpanRecorder::disabled());
+        for started in [0, 2, 0, 1] {
+            let m = PassMeasurements {
+                queue_depth: 3,
+                started,
+                ..PassMeasurements::default()
+            };
+            obs.pass_end(obs.pass_begin(), m, (0, 0));
+        }
+        assert_eq!(
+            registry.snapshot().counter("rjms.schedule_pass.idle"),
+            Some(2)
+        );
     }
 
     #[test]
