@@ -15,7 +15,12 @@
 //!   prefix, again never a garbled row: exactly the blocks before the one
 //!   holding the flipped bit;
 //! * **zone maps** — a scan with partition skipping returns exactly the
-//!   rows a brute-force filter over all decoded rows returns.
+//!   rows a brute-force filter over all decoded rows returns;
+//! * **one reader** — over random stores mixing plain, worker-suffixed and
+//!   v2 CSV files per partition number, with duplicates, torn tails and
+//!   lost `done` entries, the scan, `ResultStore::open` and
+//!   `compact_store` all return exactly a brute-force model's rows: the
+//!   last trusted record of each cell in sorted-file order.
 //!
 //! Plus a deterministic crash-resume test mirroring `campaign_resume.rs`
 //! at the store level: a torn v3 append is repaired on reopen and the
@@ -26,10 +31,10 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use apc_campaign::agg::CellRow;
+use apc_campaign::agg::{CellRow, Column, Field};
 use apc_campaign::colstore::{encode_block, rows_bit_identical, PartitionBuf};
 use apc_campaign::compact::compact_store;
-use apc_campaign::query::{RowFilter, ScanFlow, StoreScanner};
+use apc_campaign::query::{Projection, RowFilter, ScanFlow, ScanStats, StoreScanner};
 use apc_campaign::store::ResultStore;
 use apc_workload::rng::SplitMix64;
 use proptest::prelude::*;
@@ -460,4 +465,239 @@ fn compacted_done_ranges_survive_holes_a_rerun_and_a_resume() {
     assert_rows_bit_identical(&full.rows(), &expected);
     assert_rows_bit_identical(&scan_all(&dir), &expected);
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A store written for the one-reader property, and what a brute-force
+/// reader makes of it.
+struct ModelStore {
+    /// The last trusted record of each cell, in index order.
+    rows: Vec<CellRow>,
+    /// Intact records of cells without a `done` entry.
+    untrusted: usize,
+    /// Trusted records a later record of the same cell replaced.
+    superseded: usize,
+}
+
+/// A v2 partition line, 22 fields for a label-free row and 24 otherwise,
+/// floats in shortest round-trip form.
+fn v2_line(row: &CellRow) -> String {
+    let labelled = row.schedule != "-" || row.faults != "-";
+    Column::ALL
+        .into_iter()
+        .filter(|c| !c.is_optional_label())
+        .chain(if labelled {
+            vec![Column::Schedule, Column::Faults]
+        } else {
+            vec![]
+        })
+        .map(|c| match row.field(c) {
+            Field::Int(v) => v.to_string(),
+            Field::Seed(s) => s.map_or_else(String::new, |s| s.to_string()),
+            Field::Float(v) => v.to_string(),
+            Field::Label(s) => s.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// One sampled partition number: its own entropy, and its records as
+/// (file, cell offset, row entropy, selector).
+type ModelPart = (u64, Vec<(u8, usize, u64, u8)>);
+
+/// Write a random store into `dir` and fold the model over what it wrote.
+/// Each partition number `p` gets 1–3 files — kind 0 is the v2
+/// `part-p.csv`, 1 the plain `part-p.apc`, 2 a worker's `part-p-wN.apc`,
+/// the order readers take them in — and the records
+/// `(file, cell offset, entropy, selector)` assigned to them; the
+/// partition's own entropy decides the rest: per-file sorting, block
+/// sizes, torn tails and lost `done` entries.
+fn write_model_store(dir: &std::path::Path, parts: &[ModelPart]) -> ModelStore {
+    let cells_dir = dir.join("cells");
+    fs::create_dir_all(&cells_dir).unwrap();
+    let total = parts.len() * 64;
+    let mut intact: Vec<(usize, Vec<CellRow>)> = Vec::new(); // per file, in read order
+    let mut logged = std::collections::BTreeSet::new();
+    for (p, (entropy, records)) in parts.iter().enumerate() {
+        let mut bits = SplitMix64::new(*entropy);
+        let mask = 1 + bits.range(0..7) as usize; // a non-empty subset of the kinds
+        let kinds: Vec<usize> = (0..3).filter(|k| mask >> k & 1 == 1).collect();
+        let mut files: Vec<Vec<CellRow>> = vec![Vec::new(); kinds.len()];
+        for &(file, offset, a, sel) in records {
+            let index = p * 64 + offset;
+            logged.insert(index);
+            files[file as usize % kinds.len()].push(build_row(index, a, a.rotate_left(7) % 8, sel));
+        }
+        // Files sorted by index with no repeats make every file monotone on
+        // its own while the group as a whole may not be.
+        let sorted = bits.range(0..2) == 0;
+        for (rows, &kind) in files.iter_mut().zip(&kinds) {
+            if sorted {
+                rows.reverse();
+                rows.sort_by_key(|r| r.index); // stable: the later record first
+                rows.dedup_by_key(|r| r.index);
+            }
+            let torn = !rows.is_empty() && bits.range(0..3) == 0;
+            let kept = if kind == 0 {
+                let mut text = String::from("index,racks,workload,…\n");
+                let mut kept: Vec<CellRow> = Vec::new();
+                for row in rows.iter() {
+                    let line = v2_line(row);
+                    text.push_str(&line);
+                    text.push('\n');
+                    kept.push(CellRow::parse_store_line(&line).unwrap());
+                }
+                if torn {
+                    // Cut the last line before its tenth field: it cannot
+                    // parse, and there is no newline after it.
+                    text.pop();
+                    let start = text.rfind('\n').unwrap() + 1;
+                    let cut = text[start..].match_indices(',').nth(9).unwrap().0;
+                    text.truncate(start + cut);
+                    kept.pop();
+                }
+                fs::write(cells_dir.join(format!("part-{p:04}.csv")), text).unwrap();
+                kept
+            } else {
+                let chunk = 1 + bits.range(0..3) as usize;
+                let blocks: Vec<Vec<u8>> = rows.chunks(chunk).map(encode_block).collect();
+                let mut data: Vec<u8> = blocks.concat();
+                let mut kept = rows.clone();
+                if torn {
+                    let last = blocks.last().unwrap().len();
+                    data.truncate(data.len() - 1 - bits.range(0..last as u64 - 1) as usize);
+                    kept.truncate(rows.len() - rows.chunks(chunk).last().unwrap().len());
+                }
+                let name = if kind == 1 {
+                    format!("part-{p:04}.apc")
+                } else {
+                    format!("part-{p:04}-w{}.apc", bits.range(0..3))
+                };
+                fs::write(cells_dir.join(name), data).unwrap();
+                kept
+            };
+            intact.push((p, kept));
+        }
+        // A logged cell with no record at all is trusted by no reader.
+        logged.insert(p * 64 + 63);
+    }
+    // Lose some `done` entries: those cells' records are untrusted.
+    let done: Vec<usize> = logged
+        .into_iter()
+        .filter(|&i| SplitMix64::new(i as u64 ^ parts[0].0).range(0..5) != 0)
+        .collect();
+    let mut manifest = format!("apc-campaign-store 3\nspec 1\ncells {total}\nper-part 64\n");
+    for i in &done {
+        manifest.push_str(&format!("done {i}\n"));
+    }
+    fs::write(dir.join("manifest.txt"), manifest).unwrap();
+
+    let mut model = ModelStore {
+        rows: Vec::new(),
+        untrusted: 0,
+        superseded: 0,
+    };
+    let mut last = std::collections::BTreeMap::new();
+    for (_, rows) in intact {
+        for row in rows {
+            if done.binary_search(&row.index).is_err() {
+                model.untrusted += 1;
+            } else if last.insert(row.index, row).is_some() {
+                model.superseded += 1;
+            }
+        }
+    }
+    model.rows = last.into_values().collect();
+    model
+}
+
+/// Field equality with floats compared by bit pattern.
+fn same_field(a: Field, b: Field) -> bool {
+    match (a, b) {
+        (Field::Float(x), Field::Float(y)) => x.to_bits() == y.to_bits(),
+        (x, y) => x == y,
+    }
+}
+
+/// Every row `scan` delivers, with its stats.
+fn scan_with(
+    dir: &std::path::Path,
+    filter: &RowFilter,
+    projection: Projection,
+) -> (Vec<CellRow>, ScanStats) {
+    let mut rows = Vec::new();
+    let stats = StoreScanner::open(dir)
+        .unwrap()
+        .scan_projected(filter, projection, |row| {
+            rows.push(row.clone());
+            Ok(ScanFlow::Continue)
+        })
+        .unwrap();
+    (rows, stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The scan, `ResultStore::open` and `compact_store` against the
+    /// brute-force model of the same random store.
+    #[test]
+    fn the_one_reader_agrees_with_a_brute_force_model(
+        parts in proptest::collection::vec(
+            (
+                0u64..=u64::MAX,
+                proptest::collection::vec((0u8..3, 0usize..12, 0u64..=u64::MAX, 0u8..=255), 0..14),
+            ),
+            1..5,
+        ),
+        filter_sel in (0u8..=255, 0u64..8),
+        projected in 0u32..1 << 24,
+    ) {
+        let dir = temp_dir("one-reader");
+        let model = write_model_store(&dir, &parts);
+        let all = |dir: &std::path::Path| scan_with(dir, &RowFilter::default(), Projection::ALL);
+
+        let (rows, stats) = all(&dir);
+        assert_rows_bit_identical(&rows, &model.rows);
+        prop_assert_eq!(
+            (stats.untrusted, stats.superseded),
+            (model.untrusted, model.superseded)
+        );
+
+        let (fsel, fseed) = filter_sel;
+        let filter = RowFilter {
+            workload: (fsel % 4 < 3).then(|| WORKLOADS[(fsel as usize) % 3].to_string()),
+            scenario: fsel.is_multiple_of(5).then(|| SCENARIOS[(fsel as usize) % 4].to_string()),
+            policy: fsel.is_multiple_of(7).then(|| POLICIES[(fsel as usize) % 4].to_string()),
+            seed: fsel.is_multiple_of(3).then_some(fseed),
+            faults: fsel.is_multiple_of(6).then(|| FAULTS[(fsel as usize) % 3].to_string()),
+            ..RowFilter::default()
+        };
+        let columns: Vec<Column> = Column::ALL
+            .into_iter()
+            .filter(|&c| projected >> c as u32 & 1 == 1)
+            .collect();
+        let (got, _) = scan_with(&dir, &filter, columns.iter().copied().collect());
+        let want: Vec<&CellRow> = model.rows.iter().filter(|r| filter.matches(r)).collect();
+        prop_assert_eq!(got.len(), want.len(), "{:?}", filter);
+        for (g, w) in got.iter().zip(&want) {
+            for &c in &columns {
+                prop_assert!(same_field(g.field(c), w.field(c)), "cell {} {:?}", w.index, c);
+            }
+        }
+
+        let store = ResultStore::open(&dir).unwrap();
+        assert_rows_bit_identical(&store.rows(), &model.rows);
+        let cells: Vec<usize> = model.rows.iter().map(|r| r.index).collect();
+        prop_assert_eq!(store.completed().collect::<Vec<_>>(), cells);
+        drop(store);
+
+        let stats = compact_store(&dir, None).unwrap();
+        prop_assert_eq!(stats.rows, model.rows.len());
+        prop_assert_eq!(
+            (stats.dropped_untrusted, stats.dropped_duplicates),
+            (model.untrusted, model.superseded)
+        );
+        assert_rows_bit_identical(&all(&dir).0, &model.rows);
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -180,8 +180,9 @@ fn v2_fixture_rows_are_bit_identical_to_a_fresh_run() {
         let faulted = (3..6).contains(&(row.index % 6));
         assert_eq!(row.faults, if faulted { "3x600@7" } else { "-" });
     }
-    // Filtered scans stream in index order; CSV partitions carry no zone
-    // maps, so nothing is ever skipped.
+    // Filtered scans stream in index order. The CSV partition is read as
+    // one block whose dictionaries hold the filter's labels, so it is
+    // scanned, not skipped.
     let filter = RowFilter {
         policy: Some("shut".into()),
         faults: Some("3x600@7".into()),
@@ -196,6 +197,14 @@ fn v2_fixture_rows_are_bit_identical_to_a_fresh_run() {
         .unwrap();
     assert_eq!(seen, [4, 10]);
     assert_eq!((stats.partitions_scanned, stats.partitions_skipped), (1, 0));
+    // A filter no row matches is proven row-free by that block's
+    // dictionaries: the CSV partition is skipped.
+    let nothing = RowFilter {
+        workload: Some("bigjob".into()),
+        ..RowFilter::default()
+    };
+    let stats = scanner.scan(&nothing, |_| Ok(ScanFlow::Continue)).unwrap();
+    assert_eq!((stats.matched, stats.partitions_skipped), (0, 1));
     fs::remove_dir_all(&reference).unwrap();
 }
 
