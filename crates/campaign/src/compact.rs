@@ -128,18 +128,17 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
     fs::create_dir_all(&tmp_parts)
         .map_err(|e| format!("cannot create {}: {e}", tmp_parts.display()))?;
 
-    let parts = sorted_part_paths(&parts_dir)?;
     let mut stats = CompactStats {
         from_schema: manifest.schema,
-        partitions_in: parts.len(),
-        bytes_in: parts
-            .iter()
-            .filter_map(|(_, path)| fs::metadata(path).ok())
-            .map(|meta| meta.len())
-            .sum(),
         cells_per_part: width,
         ..CompactStats::default()
     };
+    // Size the input from a listing dropped before the scan lists the
+    // partitions again, so only one listing is held at a time.
+    for (_, path) in sorted_part_paths(&parts_dir)? {
+        stats.partitions_in += 1;
+        stats.bytes_in += fs::metadata(&path).map_or(0, |meta| meta.len());
+    }
 
     // Stream the trusted rows out of the one store reader, in index order,
     // buffering one *output* partition of rows at a time. Input partitions

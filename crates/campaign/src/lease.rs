@@ -483,31 +483,29 @@ impl LeaseHeader {
         self.total_cells.div_ceil(self.lease_cells)
     }
 
-    /// Is the geometry within the store's cell limit and the lease log's
-    /// batch limit? Checked before anything is sized from it.
-    fn check_bounds(&self) -> Result<(), String> {
-        if self.total_cells > MAX_STORE_CELLS {
-            return Err(format!(
-                "{} cells exceed the limit of {MAX_STORE_CELLS} cells per store",
-                self.total_cells
-            ));
-        }
-        if self.batch_count() > MAX_LEASE_BATCHES {
-            return Err(format!(
-                "{} cells in {}-cell leases are {} batches, more than the \
-                 {MAX_LEASE_BATCHES} a lease log tracks",
-                self.total_cells,
-                self.lease_cells,
-                self.batch_count()
-            ));
-        }
-        Ok(())
-    }
-
     /// The cell-index range of `batch`.
     pub fn batch_range(&self, batch: usize) -> std::ops::Range<usize> {
         let start = batch * self.lease_cells;
         start..((start + self.lease_cells).min(self.total_cells))
+    }
+}
+
+/// Refuse a geometry past the store's cell limit or the lease log's batch
+/// limit, before anything is sized from it. `lease_cells` is at least 1.
+fn check_geometry(total_cells: usize, lease_cells: usize) -> Result<(), String> {
+    let batches = total_cells.div_ceil(lease_cells);
+    if total_cells > MAX_STORE_CELLS {
+        Err(format!(
+            "{total_cells} cells exceed the limit of {MAX_STORE_CELLS} cells per store"
+        ))
+    } else if batches > MAX_LEASE_BATCHES {
+        Err(format!(
+            "{total_cells} cells in {lease_cells}-cell leases are {batches} batches, more than \
+             the {MAX_LEASE_BATCHES} a lease log tracks (leases of {} cells or more fit)",
+            total_cells.div_ceil(MAX_LEASE_BATCHES)
+        ))
+    } else {
+        Ok(())
     }
 }
 
@@ -549,18 +547,8 @@ impl LeaseLog {
         if ttl_ms == 0 {
             return Err("--lease-ttl must be > 0".into());
         }
-        let header = LeaseHeader {
-            spec_hash,
-            total_cells,
-            lease_cells,
-            ttl_ms,
-        };
-        header.check_bounds().map_err(|e| {
-            format!(
-                "--lease-cells {lease_cells}: {e}; use --lease-cells {} or more",
-                total_cells.div_ceil(MAX_LEASE_BATCHES)
-            )
-        })?;
+        check_geometry(total_cells, lease_cells)
+            .map_err(|e| format!("--lease-cells {lease_cells}: {e}"))?;
         let path = dir.join(LEASES_NAME);
         let mut file = fs::File::create(&path)
             .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
@@ -626,8 +614,7 @@ impl LeaseLog {
             lease_cells: lease_cells as usize,
             ttl_ms,
         };
-        header
-            .check_bounds()
+        check_geometry(header.total_cells, header.lease_cells)
             .map_err(|e| format!("lease log header {header_line:?}: {e}"))?;
         let header_len = text
             .find('\n')
@@ -843,8 +830,9 @@ mod tests {
         }
         let err = LeaseLog::create(&dir, 1, MAX_LEASE_BATCHES + 1, 1, 5_000).unwrap_err();
         assert!(
-            err.contains("more than the 1048576 a lease log tracks")
-                && err.contains("use --lease-cells 2 or more"),
+            err.starts_with("--lease-cells 1: ")
+                && err.contains("more than the 1048576 a lease log tracks")
+                && err.contains("leases of 2 cells or more fit"),
             "{err}"
         );
         let err = LeaseLog::create(&dir, 1, MAX_STORE_CELLS + 1, 4096, 5_000).unwrap_err();
