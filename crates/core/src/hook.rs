@@ -7,6 +7,9 @@
 //!   submitted and returns the grouped switch-off node selection;
 //! * `authorize_start` runs the online frequency selection for every job the
 //!   controller is about to dispatch, before its nodes are picked;
+//! * `postpones_every_start` runs the same selection for the narrowest and
+//!   shortest fitting job, so the controller can end a pass that would
+//!   postpone every job;
 //! * `runtime_factor` applies the policy's DVFS degradation so the controller
 //!   stretches runtimes and walltimes consistently;
 //! * `on_cap_start` optionally implements the paper's "extreme actions":
@@ -95,6 +98,21 @@ impl SchedulingHook for PowercapHook {
             FrequencyChoice::Start(frequency) => StartDecision::Start { frequency },
             FrequencyChoice::Postpone => StartDecision::Postpone,
         }
+    }
+
+    /// Exact, because postponing is monotone in the node count and the
+    /// walltime (see [`OnlineScheduler::choose_for`]).
+    fn postpones_every_start(
+        &self,
+        cluster: &Cluster,
+        reservations: &ReservationBook,
+        node_count: usize,
+        walltime: SimTime,
+        now: SimTime,
+    ) -> bool {
+        self.online
+            .choose_for(cluster, reservations, node_count, walltime, now)
+            == FrequencyChoice::Postpone
     }
 
     fn plan_powercap(

@@ -12,6 +12,12 @@
 //! step downwards and returns the first step whose hypothetical cluster power
 //! fits under every powercap reservation overlapping the job's execution
 //! window (Algorithm 2).
+//!
+//! The decision depends on the job only through its node count and its
+//! walltime ([`OnlineScheduler::choose_for`]), and postponing is monotone in
+//! both: a job at least as wide and as long as a postponed one is postponed
+//! too. That is what lets the controller end a scheduling pass at once when
+//! the narrowest and shortest job that fits the free nodes is postponed.
 
 use apc_power::{DegradationModel, Frequency, FrequencyLadder, Watts};
 use apc_rjms::cluster::{Cluster, Platform};
@@ -99,7 +105,27 @@ impl OnlineScheduler {
     }
 
     /// Choose the execution frequency for `job` on `node_count` idle nodes
-    /// at `now`, or decide to keep it pending.
+    /// at `now`, or decide to keep it pending: [`choose_for`](Self::choose_for)
+    /// with the job's walltime.
+    pub fn choose(
+        &self,
+        cluster: &Cluster,
+        reservations: &ReservationBook,
+        job: &Job,
+        node_count: usize,
+        now: SimTime,
+    ) -> FrequencyChoice {
+        self.choose_for(
+            cluster,
+            reservations,
+            node_count,
+            job.submission.walltime,
+            now,
+        )
+    }
+
+    /// Choose the execution frequency for a job of `walltime` seconds on
+    /// `node_count` idle nodes at `now`, or decide to keep it pending.
     ///
     /// Idle candidates make the probe depend on their count alone
     /// ([`idle_busy_probe`](apc_power::ClusterPowerAccountant::idle_busy_probe)),
@@ -109,12 +135,27 @@ impl OnlineScheduler {
     /// is never shorter, so every step's window contains the unstretched
     /// one, no step's cap is looser than that window's, and no step draws
     /// less than the least draw.
-    pub fn choose(
+    ///
+    /// Postponing is monotone: if `(node_count, walltime)` is postponed, so
+    /// is every `(n, w)` with `n >= node_count` and `w >= walltime` (and
+    /// `n` no more than the idle nodes). The controller relies on this to
+    /// end a pass early (`SchedulingHook::postpones_every_start`), because
+    /// every term of each comparison moves the same way:
+    /// - a wider idle probe never draws less: `n × busy − Σ idle` grows
+    ///   with `n`, since every busy draw is at least the idle draw;
+    /// - [`stretch_runtime`](DegradationModel::stretch_runtime) is
+    ///   non-decreasing in the walltime, so each step's window only grows;
+    /// - `cap_within` over a longer window is never looser: it takes the
+    ///   least cap over a superset of the overlapping reservations, and a
+    ///   window that saw a cap still sees one;
+    /// - `NodePowerProfile::validate` keeps idle at or below every busy
+    ///   draw, which the first point needs.
+    pub fn choose_for(
         &self,
         cluster: &Cluster,
         reservations: &ReservationBook,
-        job: &Job,
         node_count: usize,
+        walltime: SimTime,
         now: SimTime,
     ) -> FrequencyChoice {
         debug_assert_eq!(
@@ -128,7 +169,6 @@ impl OnlineScheduler {
         let profile = &cluster.platform().profile;
         let current = cluster.current_power();
         let probe = cluster.accountant().idle_busy_probe(node_count);
-        let walltime = job.submission.walltime;
         let unstretched_cap = self.applicable_cap(reservations, now, walltime);
         if let Some(cap) = unstretched_cap {
             if current + probe.delta(self.least_busy) > cap {

@@ -3,28 +3,14 @@
 use crate::backfill::BackfillConfig;
 use crate::priority::PriorityWeights;
 use crate::select::SelectionPolicy;
-use crate::time::SimTime;
 
 /// Scheduler tuning knobs (SLURM's `SchedulerParameters`).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SchedulerParameters {
     /// Backfilling configuration.
     pub backfill: BackfillConfig,
     /// Multifactor priority weights.
     pub priority: PriorityWeights,
-    /// Interval between periodic scheduling ticks, in seconds. Ticks matter
-    /// mostly when the queue is starved by power rather than by events.
-    pub schedule_tick: SimTime,
-}
-
-impl Default for SchedulerParameters {
-    fn default() -> Self {
-        SchedulerParameters {
-            backfill: BackfillConfig::default(),
-            priority: PriorityWeights::default(),
-            schedule_tick: 60,
-        }
-    }
 }
 
 /// Full controller configuration.
@@ -61,7 +47,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = ControllerConfig::default();
         assert!(c.params.backfill.enabled);
-        assert_eq!(c.params.schedule_tick, 60);
         assert!(!c.record_power_samples);
         assert_eq!(c.selection, SelectionPolicy::Contiguous);
     }
@@ -69,13 +54,16 @@ mod tests {
     #[test]
     fn builders() {
         let params = SchedulerParameters {
-            schedule_tick: 30,
+            backfill: BackfillConfig {
+                enabled: false,
+                ..BackfillConfig::default()
+            },
             ..SchedulerParameters::default()
         };
         let c = ControllerConfig::default()
             .with_power_samples()
             .with_params(params);
         assert!(c.record_power_samples);
-        assert_eq!(c.params.schedule_tick, 30);
+        assert!(!c.params.backfill.enabled);
     }
 }

@@ -8,7 +8,21 @@
 //!
 //! Because the simulation is a pure discrete-event system, the cluster state
 //! only changes at events, so running the scheduler exactly once per event
-//! timestamp is both sufficient and deterministic.
+//! timestamp is both sufficient and deterministic. Power and caps change
+//! only at events too, so no pass is missed without a periodic tick, and
+//! there is none: between events only the age and fair-share factors move,
+//! and a reordering they cause waits for the next event.
+//!
+//! A pass that provably starts nothing ends right after the fair-share
+//! decay, before the priority sort: when no pending job fits the free
+//! nodes, or when the hook's
+//! [`postpones_every_start`](crate::hook::SchedulingHook::postpones_every_start)
+//! postpones a job as narrow as the narrowest and as short as the shortest
+//! fitting job. Such a pass changes nothing else, and the next pass sorts
+//! the queue afresh. It still counts in
+//! [`schedule_passes`](Controller::schedule_passes) and is still published to
+//! the observability handles. Debug builds run it to the end and assert that
+//! it started nothing, so every debug replay cross-checks the rule.
 
 use apc_power::{Frequency, Joules, PowerState, Watts};
 
@@ -422,7 +436,6 @@ impl Controller {
             Event::JobEnd(id) => self.handle_job_end(id),
             Event::ReservationStart(id) => self.handle_reservation_start(id),
             Event::ReservationEnd(id) => self.handle_reservation_end(id),
-            Event::ScheduleTick => {}
             Event::NodeDown(node) => self.handle_node_down(node),
             Event::NodeUp(node) => self.handle_node_up(node),
             Event::EndOfSimulation => {
@@ -616,6 +629,35 @@ impl Controller {
     // Scheduling
     // ------------------------------------------------------------------
 
+    /// Whether the pass at `now` provably starts no job, whatever the
+    /// priority order: no pending job fits the free nodes, or the hook
+    /// postpones a job as narrow as the narrowest and as short as the
+    /// shortest job that fits. A job can start only on `needed <= free`
+    /// nodes, and the cluster does not change before a pass's first
+    /// start, so when postponing is monotone in width and walltime every
+    /// fitting job is postponed too.
+    fn pass_starts_nothing(&self) -> bool {
+        let free = self.cluster.free_count();
+        let cores_per_node = self.cluster.platform().cores_per_node;
+        let smallest_fitting = self
+            .pending
+            .iter()
+            .map(|&id| &self.jobs[id])
+            .map(|job| (job.nodes_needed(cores_per_node), job.submission.walltime))
+            .filter(|&(needed, _)| needed <= free)
+            .reduce(|(n, w), (needed, walltime)| (n.min(needed), w.min(walltime)));
+        match smallest_fitting {
+            None => true,
+            Some((node_count, walltime)) => self.hook.postpones_every_start(
+                &self.cluster,
+                &self.reservations,
+                node_count,
+                walltime,
+                self.now,
+            ),
+        }
+    }
+
     fn schedule_pass(&mut self) {
         self.sched_passes += 1;
         if self.pending.is_empty() {
@@ -625,17 +667,26 @@ impl Controller {
         // publishes once per pass — plain-local accumulation in the loop
         // keeps the uninstrumented hot path untouched.
         let pass = self.obs.pass_begin();
+        self.fairshare.decay_to(self.now);
         let mut measurements = PassMeasurements {
             queue_depth: self.pending.len(),
+            skipped: self.pass_starts_nothing(),
             ..PassMeasurements::default()
         };
+        // A skipped pass changes nothing but the decay above, and the next
+        // pass sorts the queue afresh. Debug builds run it anyway and check
+        // below that it started nothing.
+        if measurements.skipped && !cfg!(debug_assertions) {
+            self.obs
+                .pass_end(pass, measurements, self.cluster.accountant().probe_counts());
+            return;
+        }
         // Take the scratch buffers out of `self` for the pass so their
         // borrows are disjoint from the controller's own fields; they go
         // back (with their grown capacities) at the end.
         let mut scratch = std::mem::take(&mut self.scratch);
         let footprint_before = scratch.footprint();
 
-        self.fairshare.decay_to(self.now);
         let total_cores = self.cluster.platform().total_cores();
         let cores_per_node = self.cluster.platform().cores_per_node;
         self.priority.sort_pending(
@@ -834,6 +885,11 @@ impl Controller {
             }
         }
 
+        debug_assert!(
+            !measurements.skipped || !any_started,
+            "a pass the skip rule ends started a job at t={}",
+            self.now
+        );
         if any_started {
             // O(P) membership check by job state — started jobs left the
             // Pending state in `start_job`, so no started-set scan is

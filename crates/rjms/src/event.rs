@@ -24,9 +24,6 @@ pub enum Event {
     ReservationStart(ReservationId),
     /// A reservation window closes.
     ReservationEnd(ReservationId),
-    /// Periodic scheduling tick (used when no other event would trigger a
-    /// scheduling pass, mirroring `slurmctld`'s periodic main loop).
-    ScheduleTick,
     /// A node fails (fault injection): it powers off immediately and any job
     /// running on it is killed.
     NodeDown(usize),
@@ -133,8 +130,8 @@ mod tests {
         q.push(1, Event::JobSubmit(0));
         assert_eq!(q.pop(), Some((1, Event::JobSubmit(0))));
         q.push(50, Event::JobEnd(0));
-        q.push(2, Event::ScheduleTick);
-        assert_eq!(q.pop(), Some((2, Event::ScheduleTick)));
+        q.push(2, Event::NodeUp(3));
+        assert_eq!(q.pop(), Some((2, Event::NodeUp(3))));
         assert_eq!(q.pop(), Some((50, Event::JobEnd(0))));
         assert_eq!(q.pop(), Some((100, Event::EndOfSimulation)));
     }

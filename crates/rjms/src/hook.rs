@@ -5,7 +5,8 @@
 //! inserted into the node-selection phase. [`SchedulingHook`] is that
 //! interface. The RJMS itself ships only the [`NullHook`] (no power control);
 //! the `apc-core` crate provides the real implementation with the SHUT, DVFS
-//! and MIX policies.
+//! and MIX policies. [`SchedulingHook::postpones_every_start`] lets a hook
+//! end a pass that provably starts nothing before any job is examined.
 
 use apc_power::{Frequency, Watts};
 
@@ -57,6 +58,33 @@ pub trait SchedulingHook {
         StartDecision::Start {
             frequency: cluster_max_frequency(cluster),
         }
+    }
+
+    /// Whether [`authorize_start`](SchedulingHook::authorize_start) would
+    /// postpone every job needing at least `node_count` idle nodes with a
+    /// walltime of at least `walltime`, in this cluster and reservation
+    /// state at `now`.
+    ///
+    /// The controller asks this once per pass, with the narrowest node
+    /// count and the shortest walltime among the pending jobs that fit the
+    /// free nodes. On `true` it ends the pass without examining a job:
+    /// no other hook method is called for that pass. Answer `true` only
+    /// when postponing is monotone in both arguments for this state; a
+    /// wrong `true` silently delays jobs (debug builds run the pass anyway
+    /// and assert that it started nothing). The default answers `false`,
+    /// so a hook that does not implement it never has a pass skipped on
+    /// its account; a pass in which no pending job fits the free nodes is
+    /// skipped whatever the hook.
+    fn postpones_every_start(
+        &self,
+        cluster: &Cluster,
+        reservations: &ReservationBook,
+        node_count: usize,
+        walltime: SimTime,
+        now: SimTime,
+    ) -> bool {
+        let _ = (cluster, reservations, node_count, walltime, now);
+        false
     }
 
     /// Called when a powercap reservation is submitted (the offline phase of
@@ -138,6 +166,7 @@ mod tests {
                 frequency: Frequency::from_ghz(2.7)
             }
         );
+        assert!(!hook.postpones_every_start(&cluster, &reservations, 4, 3600, 0));
         assert_eq!(hook.runtime_factor(Frequency::from_ghz(1.2)), 1.0);
         assert!(hook
             .plan_powercap(

@@ -15,6 +15,7 @@
 //! | `rjms.schedule_pass.duration_ns` | histogram | wall time of one non-empty pass       |
 //! | `rjms.schedule_pass.queue_depth` | histogram | pending jobs at the start of the pass |
 //! | `rjms.schedule_pass.idle`        | counter   | non-empty passes that started no job  |
+//! | `rjms.schedule_pass.skipped`     | counter   | … of which the skip rule ended early  |
 //! | `rjms.blocked_cache.hits`        | counter   | blocked-set signature cache hits      |
 //! | `rjms.blocked_cache.misses`      | counter   | … misses (set built from scratch)     |
 //! | `rjms.probe.fast`                | counter   | power probes on the `Busy` fast path  |
@@ -22,7 +23,15 @@
 //!
 //! `rjms.probe.fast` counts one probe per start decision of a capped
 //! policy: the count-only idle probe is built once per `authorize_start`,
-//! also when the power floor postpones the job without a ladder walk.
+//! also when the power floor postpones the job without a ladder walk, and
+//! once per pass for the skip rule's `postpones_every_start` question.
+//!
+//! `rjms.schedule_pass.skipped` counts the non-empty passes that provably
+//! start nothing (no pending job fits the free nodes, or the hook postpones
+//! the narrowest and shortest fitting job) and so end before the priority
+//! sort; they are a subset of `rjms.schedule_pass.idle`. Debug builds run
+//! such a pass to the end to check that it starts nothing, so there its
+//! cache and probe counts include that check's work.
 
 use apc_obs::{Counter, Histogram, Registry, SpanRecorder, SpanStart};
 
@@ -39,6 +48,9 @@ pub struct PassMeasurements {
     pub cache_misses: u64,
     /// Jobs started by the pass.
     pub started: u64,
+    /// The pass provably starts nothing, so it ends before the priority
+    /// sort (debug builds run it on, as a check).
+    pub skipped: bool,
 }
 
 /// Observability handles for one [`Controller`](crate::controller::Controller).
@@ -47,6 +59,7 @@ pub struct ControllerObs {
     pass_duration_ns: Histogram,
     pass_queue_depth: Histogram,
     pass_idle: Counter,
+    pass_skipped: Counter,
     blocked_cache_hits: Counter,
     blocked_cache_misses: Counter,
     probe_fast: Counter,
@@ -71,6 +84,7 @@ impl ControllerObs {
             pass_duration_ns: registry.histogram("rjms.schedule_pass.duration_ns"),
             pass_queue_depth: registry.histogram("rjms.schedule_pass.queue_depth"),
             pass_idle: registry.counter("rjms.schedule_pass.idle"),
+            pass_skipped: registry.counter("rjms.schedule_pass.skipped"),
             blocked_cache_hits: registry.counter("rjms.blocked_cache.hits"),
             blocked_cache_misses: registry.counter("rjms.blocked_cache.misses"),
             probe_fast: registry.counter("rjms.probe.fast"),
@@ -105,9 +119,9 @@ impl ControllerObs {
         self.spans.start_if(self.is_live())
     }
 
-    /// Publish one finished schedule pass: histograms, the idle-pass and
-    /// cache counters, the probe-count deltas since the previous
-    /// publication, and a span.
+    /// Publish one finished schedule pass: histograms, the idle-pass,
+    /// skipped-pass and cache counters, the probe-count deltas since the
+    /// previous publication, and a span.
     pub fn pass_end(&mut self, pass: SpanStart, m: PassMeasurements, probe_counts: (u64, u64)) {
         if !self.is_live() {
             return;
@@ -115,6 +129,7 @@ impl ControllerObs {
         self.pass_duration_ns.record(pass.elapsed_ns());
         self.pass_queue_depth.record(m.queue_depth as u64);
         self.pass_idle.add(u64::from(m.started == 0));
+        self.pass_skipped.add(u64::from(m.skipped));
         self.blocked_cache_hits.add(m.cache_hits);
         self.blocked_cache_misses.add(m.cache_misses);
         let (fast, slow) = probe_counts;
@@ -132,6 +147,7 @@ impl ControllerObs {
             vec![
                 ("pending", m.queue_depth.into()),
                 ("started", m.started.into()),
+                ("skipped", u64::from(m.skipped).into()),
                 ("cache_hits", m.cache_hits.into()),
                 ("cache_misses", m.cache_misses.into()),
                 ("probe_fast", fast_delta.into()),
@@ -166,6 +182,7 @@ mod tests {
             cache_hits: 4,
             cache_misses: 1,
             started: 2,
+            skipped: false,
         };
         obs.pass_end(obs.pass_begin(), m, (100, 10));
         obs.pass_end(obs.pass_begin(), m, (150, 12));
@@ -178,6 +195,7 @@ mod tests {
         assert_eq!(depth.count, 2);
         assert_eq!(depth.min, 12);
         assert_eq!(snap.counter("rjms.schedule_pass.idle"), Some(0));
+        assert_eq!(snap.counter("rjms.schedule_pass.skipped"), Some(0));
     }
 
     #[test]
@@ -196,6 +214,24 @@ mod tests {
             registry.snapshot().counter("rjms.schedule_pass.idle"),
             Some(2)
         );
+    }
+
+    #[test]
+    fn skipped_counter_counts_only_passes_the_skip_rule_ended() {
+        let registry = Registry::new();
+        let mut obs = ControllerObs::new(&registry, SpanRecorder::disabled());
+        for (started, skipped) in [(0, true), (0, false), (2, false), (0, true)] {
+            let m = PassMeasurements {
+                queue_depth: 3,
+                started,
+                skipped,
+                ..PassMeasurements::default()
+            };
+            obs.pass_end(obs.pass_begin(), m, (0, 0));
+        }
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("rjms.schedule_pass.skipped"), Some(2));
+        assert_eq!(snap.counter("rjms.schedule_pass.idle"), Some(3));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //!   recent usage.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::job::{Job, JobId};
 use crate::time::SimTime;
@@ -46,11 +47,48 @@ impl Default for PriorityWeights {
     }
 }
 
+/// Hashes a user id with one 64×64→128-bit multiply whose halves are
+/// folded together by XOR.
+///
+/// Every pass looks up one fair-share factor per pending job, and SipHash
+/// cost about a third of computing the sort keys. The high half of the
+/// product depends on every bit of the id, so the low bits the table
+/// indexes with do too, and ids that are multiples of 2^k do not collide.
+/// The map's iteration order is not observable: `decay_to` scales every
+/// entry by the same factor. Unlike SipHash it is not keyed, so a trace
+/// written to collide its user ids could slow its own replay, never change
+/// its result.
+#[derive(Debug, Clone, Copy, Default)]
+struct UserIdHasher(u64);
+
+impl Hasher for UserIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        // 2^64 / φ, odd: the multiplier of Fibonacci hashing.
+        const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+        let product = u128::from(self.0 ^ id) * u128::from(MULTIPLIER);
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, id: usize) {
+        self.write_u64(id as u64);
+    }
+}
+
 /// Per-user fair-share accounting with exponential decay.
 #[derive(Debug, Clone)]
 pub struct FairShareTracker {
     /// Decayed core-seconds consumed per user.
-    usage: HashMap<usize, f64>,
+    usage: HashMap<usize, f64, BuildHasherDefault<UserIdHasher>>,
     /// Normalisation constant: the usage at which the fair-share factor
     /// halves.
     half_usage: f64,
@@ -73,7 +111,7 @@ impl FairShareTracker {
         assert!(half_usage > 0.0);
         assert!(half_life > 0);
         FairShareTracker {
-            usage: HashMap::new(),
+            usage: HashMap::default(),
             half_usage,
             half_life,
             last_decay: 0,
@@ -263,6 +301,20 @@ mod tests {
         let mut pending = vec![2, 0, 1];
         prio.sort_pending(&jobs, &mut pending, 80_640, 5000, &fs, &mut Vec::new());
         assert_eq!(pending, vec![0, 1, 2]);
+    }
+
+    /// A plain multiply (or no hash at all) would put every multiple of
+    /// 2^6 in one of 64 buckets.
+    #[test]
+    fn user_id_hashes_spread_multiples_of_powers_of_two_over_low_bits() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<UserIdHasher>::default();
+        for shift in 0..=58 {
+            let buckets: std::collections::HashSet<u64> = (0..64usize)
+                .map(|i| build.hash_one(i << shift) % 64)
+                .collect();
+            assert!(buckets.len() >= 16, "ids i << {shift}: {buckets:?}");
+        }
     }
 
     #[test]

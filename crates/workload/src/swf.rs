@@ -31,7 +31,8 @@ pub enum SwfError {
         /// Number of fields found.
         found: usize,
     },
-    /// A field could not be parsed as a number.
+    /// A field is not a finite number, or does not fit the [`TraceJob`]
+    /// field it fills (after truncation toward zero).
     BadField {
         /// 1-based line number.
         line: usize,
@@ -47,7 +48,7 @@ impl std::fmt::Display for SwfError {
                 write!(f, "line {line}: expected 18 fields, found {found}")
             }
             SwfError::BadField { line, field } => {
-                write!(f, "line {line}: field {field} is not a number")
+                write!(f, "line {line}: field {field} is not a number in range")
             }
         }
     }
@@ -60,6 +61,13 @@ impl std::error::Error for SwfError {}
 /// Jobs with non-positive runtime or zero processors are skipped (the
 /// convention for cancelled jobs in the archive). The trace duration is the
 /// latest submission time observed.
+///
+/// Fractional values are truncated toward zero. A field that is not a
+/// finite number, a negative job number, or a value too large for the
+/// [`TraceJob`] field it fills is a [`SwfError::BadField`] naming its line
+/// and field. Other negative values keep their SWF meaning of "unknown":
+/// a negative submit time or user id reads as 0, and a negative run time
+/// or processor count marks the job as cancelled.
 pub fn parse_swf(input: &str) -> Result<Trace, SwfError> {
     let mut jobs = Vec::new();
     let mut max_submit = 0u64;
@@ -76,37 +84,47 @@ pub fn parse_swf(input: &str) -> Result<Trace, SwfError> {
                 found: fields.len(),
             });
         }
-        let num = |i: usize| -> Result<i64, SwfError> {
-            fields[i - 1]
-                .parse::<f64>()
-                .map(|v| v as i64)
-                .map_err(|_| SwfError::BadField {
-                    line: line_no,
-                    field: i,
-                })
+        let bad = |field: usize| SwfError::BadField {
+            line: line_no,
+            field,
         };
-        let id = num(1)? as usize;
-        let submit = num(2)?.max(0) as u64;
-        let run_time = num(4)?;
-        let mut cores = num(5)?;
-        if cores <= 0 {
-            cores = num(8)?;
+        // Field `i`, truncated toward zero, refused unless it is finite
+        // and below `end` (one past the largest value its target holds).
+        // The casts below are exact: every value is in `[0, end)` by then.
+        let num = |i: usize, end: f64| match fields[i - 1].parse::<f64>() {
+            Ok(v) if v.is_finite() && v.trunc() < end => Ok(v.trunc()),
+            _ => Err(bad(i)),
+        };
+        const USIZE_END: f64 = usize::MAX as f64 + 1.0;
+        const U64_END: f64 = u64::MAX as f64 + 1.0;
+        const U32_END: f64 = u32::MAX as f64 + 1.0;
+        let id = num(1, USIZE_END)?;
+        if id < 0.0 {
+            return Err(bad(1));
         }
-        let requested_time = num(9)?;
-        let user = num(12)?.max(0) as usize;
-        if run_time <= 0 || cores <= 0 {
+        let id = id as usize;
+        let submit = num(2, U64_END)?.max(0.0) as u64;
+        let run_time = num(4, U64_END)?;
+        let mut cores = num(5, U32_END)?;
+        if cores <= 0.0 {
+            cores = num(8, U32_END)?;
+        }
+        let requested_time = num(9, U64_END)?;
+        let user = num(12, USIZE_END)?.max(0.0) as usize;
+        if run_time <= 0.0 || cores <= 0.0 {
             continue;
         }
+        let run_time = run_time as u64;
         max_submit = max_submit.max(submit);
         jobs.push(TraceJob {
             id,
             submit_time: submit,
-            run_time: run_time as u64,
+            run_time,
             cores: cores as u32,
-            requested_time: if requested_time > 0 {
+            requested_time: if requested_time > 0.0 {
                 requested_time as u64
             } else {
-                run_time as u64
+                run_time
             },
             user,
             app_class: (id % 4) as u8,
@@ -196,6 +214,44 @@ mod tests {
         let err = parse_swf(bad).unwrap_err();
         assert_eq!(err, SwfError::BadField { line: 1, field: 4 });
         assert!(format!("{err}").contains("field 4"));
+    }
+
+    /// Values the casts used to misread: wrapped into `u32`, saturated
+    /// into `i64`, or read as 0 and dropped like a cancelled job.
+    #[test]
+    fn out_of_range_and_non_finite_fields_are_refused() {
+        let line = |fields: &[(usize, &str)]| {
+            let mut f = vec!["1", "0", "-1", "120", "16", "-1", "-1", "16", "3600"];
+            f.extend(["-1", "1", "7", "1", "1", "1", "1", "-1", "-1"]);
+            for &(i, v) in fields {
+                f[i - 1] = v;
+            }
+            format!("; header\n{}\n", f.join(" "))
+        };
+        let cases: [(&[(usize, &str)], usize); 10] = [
+            (&[(5, "5000000000")], 5),
+            (&[(5, "NaN"), (8, "NaN")], 5),
+            (&[(5, "-1"), (8, "NaN")], 8),
+            (&[(5, "-1"), (8, "4294967296")], 8),
+            (&[(4, "1e30")], 4),
+            (&[(4, "inf")], 4),
+            (&[(9, "-inf")], 9),
+            (&[(2, "1.9e19")], 2),
+            (&[(12, "1e20")], 12),
+            (&[(1, "-1")], 1),
+        ];
+        for (fields, field) in cases {
+            let err = parse_swf(&line(fields)).unwrap_err();
+            assert_eq!(err, SwfError::BadField { line: 2, field }, "{fields:?}");
+            assert!(format!("{err}").contains(&format!("line 2: field {field}")));
+        }
+        // The largest values that fit still parse, and fractions truncate.
+        let t = parse_swf(&line(&[(5, "4294967295.9"), (2, "-5")])).unwrap();
+        assert_eq!(t.jobs[0].cores, u32::MAX);
+        assert_eq!(t.jobs[0].submit_time, 0);
+        let t = parse_swf(&line(&[(4, "1e19"), (12, "-3")])).unwrap();
+        assert_eq!(t.jobs[0].run_time, 10_000_000_000_000_000_000);
+        assert_eq!(t.jobs[0].user, 0);
     }
 
     #[test]

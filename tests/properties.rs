@@ -346,6 +346,129 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Postponing is monotone in the node count and the walltime: whatever
+    /// `choose_for` postpones, it also postpones for a job at least as wide
+    /// and as long, on random 1–3-rack clusters with busy and switched-off
+    /// nodes and 0–3 caps. The controller's skip rule rests on this.
+    #[test]
+    fn postponing_is_monotone_in_width_and_walltime(
+        ops in proptest::collection::vec((0usize..2, 0usize..270, 1usize..24, 0usize..8), 0..24),
+        caps in proptest::collection::vec(((0u64..20_000, 1u64..40_000), -0.05f64..0.3), 0..4),
+        setup in (1usize..4, 0usize..3, 0u64..20_000),
+        request in ((0usize..270, 0usize..270), (1u64..40_000, 0u64..40_000)),
+    ) {
+        use adaptive_powercap::core::online::{FrequencyChoice, OnlineScheduler};
+        use apc_rjms::reservation::{ReservationBook, ReservationKind};
+        use apc_rjms::time::TimeWindow;
+
+        let (racks, policy_idx, now) = setup;
+        let policy = [PowercapPolicy::Shut, PowercapPolicy::Dvfs, PowercapPolicy::Mix][policy_idx];
+        let mut cluster = Cluster::new(Platform::curie_scaled(racks));
+        let ladder = cluster.platform().ladder.clone();
+        let n = cluster.platform().total_nodes();
+        for (t, (op, node, len, freq)) in ops.into_iter().enumerate() {
+            let nodes: Vec<usize> = if op == 0 {
+                let free = cluster.free_count();
+                cluster.available_nodes().skip(node % free.max(1)).take(len).collect()
+            } else {
+                (node..node + len).map(|i| i % n).collect()
+            };
+            if op == 0 {
+                cluster.allocate(t, &nodes, ladder.steps()[freq], t as u64);
+            } else {
+                drop(cluster.power_off(&nodes, t as u64));
+            }
+        }
+        let (current, max_power) = (cluster.current_power(), cluster.platform().max_power());
+        let mut book = ReservationBook::new();
+        for ((start, duration), headroom) in caps {
+            book.add(
+                TimeWindow::new(start, start + duration),
+                ReservationKind::PowerCap { cap: current + max_power * headroom },
+            );
+        }
+        let free = cluster.free_count();
+        let ((a, b), (walltime, extra)) = request;
+        let (a, b) = (a % (free + 1), b % (free + 1));
+        let (narrow, wide) = (a.min(b), a.max(b));
+        let scheduler = OnlineScheduler::new(policy, cluster.platform());
+        let small = scheduler.choose_for(&cluster, &book, narrow, walltime, now);
+        let large = scheduler.choose_for(&cluster, &book, wide, walltime + extra, now);
+        if small == FrequencyChoice::Postpone {
+            prop_assert_eq!(
+                large,
+                FrequencyChoice::Postpone,
+                "{}: ({}, {}) postponed, ({}, {}) not",
+                policy,
+                narrow,
+                walltime,
+                wide,
+                walltime + extra
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random controller runs under a powercap hook: submissions (some wider
+    /// than the platform), cap windows, a node outage, with and without
+    /// killing on a violated cap. Every pass the skip rule ends is checked
+    /// in debug builds to start nothing (the controller runs it anyway),
+    /// and each run must skip at least once so that check is not vacuous.
+    #[test]
+    fn skipped_passes_start_nothing_in_random_runs(
+        jobs in proptest::collection::vec(((0u64..30_000, 1usize..200), (60u64..12_000, 1u64..5), 0usize..6), 1..60),
+        windows in proptest::collection::vec((0u64..8_000, 600u64..15_000, 0.2f64..0.9), 0..3),
+        outage in (0usize..180, 0u64..40_000, 1u64..10_000),
+        setup in (1usize..3, 0usize..3, 0usize..2),
+    ) {
+        use adaptive_powercap::core::config::PowercapConfig;
+        use adaptive_powercap::core::hook::PowercapHook;
+        use adaptive_powercap::obs::{Registry, SpanRecorder};
+        use apc_rjms::time::TimeWindow;
+
+        let (racks, policy_idx, kill) = setup;
+        let policy = [PowercapPolicy::Shut, PowercapPolicy::Dvfs, PowercapPolicy::Mix][policy_idx];
+        let platform = Platform::curie_scaled(racks);
+        let total = platform.total_nodes();
+        let mut config = PowercapConfig::for_policy(policy);
+        config.kill_on_cap_violation = kill == 1;
+        let hook = PowercapHook::new(config, &platform);
+        let mut c = Controller::with_hook(platform, ControllerConfig::default(), Box::new(hook));
+        let registry = Registry::new();
+        c.set_obs(ControllerObs::new(&registry, SpanRecorder::disabled()));
+        let mut start = 0;
+        for (gap, duration, fraction) in windows {
+            start += gap;
+            let cap = c.cluster().platform().power_fraction(fraction);
+            c.add_powercap_reservation(TimeWindow::new(start, start + duration), cap);
+            start += duration;
+        }
+        let (node, down, duration) = outage;
+        c.inject_node_outage(node % total, down, down + duration);
+        // One job wider than the platform waits for the whole run, so the
+        // passes after the last start see a queue nothing fits.
+        c.submit(JobSubmission::new(0, 0, (total as u32 + 1) * 16, 3600, 600));
+        for ((submit, nodes), (walltime, quarters), user) in jobs {
+            let runtime = (walltime * quarters / 4).max(1);
+            c.submit(JobSubmission::new(user, submit, nodes as u32 * 16, walltime, runtime));
+        }
+        c.set_horizon(200_000);
+        let report = c.run();
+        prop_assert!(report.pending_jobs >= 1, "the wide job never starts");
+        let snap = registry.snapshot();
+        let skipped = snap.counter("rjms.schedule_pass.skipped").unwrap_or(0);
+        let idle = snap.counter("rjms.schedule_pass.idle").unwrap_or(0);
+        prop_assert!(skipped >= 1, "no pass was skipped");
+        prop_assert!(skipped <= idle, "{skipped} skipped > {idle} idle");
+    }
+}
+
 /// A cap-schedule field: anywhere in `u64`, or small enough that several
 /// segments can chain without overlapping.
 fn schedule_field() -> impl Strategy<Value = u64> {
@@ -385,6 +508,94 @@ proptest! {
             Err(err) => {
                 prop_assert!(!valid, "rejected {text:?}: {err}");
                 prop_assert!(err.contains("line") || err.contains("segment"), "{err}");
+            }
+        }
+    }
+}
+
+/// Tokens an SWF field may hold in a mutated line: in range, at and past
+/// the `u32`/`u64` ends, non-finite, fractional and not numbers at all.
+const SWF_TOKENS: &str = "0 -1 7 99.9 -0.5 4294967295 4294967296 5000000000 \
+    18446744073709551615 18446744073709551616 1.9e19 1e30 -1e30 NaN inf -inf x 1e 0x10 +3";
+
+/// Whether `token` is a value that field `field` (1-based) of a job line
+/// cannot hold: not a finite number, or past its target type once
+/// truncated (a negative job number included).
+fn swf_field_is_bad(field: usize, token: &str) -> bool {
+    let end = match field {
+        5 | 8 => u32::MAX as f64 + 1.0,
+        _ => u64::MAX as f64 + 1.0,
+    };
+    match token.parse::<f64>() {
+        Ok(v) => !v.is_finite() || v.trunc() >= end || (field == 1 && v.trunc() < 0.0),
+        Err(_) => true,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// SWF parsing is total: mutated documents (fields replaced by edge
+    /// tokens, dropped or duplicated, comment lines between) never panic,
+    /// and an error names a line that holds the fault: fewer than 18
+    /// fields, or a named field the parser reads that cannot fill its
+    /// `TraceJob` field.
+    #[test]
+    fn swf_parsing_is_total(
+        lines in proptest::collection::vec(
+            (0usize..4, proptest::collection::vec((0usize..3, 0usize..19, 0usize..20), 0..4)),
+            1..5,
+        )
+    ) {
+        let base = [
+            "1 0 10 120 512 -1 -1 512 1440000 -1 1 7 1 1 1 1 -1 -1",
+            "4 90 2 45 -1 -1 -1 32 7200 -1 1 9 1 1 1 1 -1 -1",
+            "3 60 0 -1 16 -1 -1 16 3600 -1 0 3 1 1 1 1 -1 -1",
+        ];
+        let tokens: Vec<&str> = SWF_TOKENS.split_whitespace().collect();
+        let mut doc: Vec<String> = Vec::new();
+        for (kind, edits) in &lines {
+            if *kind == 3 {
+                doc.push("; comment".to_string());
+                continue;
+            }
+            let mut fields: Vec<&str> = base[*kind].split(' ').collect();
+            for &(op, at, token) in edits {
+                let at = at % (fields.len() + 1);
+                match op {
+                    0 if at < fields.len() => fields[at] = tokens[token],
+                    1 if at < fields.len() => drop(fields.remove(at)),
+                    _ => fields.insert(at, tokens[token]),
+                }
+            }
+            doc.push(fields.join(" "));
+        }
+        let text = doc.join("\n");
+        match apc_workload::swf::parse_swf(&text) {
+            Ok(trace) => {
+                for job in &trace.jobs {
+                    prop_assert!(job.cores >= 1 && job.run_time >= 1 && job.requested_time >= 1);
+                }
+                prop_assert!(trace.len() <= doc.len());
+            }
+            Err(err) => {
+                use apc_workload::swf::SwfError;
+                let (line, message) = match err {
+                    SwfError::TooFewFields { line, found } => {
+                        prop_assert_eq!(doc[line - 1].split_whitespace().count(), found);
+                        prop_assert!(found < 18, "{text:?}");
+                        (line, format!("{err}"))
+                    }
+                    SwfError::BadField { line, field } => {
+                        let fields: Vec<&str> = doc[line - 1].split_whitespace().collect();
+                        prop_assert!([1, 2, 4, 5, 8, 9, 12].contains(&field), "{err}");
+                        prop_assert!(swf_field_is_bad(field, fields[field - 1]), "{text:?}: {err}");
+                        prop_assert!(format!("{err}").contains(&format!("field {field}")));
+                        (line, format!("{err}"))
+                    }
+                };
+                prop_assert!(message.contains(&format!("line {line}")), "{message}");
+                prop_assert!(!doc[line - 1].starts_with(';'));
             }
         }
     }
