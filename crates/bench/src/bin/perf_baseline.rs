@@ -1,16 +1,21 @@
 //! `perf-baseline`: measure the simulator's hot paths and append the
 //! numbers to the repo-root perf trajectory (`BENCH_replay.json`).
 //!
-//! The criterion targets keep relative costs visible locally; this tool
-//! records an *absolute* trajectory across PRs so a hot-path regression is
-//! diffable in review. Each run appends (or replaces, when the label
-//! already exists) one entry with three families of numbers:
+//! This is the workspace's only benchmark harness besides the repository
+//! benchmark under `perfbench/`. It records an *absolute* trajectory across
+//! PRs so a hot-path regression is diffable in review, and its ratios gate
+//! every change. Each run appends (or replaces, when the label already
+//! exists) one entry with these families of numbers:
 //!
 //! * **replay** — one full scheduler replay of the reduced bench workload
-//!   per policy (the `scheduler_replay` criterion target), median-of-rounds
-//!   wall time plus the controller's events/second over the capped replays;
-//!   and the paper grid's tight-cap tail: the seed-2012 24-hour 2-rack trace
-//!   replayed uncapped and under DVFS at a 40 % cap;
+//!   ([`bench_platform`], [`bench_trace`]) per policy, median-of-rounds wall
+//!   time plus the controller's events/second over the capped replays; the
+//!   paper grid's tight-cap tail: the seed-2012 24-hour 2-rack trace
+//!   replayed uncapped and under DVFS at a 40 % cap; and the 60 % DVFS
+//!   replay once more with a live metrics registry and span recorder
+//!   attached, as `experiments --trace-out` attaches them
+//!   (`cap60_dvfs_obs_ns`), so the instruments' cost is the gated ratio
+//!   `cap60_dvfs_obs / cap60_dvfs`;
 //! * **schedule_pass** — a pending-heavy microbench (thousands of queued
 //!   jobs competing for a saturated cluster under a cap) isolating the cost
 //!   of one scheduling pass;
@@ -50,9 +55,9 @@
 //! was *before* this run) using host-independent policy-to-baseline ratios —
 //! see [`apc_bench::gate`] — and exits nonzero on a regression beyond the
 //! threshold (default 15 %). `--self-test` skips measurement entirely and
-//! verifies the gate trips on a fabricated regression of the committed
-//! entry and on a fabricated store-open regression, so CI can prove the
-//! gate is live.
+//! verifies the gate trips on fabricated regressions of the committed
+//! entry (the DVFS replay, the 24-hour tail, the instrumented replay and
+//! the store open), so CI can prove the gate is live.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -60,7 +65,6 @@ use std::time::{Duration, Instant};
 use std::path::PathBuf;
 
 use apc_bench::gate;
-use apc_bench::helpers::{bench_platform, bench_trace};
 use apc_campaign::agg::CellRow;
 use apc_campaign::colstore::PartitionBuf;
 use apc_campaign::compact::compact_store;
@@ -68,15 +72,33 @@ use apc_campaign::prelude::{CampaignRunner, CampaignSpec};
 use apc_campaign::query::{Projection, RowFilter, ScanFlow, StoreScanner};
 use apc_campaign::store::{ResultStore, PARTS_DIR};
 use apc_core::{PowercapConfig, PowercapHook, PowercapPolicy};
+use apc_obs::{Registry, SpanRecorder};
 use apc_replay::{ReplayHarness, Scenario};
+use apc_rjms::cluster::Platform;
 use apc_rjms::config::ControllerConfig;
 use apc_rjms::controller::Controller;
 use apc_rjms::job::JobSubmission;
+use apc_rjms::obs::ControllerObs;
 use apc_rjms::time::{SimTime, HOUR};
-use apc_workload::{CurieTraceGenerator, IntervalKind};
+use apc_workload::{CurieTraceGenerator, IntervalKind, Trace};
 
 const USAGE: &str = "usage: perf-baseline [--label NAME] [--out FILE] [--quick] \
                      [--check] [--against FILE] [--threshold PCT] [--self-test]";
+
+/// The reduced-scale platform of the replay and pass benches (2 racks,
+/// 180 nodes).
+fn bench_platform() -> Platform {
+    Platform::curie_scaled(2)
+}
+
+/// The deterministic reduced workload the gated replays run.
+fn bench_trace(platform: &Platform) -> Trace {
+    CurieTraceGenerator::new(1234)
+        .interval(IntervalKind::MedianJob)
+        .load_factor(0.8)
+        .backlog_factor(0.4)
+        .generate_for(platform)
+}
 
 /// Fingerprint of the recording host: CPU model (from `/proc/cpuinfo`, with
 /// the architecture as fallback) plus the available core count. Recorded
@@ -152,17 +174,19 @@ struct ReplayNumbers {
     baseline_ns: u128,
     shut_ns: u128,
     dvfs_ns: u128,
+    dvfs_obs_ns: u128,
     mix_ns: u128,
     baseline_24h_ns: u128,
     cap40_dvfs_24h_ns: u128,
     events_per_sec: f64,
 }
 
-/// All seven gated quantities — the four per-policy replays, the 24-hour
-/// uncapped and 40 % DVFS replays, and the schedule-pass microbench — timed
-/// over interleaved rounds so every ratio's numerator and denominator
-/// sample the same machine state, plus the controller's events/second (not
-/// gated, measured separately after).
+/// All eight gated quantities — the four per-policy replays, the DVFS
+/// replay with the controller's instruments live, the 24-hour uncapped and
+/// 40 % DVFS replays, and the schedule-pass microbench — timed over
+/// interleaved rounds so every ratio's numerator and denominator sample the
+/// same machine state, plus the controller's events/second (not gated,
+/// measured separately after).
 fn measure_gated(budget: Duration) -> (ReplayNumbers, u64, f64) {
     let platform = bench_platform();
     let trace = bench_trace(&platform);
@@ -204,20 +228,41 @@ fn measure_gated(budget: Duration) -> (ReplayNumbers, u64, f64) {
     };
     let (mut r0, mut r1, mut r2, mut r3) = (|| replay(0), || replay(1), || replay(2), || replay(3));
     let (mut r4, mut r5) = (|| replay(4), || replay(5));
+    // The DVFS replay again, with the live registry and span recorder that
+    // `experiments --trace-out` attaches (`figures::profile_trace`); the
+    // spans are drained inside the timing, so the buffer never outgrows
+    // one replay.
+    let registry = Registry::new();
+    let spans = SpanRecorder::new();
+    let mut dvfs_obs = || {
+        let (harness, scenario) = &scenarios[2];
+        let obs = ControllerObs::new(&registry, spans.clone());
+        std::hint::black_box(harness.run_with_obs(scenario, obs).report.launched_jobs);
+        std::hint::black_box(spans.take_events().len());
+    };
     let pass_platform = bench_platform();
     let mut passes = 0u64;
     let mut pass_bench = || passes = run_pass_bench(&pass_platform);
-    let [baseline, shut, dvfs, mix, baseline_24h, dvfs_24h, pass_wall] = median_of_interleaved(
-        budget,
-        [
-            &mut r0,
-            &mut r1,
-            &mut r2,
-            &mut r3,
-            &mut r4,
-            &mut r5,
-            &mut pass_bench,
-        ],
+    let [baseline, shut, dvfs, dvfs_obs, mix, baseline_24h, dvfs_24h, pass_wall] =
+        median_of_interleaved(
+            budget,
+            [
+                &mut r0,
+                &mut r1,
+                &mut r2,
+                &mut dvfs_obs,
+                &mut r3,
+                &mut r4,
+                &mut r5,
+                &mut pass_bench,
+            ],
+        );
+    assert!(
+        registry
+            .snapshot()
+            .histogram("rjms.schedule_pass.duration_ns")
+            .is_some_and(|h| h.count > 0),
+        "the instrumented replay must publish its passes"
     );
 
     // Events/second through the raw controller (the harness hides it), on
@@ -246,6 +291,7 @@ fn measure_gated(budget: Duration) -> (ReplayNumbers, u64, f64) {
         baseline_ns: baseline.as_nanos(),
         shut_ns: shut.as_nanos(),
         dvfs_ns: dvfs.as_nanos(),
+        dvfs_obs_ns: dvfs_obs.as_nanos(),
         mix_ns: mix.as_nanos(),
         baseline_24h_ns: baseline_24h.as_nanos(),
         cap40_dvfs_24h_ns: dvfs_24h.as_nanos(),
@@ -258,7 +304,7 @@ fn measure_gated(budget: Duration) -> (ReplayNumbers, u64, f64) {
 /// One run of the pending-heavy microbench: a deep queue on a saturated,
 /// capped cluster so every scheduling pass walks the full backfill depth.
 /// Returns the number of scheduling passes the run took.
-fn run_pass_bench(platform: &apc_rjms::cluster::Platform) -> u64 {
+fn run_pass_bench(platform: &Platform) -> u64 {
     let hook = PowercapHook::new(PowercapConfig::for_policy(PowercapPolicy::Mix), platform);
     let mut controller = Controller::with_hook(
         platform.clone(),
@@ -469,8 +515,8 @@ fn json_entry(label: &str) -> String {
     format!(
         "  {{\"label\": \"{label}\", \"recorded_unix\": {recorded}, \"host\": \"{host}\", \
          \"replay\": {{\"baseline_none_ns\": {}, \"cap60_shut_ns\": {}, \
-         \"cap60_dvfs_ns\": {}, \"cap60_mix_ns\": {}, \"baseline_24h_ns\": {}, \
-         \"cap40_dvfs_24h_ns\": {}, \"events_per_sec\": {:.0}}}, \
+         \"cap60_dvfs_ns\": {}, \"cap60_dvfs_obs_ns\": {}, \"cap60_mix_ns\": {}, \
+         \"baseline_24h_ns\": {}, \"cap40_dvfs_24h_ns\": {}, \"events_per_sec\": {:.0}}}, \
          \"schedule_pass\": {{\"passes\": {passes}, \"ns_per_pass\": {:.1}}}, \
          \"store\": {{\"rows\": {}, \"block_read_ns\": {}, \"v3_scan_ns\": {}, \
          \"scan_over_read\": {scan_over_read:.2}, \"v3_narrow_scan_ns\": {}, \
@@ -480,6 +526,7 @@ fn json_entry(label: &str) -> String {
         replay.baseline_ns,
         replay.shut_ns,
         replay.dvfs_ns,
+        replay.dvfs_obs_ns,
         replay.mix_ns,
         replay.baseline_24h_ns,
         replay.cap40_dvfs_24h_ns,
@@ -537,11 +584,12 @@ fn committed_reference(text: &str, fresh_label: &str) -> Option<gate::PerfEntry>
 
 /// `--self-test`: prove the gate is live without measuring anything. The
 /// committed reference must pass against itself, ceilings included, and
-/// must *fail* against a fabricated 1.5× DVFS-replay regression, against a
-/// fabricated 1.5× regression of the 24-hour tail when the reference
-/// recorded one, and against a fabricated store open costing 2.4× its
-/// read-and-validate pass (what one `done` line per cell cost a 200k-row
-/// store) when the reference recorded an open time.
+/// must *fail* against a fabricated 1.5× DVFS-replay regression, against
+/// fabricated 1.5× regressions of the 24-hour tail and of the instrumented
+/// DVFS replay when the reference recorded them, and against a fabricated
+/// store open costing 2.4× its read-and-validate pass (what one `done` line
+/// per cell cost a 200k-row store) when the reference recorded an open
+/// time.
 fn run_self_test(against: &str) -> ExitCode {
     let text = match std::fs::read_to_string(against) {
         Ok(t) => t,
@@ -564,7 +612,9 @@ fn run_self_test(against: &str) -> ExitCode {
         eprintln!("  {ceiling}");
     }
     eprintln!("{tripped}");
-    let tail_tripped = match committed.with_synthetic_tail_regression(1.5) {
+    // A fabricated regression of a ratio the reference recorded must trip
+    // the gate; a ratio it predates is skipped with a note.
+    let trips = |regressed: Option<gate::PerfEntry>, ratio: &str| match regressed {
         Some(regressed) => {
             let report = gate::check(&committed, &regressed, gate::DEFAULT_THRESHOLD);
             eprintln!("{report}");
@@ -572,12 +622,20 @@ fn run_self_test(against: &str) -> ExitCode {
         }
         None => {
             eprintln!(
-                "self-test: '{}' predates the 24h tail ratio; skipping its check",
+                "self-test: '{}' predates {ratio}; skipping its check",
                 committed.label
             );
             true
         }
     };
+    let tail_tripped = trips(
+        committed.with_synthetic_tail_regression(1.5),
+        "the 24h tail ratio",
+    );
+    let obs_tripped = trips(
+        committed.with_synthetic_obs_regression(1.5),
+        "the instrumented DVFS replay",
+    );
     let open_tripped = match committed.with_synthetic_open_regression(2.4) {
         Some(regressed) => {
             let checks = gate::ceiling_checks(&regressed);
@@ -597,13 +655,20 @@ fn run_self_test(against: &str) -> ExitCode {
             true
         }
     };
-    if clean.passed() && ceilings_clean && !tripped.passed() && tail_tripped && open_tripped {
+    if clean.passed()
+        && ceilings_clean
+        && !tripped.passed()
+        && tail_tripped
+        && obs_tripped
+        && open_tripped
+    {
         eprintln!("self-test: gate passes a clean entry and trips on a synthetic regression");
         ExitCode::SUCCESS
     } else {
         eprintln!(
             "self-test: gate is NOT live (clean={}, ceilings clean={ceilings_clean}, \
-             tripped={}, tail tripped={tail_tripped}, open tripped={open_tripped})",
+             tripped={}, tail tripped={tail_tripped}, obs tripped={obs_tripped}, \
+             open tripped={open_tripped})",
             clean.passed(),
             !tripped.passed()
         );

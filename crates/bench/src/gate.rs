@@ -15,6 +15,11 @@
 //! (`cap40_dvfs_24h / baseline_24h`), where power-blocked schedule passes
 //! dominate.
 //!
+//! The controller's instruments have one too: the 60 % DVFS replay with a
+//! live metrics registry and span recorder attached over the same replay
+//! without them (`cap60_dvfs_obs / cap60_dvfs`), so what observability adds
+//! to every schedule pass is held to the same 15 % as the rest.
+//!
 //! A check fails when any fresh ratio exceeds the committed ratio by more
 //! than the threshold (default 15 %). Ratios *improving* is never a failure.
 //!
@@ -48,6 +53,9 @@ pub const STORE_OPEN_CEILING: f64 = 0.25;
 /// Name of the tight-cap tail ratio in gate reports.
 pub const TAIL_RATIO: &str = "cap40_dvfs_24h / baseline_24h";
 
+/// Name of the instruments' cost ratio in gate reports.
+pub const OBS_RATIO: &str = "cap60_dvfs_obs / cap60_dvfs";
+
 /// One entry of the perf trajectory, reduced to the fields the gate tracks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfEntry {
@@ -59,6 +67,9 @@ pub struct PerfEntry {
     pub cap60_shut_ns: f64,
     /// Capped replay wall time under the DVFS policy.
     pub cap60_dvfs_ns: f64,
+    /// The same DVFS replay with a live metrics registry and span recorder
+    /// attached, when the entry recorded it.
+    pub cap60_dvfs_obs_ns: Option<f64>,
     /// Capped replay wall time under the MIX policy.
     pub cap60_mix_ns: f64,
     /// Cost of one scheduling pass in the pending-heavy microbench.
@@ -97,6 +108,9 @@ impl PerfEntry {
         ];
         if let (Some(base), Some(dvfs)) = (self.baseline_24h_ns, self.cap40_dvfs_24h_ns) {
             out.push((TAIL_RATIO, dvfs / base.max(1.0)));
+        }
+        if let Some(observed) = self.cap60_dvfs_obs_ns {
+            out.push((OBS_RATIO, observed / self.cap60_dvfs_ns.max(1.0)));
         }
         if let Some(ratio) = self.store_scan_over_read() {
             // Bigger = the scan lost ground against reading the same bytes.
@@ -152,6 +166,17 @@ impl PerfEntry {
         Some(PerfEntry {
             label: format!("{}+synthetic-tail", self.label),
             cap40_dvfs_24h_ns: Some(self.cap40_dvfs_24h_ns? * factor),
+            ..self.clone()
+        })
+    }
+
+    /// A copy with the instrumented DVFS replay inflated by `factor`, when
+    /// the entry recorded it — the self-test's regression of the
+    /// instruments' cost.
+    pub fn with_synthetic_obs_regression(&self, factor: f64) -> Option<PerfEntry> {
+        Some(PerfEntry {
+            label: format!("{}+synthetic-obs", self.label),
+            cap60_dvfs_obs_ns: Some(self.cap60_dvfs_obs_ns? * factor),
             ..self.clone()
         })
     }
@@ -327,6 +352,7 @@ fn parse_entry_line(line: &str) -> Option<PerfEntry> {
         baseline_none_ns: number_field(line, "baseline_none_ns")?,
         cap60_shut_ns: number_field(line, "cap60_shut_ns")?,
         cap60_dvfs_ns: number_field(line, "cap60_dvfs_ns")?,
+        cap60_dvfs_obs_ns: number_field(line, "cap60_dvfs_obs_ns"),
         cap60_mix_ns: number_field(line, "cap60_mix_ns")?,
         ns_per_pass: number_field(line, "ns_per_pass")?,
         baseline_24h_ns: number_field(line, "baseline_24h_ns"),
@@ -419,6 +445,7 @@ mod tests {
             baseline_none_ns: committed.baseline_none_ns / 2.0,
             cap60_shut_ns: committed.cap60_shut_ns / 2.0,
             cap60_dvfs_ns: committed.cap60_dvfs_ns / 2.0,
+            cap60_dvfs_obs_ns: None,
             cap60_mix_ns: committed.cap60_mix_ns / 2.0,
             ns_per_pass: committed.ns_per_pass / 2.0,
             baseline_24h_ns: None,
@@ -513,6 +540,30 @@ mod tests {
         );
         assert!(report.checks.iter().all(|c| c.committed == c.fresh));
         assert!(report.passed(), "{report}");
+        // An entry recorded before the instrumented replay (no
+        // `cap60_dvfs_obs_ns`) still gates every other ratio against one
+        // that has it, in both directions, and the obs ratio pairs with
+        // nothing: at 9.0 it would breach the store ratio (5.0) it precedes
+        // if ratios were matched by position.
+        let observed = PerfEntry {
+            cap60_dvfs_obs_ns: Some(fresh.cap60_dvfs_ns * 9.0),
+            ..fresh.clone()
+        };
+        for (committed, fresh) in [(&fresh, &observed), (&observed, &fresh)] {
+            let report = check(committed, fresh, DEFAULT_THRESHOLD);
+            let names: Vec<_> = report.checks.iter().map(|c| c.name).collect();
+            assert_eq!(
+                names,
+                [
+                    "cap60_shut / baseline",
+                    "cap60_dvfs / baseline",
+                    "cap60_mix / baseline",
+                    "schedule_pass / baseline",
+                    "store_v3_scan / store_block_read",
+                ]
+            );
+            assert!(report.passed(), "{report}");
+        }
     }
 
     #[test]
@@ -606,6 +657,54 @@ mod tests {
             .map(|c| c.name)
             .collect();
         assert_eq!(breached, vec![TAIL_RATIO]);
+    }
+
+    #[test]
+    fn the_obs_ratio_gates_by_name_and_trips_alone() {
+        let line = LINE.replace(
+            "\"cap60_mix_ns\"",
+            "\"cap60_dvfs_obs_ns\": 929950, \"cap60_mix_ns\"",
+        );
+        let observed = parse_trajectory(&line).pop().expect("line parses");
+        assert_eq!(observed.cap60_dvfs_obs_ns, Some(929_950.0));
+        assert_eq!(observed.cap60_dvfs_ns, 743_960.0, "distinct keys");
+        let report = check(&observed, &observed, DEFAULT_THRESHOLD);
+        let ratio = report.checks.iter().find(|c| c.name == OBS_RATIO);
+        assert_eq!(ratio.map(|c| c.fresh), Some(1.25));
+        // Older entries lack it: skipped, not misaligned.
+        assert_eq!(entry().with_synthetic_obs_regression(1.5), None);
+        assert_eq!(
+            check(&entry(), &observed, DEFAULT_THRESHOLD).checks.len(),
+            4
+        );
+        assert_eq!(
+            check(&observed, &entry(), DEFAULT_THRESHOLD).checks.len(),
+            4
+        );
+        // Instruments costing 1.5x more breach that ratio and no other.
+        let regressed = observed.with_synthetic_obs_regression(1.5).unwrap();
+        let report = check(&observed, &regressed, DEFAULT_THRESHOLD);
+        let breached: Vec<_> = report
+            .checks
+            .iter()
+            .filter(|c| c.breached)
+            .map(|c| c.name)
+            .collect();
+        assert_eq!(breached, vec![OBS_RATIO]);
+        // A slower plain DVFS replay lowers the obs ratio: the policy ratio
+        // trips, the obs ratio does not.
+        let report = check(
+            &observed,
+            &observed.with_synthetic_regression(1.5),
+            DEFAULT_THRESHOLD,
+        );
+        let breached: Vec<_> = report
+            .checks
+            .iter()
+            .filter(|c| c.breached)
+            .map(|c| c.name)
+            .collect();
+        assert_eq!(breached, vec!["cap60_dvfs / baseline"]);
     }
 
     #[test]

@@ -1,40 +1,16 @@
 //! # apc-bench
 //!
-//! Criterion benchmark harness for the adaptive-powercap workspace. The
-//! benchmark targets mirror the paper's experiment inventory:
+//! The workspace's one performance harness: the `perf-baseline` binary
+//! times the simulator's hot paths (per-policy replays, the 24-hour
+//! tight-cap tail, a pending-heavy schedule-pass microbench, the DVFS
+//! replay with the controller's instruments attached, the paper-grid
+//! campaign and a synthetic result store) and appends one entry per run
+//! to the repo-root trajectory `BENCH_replay.json`. [`gate`] compares a
+//! fresh entry's host-independent ratios against the last committed one,
+//! which is what CI's `perf-baseline --check` enforces.
 //!
-//! * `power_model` — the hot paths of the power substrate (incremental power
-//!   accounting, Section III trade-off decisions, grouped shutdown planning,
-//!   the Fig. 2/3/4/5 table generators);
-//! * `scheduler` — RJMS scheduling throughput with and without the powercap
-//!   hook (per-policy), i.e. the cost the grey boxes of Fig. 1 add to SLURM;
-//! * `workload` — synthetic Curie trace generation and SWF round-trips;
-//! * `figures` — end-to-end replays of reduced-scale versions of the
-//!   Fig. 6/7/8 scenarios (one bench per figure);
-//! * `campaign` — the sharded campaign executor at 1/2/4 worker threads over
-//!   one grid, plus grid expansion and CSV/JSON sink rendering.
-//!
-//! Absolute throughput numbers are hardware-dependent; the benches exist to
-//! keep the relative costs visible and regressions detectable.
+//! The repository benchmark under `perfbench/` measures the end-to-end
+//! workloads (cells/s, query latency) and their per-layer breakdown;
+//! this crate keeps the ratios that gate every change.
 
 pub mod gate;
-
-/// Common helpers shared by the bench targets.
-pub mod helpers {
-    use apc_rjms::cluster::Platform;
-    use apc_workload::{CurieTraceGenerator, IntervalKind, Trace};
-
-    /// The reduced-scale platform used by replay benches (2 racks, 180 nodes).
-    pub fn bench_platform() -> Platform {
-        Platform::curie_scaled(2)
-    }
-
-    /// A deterministic reduced workload for replay benches.
-    pub fn bench_trace(platform: &Platform) -> Trace {
-        CurieTraceGenerator::new(1234)
-            .interval(IntervalKind::MedianJob)
-            .load_factor(0.8)
-            .backlog_factor(0.4)
-            .generate_for(platform)
-    }
-}

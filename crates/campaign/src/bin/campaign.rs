@@ -10,8 +10,10 @@
 //!
 //! campaign options:
 //!   --threads N        worker threads (0 = all cores; default 1)
-//!   --seeds K          seed replications per cell group (default 3)
-//!   --seed-base S      first seed; replications use S, S+1, … (default 2012)
+//!   --seeds K          seed replications per cell group (default 3; at
+//!                      most the cells a store holds)
+//!   --seed-base S      first seed; replications use S, S+1, … (default
+//!                      2012; the last one must not pass 2^64 - 1)
 //!   --racks LIST       rack scales, e.g. 1,2,6 (default 2; >= 56 = full Curie)
 //!   --intervals LIST   smalljob,medianjob,bigjob,24h (default: all four)
 //!   --policies LIST    shut,dvfs,mix (default: all three)
@@ -119,6 +121,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use apc_campaign::prelude::*;
+use apc_campaign::store::MAX_STORE_CELLS;
 use apc_replay::{CapSchedule, FaultPlan};
 use apc_workload::load_swf_file;
 
@@ -291,6 +294,12 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 if seeds == 0 {
                     return Err("--seeds must be >= 1".into());
                 }
+                if seeds > MAX_STORE_CELLS {
+                    return Err(format!(
+                        "--seeds must be at most {MAX_STORE_CELLS} (the cells a store holds), \
+                         got {seeds}"
+                    ));
+                }
             }
             "--seed-base" => seed_base = args.parse("an integer")?,
             "--racks" => spec.racks = args.list()?,
@@ -380,6 +389,12 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--trace-out" => trace_out = Some(args.value()?.to_string()),
             unknown => return Err(format!("unknown option: {unknown}")),
         }
+    }
+    if seed_base.checked_add(seeds as u64 - 1).is_none() {
+        return Err(format!(
+            "--seed-base {seed_base} with --seeds {seeds} runs past the largest seed, {}",
+            u64::MAX
+        ));
     }
     spec.seeds = (0..seeds as u64).map(|i| seed_base + i).collect();
     // Resuming means "continue the campaign stored in DIR" — the store is

@@ -8,8 +8,8 @@
 //! a **private live registry** anyway, because [`RunStats`](crate::exec::RunStats)
 //! is now *derived from* these instruments rather than from ad-hoc per-worker
 //! counters. The per-cell publication cost (a handful of relaxed atomics per
-//! multi-millisecond cell) is pinned by the `obs` criterion bench and the
-//! perf gate.
+//! multi-millisecond cell) is in every campaign number `perf-baseline` and
+//! the repository benchmark record, since no run goes without it.
 //!
 //! Metric names (all under the `campaign.` prefix):
 //!

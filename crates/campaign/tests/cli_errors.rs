@@ -48,6 +48,20 @@ fn malformed_campaign_calls_exit_2_with_their_message() {
         (vec!["--threads", "x"], "error: --threads needs an integer"),
         (vec!["--seeds", "0"], "error: --seeds must be >= 1"),
         (vec!["--seeds"], "error: --seeds needs a value"),
+        (
+            vec!["--seeds", "4294967296"],
+            "error: --seeds must be at most 4294967295 (the cells a store holds), got 4294967296",
+        ),
+        (
+            vec!["--seed-base", "18446744073709551615", "--seeds", "2"],
+            "error: --seed-base 18446744073709551615 with --seeds 2 runs past the largest \
+             seed, 18446744073709551615",
+        ),
+        (
+            vec!["--faults", "none,1048577x600@7"],
+            "error: --faults: fault plan \"1048577x600@7\": COUNT must be at most 1048576, \
+             got 1048577",
+        ),
         (vec!["--workers", "x"], "error: --workers needs an integer"),
         (vec!["--backlog", "x"], "error: --backlog needs a number"),
         (

@@ -5,9 +5,7 @@
 //! `Arc`-shared cell. A handle obtained from a **disabled** registry (or
 //! built via `Default`) carries no cell at all: its hot-path methods are one
 //! `Option` branch that the optimiser folds away, so uninstrumented code
-//! paths pay nothing — no allocation, no atomic traffic, no lock. With the
-//! crate's `noop` feature the cell is compiled out entirely and every method
-//! body is empty.
+//! paths pay nothing — no allocation, no atomic traffic, no lock.
 //!
 //! Live instruments use relaxed atomics only: recording is wait-free and
 //! never blocks the simulation, and cross-thread visibility is eventual —
@@ -20,9 +18,7 @@
 //! metrics on and off.
 
 use std::fmt;
-#[cfg(not(feature = "noop"))]
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-#[cfg(not(feature = "noop"))]
 use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets: bucket 0 holds zero values, bucket `i >= 1`
@@ -39,7 +35,6 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// [`Registry`].
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
-    #[cfg(not(feature = "noop"))]
     cell: Option<Arc<AtomicU64>>,
 }
 
@@ -58,31 +53,23 @@ impl Counter {
     /// Increment by `n`.
     #[inline(always)]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "noop"))]
         if let Some(cell) = &self.cell {
             cell.fetch_add(n, Ordering::Relaxed);
         }
-        #[cfg(feature = "noop")]
-        let _ = n;
     }
 
     /// Current value (0 for a no-op handle).
     #[inline]
     pub fn get(&self) -> u64 {
-        #[cfg(not(feature = "noop"))]
-        if let Some(cell) = &self.cell {
-            return cell.load(Ordering::Relaxed);
-        }
-        0
+        self.cell
+            .as_ref()
+            .map_or(0, |cell| cell.load(Ordering::Relaxed))
     }
 
     /// Whether this handle records anywhere.
     #[inline]
     pub fn is_live(&self) -> bool {
-        #[cfg(not(feature = "noop"))]
-        return self.cell.is_some();
-        #[cfg(feature = "noop")]
-        false
+        self.cell.is_some()
     }
 }
 
@@ -93,7 +80,6 @@ impl Counter {
 /// A last-value-wins signed gauge (queue depths, in-flight counts).
 #[derive(Debug, Clone, Default)]
 pub struct Gauge {
-    #[cfg(not(feature = "noop"))]
     cell: Option<Arc<AtomicI64>>,
 }
 
@@ -106,33 +92,25 @@ impl Gauge {
     /// Set the gauge to `v`.
     #[inline(always)]
     pub fn set(&self, v: i64) {
-        #[cfg(not(feature = "noop"))]
         if let Some(cell) = &self.cell {
             cell.store(v, Ordering::Relaxed);
         }
-        #[cfg(feature = "noop")]
-        let _ = v;
     }
 
     /// Add `delta` (may be negative).
     #[inline(always)]
     pub fn add(&self, delta: i64) {
-        #[cfg(not(feature = "noop"))]
         if let Some(cell) = &self.cell {
             cell.fetch_add(delta, Ordering::Relaxed);
         }
-        #[cfg(feature = "noop")]
-        let _ = delta;
     }
 
     /// Current value (0 for a no-op handle).
     #[inline]
     pub fn get(&self) -> i64 {
-        #[cfg(not(feature = "noop"))]
-        if let Some(cell) = &self.cell {
-            return cell.load(Ordering::Relaxed);
-        }
-        0
+        self.cell
+            .as_ref()
+            .map_or(0, |cell| cell.load(Ordering::Relaxed))
     }
 }
 
@@ -140,7 +118,6 @@ impl Gauge {
 // Histogram
 // ---------------------------------------------------------------------------
 
-#[cfg(not(feature = "noop"))]
 #[derive(Debug)]
 struct HistogramCell {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -150,7 +127,6 @@ struct HistogramCell {
     max: AtomicU64,
 }
 
-#[cfg(not(feature = "noop"))]
 impl HistogramCell {
     fn new() -> Self {
         HistogramCell {
@@ -185,7 +161,6 @@ pub fn bucket_upper_bound(bucket: usize) -> u64 {
 /// allocation-free, and a no-op branch on a disabled handle.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    #[cfg(not(feature = "noop"))]
     cell: Option<Arc<HistogramCell>>,
 }
 
@@ -198,7 +173,6 @@ impl Histogram {
     /// Record one sample.
     #[inline(always)]
     pub fn record(&self, v: u64) {
-        #[cfg(not(feature = "noop"))]
         if let Some(cell) = &self.cell {
             cell.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
             cell.count.fetch_add(1, Ordering::Relaxed);
@@ -206,23 +180,17 @@ impl Histogram {
             cell.min.fetch_min(v, Ordering::Relaxed);
             cell.max.fetch_max(v, Ordering::Relaxed);
         }
-        #[cfg(feature = "noop")]
-        let _ = v;
     }
 
     /// Whether this handle records anywhere.
     #[inline]
     pub fn is_live(&self) -> bool {
-        #[cfg(not(feature = "noop"))]
-        return self.cell.is_some();
-        #[cfg(feature = "noop")]
-        false
+        self.cell.is_some()
     }
 
     /// A point-in-time copy of the recorded distribution (empty for a no-op
     /// handle).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        #[cfg(not(feature = "noop"))]
         if let Some(cell) = &self.cell {
             let buckets: Vec<u64> = cell
                 .buckets
@@ -295,15 +263,13 @@ impl HistogramSnapshot {
 // Registry
 // ---------------------------------------------------------------------------
 
-#[cfg(not(feature = "noop"))]
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Instrument {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicI64>),
     Histogram(Arc<HistogramCell>),
 }
 
-#[cfg(not(feature = "noop"))]
 #[derive(Debug, Default)]
 struct RegistryInner {
     /// Registered instruments in registration order. Linear lookup by name:
@@ -321,7 +287,6 @@ struct RegistryInner {
 /// over the *same* cell.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    #[cfg(not(feature = "noop"))]
     inner: Option<Arc<RegistryInner>>,
 }
 
@@ -329,7 +294,6 @@ impl Registry {
     /// A live registry.
     pub fn new() -> Self {
         Registry {
-            #[cfg(not(feature = "noop"))]
             inner: Some(Arc::new(RegistryInner::default())),
         }
     }
@@ -341,87 +305,53 @@ impl Registry {
 
     /// Whether instruments from this registry record anywhere.
     pub fn is_live(&self) -> bool {
-        #[cfg(not(feature = "noop"))]
-        return self.inner.is_some();
-        #[cfg(feature = "noop")]
-        false
+        self.inner.is_some()
+    }
+
+    /// The instrument registered as `name`, registering `make()` on first
+    /// request; `None` from a disabled registry.
+    fn instrument(&self, name: &str, make: impl FnOnce() -> Instrument) -> Option<Instrument> {
+        let inner = self.inner.as_ref()?;
+        let mut instruments = inner.instruments.lock().expect("registry poisoned");
+        if let Some((_, found)) = instruments.iter().find(|(n, _)| n == name) {
+            return Some(found.clone());
+        }
+        let made = make();
+        instruments.push((name.to_string(), made.clone()));
+        Some(made)
     }
 
     /// The counter named `name`, creating it at zero on first request.
     pub fn counter(&self, name: &str) -> Counter {
-        #[cfg(not(feature = "noop"))]
-        if let Some(inner) = &self.inner {
-            let mut instruments = inner.instruments.lock().expect("registry poisoned");
-            for (n, i) in instruments.iter() {
-                if n == name {
-                    if let Instrument::Counter(cell) = i {
-                        return Counter {
-                            cell: Some(Arc::clone(cell)),
-                        };
-                    }
-                    panic!("metric {name:?} is already registered with another type");
-                }
-            }
-            let cell = Arc::new(AtomicU64::new(0));
-            instruments.push((name.to_string(), Instrument::Counter(Arc::clone(&cell))));
-            return Counter { cell: Some(cell) };
+        match self.instrument(name, || Instrument::Counter(Arc::default())) {
+            Some(Instrument::Counter(cell)) => Counter { cell: Some(cell) },
+            Some(_) => type_clash(name),
+            None => Counter::default(),
         }
-        #[cfg(feature = "noop")]
-        let _ = name;
-        Counter::default()
     }
 
     /// The gauge named `name`, creating it at zero on first request.
     pub fn gauge(&self, name: &str) -> Gauge {
-        #[cfg(not(feature = "noop"))]
-        if let Some(inner) = &self.inner {
-            let mut instruments = inner.instruments.lock().expect("registry poisoned");
-            for (n, i) in instruments.iter() {
-                if n == name {
-                    if let Instrument::Gauge(cell) = i {
-                        return Gauge {
-                            cell: Some(Arc::clone(cell)),
-                        };
-                    }
-                    panic!("metric {name:?} is already registered with another type");
-                }
-            }
-            let cell = Arc::new(AtomicI64::new(0));
-            instruments.push((name.to_string(), Instrument::Gauge(Arc::clone(&cell))));
-            return Gauge { cell: Some(cell) };
+        match self.instrument(name, || Instrument::Gauge(Arc::default())) {
+            Some(Instrument::Gauge(cell)) => Gauge { cell: Some(cell) },
+            Some(_) => type_clash(name),
+            None => Gauge::default(),
         }
-        #[cfg(feature = "noop")]
-        let _ = name;
-        Gauge::default()
     }
 
     /// The histogram named `name`, creating it empty on first request.
     pub fn histogram(&self, name: &str) -> Histogram {
-        #[cfg(not(feature = "noop"))]
-        if let Some(inner) = &self.inner {
-            let mut instruments = inner.instruments.lock().expect("registry poisoned");
-            for (n, i) in instruments.iter() {
-                if n == name {
-                    if let Instrument::Histogram(cell) = i {
-                        return Histogram {
-                            cell: Some(Arc::clone(cell)),
-                        };
-                    }
-                    panic!("metric {name:?} is already registered with another type");
-                }
-            }
-            let cell = Arc::new(HistogramCell::new());
-            instruments.push((name.to_string(), Instrument::Histogram(Arc::clone(&cell))));
-            return Histogram { cell: Some(cell) };
+        match self.instrument(name, || {
+            Instrument::Histogram(Arc::new(HistogramCell::new()))
+        }) {
+            Some(Instrument::Histogram(cell)) => Histogram { cell: Some(cell) },
+            Some(_) => type_clash(name),
+            None => Histogram::default(),
         }
-        #[cfg(feature = "noop")]
-        let _ = name;
-        Histogram::default()
     }
 
     /// A point-in-time copy of every registered instrument, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
-        #[cfg(not(feature = "noop"))]
         if let Some(inner) = &self.inner {
             let instruments = inner.instruments.lock().expect("registry poisoned");
             let mut entries: Vec<(String, MetricValue)> = instruments
@@ -445,6 +375,10 @@ impl Registry {
         }
         Snapshot::default()
     }
+}
+
+fn type_clash(name: &str) -> ! {
+    panic!("metric {name:?} is already registered with another type")
 }
 
 /// The value of one instrument in a [`Snapshot`].
@@ -545,7 +479,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "instruments compiled out")]
     fn counters_and_gauges_accumulate() {
         let registry = Registry::new();
         let c = registry.counter("sim.events");
@@ -584,7 +517,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "instruments compiled out")]
     fn histogram_snapshot_summarises_the_distribution() {
         let registry = Registry::new();
         let h = registry.histogram("latency_ns");
@@ -604,7 +536,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "instruments compiled out")]
     fn snapshot_sorts_by_name_and_renders() {
         let registry = Registry::new();
         registry.counter("zzz").inc();
@@ -621,7 +552,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "instruments compiled out")]
     fn instruments_are_shared_across_threads() {
         let registry = Registry::new();
         let c = registry.counter("par");
@@ -639,7 +569,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "instruments compiled out")]
     #[should_panic(expected = "another type")]
     fn name_collisions_across_types_panic() {
         let registry = Registry::new();

@@ -15,7 +15,6 @@
 //! per schedule *pass* or per campaign *cell*, not per simulator event.
 
 use std::fmt::Write as _;
-#[cfg(not(feature = "noop"))]
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -73,7 +72,6 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
-#[cfg(not(feature = "noop"))]
 #[derive(Debug)]
 struct RecorderInner {
     epoch: Instant,
@@ -86,7 +84,6 @@ struct RecorderInner {
 /// drops everything on the floor for the cost of one branch.
 #[derive(Debug, Clone, Default)]
 pub struct SpanRecorder {
-    #[cfg(not(feature = "noop"))]
     inner: Option<Arc<RecorderInner>>,
 }
 
@@ -113,7 +110,6 @@ impl SpanRecorder {
     /// A live recorder with its epoch at "now".
     pub fn new() -> Self {
         SpanRecorder {
-            #[cfg(not(feature = "noop"))]
             inner: Some(Arc::new(RecorderInner {
                 epoch: Instant::now(),
                 events: Mutex::new(Vec::new()),
@@ -129,10 +125,7 @@ impl SpanRecorder {
     /// Whether this recorder keeps events.
     #[inline]
     pub fn is_live(&self) -> bool {
-        #[cfg(not(feature = "noop"))]
-        return self.inner.is_some();
-        #[cfg(feature = "noop")]
-        false
+        self.inner.is_some()
     }
 
     /// Mark the start of a span. Costs one `Instant::now()` when live,
@@ -173,7 +166,6 @@ impl SpanRecorder {
         tid: u64,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        #[cfg(not(feature = "noop"))]
         if let (Some(inner), Some(start)) = (&self.inner, span.start) {
             let ts_us = start.duration_since(inner.epoch).as_micros() as u64;
             let dur_us = start.elapsed().as_micros() as u64;
@@ -191,8 +183,6 @@ impl SpanRecorder {
                     args,
                 });
         }
-        #[cfg(feature = "noop")]
-        let _ = (span, name, category, tid, args);
     }
 
     /// Record a zero-duration instant event at "now".
@@ -204,7 +194,6 @@ impl SpanRecorder {
         tid: u64,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        #[cfg(not(feature = "noop"))]
         if let Some(inner) = &self.inner {
             let ts_us = inner.epoch.elapsed().as_micros() as u64;
             inner
@@ -221,14 +210,11 @@ impl SpanRecorder {
                     args,
                 });
         }
-        #[cfg(feature = "noop")]
-        let _ = (name, category, tid, args);
     }
 
     /// Drain the recorded events, ordered by start time (ties keep
     /// recording order, so the output is stable).
     pub fn take_events(&self) -> Vec<TraceEvent> {
-        #[cfg(not(feature = "noop"))]
         if let Some(inner) = &self.inner {
             let mut events = std::mem::take(&mut *inner.events.lock().expect("recorder poisoned"));
             events.sort_by_key(|e| e.ts_us);
@@ -239,7 +225,6 @@ impl SpanRecorder {
 
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
-        #[cfg(not(feature = "noop"))]
         if let Some(inner) = &self.inner {
             return inner.events.lock().expect("recorder poisoned").len();
         }
@@ -352,7 +337,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "recorder compiled out")]
     fn spans_carry_timing_and_args() {
         let recorder = SpanRecorder::new();
         let span = recorder.start();

@@ -120,7 +120,7 @@ impl Topology {
         .with_standby_off_with_chassis(true)
     }
 
-    /// A scaled-down Curie-like topology useful for fast tests and Criterion
+    /// A scaled-down Curie-like topology useful for fast tests and
     /// benchmarks: same 18/5 grouping but only `racks` racks.
     pub fn curie_scaled(racks: usize) -> Self {
         Topology::new(vec![

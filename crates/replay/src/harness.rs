@@ -359,19 +359,27 @@ mod tests {
     fn fault_plan_kills_jobs_and_stays_deterministic() {
         use crate::scenario::FaultPlan;
         let h = harness();
-        let scenario = Scenario::baseline().with_faults(FaultPlan::new(4, 1800, 5));
-        let a = h.run(&scenario);
-        let b = h.run(&scenario);
-        assert_eq!(a.report, b.report, "faulty replays are deterministic");
-        assert_eq!(a.log.len(), b.log.len());
         // The fault-free baseline differs (outages cost capacity) and never
         // kills anything.
         let clean = h.run(&Scenario::baseline());
         assert_eq!(clean.report.killed_jobs, 0);
-        assert!(
-            a.report.killed_jobs > 0 || a.report.work_core_seconds < clean.report.work_core_seconds,
-            "outages must leave a trace in the metrics"
-        );
+        // The second plan's one outage outlasts `SimTime::MAX`: its node
+        // stays down to the horizon.
+        for plan in [
+            FaultPlan::new(4, 1800, 5),
+            FaultPlan::new(1, apc_rjms::time::SimTime::MAX, 7),
+        ] {
+            let scenario = Scenario::baseline().with_faults(plan);
+            let a = h.run(&scenario);
+            let b = h.run(&scenario);
+            assert_eq!(a.report, b.report, "faulty replays are deterministic");
+            assert_eq!(a.log.len(), b.log.len());
+            assert!(
+                a.report.killed_jobs > 0
+                    || a.report.work_core_seconds < clean.report.work_core_seconds,
+                "outages must leave a trace in the metrics"
+            );
+        }
     }
 
     #[test]

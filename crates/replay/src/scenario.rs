@@ -232,7 +232,8 @@ impl CapSchedule {
 ///   node: one event becomes `nodes_per_chassis` simultaneous outages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultPlan {
-    /// Number of injected outages.
+    /// Number of injected outages ([`parse`](Self::parse) accepts at most
+    /// [`MAX_FAULT_COUNT`]).
     pub count: usize,
     /// Length of each outage, in seconds (at least 1).
     pub outage_duration: SimTime,
@@ -246,6 +247,11 @@ pub struct FaultPlan {
     /// whole chassis.
     pub chassis: bool,
 }
+
+/// The largest outage count [`FaultPlan::parse`] accepts (2^20).
+/// [`FaultPlan::events`] draws every outage up front, so the bound keeps a
+/// mistyped count from allocating without limit.
+pub const MAX_FAULT_COUNT: usize = 1 << 20;
 
 impl FaultPlan {
     /// A plan of `count` outages of `outage_duration` seconds from `seed`.
@@ -301,6 +307,11 @@ impl FaultPlan {
         if count == 0 || duration == 0 {
             return Err(err());
         }
+        if count > MAX_FAULT_COUNT {
+            return Err(format!(
+                "fault plan {spec:?}: COUNT must be at most {MAX_FAULT_COUNT}, got {count}"
+            ));
+        }
         let mut plan = FaultPlan::new(count, duration, seed);
         for suffix in parts {
             match suffix.split_once('=') {
@@ -338,9 +349,12 @@ impl FaultPlan {
     /// The concrete `(node, down, up)` outages for a platform of
     /// `total_nodes` nodes over `[0, horizon)`, sorted by failure time.
     /// Purely a function of the plan, the platform shape and the horizon —
-    /// replays with the same plan are bit-identical. Outages may
-    /// occasionally hit the same node; the controller treats the overlap as
-    /// one longer outage ending at the first recovery.
+    /// replays with the same plan are bit-identical. Every outage fails
+    /// inside the horizon and recovers after it fails: a recovery past
+    /// `SimTime::MAX` saturates there, so such a node stays down for the
+    /// rest of the replay. Outages may occasionally hit the same node; the
+    /// controller treats the overlap as one longer outage ending at the
+    /// first recovery.
     ///
     /// `nodes_per_chassis` only matters for [`chassis`](Self::chassis)
     /// plans: each drawn event then expands to one outage per node of the
@@ -394,7 +408,7 @@ impl FaultPlan {
         let per_chassis = nodes_per_chassis.max(1);
         let mut outages: Vec<(usize, SimTime, SimTime)> = Vec::new();
         for (&(node, _), &down) in raw.iter().zip(&downs) {
-            let up = down + self.outage_duration;
+            let up = down.saturating_add(self.outage_duration);
             if self.chassis {
                 let chassis = node / per_chassis;
                 let start = chassis * per_chassis;
@@ -828,6 +842,21 @@ mod tests {
         // Degenerate platforms produce no events.
         assert!(plan.events(0, 18, 18_000).is_empty());
         assert!(plan.events(180, 18, 0).is_empty());
+        // A recovery past `SimTime::MAX` saturates instead of wrapping
+        // below its failure.
+        let forever = FaultPlan::parse("1x18446744073709551615@7").unwrap();
+        let [(_, down, up)] = forever.events(90, 18, 18_000)[..] else {
+            panic!("one outage");
+        };
+        assert!(down < 18_000);
+        assert_eq!(up, SimTime::MAX);
+        // Counts are bounded before `events` draws them.
+        let at_bound = format!("{MAX_FAULT_COUNT}x600@7");
+        assert_eq!(FaultPlan::parse(&at_bound).unwrap().count, MAX_FAULT_COUNT);
+        assert_eq!(
+            FaultPlan::parse(&format!("{}x600@7", MAX_FAULT_COUNT + 1)).unwrap_err(),
+            "fault plan \"1048577x600@7\": COUNT must be at most 1048576, got 1048577"
+        );
     }
 
     #[test]

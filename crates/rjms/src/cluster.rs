@@ -44,7 +44,7 @@ impl Platform {
 
     /// A Curie-like platform scaled down to `racks` racks (90 nodes per
     /// rack), keeping the same chassis/rack structure, power profile and
-    /// frequency ladder. Used by tests, examples and Criterion benches.
+    /// frequency ladder. Used by tests, examples and `perf-baseline`.
     pub fn curie_scaled(racks: usize) -> Self {
         Platform {
             topology: Topology::curie_scaled(racks),

@@ -188,3 +188,58 @@ fn full_curie_platform_constructs_and_accounts_power() {
     let drop = idle - cluster.current_power();
     assert!(drop.approx_eq(Watts(90.0 * 103.0 + 5.0 * 500.0 + 900.0), 1e-3));
 }
+
+/// DVFS cannot hold a cap below the idle floor. An idle Curie rack draws
+/// 12 670 W of its 34 360 W maximum (36.87 %) at every scale, and DVFS only
+/// slows busy nodes down, so under a 20 % cap its in-window peak is exactly
+/// that idle draw. SHUT and MIX switch nodes off and hold the cap. These
+/// rows look like any other row; whether the spec should refuse such cells
+/// or the rows flag them is still open. Campaign defaults, bigjob, seed
+/// 2012, peaks as `campaign --racks 1,2,6 --intervals bigjob --caps 20
+/// --no-baseline --seeds 1` stores them.
+#[test]
+fn dvfs_stays_at_the_idle_floor_under_a_cap_below_it() {
+    let spec = CampaignSpec {
+        racks: vec![1, 2, 6],
+        intervals: vec![IntervalKind::BigJob],
+        cap_fractions: vec![0.2],
+        include_baseline: false,
+        ..CampaignSpec::paper(2012, 1)
+    };
+    let outcome = CampaignRunner::new(spec).run().expect("grid runs");
+    let peaks: Vec<(usize, &str, f64)> = outcome
+        .rows
+        .iter()
+        .map(|r| (r.racks, r.policy.as_str(), r.peak_power_watts))
+        .collect();
+    assert_eq!(
+        peaks,
+        [
+            (1, "shut", 6_560.0),
+            (1, "dvfs", 12_670.0),
+            (1, "mix", 6_869.0),
+            (2, "shut", 13_596.0),
+            (2, "dvfs", 25_340.0),
+            (2, "mix", 13_721.0),
+            (6, "shut", 40_920.0),
+            (6, "dvfs", 76_020.0),
+            (6, "mix", 41_204.0),
+        ]
+    );
+    for (racks, policy, peak) in peaks {
+        let platform = Platform::curie_scaled(racks);
+        let idle = Cluster::new(platform.clone()).current_power().as_watts();
+        assert_eq!(idle, 12_670.0 * racks as f64);
+        assert_eq!(platform.max_power().as_watts(), 34_360.0 * racks as f64);
+        let cap = platform.power_fraction(0.2).as_watts();
+        if policy == "dvfs" {
+            assert_eq!(peak, idle, "{racks} rack(s): DVFS sits on the idle floor");
+            assert!(peak > cap);
+        } else {
+            assert!(
+                peak <= cap,
+                "{racks} rack(s) {policy}: {peak} W over {cap} W"
+            );
+        }
+    }
+}

@@ -601,6 +601,98 @@ proptest! {
     }
 }
 
+/// Pieces a fault-plan string is built from: every part of the syntax,
+/// counts, durations and seeds at and past their bounds, suffix values a
+/// float parser reads in odd ways, and junk.
+const FAULT_FRAGMENTS: &[&str] = &[
+    "3",
+    "600",
+    "7",
+    "0",
+    "1",
+    "1048576",
+    "1048577",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-1",
+    "+2",
+    "x",
+    "@",
+    ":",
+    "=",
+    "weibull",
+    "weibull=0.7",
+    "weibull=1e-300",
+    "weibull=1e300",
+    "weibull=0",
+    "weibull=NaN",
+    "weibull=inf",
+    "chassis",
+    "none",
+    " ",
+    ".",
+    "1.5",
+    "\u{e9}",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Fault-plan strings are parsed totally. Arbitrary concatenations of
+    /// [`FAULT_FRAGMENTS`] (base 3) and mutations of three valid plans
+    /// (fragments replaced, dropped or inserted) never panic; an error
+    /// quotes its input; an accepted plan has a count in
+    /// `1..=MAX_FAULT_COUNT` and a duration of at least 1, and round-trips
+    /// through its label. The outages of every accepted plan of at most
+    /// 4 096 draws, on one rack over a 5-hour horizon, hit a node of the
+    /// platform, fail inside the horizon and recover after they fail.
+    #[test]
+    fn fault_plan_parsing_is_total(
+        base in 0usize..4,
+        edits in proptest::collection::vec((0usize..3, 0usize..12, 0usize..FAULT_FRAGMENTS.len()), 0..6),
+    ) {
+        use apc_replay::scenario::MAX_FAULT_COUNT;
+        let bases: [&[&str]; 4] = [
+            &["3", "x", "600", "@", "7"],
+            &["2", "x", "300", "@", "11", ":", "chassis", ":", "weibull=1.5"],
+            &["1", "x", "18446744073709551615", "@", "18446744073709551615", ":", "weibull=0.7"],
+            &[],
+        ];
+        let mut pieces: Vec<&str> = bases[base].to_vec();
+        for &(op, at, fragment) in &edits {
+            let at = at % (pieces.len() + 1);
+            match op {
+                0 if at < pieces.len() => pieces[at] = FAULT_FRAGMENTS[fragment],
+                1 if at < pieces.len() => drop(pieces.remove(at)),
+                _ => pieces.insert(at, FAULT_FRAGMENTS[fragment]),
+            }
+        }
+        let text = pieces.concat();
+        match FaultPlan::parse(&text) {
+            Ok(plan) => {
+                prop_assert!((1..=MAX_FAULT_COUNT).contains(&plan.count), "{text:?}");
+                prop_assert!(plan.outage_duration >= 1, "{text:?}");
+                prop_assert_eq!(FaultPlan::parse(&plan.label()), Ok(plan), "{:?}", text);
+                if plan.count <= 4096 {
+                    let platform = Platform::curie_scaled(1);
+                    let total = platform.total_nodes();
+                    let per_chassis = platform.topology.nodes_per_group(0);
+                    let horizon = 5 * apc_rjms::time::HOUR;
+                    let events = plan.events(total, per_chassis, horizon);
+                    let width = if plan.chassis { per_chassis } else { 1 };
+                    prop_assert_eq!(events.len(), plan.count * width, "{:?}", text);
+                    for (node, down, up) in events {
+                        prop_assert!(node < total, "{text:?}: node {node}");
+                        prop_assert!(down < horizon, "{text:?}: down {down}");
+                        prop_assert!(down < up, "{text:?}: {down} >= {up}");
+                    }
+                }
+            }
+            Err(err) => prop_assert!(err.contains(&format!("{text:?}")), "{err}"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
