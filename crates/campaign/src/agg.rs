@@ -14,7 +14,9 @@
 //! [`Column`] is the one table of a row's columns: their names, their
 //! order in `cells.csv` and their kinds. Every render, `campaign query` and
 //! the v2 store reader take the schema from it, and [`CellRow::field`]
-//! reads one column of a row.
+//! reads one column of a row. A summary is two lists of columns from the
+//! same table: the [`SUMMARY_KEY`] its rows share and the
+//! [`SUMMARY_METRICS`] it folds.
 
 use apc_replay::metrics::{NormalizedOutcome, PowerSeries};
 use apc_replay::{ReplayOutcome, ReplaySummary, SimulationReport};
@@ -208,6 +210,31 @@ impl Column {
     }
 }
 
+/// The group-key columns of a [`SummaryRow`], in the order `summary.*` and
+/// `pareto.csv` render them: everything but the seed, the index, the
+/// policy (which the scenario label names) and the metrics.
+pub const SUMMARY_KEY: [Column; 10] = [
+    Column::Racks,
+    Column::Workload,
+    Column::LoadFactor,
+    Column::Scenario,
+    Column::Window,
+    Column::CapPercent,
+    Column::Grouping,
+    Column::DecisionRule,
+    Column::Schedule,
+    Column::Faults,
+];
+
+/// The metrics a [`SummaryRow`] folds across seeds, in render order.
+pub const SUMMARY_METRICS: [Column; 5] = [
+    Column::LaunchedJobs,
+    Column::EnergyNormalized,
+    Column::WorkNormalized,
+    Column::MeanWaitSeconds,
+    Column::PeakPowerWatts,
+];
+
 /// Column names joined with ", ", for error messages.
 fn names(columns: impl IntoIterator<Item = Column>) -> String {
     columns
@@ -217,13 +244,27 @@ fn names(columns: impl IntoIterator<Item = Column>) -> String {
         .join(", ")
 }
 
-/// The optional-label rule: a row carries the `schedule`/`faults` labels
-/// when either differs from `"-"`. A render shows the two columns, and a
-/// store block uses the labelled `"APC4"` layout, only when one of its rows
-/// carries them, so output without schedules or fault plans keeps its
-/// older bytes.
-pub(crate) fn is_labelled(schedule: &str, faults: &str) -> bool {
-    schedule != "-" || faults != "-"
+/// The group key of `fields`: numbers by bit pattern, labels behind their
+/// length. Two lists of fields of the same columns encode alike exactly
+/// when they agree field by field (floats by bits), so labels that
+/// concatenate alike ("ab" + "c", "a" + "bc") stay apart.
+pub(crate) fn encode_key<'a>(fields: impl IntoIterator<Item = Field<'a>>) -> Vec<u8> {
+    let mut key = Vec::new();
+    for field in fields {
+        match field {
+            Field::Int(v) => key.extend_from_slice(&(v as u64).to_le_bytes()),
+            Field::Seed(s) => {
+                key.push(u8::from(s.is_some()));
+                key.extend_from_slice(&s.unwrap_or(0).to_le_bytes());
+            }
+            Field::Float(v) => key.extend_from_slice(&v.to_bits().to_le_bytes()),
+            Field::Label(s) => {
+                key.extend_from_slice(&(s.len() as u64).to_le_bytes());
+                key.extend_from_slice(s.as_bytes());
+            }
+        }
+    }
+    key
 }
 
 /// One value of a [`CellRow`], typed by its column's [`ColumnKind`].
@@ -409,6 +450,15 @@ impl CellRow {
         }
     }
 
+    /// The optional-label rule: a row carries the `schedule`/`faults`
+    /// labels when either differs from `"-"`. A render shows the two
+    /// columns, and a store block uses the labelled `"APC4"` layout, only
+    /// when one of its rows carries them, so output without schedules or
+    /// fault plans keeps its older bytes.
+    pub(crate) fn is_labelled(&self) -> bool {
+        self.schedule != "-" || self.faults != "-"
+    }
+
     /// Decode one record of a schema v2 store partition (`part-NNNN.csv`).
     ///
     /// Nothing writes v2 partitions any more, but their stores stay
@@ -472,44 +522,7 @@ impl CellRow {
             peak_power_watts: float(Column::PeakPowerWatts)?,
         })
     }
-
-    /// The across-seed grouping key: everything except the seed (and index).
-    /// The exact cap and load bits are part of the key because the labels
-    /// round — `--caps 59.6,60.4` must stay two groups even though both
-    /// label as "60%/…" — and the workload *kind* (fixed vs synthetic) is
-    /// explicit so an SWF row can never share a group with a synthetic one.
-    fn group_key(&self) -> GroupKey {
-        (
-            self.racks,
-            self.seed.is_none(),
-            self.cap_percent.to_bits(),
-            self.load_factor.to_bits(),
-            self.workload.clone(),
-            self.scenario.clone(),
-            self.window.clone(),
-            self.grouping.clone(),
-            self.decision_rule.clone(),
-            self.schedule.clone(),
-            self.faults.clone(),
-        )
-    }
 }
-
-/// (racks, fixed-workload?, cap bits, load bits, workload, scenario, window,
-/// grouping, decision rule, schedule, faults).
-type GroupKey = (
-    usize,
-    bool,
-    u64,
-    u64,
-    String,
-    String,
-    String,
-    String,
-    String,
-    String,
-    String,
-);
 
 /// Mean / min / max / standard deviation of one metric across seeds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -580,155 +593,84 @@ impl MetricAcc {
     }
 }
 
-/// Across-seed statistics for one scenario of one workload at one scale.
+/// Across-seed statistics for one group of [`summarize`]: the rows that
+/// agree on every [`SUMMARY_KEY`] column and on the workload kind.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryRow {
-    /// Platform scale in racks.
-    pub racks: usize,
-    /// Workload label.
-    pub workload: String,
-    /// Generator arrival load factor (`NaN` for a fixed trace; renders as
-    /// an empty field, which also keeps an SWF group visibly distinct from
-    /// any synthetic one).
-    pub load_factor: f64,
-    /// Scenario label.
-    pub scenario: String,
-    /// Cap-window label (`"-"` for the baseline).
-    pub window: String,
-    /// Exact cap percentage (100 for the baseline) — kept alongside the
-    /// label because the label rounds to whole percents.
-    pub cap_percent: f64,
-    /// Grouping strategy name.
-    pub grouping: String,
-    /// Decision rule name.
-    pub decision_rule: String,
-    /// Cap-schedule label (`"-"` for uniform caps and the baseline).
-    pub schedule: String,
-    /// Fault-plan label (`"-"` for fault-free groups).
-    pub faults: String,
+    /// The group's first row: its key columns are the group's.
+    first: CellRow,
     /// Number of seed replications folded in.
     pub replications: usize,
-    /// Launched jobs across seeds.
-    pub launched_jobs: MetricSummary,
-    /// Normalised energy across seeds.
-    pub energy_normalized: MetricSummary,
-    /// Normalised work across seeds.
-    pub work_normalized: MetricSummary,
-    /// Mean wait time across seeds.
-    pub mean_wait_seconds: MetricSummary,
-    /// Peak power across seeds.
-    pub peak_power_watts: MetricSummary,
+    /// The statistics of each [`SUMMARY_METRICS`] column, in that order.
+    metrics: [MetricSummary; 5],
 }
 
 impl SummaryRow {
-    /// The group's value of one of its key columns (the label and grid
-    /// columns a [`CellRow`] shares with its summary group).
+    /// The group's value of one [`SUMMARY_KEY`] column.
     ///
     /// # Panics
     ///
-    /// On a column that is not part of the group key.
-    pub(crate) fn key_field(&self, column: Column) -> Field<'_> {
-        match column {
-            Column::Racks => Field::Int(self.racks),
-            Column::Workload => Field::Label(&self.workload),
-            Column::LoadFactor => Field::Float(self.load_factor),
-            Column::Scenario => Field::Label(&self.scenario),
-            Column::Window => Field::Label(&self.window),
-            Column::CapPercent => Field::Float(self.cap_percent),
-            Column::Grouping => Field::Label(&self.grouping),
-            Column::DecisionRule => Field::Label(&self.decision_rule),
-            Column::Schedule => Field::Label(&self.schedule),
-            Column::Faults => Field::Label(&self.faults),
-            other => panic!("{} is not a summary key column", other.name()),
-        }
+    /// On any other column.
+    pub fn key_field(&self, column: Column) -> Field<'_> {
+        assert!(
+            SUMMARY_KEY.contains(&column),
+            "{} is not a summary key column",
+            column.name()
+        );
+        self.first.field(column)
     }
 
-    /// The across-seed statistics of one summarised metric.
+    /// The across-seed statistics of one [`SUMMARY_METRICS`] column.
     ///
     /// # Panics
     ///
-    /// On a column the summary does not fold.
-    pub(crate) fn metric(&self, column: Column) -> &MetricSummary {
-        match column {
-            Column::LaunchedJobs => &self.launched_jobs,
-            Column::EnergyNormalized => &self.energy_normalized,
-            Column::WorkNormalized => &self.work_normalized,
-            Column::MeanWaitSeconds => &self.mean_wait_seconds,
-            Column::PeakPowerWatts => &self.peak_power_watts,
-            other => panic!("{} is not a summarised metric", other.name()),
-        }
+    /// On any other column.
+    pub fn metric(&self, column: Column) -> &MetricSummary {
+        let i = SUMMARY_METRICS
+            .iter()
+            .position(|&m| m == column)
+            .unwrap_or_else(|| panic!("{} is not a summarised metric", column.name()));
+        &self.metrics[i]
     }
-}
 
-/// Running accumulator for one summary group.
-#[derive(Debug, Clone, Default)]
-struct GroupAcc {
-    replications: usize,
-    launched_jobs: MetricAcc,
-    energy_normalized: MetricAcc,
-    work_normalized: MetricAcc,
-    mean_wait_seconds: MetricAcc,
-    peak_power_watts: MetricAcc,
+    /// Does the group carry a cap-schedule or fault-plan label?
+    pub(crate) fn is_labelled(&self) -> bool {
+        self.first.is_labelled()
+    }
 }
 
 /// Fold cell rows into across-seed summaries.
+///
+/// Rows share a group when they agree on every [`SUMMARY_KEY`] column and
+/// on the workload kind. Cap and load go in by bit pattern, because the
+/// labels round: `--caps 59.6,60.4` stays two groups though both label as
+/// "60%/…". The kind (a fixed trace has no seed) keeps an SWF row out of
+/// every synthetic group.
 ///
 /// `rows` **must already be sorted by cell index** (the executor guarantees
 /// this): groups appear in first-occurrence order and floats accumulate in a
 /// fixed order, making the output independent of worker scheduling.
 pub fn summarize(rows: &[CellRow]) -> Vec<SummaryRow> {
     debug_assert!(rows.windows(2).all(|w| w[0].index < w[1].index));
-    let mut order: Vec<GroupKey> = Vec::new();
-    let mut groups: std::collections::HashMap<GroupKey, GroupAcc> =
-        std::collections::HashMap::new();
+    let mut index: std::collections::HashMap<Vec<u8>, usize> = std::collections::HashMap::new();
+    let mut groups: Vec<(&CellRow, [MetricAcc; 5])> = Vec::new();
     for row in rows {
-        let key = row.group_key();
-        let acc = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            GroupAcc::default()
+        let mut key = encode_key(SUMMARY_KEY.map(|c| row.field(c)));
+        key.push(u8::from(row.seed.is_none()));
+        let g = *index.entry(key).or_insert_with(|| {
+            groups.push((row, [MetricAcc::default(); 5]));
+            groups.len() - 1
         });
-        acc.replications += 1;
-        acc.launched_jobs.push(row.launched_jobs as f64);
-        acc.energy_normalized.push(row.energy_normalized);
-        acc.work_normalized.push(row.work_normalized);
-        acc.mean_wait_seconds.push(row.mean_wait_seconds);
-        acc.peak_power_watts.push(row.peak_power_watts);
+        for (acc, c) in groups[g].1.iter_mut().zip(SUMMARY_METRICS) {
+            acc.push(row.field(c).number().unwrap_or(f64::NAN));
+        }
     }
-    order
+    groups
         .into_iter()
-        .map(|key| {
-            let acc = &groups[&key];
-            let (
-                racks,
-                _fixed,
-                cap_bits,
-                load_bits,
-                workload,
-                scenario,
-                window,
-                grouping,
-                decision_rule,
-                schedule,
-                faults,
-            ) = key;
-            SummaryRow {
-                racks,
-                workload,
-                load_factor: f64::from_bits(load_bits),
-                scenario,
-                window,
-                cap_percent: f64::from_bits(cap_bits),
-                grouping,
-                decision_rule,
-                schedule,
-                faults,
-                replications: acc.replications,
-                launched_jobs: acc.launched_jobs.finish(),
-                energy_normalized: acc.energy_normalized.finish(),
-                work_normalized: acc.work_normalized.finish(),
-                mean_wait_seconds: acc.mean_wait_seconds.finish(),
-                peak_power_watts: acc.peak_power_watts.finish(),
-            }
+        .map(|(first, accs)| SummaryRow {
+            first: first.clone(),
+            replications: accs[0].n,
+            metrics: accs.map(|acc| acc.finish()),
         })
         .collect()
 }
@@ -736,6 +678,7 @@ pub fn summarize(rows: &[CellRow]) -> Vec<SummaryRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn row(index: usize, seed: u64, scenario: &str, launched: usize, work: f64) -> CellRow {
         CellRow {
@@ -776,16 +719,18 @@ mod tests {
         let summaries = summarize(&rows);
         assert_eq!(summaries.len(), 2);
         let shut = &summaries[0];
-        assert_eq!(shut.scenario, "60%/SHUT");
+        assert_eq!(shut.key_field(Column::Scenario), Field::Label("60%/SHUT"));
         assert_eq!(shut.replications, 2);
-        assert!((shut.launched_jobs.mean - 15.0).abs() < 1e-12);
-        assert!((shut.launched_jobs.min - 10.0).abs() < 1e-12);
-        assert!((shut.launched_jobs.max - 20.0).abs() < 1e-12);
-        assert!((shut.launched_jobs.stddev - 5.0).abs() < 1e-12);
+        let launched = shut.metric(Column::LaunchedJobs);
+        assert!((launched.mean - 15.0).abs() < 1e-12);
+        assert!((launched.min - 10.0).abs() < 1e-12);
+        assert!((launched.max - 20.0).abs() < 1e-12);
+        assert!((launched.stddev - 5.0).abs() < 1e-12);
         let mix = &summaries[1];
         assert_eq!(mix.replications, 1);
-        assert_eq!(mix.launched_jobs.stddev, 0.0);
-        assert_eq!(mix.launched_jobs.min, mix.launched_jobs.max);
+        let launched = mix.metric(Column::LaunchedJobs);
+        assert_eq!(launched.stddev, 0.0);
+        assert_eq!(launched.min, launched.max);
     }
 
     #[test]
@@ -795,13 +740,13 @@ mod tests {
         let b = row(1, 2, "60%/SHUT", 12, 42.0);
         let summaries = summarize(&[a, b]);
         assert_eq!(summaries.len(), 1);
-        let wait = &summaries[0].mean_wait_seconds;
+        let wait = summaries[0].metric(Column::MeanWaitSeconds);
         assert!(wait.mean.is_nan());
         assert!(wait.min.is_nan());
         assert!(wait.max.is_nan());
         assert!(wait.stddev.is_nan());
         // Other metrics of the same group are unaffected.
-        assert!((summaries[0].launched_jobs.mean - 11.0).abs() < 1e-12);
+        assert!((summaries[0].metric(Column::LaunchedJobs).mean - 11.0).abs() < 1e-12);
     }
 
     #[test]
@@ -828,8 +773,14 @@ mod tests {
         c.load_factor = 1.0;
         let summaries = summarize(&[a, c]);
         assert_eq!(summaries.len(), 2);
-        assert_eq!(summaries[0].load_factor, 1.8);
-        assert_eq!(summaries[1].load_factor, 1.0);
+        assert_eq!(
+            summaries[0].key_field(Column::LoadFactor),
+            Field::Float(1.8)
+        );
+        assert_eq!(
+            summaries[1].key_field(Column::LoadFactor),
+            Field::Float(1.0)
+        );
     }
 
     #[test]
@@ -926,8 +877,14 @@ mod tests {
         let summaries = summarize(&[a, b, c]);
         assert_eq!(summaries.len(), 3);
         assert!(summaries.iter().all(|s| s.replications == 1));
-        assert_eq!(summaries[1].schedule, "0+7200@80");
-        assert_eq!(summaries[2].faults, "2x600@7");
+        assert_eq!(
+            summaries[1].key_field(Column::Schedule),
+            Field::Label("0+7200@80")
+        );
+        assert_eq!(
+            summaries[2].key_field(Column::Faults),
+            Field::Label("2x600@7")
+        );
     }
 
     #[test]
@@ -963,7 +920,108 @@ mod tests {
             row(2, 2, "B", 1, 1.0),
         ];
         let summaries = summarize(&rows);
-        let labels: Vec<&str> = summaries.iter().map(|s| s.scenario.as_str()).collect();
-        assert_eq!(labels, ["B", "A"]);
+        let labels: Vec<Field> = summaries
+            .iter()
+            .map(|s| s.key_field(Column::Scenario))
+            .collect();
+        assert_eq!(labels, [Field::Label("B"), Field::Label("A")]);
+    }
+
+    /// A row from a small lattice, so that groups collide. The bits of
+    /// `key` pick the key values; `rare` moves one column now and then;
+    /// `metrics` packs the launched jobs and four float metrics, NaN among
+    /// them.
+    fn lattice_row(index: usize, key: u32, rare: u32, seed: u64, metrics: u32) -> CellRow {
+        let bit = |i: u32| key >> i & 1 == 1;
+        // Two label pairs that concatenate alike, in adjacent key columns.
+        let (scenario, window) = if bit(0) { ("a", "bc") } else { ("ab", "c") };
+        let mut r = row(index, seed, scenario, (metrics % 4) as usize, 0.0);
+        r.window = window.into();
+        // A fixed trace has no seed; the load is NaN with or without one.
+        if bit(1) {
+            r.seed = None;
+        }
+        r.load_factor = if bit(2) { f64::NAN } else { 1.8 };
+        // Both caps label as "60%".
+        r.cap_percent = if bit(3) { 59.6 } else { 60.4 };
+        r.racks = 1 + usize::from(bit(4));
+        match rare {
+            0 => r.grouping = "scattered".into(),
+            1 => r.decision_rule = "work-max".into(),
+            2 => r.schedule = "0+7200@80".into(),
+            3 => r.faults = "3x600@7".into(),
+            // Not a key column: the row stays in its group.
+            4 => r.policy = "mix".into(),
+            _ => {}
+        }
+        let mut packed = metrics / 4;
+        let mut value = || {
+            let v = [0.0, 0.1, 0.25, 1.0 / 3.0, 7.5, f64::NAN][(packed % 6) as usize];
+            packed /= 6;
+            v
+        };
+        r.energy_normalized = value();
+        r.work_normalized = value();
+        r.mean_wait_seconds = value();
+        r.peak_power_watts = value();
+        r
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `summarize` against a brute-force model: a row joins the first
+        /// group whose first row agrees on every key column (floats by
+        /// bits) and on the workload kind; groups keep first-occurrence
+        /// order.
+        #[test]
+        fn summarize_matches_a_brute_force_grouping(
+            draws in proptest::collection::vec((0u32..32, 0u32..12, 0u64..3, 0u32..5184), 1..60)
+        ) {
+            let rows: Vec<CellRow> = draws
+                .iter()
+                .enumerate()
+                .map(|(i, &(key, rare, seed, metrics))| lattice_row(i, key, rare, seed, metrics))
+                .collect();
+            let same_group = |a: &CellRow, b: &CellRow| {
+                SUMMARY_KEY.iter().all(|&c| a.field(c).same_bits(b.field(c)))
+                    && a.seed.is_none() == b.seed.is_none()
+            };
+            let mut groups: Vec<Vec<&CellRow>> = Vec::new();
+            for row in &rows {
+                match groups.iter_mut().find(|g| same_group(g[0], row)) {
+                    Some(group) => group.push(row),
+                    None => groups.push(vec![row]),
+                }
+            }
+            let summaries = summarize(&rows);
+            prop_assert_eq!(summaries.len(), groups.len());
+            for (s, group) in summaries.iter().zip(&groups) {
+                prop_assert_eq!(s.replications, group.len());
+                for c in SUMMARY_KEY {
+                    prop_assert!(s.key_field(c).same_bits(group[0].field(c)));
+                }
+                for c in SUMMARY_METRICS {
+                    let values: Vec<f64> = group
+                        .iter()
+                        .map(|r| r.field(c).number().unwrap_or(f64::NAN))
+                        .collect();
+                    let m = s.metric(c);
+                    if values.iter().any(|v| v.is_nan()) {
+                        prop_assert!(
+                            m.mean.is_nan() && m.min.is_nan() && m.max.is_nan() && m.stddev.is_nan()
+                        );
+                        continue;
+                    }
+                    let sum = values.iter().fold(0.0, |sum, v| sum + v);
+                    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+                    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                    prop_assert_eq!(m.mean.to_bits(), (sum / values.len() as f64).to_bits());
+                    prop_assert_eq!(m.min.to_bits(), min.to_bits());
+                    prop_assert_eq!(m.max.to_bits(), max.to_bits());
+                    prop_assert!(m.stddev >= 0.0);
+                }
+            }
+        }
     }
 }

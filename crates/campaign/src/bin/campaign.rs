@@ -10,8 +10,8 @@
 //!
 //! campaign options:
 //!   --threads N        worker threads (0 = all cores; default 1)
-//!   --seeds K          seed replications per cell group (default 3; at
-//!                      most the cells a store holds)
+//!   --seeds K          seed replications per cell group (default 3; the
+//!                      grid's cells over all K seeds must fit in a store)
 //!   --seed-base S      first seed; replications use S, S+1, … (default
 //!                      2012; the last one must not pass 2^64 - 1)
 //!   --racks LIST       rack scales, e.g. 1,2,6 (default 2; >= 56 = full Curie)
@@ -396,6 +396,21 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             u64::MAX
         ));
     }
+    // Each seed replicates the rest of the grid: bound the product before
+    // the seed list is built (the spec bounds the grid again before it
+    // expands).
+    let per_seed = CampaignSpec {
+        seeds: vec![seed_base],
+        ..spec.clone()
+    }
+    .cell_count()?;
+    let cells = seeds as u128 * per_seed as u128;
+    if cells > MAX_STORE_CELLS as u128 {
+        return Err(format!(
+            "--seeds {seeds} with {per_seed} cells per seed makes {cells} cells, more than \
+             the {MAX_STORE_CELLS} a store holds"
+        ));
+    }
     spec.seeds = (0..seeds as u64).map(|i| seed_base + i).collect();
     // Resuming means "continue the campaign stored in DIR" — the store is
     // both input and output, so a separate --out makes no sense. And a
@@ -507,7 +522,7 @@ fn run(options: Options) -> Result<(), String> {
     let outcome = outcome?;
 
     if !options.quiet {
-        print!("{}", summary_table(&outcome.summaries));
+        print!("{}", render_summary_table(&outcome.summaries));
     }
 
     // Render the store-derived outcome: run_with_store reads every row —
@@ -681,7 +696,7 @@ fn run_distributed(options: Options, raw_args: &[String]) -> Result<(), String> 
     let rows = store.rows();
     let summaries = summarize(&rows);
     if !options.quiet {
-        print!("{}", summary_table(&summaries));
+        print!("{}", render_summary_table(&summaries));
     }
     let written = render_outputs(&dir, options.format, &rows, &summaries)?;
     eprintln!(
@@ -773,38 +788,6 @@ fn render_outputs(
         );
     }
     Ok(written)
-}
-
-/// Aligned stdout table of the across-seed summaries. The `load` and
-/// `window` columns carry the sweep axes — without them, the rows of a
-/// window/load sweep would all print the same scenario label.
-fn summary_table(summaries: &[SummaryRow]) -> String {
-    let mut out = String::from(
-        "racks  workload    load  scenario     window               n   \
-         launched (mean±sd)   energy   work     wait(s)\n",
-    );
-    for s in summaries {
-        let load = if s.load_factor.is_nan() {
-            "-".to_string()
-        } else {
-            format!("{:.2}", s.load_factor)
-        };
-        out.push_str(&format!(
-            "{:<6} {:<11} {:<5} {:<12} {:<20} {:>3} {:>10.1} ±{:<7.1} {:>7.3} {:>7.3} {:>9.0}\n",
-            s.racks,
-            s.workload,
-            load,
-            s.scenario,
-            s.window,
-            s.replications,
-            s.launched_jobs.mean,
-            s.launched_jobs.stddev,
-            s.energy_normalized.mean,
-            s.work_normalized.mean,
-            s.mean_wait_seconds.mean,
-        ));
-    }
-    out
 }
 
 /// `campaign pareto DIR [--out FILE] [--cells] [--quiet]`: summarize the
@@ -1055,7 +1038,7 @@ fn run_report(args: &[String]) -> Result<(), String> {
         scenarios.len(),
         seeds.len(),
     );
-    print!("{}", summary_table(&summarize(&rows)));
+    print!("{}", render_summary_table(&summarize(&rows)));
     Ok(())
 }
 

@@ -66,7 +66,7 @@
 use std::fs;
 use std::path::Path;
 
-use crate::agg::{is_labelled, CellRow, Column};
+use crate::agg::{CellRow, Column};
 use crate::query::RowFilter;
 
 /// File extension of a v3 partition.
@@ -230,7 +230,7 @@ pub fn encode_block(rows: &[CellRow]) -> Vec<u8> {
     // what the codec wrote before cap schedules and fault plans existed —
     // and any labelled row switches the whole block to the "APC4" layout
     // with the two extra dictionary columns.
-    let labelled = rows.iter().any(|r| is_labelled(&r.schedule, &r.faults));
+    let labelled = rows.iter().any(CellRow::is_labelled);
     let dict_cols = if labelled {
         DICT_COLS_LABELLED
     } else {

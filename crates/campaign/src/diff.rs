@@ -16,8 +16,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::agg::Column;
-use crate::sink::{split_csv_line, SUMMARY_KEY};
+use crate::agg::{Column, SUMMARY_KEY};
+use crate::sink::split_csv_line;
 
 /// One metric of one grid row whose value differs between the two files.
 #[derive(Debug, Clone, PartialEq)]

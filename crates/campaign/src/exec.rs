@@ -558,6 +558,7 @@ fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::Column;
     use apc_obs::ArgValue;
     use apc_workload::IntervalKind;
     use std::path::PathBuf;
@@ -695,8 +696,9 @@ mod tests {
         assert_eq!(outcome.summaries.len(), 2);
         assert!(outcome.summaries.iter().all(|s| s.replications == 2));
         for s in &outcome.summaries {
-            assert!(s.launched_jobs.min <= s.launched_jobs.mean);
-            assert!(s.launched_jobs.mean <= s.launched_jobs.max);
+            let launched = s.metric(Column::LaunchedJobs);
+            assert!(launched.min <= launched.mean);
+            assert!(launched.mean <= launched.max);
         }
     }
 

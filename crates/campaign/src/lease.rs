@@ -698,8 +698,17 @@ impl LeaseLog {
     /// Append one record line with a single `O_APPEND` write. The caller
     /// must [`refresh`](Self::refresh) afterwards and re-check ownership —
     /// appending is not winning.
+    ///
+    /// If the log read so far ends inside a line (a record torn by a writer
+    /// killed mid-append, seen by [`open`](Self::open) or the last refresh),
+    /// the record starts with a newline in the same write, so it is not
+    /// glued to the fragment. A handle that only reads writes nothing.
     fn append_record(&mut self, line: &str) -> Result<(), String> {
-        let mut bytes = line.as_bytes().to_vec();
+        let mut bytes = Vec::with_capacity(line.len() + 2);
+        if !self.tail.is_empty() {
+            bytes.push(b'\n');
+        }
+        bytes.extend_from_slice(line.as_bytes());
         bytes.push(b'\n');
         self.file
             .write_all(&bytes)

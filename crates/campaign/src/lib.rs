@@ -27,7 +27,8 @@
 //!   [`SummaryRow`]s, without ever buffering whole
 //!   [`ReplayOutcome`](apc_replay::ReplayOutcome)s;
 //! * [`sink`] — CSV and JSON renderers writing `cells.*` and
-//!   `summary.*` from the store's rows (or an in-memory outcome);
+//!   `summary.*` from the store's rows (or an in-memory outcome), and the
+//!   summary table the `campaign` binary prints;
 //! * [`diff`] — cross-campaign comparison of two `summary.csv` files with
 //!   a regression threshold, exposed as the `campaign-diff` binary;
 //! * the `campaign` binary (`cargo run --release -p apc-campaign --bin
@@ -92,8 +93,8 @@ pub mod prelude {
         ScanFlow, ScanStats, StoreScanner,
     };
     pub use crate::sink::{
-        render_cells_csv, render_cells_json, render_summary_csv, render_summary_json, CsvSink,
-        JsonSink,
+        render_cells_csv, render_cells_json, render_summary_csv, render_summary_json,
+        render_summary_table, CsvSink, JsonSink,
     };
     pub use crate::spec::{
         place_windows, CampaignCell, CampaignSpec, CellWorkload, TraceSource, WindowPlacement,

@@ -31,8 +31,8 @@
 //! higher variance; the cells front makes those variance-driven trade-offs
 //! visible.
 
-use crate::agg::{is_labelled, CellRow, Column, Field, SummaryRow};
-use crate::sink::{csv, fixed, header, shown, SUMMARY_KEY};
+use crate::agg::{encode_key, CellRow, Column, Field, SummaryRow, SUMMARY_KEY};
+use crate::sink::{csv, fixed, header, shown};
 
 /// The objective triple of one summary row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,9 +49,9 @@ impl Objectives {
     /// Extract the objective means from a summary row.
     pub fn of(row: &SummaryRow) -> Self {
         Objectives {
-            energy_normalized: row.energy_normalized.mean,
-            work_normalized: row.work_normalized.mean,
-            mean_wait_seconds: row.mean_wait_seconds.mean,
+            energy_normalized: row.metric(Column::EnergyNormalized).mean,
+            work_normalized: row.metric(Column::WorkNormalized).mean,
+            mean_wait_seconds: row.metric(Column::MeanWaitSeconds).mean,
         }
     }
 
@@ -111,68 +111,55 @@ pub struct ParetoCellRow {
     pub dominated: usize,
 }
 
-/// Workload-group key: rows are only comparable within one of these. The
+/// The workload-group key: rows are only comparable within one group. The
 /// fault plan is part of the key: an injected outage perturbs the workload
 /// that actually ran, so a faulted row and a clean row have incomparable
 /// baselines. Cap schedules are deliberately *not* in the key — they are
-/// competing policies and belong on the same front as static windows.
-fn group_key(row: &SummaryRow) -> (usize, &str, u64, &str) {
-    (
-        row.racks,
-        row.workload.as_str(),
-        row.load_factor.to_bits(),
-        row.faults.as_str(),
-    )
-}
+/// competing policies and belong on the same front as static windows. The
+/// per-replication front adds the seed, so dominance is counted between
+/// scenarios that replayed the *same* perturbed trace. Both encode it as
+/// [`summarize`](crate::agg::summarize) encodes its own key.
+const FRONT_KEY: [Column; 4] = [
+    Column::Racks,
+    Column::Workload,
+    Column::LoadFactor,
+    Column::Faults,
+];
 
-/// Per-replication group key: the summary key plus the seed, so dominance
-/// is counted between scenarios that replayed the *same* perturbed trace.
-fn cell_group_key(row: &CellRow) -> (usize, &str, u64, &str, Option<u64>) {
-    (
-        row.racks,
-        row.workload.as_str(),
-        row.load_factor.to_bits(),
-        row.faults.as_str(),
-        row.seed,
-    )
-}
-
-/// Dominance scan shared by both fronts: for each row, `Some(dominated)`
-/// when it is on the front of its group, `None` when it is dominated or has
-/// an undefined objective. Rows are bucketed by group first, so the scan is
-/// quadratic in the **group** size (a scenario grid: tens to a few thousand
-/// rows), not in the total row count of a big multi-workload sweep.
-fn front_mask<K: std::hash::Hash + Eq>(
-    objectives: &[Objectives],
-    keys: &[K],
-) -> Vec<Option<usize>> {
-    let mut groups: std::collections::HashMap<&K, Vec<usize>> = std::collections::HashMap::new();
+/// Dominance scan shared by both fronts: every row no other row with the
+/// same `key` dominates, in input order, with its objectives and the number
+/// of same-group rows it dominates. Rows with an undefined objective are
+/// left out. Rows are bucketed by group first, so the scan is quadratic in
+/// the **group** size (a scenario grid: tens to a few thousand rows), not
+/// in the total row count of a big multi-workload sweep.
+fn front<R>(
+    rows: &[R],
+    objectives: impl Fn(&R) -> Objectives,
+    key: impl Fn(&R) -> Vec<u8>,
+) -> Vec<(&R, Objectives, usize)> {
+    let objectives: Vec<Objectives> = rows.iter().map(objectives).collect();
+    let keys: Vec<Vec<u8>> = rows.iter().map(key).collect();
+    let mut groups: std::collections::HashMap<&[u8], Vec<usize>> = std::collections::HashMap::new();
     for (i, key) in keys.iter().enumerate() {
         groups.entry(key).or_default().push(i);
     }
-    let mut mask = Vec::with_capacity(objectives.len());
-    for i in 0..objectives.len() {
-        if objectives[i].has_nan() {
-            mask.push(None);
-            continue;
-        }
-        let mut dominated = 0usize;
-        let mut is_dominated = false;
-        for &j in &groups[&keys[i]] {
-            if i == j {
-                continue;
-            }
+    let on_front = |i: usize| {
+        let mut dominated = 0;
+        // The row itself is in its group; nothing dominates itself.
+        for &j in &groups[keys[i].as_slice()] {
             if objectives[j].dominates(&objectives[i]) {
-                is_dominated = true;
-                break;
+                return None;
             }
             if objectives[i].dominates(&objectives[j]) {
                 dominated += 1;
             }
         }
-        mask.push(if is_dominated { None } else { Some(dominated) });
-    }
-    mask
+        Some((&rows[i], objectives[i], dominated))
+    };
+    (0..rows.len())
+        .filter(|&i| !objectives[i].has_nan())
+        .filter_map(on_front)
+        .collect()
 }
 
 /// Extract the non-dominated front of every workload group, preserving the
@@ -181,17 +168,13 @@ fn front_mask<K: std::hash::Hash + Eq>(
 /// The front is *exactly* the set of rows no other same-group row
 /// dominates; rows with a `NaN` objective are skipped.
 pub fn pareto_front(summaries: &[SummaryRow]) -> Vec<ParetoRow> {
-    let objectives: Vec<Objectives> = summaries.iter().map(Objectives::of).collect();
-    let keys: Vec<_> = summaries.iter().map(group_key).collect();
-    front_mask(&objectives, &keys)
+    let key = |s: &SummaryRow| encode_key(FRONT_KEY.map(|c| s.key_field(c)));
+    front(summaries, Objectives::of, key)
         .into_iter()
-        .enumerate()
-        .filter_map(|(i, dominated)| {
-            dominated.map(|dominated| ParetoRow {
-                summary: summaries[i].clone(),
-                objectives: objectives[i],
-                dominated,
-            })
+        .map(|(summary, objectives, dominated)| ParetoRow {
+            summary: summary.clone(),
+            objectives,
+            dominated,
         })
         .collect()
 }
@@ -203,17 +186,14 @@ pub fn pareto_front(summaries: &[SummaryRow]) -> Vec<ParetoRow> {
 /// variance-driven trade-offs: a scenario whose mean is non-dominated may
 /// still lose every individual seed to a noisier rival, and vice versa.
 pub fn pareto_front_cells(cells: &[CellRow]) -> Vec<ParetoCellRow> {
-    let objectives: Vec<Objectives> = cells.iter().map(Objectives::of_cell).collect();
-    let keys: Vec<_> = cells.iter().map(cell_group_key).collect();
-    front_mask(&objectives, &keys)
+    let key =
+        |r: &CellRow| encode_key(FRONT_KEY.iter().chain(&[Column::Seed]).map(|&c| r.field(c)));
+    front(cells, Objectives::of_cell, key)
         .into_iter()
-        .enumerate()
-        .filter_map(|(i, dominated)| {
-            dominated.map(|dominated| ParetoCellRow {
-                cell: cells[i].clone(),
-                objectives: objectives[i],
-                dominated,
-            })
+        .map(|(cell, objectives, dominated)| ParetoCellRow {
+            cell: cell.clone(),
+            objectives,
+            dominated,
         })
         .collect()
 }
@@ -226,33 +206,20 @@ const OBJECTIVES: [Column; 3] = [
     Column::MeanWaitSeconds,
 ];
 
-/// The `pareto-cells.csv` columns before `dominated`. Unlike `cells.csv`,
-/// the seed follows the load factor, and the policy and counts are left out.
-const CELL_FRONT: [Column; 14] = [
-    Column::Racks,
-    Column::Workload,
-    Column::LoadFactor,
-    Column::Seed,
-    Column::Scenario,
-    Column::Window,
-    Column::CapPercent,
-    Column::Grouping,
-    Column::DecisionRule,
-    Column::Schedule,
-    Column::Faults,
-    Column::EnergyNormalized,
-    Column::WorkNormalized,
-    Column::MeanWaitSeconds,
-];
+/// The `pareto-cells.csv` columns before `dominated`: the summary key with
+/// the seed after racks, workload and load factor, then the objectives.
+/// Unlike `cells.csv`, the policy and counts are left out.
+fn cell_front_columns() -> Vec<Column> {
+    let (before_seed, after_seed) = SUMMARY_KEY.split_at(3);
+    [before_seed, &[Column::Seed], after_seed, &OBJECTIVES].concat()
+}
 
 /// Render a Pareto front as CSV (with header and trailing newline), using
 /// the same float formatting as `summary.csv`. The `schedule`/`faults`
 /// columns appear only when some front row actually carries a label, so
 /// legacy (static-window) campaigns render byte-identically.
 pub fn render_pareto_csv(front: &[ParetoRow]) -> String {
-    let labelled = front
-        .iter()
-        .any(|r| is_labelled(&r.summary.schedule, &r.summary.faults));
+    let labelled = front.iter().any(|r| r.summary.is_labelled());
     let key = shown(&SUMMARY_KEY, labelled);
     let mut names = header(&key);
     names.push("replications".into());
@@ -275,10 +242,8 @@ pub fn render_pareto_csv(front: &[ParetoRow]) -> String {
 /// Render a per-replication front as CSV (`campaign pareto --cells`), with
 /// the same conditional label columns as the summary front.
 pub fn render_pareto_cells_csv(front: &[ParetoCellRow]) -> String {
-    let labelled = front
-        .iter()
-        .any(|r| is_labelled(&r.cell.schedule, &r.cell.faults));
-    let columns = shown(&CELL_FRONT, labelled);
+    let labelled = front.iter().any(|r| r.cell.is_labelled());
+    let columns = shown(&cell_front_columns(), labelled);
     let mut names = header(&columns);
     names.push("dominated".into());
     csv(
@@ -297,33 +262,26 @@ pub fn render_pareto_cells_csv(front: &[ParetoCellRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::MetricSummary;
+    use crate::agg::summarize;
 
-    fn summary(workload: &str, scenario: &str, energy: f64, work: f64, wait: f64) -> SummaryRow {
-        let metric = |mean: f64| MetricSummary {
-            mean,
-            min: mean,
-            max: mean,
-            stddev: 0.0,
-        };
-        SummaryRow {
-            racks: 1,
+    /// One replication of `scenario` on `workload`, to be summarised.
+    fn summary(workload: &str, scenario: &str, energy: f64, work: f64, wait: f64) -> CellRow {
+        CellRow {
             workload: workload.into(),
-            load_factor: 1.8,
-            scenario: scenario.into(),
-            window: "7200+3600".into(),
-            cap_percent: 60.0,
-            grouping: "grouped".into(),
-            decision_rule: "paper-rho".into(),
-            schedule: "-".into(),
-            faults: "-".into(),
-            replications: 2,
-            launched_jobs: metric(10.0),
-            energy_normalized: metric(energy),
-            work_normalized: metric(work),
-            mean_wait_seconds: metric(wait),
-            peak_power_watts: metric(1000.0),
+            ..cell(1, scenario, energy, work, wait)
         }
+    }
+
+    /// The summaries of `rows`, indexed in their order.
+    fn summaries(mut rows: Vec<CellRow>) -> Vec<SummaryRow> {
+        for (i, row) in rows.iter_mut().enumerate() {
+            row.index = i;
+        }
+        summarize(&rows)
+    }
+
+    fn scenario(row: &SummaryRow) -> Field<'_> {
+        row.key_field(Column::Scenario)
     }
 
     #[test]
@@ -335,9 +293,9 @@ mod tests {
             // Trade-off against A: more energy but less wait — stays.
             summary("medianjob", "C", 0.7, 0.8, 50.0),
         ];
-        let front = pareto_front(&rows);
-        let labels: Vec<&str> = front.iter().map(|r| r.summary.scenario.as_str()).collect();
-        assert_eq!(labels, ["A", "C"]);
+        let front = pareto_front(&summaries(rows));
+        let labels: Vec<Field> = front.iter().map(|r| scenario(&r.summary)).collect();
+        assert_eq!(labels, [Field::Label("A"), Field::Label("C")]);
         assert_eq!(front[0].dominated, 1);
         assert_eq!(front[1].dominated, 0);
     }
@@ -357,19 +315,19 @@ mod tests {
                 r
             },
         ];
-        let front = pareto_front(&rows);
+        let front = pareto_front(&summaries(rows));
         assert_eq!(front.len(), 3);
     }
 
     #[test]
     fn nan_objectives_are_excluded_but_do_not_block_others() {
-        let rows = vec![
+        let rows = summaries(vec![
             summary("medianjob", "A", 0.5, 0.8, f64::NAN),
             summary("medianjob", "B", 0.6, 0.7, 100.0),
-        ];
+        ]);
         let front = pareto_front(&rows);
         assert_eq!(front.len(), 1);
-        assert_eq!(front[0].summary.scenario, "B");
+        assert_eq!(scenario(&front[0].summary), Field::Label("B"));
         // NaN rows neither dominate nor get dominated.
         assert!(!Objectives::of(&rows[0]).dominates(&Objectives::of(&rows[1])));
         assert!(!Objectives::of(&rows[1]).dominates(&Objectives::of(&rows[0])));
@@ -382,7 +340,7 @@ mod tests {
             summary("medianjob", "A", 0.5, 0.8, 100.0),
             summary("medianjob", "B", 0.5, 0.8, 100.0),
         ];
-        assert_eq!(pareto_front(&rows).len(), 2);
+        assert_eq!(pareto_front(&summaries(rows)).len(), 2);
     }
 
     fn cell(seed: u64, scenario: &str, energy: f64, work: f64, wait: f64) -> CellRow {
@@ -422,16 +380,16 @@ mod tests {
         let mut faulted = summary("medianjob", "B", 0.4, 0.9, 50.0);
         faulted.faults = "3x600@7".into();
         let rows = vec![summary("medianjob", "A", 0.5, 0.8, 100.0), faulted];
-        assert_eq!(pareto_front(&rows).len(), 2);
+        assert_eq!(pareto_front(&summaries(rows)).len(), 2);
 
         // A cap schedule, by contrast, competes on the same front as the
         // static window it beats.
         let mut scheduled = summary("medianjob", "B", 0.4, 0.9, 50.0);
         scheduled.schedule = "0+43200@80|43200+43200@40".into();
         let rows = vec![summary("medianjob", "A", 0.5, 0.8, 100.0), scheduled];
-        let front = pareto_front(&rows);
+        let front = pareto_front(&summaries(rows));
         assert_eq!(front.len(), 1);
-        assert_eq!(front[0].summary.scenario, "B");
+        assert_eq!(scenario(&front[0].summary), Field::Label("B"));
         assert_eq!(front[0].dominated, 1);
     }
 
@@ -440,7 +398,7 @@ mod tests {
         let mut scheduled = summary("medianjob", "B", 0.4, 0.9, 50.0);
         scheduled.schedule = "0+43200@80|43200+43200@40".into();
         scheduled.faults = "3x600@7".into();
-        let csv = render_pareto_csv(&pareto_front(&[scheduled]));
+        let csv = render_pareto_csv(&pareto_front(&summaries(vec![scheduled])));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(
             lines[0],
@@ -493,7 +451,7 @@ mod tests {
             summary("medianjob", "A", 0.5, 0.8, 100.0),
             summary("medianjob", "B", 0.6, 0.7, 100.0),
         ];
-        let csv = render_pareto_csv(&pareto_front(&rows));
+        let csv = render_pareto_csv(&pareto_front(&summaries(rows)));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(

@@ -19,33 +19,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::agg::{is_labelled, CellRow, Column, Field, MetricSummary, SummaryRow};
+use crate::agg::{CellRow, Column, Field, MetricSummary, SummaryRow, SUMMARY_KEY, SUMMARY_METRICS};
 
 /// Decimal places used for every floating-point column.
 const FLOAT_PRECISION: usize = 6;
-
-/// The group-key columns of `summary.*` and `pareto.csv`, in render order.
-pub(crate) const SUMMARY_KEY: [Column; 10] = [
-    Column::Racks,
-    Column::Workload,
-    Column::LoadFactor,
-    Column::Scenario,
-    Column::Window,
-    Column::CapPercent,
-    Column::Grouping,
-    Column::DecisionRule,
-    Column::Schedule,
-    Column::Faults,
-];
-
-/// The metrics `summary.*` reports across seeds, in render order.
-const SUMMARY_METRICS: [Column; 5] = [
-    Column::LaunchedJobs,
-    Column::EnergyNormalized,
-    Column::WorkNormalized,
-    Column::MeanWaitSeconds,
-    Column::PeakPowerWatts,
-];
 
 /// The statistics of each summary metric, in render order.
 const STATS: [&str; 4] = ["mean", "min", "max", "stddev"];
@@ -186,16 +163,12 @@ fn json_string(raw: &str) -> String {
 /// The `cells.*` columns: the whole table, labels only when a row carries
 /// them.
 fn cell_columns(rows: &[CellRow]) -> Vec<Column> {
-    let labelled = rows.iter().any(|r| is_labelled(&r.schedule, &r.faults));
-    shown(&Column::ALL, labelled)
+    shown(&Column::ALL, rows.iter().any(CellRow::is_labelled))
 }
 
 /// The `summary.*` key columns, labels only when a group carries them.
 fn summary_key(summaries: &[SummaryRow]) -> Vec<Column> {
-    let labelled = summaries
-        .iter()
-        .any(|s| is_labelled(&s.schedule, &s.faults));
-    shown(&SUMMARY_KEY, labelled)
+    shown(&SUMMARY_KEY, summaries.iter().any(SummaryRow::is_labelled))
 }
 
 /// Render the per-cell rows as CSV (with header and trailing newline).
@@ -263,6 +236,69 @@ pub fn render_summary_json(summaries: &[SummaryRow]) -> String {
         }
         fields
     }))
+}
+
+/// Render the across-seed summaries as the aligned table `campaign` and
+/// `campaign report` print on stdout.
+///
+/// Racks, workload, load, scenario and window always show. Grouping and
+/// decision rule show when the groups hold more than one value of them,
+/// and schedule and faults when a group carries a label (the rule of the
+/// other renders), each as wide as its widest value. A table of one
+/// grouping, one rule and no labels keeps the bytes it had before those
+/// columns existed.
+pub fn render_summary_table(summaries: &[SummaryRow]) -> String {
+    let text = |s: &SummaryRow, c| match s.key_field(c) {
+        Field::Int(v) => v.to_string(),
+        Field::Float(v) if v.is_nan() => "-".to_string(),
+        Field::Float(v) => format!("{v:.2}"),
+        Field::Label(l) => l.to_string(),
+        Field::Seed(_) => unreachable!("the seed is not a summary key column"),
+    };
+    let shown = |c: Column| match c {
+        Column::Grouping | Column::DecisionRule => summaries
+            .iter()
+            .any(|s| !s.key_field(c).same_bits(summaries[0].key_field(c))),
+        _ => summaries.iter().any(SummaryRow::is_labelled),
+    };
+    let mut columns = vec![
+        (Column::Racks, 6),
+        (Column::Workload, 11),
+        (Column::LoadFactor, 5),
+        (Column::Scenario, 12),
+        (Column::Window, 20),
+    ];
+    let mut out = String::from("racks  workload    load  scenario     window               ");
+    for c in [
+        Column::Grouping,
+        Column::DecisionRule,
+        Column::Schedule,
+        Column::Faults,
+    ] {
+        if shown(c) {
+            let widths = summaries.iter().map(|s| text(s, c).chars().count());
+            let width = widths.fold(c.name().len(), usize::max);
+            out.push_str(&format!("{:<width$} ", c.name()));
+            columns.push((c, width));
+        }
+    }
+    out.push_str("n   launched (mean±sd)   energy   work     wait(s)\n");
+    for s in summaries {
+        for &(c, width) in &columns {
+            out.push_str(&format!("{:<width$} ", text(s, c)));
+        }
+        let launched = s.metric(Column::LaunchedJobs);
+        out.push_str(&format!(
+            "{:>3} {:>10.1} ±{:<7.1} {:>7.3} {:>7.3} {:>9.0}\n",
+            s.replications,
+            launched.mean,
+            launched.stddev,
+            s.metric(Column::EnergyNormalized).mean,
+            s.metric(Column::WorkNormalized).mean,
+            s.metric(Column::MeanWaitSeconds).mean,
+        ));
+    }
+    out
 }
 
 fn write_into(dir: &Path, name: &str, content: &str) -> io::Result<PathBuf> {
@@ -411,29 +447,19 @@ mod tests {
 
     #[test]
     fn summary_renderers_cover_every_metric_block() {
-        let summaries = vec![SummaryRow {
-            racks: 1,
-            workload: "medianjob".into(),
-            load_factor: 1.8,
-            scenario: "60%/SHUT".into(),
-            window: "7200+3600".into(),
-            cap_percent: 60.0,
-            grouping: "grouped".into(),
-            decision_rule: "paper-rho".into(),
-            schedule: "-".into(),
-            faults: "-".into(),
-            replications: 3,
-            launched_jobs: MetricSummary {
-                mean: 10.0,
-                min: 8.0,
-                max: 12.0,
-                stddev: 1.63,
-            },
-            energy_normalized: MetricSummary::default(),
-            work_normalized: MetricSummary::default(),
-            mean_wait_seconds: MetricSummary::default(),
-            peak_power_watts: MetricSummary::default(),
-        }];
+        // Three seeds of one group, launching 8, 10 and 12 jobs.
+        let rows: Vec<CellRow> = [8, 10, 12]
+            .into_iter()
+            .enumerate()
+            .map(|(i, launched)| CellRow {
+                index: i,
+                seed: Some(7 + i as u64),
+                launched_jobs: launched,
+                ..rows()[0].clone()
+            })
+            .collect();
+        let summaries = crate::agg::summarize(&rows);
+        assert_eq!(summaries.len(), 1);
         let csv = render_summary_csv(&summaries);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0].split(',').count(), lines[1].split(',').count());
@@ -492,6 +518,57 @@ mod tests {
         ));
         assert!(sum_csv.contains(",0+7200@80,3x600@7,"));
         assert!(render_summary_json(&summaries).contains("\"schedule\": \"0+7200@80\""));
+    }
+
+    #[test]
+    fn summary_table_shows_the_axes_that_split_groups() {
+        // One grouping, one rule and no labels: the table's first layout.
+        let table = render_summary_table(&crate::agg::summarize(&rows()));
+        assert_eq!(
+            table,
+            "racks  workload    load  scenario     window               n   \
+             launched (mean±sd)   energy   work     wait(s)\n\
+             1      medianjob   1.80  60%/SHUT     7200+3600              1       12.0 ±0.0    \
+             \x20  0.500   0.125       NaN\n"
+        );
+        // A second grouping adds its column; the one rule adds none.
+        let mut split = rows();
+        split.push(CellRow {
+            index: 1,
+            grouping: "scattered".into(),
+            ..rows()[0].clone()
+        });
+        let table = render_summary_table(&crate::agg::summarize(&split));
+        assert!(
+            table.starts_with(
+                "racks  workload    load  scenario     window               grouping  n   "
+            ),
+            "{table}"
+        );
+        assert!(
+            table.contains(" 7200+3600            scattered   1 "),
+            "{table}"
+        );
+        // A second rule adds its column, and a label the schedule and
+        // fault columns.
+        split[1].decision_rule = "work-max".into();
+        split[1].faults = "3x600@7".into();
+        let table = render_summary_table(&crate::agg::summarize(&split));
+        assert!(
+            table.starts_with(
+                "racks  workload    load  scenario     window               \
+                 grouping  decision_rule schedule faults  n   "
+            ),
+            "{table}"
+        );
+        assert!(
+            table.contains(" grouped   paper-rho     -        -         1 "),
+            "{table}"
+        );
+        assert!(
+            table.contains(" scattered work-max      -        3x600@7   1 "),
+            "{table}"
+        );
     }
 
     #[test]

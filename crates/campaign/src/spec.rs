@@ -18,6 +18,8 @@ use apc_rjms::time::{TimeWindow, HOUR};
 use apc_workload::rng::{fnv1a, FNV_OFFSET};
 use apc_workload::IntervalKind;
 
+use crate::store::MAX_STORE_CELLS;
+
 /// One cap-window placement of a window-sweep axis: a start fraction in
 /// `[0, 1]` (0 = the window starts at the interval begin, 1 = it ends at the
 /// interval end, 0.5 = centred — the paper's placement) plus a duration in
@@ -415,8 +417,18 @@ impl CampaignSpec {
     /// (SWF) one. Checking only the real durations matters — a window set
     /// that overlaps inside a 5 h interval can be perfectly disjoint in a
     /// 24 h SWF trace, and the interval axis is ignored for fixed sources.
+    ///
+    /// A grid of more than [`MAX_STORE_CELLS`] cells for `source` is refused
+    /// here, before anything expands it: no store could hold it.
     pub fn validate_for(&self, source: &TraceSource) -> Result<(), String> {
         self.validate()?;
+        let cells = self.cells_for(source)?;
+        if cells > MAX_STORE_CELLS {
+            return Err(format!(
+                "campaign grid expands to {cells} cells, more than the {MAX_STORE_CELLS} \
+                 a result store holds"
+            ));
+        }
         let durations: Vec<u64> = match source {
             TraceSource::Synthetic => self.intervals.iter().map(|i| i.duration()).collect(),
             TraceSource::Fixed(trace) => vec![trace.duration],
@@ -540,14 +552,7 @@ impl CampaignSpec {
     /// an axis is zero-sized, a window set overlaps once placed, or the cell
     /// count overflows `usize`.
     pub fn expand(&self, source: &TraceSource) -> Result<Vec<CampaignCell>, String> {
-        let total = match source {
-            TraceSource::Synthetic => self.cell_count()?,
-            TraceSource::Fixed(_) => checked_mul(
-                self.racks.len(),
-                self.per_workload_count()?,
-                "racks × scenarios",
-            )?,
-        };
+        let total = self.cells_for(source)?;
         let workloads: Vec<(CellWorkload, u64)> = match source {
             TraceSource::Fixed(trace) => vec![(CellWorkload::Fixed, trace.duration)],
             TraceSource::Synthetic => {
@@ -584,6 +589,19 @@ impl CampaignSpec {
         }
         debug_assert_eq!(cells.len(), total);
         Ok(cells)
+    }
+
+    /// Number of cells [`expand`](Self::expand) produces for `source`: a
+    /// fixed trace collapses the interval, seed and load axes.
+    fn cells_for(&self, source: &TraceSource) -> Result<usize, String> {
+        match source {
+            TraceSource::Synthetic => self.cell_count(),
+            TraceSource::Fixed(_) => checked_mul(
+                self.racks.len(),
+                self.per_workload_count()?,
+                "racks × scenarios",
+            ),
+        }
     }
 
     /// Scenarios per workload cell: the optional baseline plus the capped
@@ -770,6 +788,38 @@ mod tests {
             ..CampaignSpec::default()
         };
         assert!(bad.validate().unwrap_err().contains("zero cells"));
+    }
+
+    #[test]
+    fn grids_past_the_store_limit_are_refused_before_expansion() {
+        // 10 racks × 4 intervals × 1 000 seeds × (the baseline + 2 groupings
+        // × 2 rules × 100 window sets × 99 caps × 3 policies).
+        let spec = CampaignSpec {
+            racks: (1..=10).collect(),
+            seeds: (0..1000).collect(),
+            cap_fractions: (1..100).map(|p| p as f64 / 100.0).collect(),
+            cap_windows: (0..100).map(|i| vec![(i as f64 / 100.0, 600)]).collect(),
+            groupings: vec![GroupingStrategy::Grouped, GroupingStrategy::Scattered],
+            decision_rules: vec![DecisionRule::PaperRho, DecisionRule::WorkMaximizing],
+            ..CampaignSpec::default()
+        };
+        assert_eq!(spec.cell_count(), Ok(4_752_040_000));
+        let err = spec.validate_for(&TraceSource::Synthetic).unwrap_err();
+        assert_eq!(
+            err,
+            "campaign grid expands to 4752040000 cells, more than the 4294967295 \
+             a result store holds"
+        );
+        // A fixed trace collapses the interval and seed axes: 10 × 118 801
+        // cells fit in a store.
+        let platform = apc_rjms::cluster::Platform::curie_scaled(1);
+        let trace = apc_workload::CurieTraceGenerator::new(1)
+            .load_factor(0.3)
+            .backlog_factor(0.0)
+            .generate_for(&platform);
+        let fixed = TraceSource::Fixed(std::sync::Arc::new(trace));
+        assert_eq!(spec.cells_for(&fixed), Ok(1_188_010));
+        assert_eq!(spec.validate_for(&fixed), Ok(()));
     }
 
     #[test]

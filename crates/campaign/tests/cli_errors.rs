@@ -44,6 +44,34 @@ fn malformed_campaign_calls_exit_2_with_their_message() {
         "error: column \"workload\" is not numeric and cannot be aggregated \
          (numeric: {NUMERIC_COLUMNS})"
     );
+    // 56 racks × 4 intervals × 100 loads × (the baseline + 2 groupings × 2
+    // rules × 99 caps × 3 policies) cells per seed.
+    let racks = (1..=56)
+        .map(|r| r.to_string())
+        .collect::<Vec<_>>()
+        .join(",");
+    let loads = (1..=100)
+        .map(|l| (l as f64 / 100.0).to_string())
+        .collect::<Vec<_>>()
+        .join(",");
+    let caps = (1..100)
+        .map(|c| c.to_string())
+        .collect::<Vec<_>>()
+        .join(",");
+    let wide = vec![
+        "--racks",
+        &racks,
+        "--load",
+        &loads,
+        "--caps",
+        &caps,
+        "--groupings",
+        "grouped,scattered",
+        "--rules",
+        "paper-rho,work-max",
+        "--seeds",
+        "200",
+    ];
     let cases: Vec<(Vec<&str>, &str)> = vec![
         (vec!["--threads", "x"], "error: --threads needs an integer"),
         (vec!["--seeds", "0"], "error: --seeds must be >= 1"),
@@ -51,6 +79,16 @@ fn malformed_campaign_calls_exit_2_with_their_message() {
         (
             vec!["--seeds", "4294967296"],
             "error: --seeds must be at most 4294967295 (the cells a store holds), got 4294967296",
+        ),
+        (
+            vec!["--seeds", "4294967295"],
+            "error: --seeds 4294967295 with 40 cells per seed makes 171798691800 cells, more \
+             than the 4294967295 a store holds",
+        ),
+        (
+            wide,
+            "error: --seeds 200 with 26633600 cells per seed makes 5326720000 cells, more \
+             than the 4294967295 a store holds",
         ),
         (
             vec!["--seed-base", "18446744073709551615", "--seeds", "2"],

@@ -6,9 +6,11 @@
 //! fixed-trace row (no seed, NaN load factor), and labels that carry a
 //! comma, a quote and a newline. The expected bytes in
 //! `fixtures/renders/` were written once from these rows by the renderers
-//! as they stood before the column table existed; a change to any render,
-//! to `query`'s projection and aggregation, to `campaign-diff`'s report or
-//! to the block codec shows up here as a byte difference.
+//! as they stood before the column table existed, and the stdout summary
+//! tables (`*.table.txt`) when the table gained its grouping, rule,
+//! schedule and fault columns; a change to any render, to `query`'s
+//! projection and aggregation, to `campaign-diff`'s report or to the block
+//! codec shows up here as a byte difference.
 
 use std::path::Path;
 
@@ -296,6 +298,10 @@ fn check_set(tag: &str, rows: &[CellRow]) {
         );
     }
     check(&format!("{tag}.block.apc"), encode_block(rows));
+    check(
+        &format!("{tag}.table.txt"),
+        render_summary_table(&summaries),
+    );
 }
 
 #[test]

@@ -103,12 +103,20 @@ proptest! {
         // if the reader were line-splitting naively).
         let cut = header_len + ((full.len() - header_len) as f64 * cut_frac) as usize;
         fs::write(dir.join(LEASES_NAME), &full[..cut]).unwrap();
-        let log = LeaseLog::open(&dir).unwrap();
+        let mut log = LeaseLog::open(&dir).unwrap();
         let body = &full[header_len..cut];
         let keep = body.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
         let text = std::str::from_utf8(&body[..keep]).unwrap();
         let expect = LeaseState::replay(BATCHES, text.lines());
         prop_assert_eq!(log.state(), &expect);
+        // A writer on the reopened log is not glued to a torn tail: its
+        // claim on a batch still open, stamped past every deadline, wins.
+        let open = (0..BATCHES).find(|&b| !matches!(expect.batches()[b], BatchLease::Done { .. }));
+        if let Some(batch) = open {
+            log.append_claim(batch, 9, 1_000_000).unwrap();
+            log.refresh().unwrap();
+            prop_assert_eq!(log.state().owner(batch), Some(9));
+        }
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -200,6 +208,35 @@ fn torn_header_is_rejected() {
     let full = fs::read(dir.join(LEASES_NAME)).unwrap();
     fs::write(dir.join(LEASES_NAME), &full[..full.len() - 1]).unwrap();
     assert!(LeaseLog::open(&dir).is_err());
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A record appended after a torn last line starts on a line of its own:
+/// a writer that has read the fragment ends it in the same write.
+#[test]
+fn a_record_appended_after_a_torn_line_is_not_lost() {
+    let dir = temp_dir("torn-tail");
+    LeaseLog::create(&dir, SPEC_HASH, TOTAL_CELLS, LEASE_CELLS, TTL_MS).unwrap();
+    let path = dir.join(LEASES_NAME);
+    let header = fs::read_to_string(&path).unwrap();
+    let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+    file.write_all(b"claim 0 1 12").unwrap();
+    drop(file);
+    let mut log = LeaseLog::open(&dir).unwrap();
+    // Opening to read writes nothing.
+    assert_eq!(fs::read_to_string(&path).unwrap(), header + "claim 0 1 12");
+    log.append_claim(1, 2, 100).unwrap();
+    log.refresh().unwrap();
+    assert_eq!(log.state().owner(1), Some(2));
+    // Once a refresh has read past the fragment, records carry no newline
+    // before them.
+    log.append_done(1, 2, 200).unwrap();
+    log.refresh().unwrap();
+    let body = fs::read_to_string(&path).unwrap();
+    let body = body.split_once('\n').unwrap().1;
+    assert_eq!(body, "claim 0 1 12\nclaim 1 2 100 1100\ndone 1 2 200\n");
+    assert_eq!(log.state().owner(0), None);
+    assert!(matches!(log.state().batches()[1], BatchLease::Done { .. }));
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,7 +14,7 @@
 //! group, pinning that a faulted run never dominates (or shields) a clean
 //! one.
 
-use apc_campaign::agg::{CellRow, MetricSummary, SummaryRow};
+use apc_campaign::agg::{summarize, CellRow, Column, Field, SummaryRow};
 use apc_campaign::pareto::{pareto_front, pareto_front_cells, Objectives};
 use proptest::prelude::*;
 
@@ -30,34 +30,36 @@ fn faults(group: u8) -> String {
     if group < 3 { "-" } else { "3x600@7" }.to_string()
 }
 
-/// Build a summary row from one sampled (group, energy, work, wait) tuple.
+/// Summarise sampled (group, energy, work, wait) tuples, one replication
+/// of a scenario of its own each, so every tuple is one summary row.
 /// Groups 0–2 are clean workloads, 3–5 the same workloads under a fault
 /// plan — six dominance groups in total.
-fn summary(index: usize, group: u8, energy: f64, work: f64, wait: f64) -> SummaryRow {
-    let metric = |mean: f64| MetricSummary {
-        mean,
-        min: mean,
-        max: mean,
-        stddev: 0.0,
-    };
-    SummaryRow {
-        racks: 1,
-        workload: workload(group),
-        load_factor: 1.8,
-        scenario: format!("s{index}"),
-        window: "7200+3600".to_string(),
-        cap_percent: 60.0,
-        grouping: "grouped".to_string(),
-        decision_rule: "paper-rho".to_string(),
-        schedule: "-".to_string(),
-        faults: faults(group),
-        replications: 1,
-        launched_jobs: metric(1.0),
-        energy_normalized: metric(energy),
-        work_normalized: metric(work),
-        mean_wait_seconds: metric(wait),
-        peak_power_watts: metric(1.0),
-    }
+fn summaries(rows: Vec<(u8, f64, f64, f64)>) -> Vec<SummaryRow> {
+    let cells: Vec<CellRow> = rows
+        .into_iter()
+        .enumerate()
+        .map(|(i, (group, energy, work, wait))| cell(i, group, 0, energy, work, wait))
+        .collect();
+    summarize(&cells)
+}
+
+/// A summary's workload group: racks, workload, load factor (by bits) and
+/// faults.
+fn summary_group(s: &SummaryRow) -> [String; 4] {
+    [
+        Column::Racks,
+        Column::Workload,
+        Column::LoadFactor,
+        Column::Faults,
+    ]
+    .map(|c| match s.key_field(c) {
+        Field::Float(v) => format!("{:016x}", v.to_bits()),
+        field => format!("{field:?}"),
+    })
+}
+
+fn scenario(s: &SummaryRow) -> Field<'_> {
+    s.key_field(Column::Scenario)
 }
 
 /// Build one replication (cell row) from a sampled (group, seed,
@@ -104,21 +106,9 @@ proptest! {
     fn front_is_exactly_the_non_dominated_set(
         rows in proptest::collection::vec((0u8..6, objective(), objective(), objective()), 1..40)
     ) {
-        let summaries: Vec<SummaryRow> = rows
-            .into_iter()
-            .enumerate()
-            .map(|(i, (group, energy, work, wait))| summary(i, group, energy, work, wait))
-            .collect();
+        let summaries = summaries(rows);
         let front = pareto_front(&summaries);
-
-        let key = |s: &SummaryRow| {
-            (
-                s.racks,
-                s.workload.clone(),
-                s.load_factor.to_bits(),
-                s.faults.clone(),
-            )
-        };
+        let key = summary_group;
 
         // 1. Nothing on the front is dominated by anything in the input
         //    (in particular, no front member dominates another).
@@ -129,9 +119,9 @@ proptest! {
                 }
                 prop_assert!(
                     !Objectives::of(other).dominates(&member.objectives),
-                    "front row {} is dominated by {}",
-                    member.summary.scenario,
-                    other.scenario
+                    "front row {:?} is dominated by {:?}",
+                    scenario(&member.summary),
+                    scenario(other)
                 );
             }
         }
@@ -142,21 +132,21 @@ proptest! {
             let objectives = Objectives::of(row);
             if objectives.has_nan() {
                 prop_assert!(
-                    front.iter().all(|m| m.summary.scenario != row.scenario),
-                    "NaN row {} must not be on the front",
-                    row.scenario
+                    front.iter().all(|m| scenario(&m.summary) != scenario(row)),
+                    "NaN row {:?} must not be on the front",
+                    scenario(row)
                 );
                 continue;
             }
-            let on_front = front.iter().any(|m| m.summary.scenario == row.scenario);
+            let on_front = front.iter().any(|m| scenario(&m.summary) == scenario(row));
             if !on_front {
                 prop_assert!(
                     front
                         .iter()
                         .filter(|m| key(&m.summary) == key(row))
                         .any(|m| m.objectives.dominates(&objectives)),
-                    "excluded row {} is not dominated by any front member",
-                    row.scenario
+                    "excluded row {:?} is not dominated by any front member",
+                    scenario(row)
                 );
             }
         }
@@ -167,7 +157,7 @@ proptest! {
         let refront = pareto_front(&front_rows);
         prop_assert_eq!(refront.len(), front.len());
         for (a, b) in refront.iter().zip(front.iter()) {
-            prop_assert_eq!(&a.summary.scenario, &b.summary.scenario);
+            prop_assert_eq!(scenario(&a.summary), scenario(&b.summary));
         }
     }
 
