@@ -246,13 +246,24 @@ pub fn render_summary_json(summaries: &[SummaryRow]) -> String {
 /// and schedule and faults when a group carries a label (the rule of the
 /// other renders), each as wide as its widest value. A table of one
 /// grouping, one rule and no labels keeps the bytes it had before those
-/// columns existed.
+/// columns existed. Labels print with their control characters escaped (a
+/// newline as `\n`), so every group stays on one line.
 pub fn render_summary_table(summaries: &[SummaryRow]) -> String {
     let text = |s: &SummaryRow, c| match s.key_field(c) {
         Field::Int(v) => v.to_string(),
         Field::Float(v) if v.is_nan() => "-".to_string(),
         Field::Float(v) => format!("{v:.2}"),
-        Field::Label(l) => l.to_string(),
+        Field::Label(l) => {
+            let mut cell = String::new();
+            for ch in l.chars() {
+                if ch.is_control() {
+                    cell.extend(ch.escape_default());
+                } else {
+                    cell.push(ch);
+                }
+            }
+            cell
+        }
         Field::Seed(_) => unreachable!("the seed is not a summary key column"),
     };
     let shown = |c: Column| match c {
@@ -518,6 +529,35 @@ mod tests {
         ));
         assert!(sum_csv.contains(",0+7200@80,3x600@7,"));
         assert!(render_summary_json(&summaries).contains("\"schedule\": \"0+7200@80\""));
+    }
+
+    #[test]
+    fn summary_table_escapes_control_characters_in_labels() {
+        let labelled = |index, workload: &str, schedule: &str, faults: &str| CellRow {
+            index,
+            workload: workload.into(),
+            schedule: schedule.into(),
+            faults: faults.into(),
+            ..rows()[0].clone()
+        };
+        let table = render_summary_table(&crate::agg::summarize(&[
+            labelled(0, "multi\nline", "-", "-"),
+            labelled(1, "cr\rlf", "a\tb", "-"),
+            labelled(2, "medianjob", "-", "3x600@7\r\n"),
+        ]));
+        let lines: Vec<&str> = table.split('\n').filter(|l| !l.is_empty()).collect();
+        assert_eq!(lines.len(), 1 + 3, "{table}");
+        assert!(!table.contains(['\r', '\t']), "{table:?}");
+        assert!(lines[1].starts_with("1      multi\\nline "), "{table}");
+        assert!(
+            lines[2].contains(" cr\\rlf ") && lines[2].contains(" a\\tb "),
+            "{table}"
+        );
+        assert!(lines[3].contains(" 3x600@7\\r\\n "), "{table}");
+        // The columns after the labels line up: every group's line is as
+        // wide as the others.
+        let widths: Vec<usize> = lines[1..].iter().map(|l| l.chars().count()).collect();
+        assert!(widths.iter().all(|&w| w == widths[0]), "{table}");
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //!
 //! * `plan_powercap` runs the offline planner when a powercap reservation is
 //!   submitted and returns the grouped switch-off node selection;
-//! * `authorize_start` runs the online frequency selection for every job the
-//!   controller is about to dispatch, before its nodes are picked;
-//! * `postpones_every_start` runs the same selection for the narrowest and
+//! * `authorize_start` runs the online frequency selection
+//!   ([`OnlineScheduler::choose`]) for every job the controller is about to
+//!   dispatch, before its nodes are picked, and for the narrowest and
 //!   shortest fitting job, so the controller can end a pass that would
 //!   postpone every job;
-//! * `runtime_factor` applies the policy's DVFS degradation so the controller
-//!   stretches runtimes and walltimes consistently;
+//! * `runtime_factor` applies the policy's DVFS degradation (or, optionally,
+//!   the job's application class) so the controller stretches runtimes and
+//!   walltimes consistently;
 //! * `on_cap_start` optionally implements the paper's "extreme actions":
 //!   killing just enough running jobs to bring the cluster under a cap that
 //!   is already violated when its window opens.
@@ -25,7 +26,7 @@ use apc_rjms::time::{SimTime, TimeWindow};
 
 use crate::config::PowercapConfig;
 use crate::offline::{OfflineDecision, OfflinePlanner};
-use crate::online::{FrequencyChoice, OnlineScheduler};
+use crate::online::OnlineScheduler;
 use crate::policy::PowercapPolicy;
 
 /// The powercap scheduling hook.
@@ -83,36 +84,18 @@ impl PowercapHook {
 }
 
 impl SchedulingHook for PowercapHook {
+    /// Exact for the skip rule, because postponing is monotone in the node
+    /// count and the walltime (see [`OnlineScheduler::choose`]).
     fn authorize_start(
-        &mut self,
-        cluster: &Cluster,
-        reservations: &ReservationBook,
-        job: &Job,
-        node_count: usize,
-        now: SimTime,
-    ) -> StartDecision {
-        match self
-            .online
-            .choose(cluster, reservations, job, node_count, now)
-        {
-            FrequencyChoice::Start(frequency) => StartDecision::Start { frequency },
-            FrequencyChoice::Postpone => StartDecision::Postpone,
-        }
-    }
-
-    /// Exact, because postponing is monotone in the node count and the
-    /// walltime (see [`OnlineScheduler::choose_for`]).
-    fn postpones_every_start(
         &self,
         cluster: &Cluster,
         reservations: &ReservationBook,
         node_count: usize,
         walltime: SimTime,
         now: SimTime,
-    ) -> bool {
+    ) -> StartDecision {
         self.online
-            .choose_for(cluster, reservations, node_count, walltime, now)
-            == FrequencyChoice::Postpone
+            .choose(cluster, reservations, node_count, walltime, now)
     }
 
     fn plan_powercap(
@@ -131,16 +114,10 @@ impl SchedulingHook for PowercapHook {
         }
     }
 
-    fn runtime_factor(&self, frequency: Frequency) -> f64 {
-        self.degradation.factor(frequency)
-    }
-
-    fn runtime_factor_for(&self, job: &Job, frequency: Frequency) -> f64 {
-        if !self.config.per_application_degradation || !self.config.policy.allows_dvfs() {
-            return self.runtime_factor(frequency);
-        }
+    fn runtime_factor(&self, job: &Job, frequency: Frequency) -> f64 {
+        let app_aware = self.config.per_application_degradation && self.config.policy.allows_dvfs();
         match job.submission.app_class {
-            Some(class) => {
+            Some(class) if app_aware => {
                 // The application's own measured sensitivity (Linpack 2.14 …
                 // Gromacs 1.16), evaluated over the policy's permitted
                 // frequency range so MIX keeps its 2.0 GHz floor semantics.
@@ -154,7 +131,7 @@ impl SchedulingHook for PowercapHook {
                 );
                 model.factor(frequency)
             }
-            None => self.runtime_factor(frequency),
+            _ => self.degradation.factor(frequency),
         }
     }
 
@@ -252,22 +229,21 @@ mod tests {
                 cap: idle + Watts(10.0 * (193.0 - 117.0) + 1.0),
             },
         );
-        let job = |walltime| Job::new(0, JobSubmission::new(0, 0, 160, walltime, 60));
         let cases = [
-            (10, job(500), 0),    // ends before the cap at any step
-            (10, job(3600), 0),   // inside the cap: ladder walk
-            (180, job(3600), 0),  // far above the cap: power floor
-            (1, job(60), 10_000), // after the cap
+            (10, 500, 0),    // ends before the cap at any step
+            (10, 3600, 0),   // inside the cap: ladder walk
+            (180, 3600, 0),  // far above the cap: power floor
+            (1, 60, 10_000), // after the cap
         ];
         for policy in [
             PowercapPolicy::Shut,
             PowercapPolicy::Dvfs,
             PowercapPolicy::Mix,
         ] {
-            let mut hook = PowercapHook::for_policy(policy, &p);
-            for (count, job, now) in &cases {
+            let hook = PowercapHook::for_policy(policy, &p);
+            for &(count, walltime, now) in &cases {
                 let (before, slow) = cluster.accountant().probe_counts();
-                hook.authorize_start(&cluster, &book, job, *count, *now);
+                hook.authorize_start(&cluster, &book, count, walltime, now);
                 assert_eq!(
                     cluster.accountant().probe_counts(),
                     (before + 1, slow),
@@ -276,22 +252,23 @@ mod tests {
             }
         }
         // The uncapped policy decides without probing.
-        let mut hook = PowercapHook::for_policy(PowercapPolicy::None, &p);
+        let hook = PowercapHook::for_policy(PowercapPolicy::None, &p);
         let before = cluster.accountant().probe_counts();
-        hook.authorize_start(&cluster, &book, &job(3600), 180, 0);
+        hook.authorize_start(&cluster, &book, 180, 3600, 0);
         assert_eq!(cluster.accountant().probe_counts(), before);
     }
 
     #[test]
     fn runtime_factor_follows_policy() {
         let p = platform();
+        let job = Job::new(0, JobSubmission::new(0, 0, 64, 3600, 600));
         let dvfs = PowercapHook::for_policy(PowercapPolicy::Dvfs, &p);
-        assert!((dvfs.runtime_factor(Frequency::from_ghz(1.2)) - 1.63).abs() < 1e-9);
-        assert_eq!(dvfs.runtime_factor(Frequency::from_ghz(2.7)), 1.0);
+        assert!((dvfs.runtime_factor(&job, Frequency::from_ghz(1.2)) - 1.63).abs() < 1e-9);
+        assert_eq!(dvfs.runtime_factor(&job, Frequency::from_ghz(2.7)), 1.0);
         let mix = PowercapHook::for_policy(PowercapPolicy::Mix, &p);
-        assert!((mix.runtime_factor(Frequency::from_ghz(2.0)) - 1.29).abs() < 1e-9);
+        assert!((mix.runtime_factor(&job, Frequency::from_ghz(2.0)) - 1.29).abs() < 1e-9);
         let shut = PowercapHook::for_policy(PowercapPolicy::Shut, &p);
-        assert_eq!(shut.runtime_factor(Frequency::from_ghz(2.7)), 1.0);
+        assert_eq!(shut.runtime_factor(&job, Frequency::from_ghz(2.7)), 1.0);
         assert_eq!(shut.policy(), PowercapPolicy::Shut);
         assert!(shut.config().grouping == apc_power::bonus::GroupingStrategy::Grouped);
     }
@@ -556,15 +533,15 @@ mod tests {
         let linpack_job = Job::new(0, JobSubmission::new(0, 0, 64, 3600, 600).with_app_class(0));
         let gromacs_job = Job::new(1, JobSubmission::new(0, 0, 64, 3600, 600).with_app_class(3));
         let untagged = Job::new(2, JobSubmission::new(0, 0, 64, 3600, 600));
-        assert!((aware.runtime_factor_for(&linpack_job, f) - 2.14).abs() < 1e-9);
-        assert!((aware.runtime_factor_for(&gromacs_job, f) - 1.16).abs() < 1e-9);
+        assert!((aware.runtime_factor(&linpack_job, f) - 2.14).abs() < 1e-9);
+        assert!((aware.runtime_factor(&gromacs_job, f) - 1.16).abs() < 1e-9);
         // Untagged jobs fall back to the common value.
-        assert!((aware.runtime_factor_for(&untagged, f) - 1.63).abs() < 1e-9);
+        assert!((aware.runtime_factor(&untagged, f) - 1.63).abs() < 1e-9);
         // Without the option every job gets the common value.
-        assert!((common.runtime_factor_for(&linpack_job, f) - 1.63).abs() < 1e-9);
+        assert!((common.runtime_factor(&linpack_job, f) - 1.63).abs() < 1e-9);
         // At the maximum frequency nothing is stretched.
         assert_eq!(
-            aware.runtime_factor_for(&linpack_job, Frequency::from_ghz(2.7)),
+            aware.runtime_factor(&linpack_job, Frequency::from_ghz(2.7)),
             1.0
         );
         // SHUT never down-clocks, so the flag has no effect there.
@@ -572,7 +549,7 @@ mod tests {
             PowercapConfig::for_policy(PowercapPolicy::Shut).with_per_application_degradation(),
             &p,
         );
-        assert_eq!(shut.runtime_factor_for(&linpack_job, f), 1.0);
+        assert_eq!(shut.runtime_factor(&linpack_job, f), 1.0);
     }
 
     #[test]

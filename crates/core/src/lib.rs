@@ -39,7 +39,7 @@ pub mod prelude {
     pub use crate::config::PowercapConfig;
     pub use crate::hook::PowercapHook;
     pub use crate::offline::{OfflineDecision, OfflinePlanner};
-    pub use crate::online::{FrequencyChoice, OnlineScheduler};
+    pub use crate::online::OnlineScheduler;
     pub use crate::policy::PowercapPolicy;
 }
 

@@ -13,45 +13,25 @@
 //! fits under every powercap reservation overlapping the job's execution
 //! window (Algorithm 2).
 //!
-//! The decision depends on the job only through its node count and its
-//! walltime ([`OnlineScheduler::choose_for`]), and postponing is monotone in
+//! The decision depends on a job only through its node count and its
+//! walltime ([`OnlineScheduler::choose`]), and postponing is monotone in
 //! both: a job at least as wide and as long as a postponed one is postponed
 //! too. That is what lets the controller end a scheduling pass at once when
 //! the narrowest and shortest job that fits the free nodes is postponed.
 
 use apc_power::{DegradationModel, Frequency, FrequencyLadder, Watts};
 use apc_rjms::cluster::{Cluster, Platform};
-use apc_rjms::job::Job;
+use apc_rjms::hook::StartDecision;
 use apc_rjms::reservation::ReservationBook;
 use apc_rjms::time::SimTime;
 
 use crate::policy::PowercapPolicy;
 
-/// The outcome of the online frequency selection for one job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrequencyChoice {
-    /// Start the job now at the given frequency.
-    Start(Frequency),
-    /// No permitted frequency keeps the cluster under the power budget:
-    /// keep the job pending.
-    Postpone,
-}
-
-impl FrequencyChoice {
-    /// The chosen frequency, if the job may start.
-    pub fn frequency(self) -> Option<Frequency> {
-        match self {
-            FrequencyChoice::Start(f) => Some(f),
-            FrequencyChoice::Postpone => None,
-        }
-    }
-}
-
 /// The online scheduler (Algorithm 2).
 ///
 /// The policy's allowed ladder, degradation model and power floor are
-/// resolved once at construction (they only depend on the platform), so the
-/// per-job `choose` does not rebuild them per call.
+/// resolved once at construction (they only depend on the platform), so
+/// [`choose`](Self::choose) does not rebuild them per call.
 #[derive(Debug, Clone)]
 pub struct OnlineScheduler {
     policy: PowercapPolicy,
@@ -104,26 +84,6 @@ impl OnlineScheduler {
         reservations.cap_within(now, now.saturating_add(duration.max(1)))
     }
 
-    /// Choose the execution frequency for `job` on `node_count` idle nodes
-    /// at `now`, or decide to keep it pending: [`choose_for`](Self::choose_for)
-    /// with the job's walltime.
-    pub fn choose(
-        &self,
-        cluster: &Cluster,
-        reservations: &ReservationBook,
-        job: &Job,
-        node_count: usize,
-        now: SimTime,
-    ) -> FrequencyChoice {
-        self.choose_for(
-            cluster,
-            reservations,
-            node_count,
-            job.submission.walltime,
-            now,
-        )
-    }
-
     /// Choose the execution frequency for a job of `walltime` seconds on
     /// `node_count` idle nodes at `now`, or decide to keep it pending.
     ///
@@ -139,7 +99,7 @@ impl OnlineScheduler {
     /// Postponing is monotone: if `(node_count, walltime)` is postponed, so
     /// is every `(n, w)` with `n >= node_count` and `w >= walltime` (and
     /// `n` no more than the idle nodes). The controller relies on this to
-    /// end a pass early (`SchedulingHook::postpones_every_start`), because
+    /// end a pass early (see `SchedulingHook::authorize_start`), because
     /// every term of each comparison moves the same way:
     /// - a wider idle probe never draws less: `n × busy − Σ idle` grows
     ///   with `n`, since every busy draw is at least the idle draw;
@@ -150,21 +110,23 @@ impl OnlineScheduler {
     ///   window that saw a cap still sees one;
     /// - `NodePowerProfile::validate` keeps idle at or below every busy
     ///   draw, which the first point needs.
-    pub fn choose_for(
+    pub fn choose(
         &self,
         cluster: &Cluster,
         reservations: &ReservationBook,
         node_count: usize,
         walltime: SimTime,
         now: SimTime,
-    ) -> FrequencyChoice {
+    ) -> StartDecision {
         debug_assert_eq!(
             self.fmax,
             cluster.platform().ladder.max(),
             "scheduler built for a different platform ladder"
         );
         if !self.policy.enforces_cap() {
-            return FrequencyChoice::Start(self.fmax);
+            return StartDecision::Start {
+                frequency: self.fmax,
+            };
         }
         let profile = &cluster.platform().profile;
         let current = cluster.current_power();
@@ -172,7 +134,7 @@ impl OnlineScheduler {
         let unstretched_cap = self.applicable_cap(reservations, now, walltime);
         if let Some(cap) = unstretched_cap {
             if current + probe.delta(self.least_busy) > cap {
-                return FrequencyChoice::Postpone;
+                return StartDecision::Postpone;
             }
         }
 
@@ -188,14 +150,16 @@ impl OnlineScheduler {
             };
             let Some(cap) = cap else {
                 // No cap overlaps the job's execution at all: run flat out.
-                return FrequencyChoice::Start(self.fmax);
+                return StartDecision::Start {
+                    frequency: self.fmax,
+                };
             };
             let hypothetical = current + probe.delta(profile.busy_watts(frequency));
             if hypothetical <= cap {
-                return FrequencyChoice::Start(frequency);
+                return StartDecision::Start { frequency };
             }
         }
-        FrequencyChoice::Postpone
+        StartDecision::Postpone
     }
 }
 
@@ -203,7 +167,6 @@ impl OnlineScheduler {
 mod tests {
     use super::*;
     use apc_power::Watts;
-    use apc_rjms::job::JobSubmission;
     use apc_rjms::reservation::ReservationKind;
     use apc_rjms::time::TimeWindow;
 
@@ -216,8 +179,10 @@ mod tests {
         OnlineScheduler::new(policy, &Platform::curie_scaled(1))
     }
 
-    fn job(cores: u32, walltime: SimTime) -> Job {
-        Job::new(0, JobSubmission::new(0, 0, cores, walltime, walltime / 2))
+    fn start(ghz: f64) -> StartDecision {
+        StartDecision::Start {
+            frequency: Frequency::from_ghz(ghz),
+        }
     }
 
     fn book_with_cap(window: TimeWindow, cap: Watts) -> ReservationBook {
@@ -231,9 +196,8 @@ mod tests {
         let c = cluster();
         let book = ReservationBook::new();
         let sched = scheduler(PowercapPolicy::Dvfs);
-        let choice = sched.choose(&c, &book, &job(160, 3600), 10, 0);
-        assert_eq!(choice, FrequencyChoice::Start(Frequency::from_ghz(2.7)));
-        assert_eq!(choice.frequency(), Some(Frequency::from_ghz(2.7)));
+        let choice = sched.choose(&c, &book, 10, 3600, 0);
+        assert_eq!(choice, start(2.7));
     }
 
     #[test]
@@ -242,8 +206,8 @@ mod tests {
         // Cap far in the future, job finishes well before.
         let book = book_with_cap(TimeWindow::new(100_000, 200_000), Watts(1.0));
         let sched = scheduler(PowercapPolicy::Dvfs);
-        let choice = sched.choose(&c, &book, &job(160, 3600), 10, 0);
-        assert_eq!(choice, FrequencyChoice::Start(Frequency::from_ghz(2.7)));
+        let choice = sched.choose(&c, &book, 10, 3600, 0);
+        assert_eq!(choice, start(2.7));
     }
 
     #[test]
@@ -255,8 +219,8 @@ mod tests {
         let cap = idle_power + Watts(60.0 * (269.0 - 117.0) + 1.0);
         let book = book_with_cap(TimeWindow::new(0, 100_000), cap);
         let sched = scheduler(PowercapPolicy::Dvfs);
-        let choice = sched.choose(&c, &book, &job(960, 3600), nodes, 0);
-        assert_eq!(choice, FrequencyChoice::Start(Frequency::from_ghz(2.0)));
+        let choice = sched.choose(&c, &book, nodes, 3600, 0);
+        assert_eq!(choice, start(2.0));
     }
 
     #[test]
@@ -269,9 +233,8 @@ mod tests {
             PowercapPolicy::Mix,
         ] {
             let sched = scheduler(policy);
-            let choice = sched.choose(&c, &book, &job(160, 3600), 10, 0);
-            assert_eq!(choice, FrequencyChoice::Postpone, "{policy}");
-            assert_eq!(choice.frequency(), None);
+            let choice = sched.choose(&c, &book, 10, 3600, 0);
+            assert_eq!(choice, StartDecision::Postpone, "{policy}");
         }
     }
 
@@ -280,8 +243,8 @@ mod tests {
         let c = cluster();
         let book = book_with_cap(TimeWindow::new(0, 100_000), Watts(1.0));
         let sched = scheduler(PowercapPolicy::None);
-        let choice = sched.choose(&c, &book, &job(160, 3600), 10, 0);
-        assert_eq!(choice, FrequencyChoice::Start(Frequency::from_ghz(2.7)));
+        let choice = sched.choose(&c, &book, 10, 3600, 0);
+        assert_eq!(choice, start(2.7));
     }
 
     #[test]
@@ -295,15 +258,12 @@ mod tests {
         // SHUT: cannot lower the frequency, so the job stays pending.
         let shut = scheduler(PowercapPolicy::Shut);
         assert_eq!(
-            shut.choose(&c, &book, &job(160, 3600), nodes, 0),
-            FrequencyChoice::Postpone
+            shut.choose(&c, &book, nodes, 3600, 0),
+            StartDecision::Postpone
         );
         // DVFS: the job runs at 2.0 GHz instead.
         let dvfs = scheduler(PowercapPolicy::Dvfs);
-        assert_eq!(
-            dvfs.choose(&c, &book, &job(160, 3600), nodes, 0),
-            FrequencyChoice::Start(Frequency::from_ghz(2.0))
-        );
+        assert_eq!(dvfs.choose(&c, &book, nodes, 3600, 0), start(2.0));
     }
 
     #[test]
@@ -316,15 +276,12 @@ mod tests {
         let nodes = 10;
         // DVFS can drop to 1.2 GHz and start.
         let dvfs = scheduler(PowercapPolicy::Dvfs);
-        assert_eq!(
-            dvfs.choose(&c, &book, &job(160, 3600), nodes, 0),
-            FrequencyChoice::Start(Frequency::from_ghz(1.2))
-        );
+        assert_eq!(dvfs.choose(&c, &book, nodes, 3600, 0), start(1.2));
         // MIX may not go below 2.0 GHz, so it must postpone.
         let mix = scheduler(PowercapPolicy::Mix);
         assert_eq!(
-            mix.choose(&c, &book, &job(160, 3600), nodes, 0),
-            FrequencyChoice::Postpone
+            mix.choose(&c, &book, nodes, 3600, 0),
+            StartDecision::Postpone
         );
     }
 
@@ -338,15 +295,12 @@ mod tests {
         let sched = scheduler(PowercapPolicy::Dvfs);
         let nodes = 60;
         // A short job (walltime 1000 s) ends before the cap: full speed.
-        assert_eq!(
-            sched.choose(&c, &book, &job(960, 1000), nodes, 0),
-            FrequencyChoice::Start(Frequency::from_ghz(2.7))
-        );
+        assert_eq!(sched.choose(&c, &book, nodes, 1000, 0), start(2.7));
         // A long job overlaps the cap window and must slow down.
-        let choice = sched.choose(&c, &book, &job(960, 50_000), nodes, 0);
+        let choice = sched.choose(&c, &book, nodes, 50_000, 0);
         match choice {
-            FrequencyChoice::Start(f) => assert!(f < Frequency::from_ghz(2.7)),
-            FrequencyChoice::Postpone => panic!("a frequency below 2.7 GHz fits this cap"),
+            StartDecision::Start { frequency } => assert!(frequency < Frequency::from_ghz(2.7)),
+            StartDecision::Postpone => panic!("a frequency below 2.7 GHz fits this cap"),
         }
     }
 

@@ -98,20 +98,6 @@ impl NodePowerProfile {
             .expect("the Curie reference profile is valid")
     }
 
-    /// A small synthetic profile handy for unit tests: off 10 W, idle 100 W,
-    /// busy 200 W at 1.0 GHz and 300 W at 2.0 GHz.
-    pub fn synthetic_two_step() -> Self {
-        NodePowerProfile::new(
-            Watts(10.0),
-            Watts(100.0),
-            [
-                (Frequency::from_ghz(1.0), Watts(200.0)),
-                (Frequency::from_ghz(2.0), Watts(300.0)),
-            ],
-        )
-        .expect("synthetic profile is valid")
-    }
-
     fn validate(&self) -> Result<(), ProfileError> {
         if self.busy.is_empty() {
             return Err(ProfileError::NoFrequencies);

@@ -55,12 +55,6 @@ impl Watts {
         Joules(self.0 * seconds as f64)
     }
 
-    /// Energy consumed when holding this power during a fractional duration.
-    #[inline]
-    pub fn over_duration_secs(self, seconds: f64) -> Joules {
-        Joules(self.0 * seconds)
-    }
-
     /// Clamp to the non-negative range (used after floating point subtraction).
     #[inline]
     pub fn max_zero(self) -> Watts {

@@ -91,8 +91,8 @@ pub struct ReplayHarness {
     trace: std::sync::Arc<Trace>,
     /// The distinct users appearing in the trace, sorted — computed once at
     /// construction so a harness replaying many scenarios (a campaign
-    /// worker reusing it across pulled cells, or [`run_grid`](Self::run_grid))
-    /// does not re-scan and re-sort the whole trace per run.
+    /// worker reusing it across pulled cells) does not re-scan and re-sort
+    /// the whole trace per run.
     users: Vec<usize>,
     /// Seed historical fair-share usage for the users appearing in the trace
     /// (phase ii); expressed in core-hours per user.
@@ -239,11 +239,6 @@ impl ReplayHarness {
             normalized,
             power,
         }
-    }
-
-    /// Run every scenario of a grid (used by the Fig. 8 driver).
-    pub fn run_grid(&self, scenarios: &[Scenario]) -> Vec<ReplayOutcome> {
-        scenarios.iter().map(|s| self.run(s)).collect()
     }
 }
 
@@ -458,23 +453,5 @@ mod tests {
         // A clone shares the trace allocation, not a deep copy of the jobs.
         let c = h.clone();
         assert!(std::ptr::eq(h.trace(), c.trace()));
-    }
-
-    #[test]
-    fn run_grid_covers_all_scenarios() {
-        let platform = Platform::curie_scaled(1);
-        let trace = CurieTraceGenerator::new(3)
-            .load_factor(0.4)
-            .backlog_factor(0.3)
-            .generate_for(&platform);
-        let h = ReplayHarness::new(platform, trace).with_initial_fairshare(10.0);
-        let scenarios = vec![
-            Scenario::baseline(),
-            Scenario::paper(PowercapPolicy::Shut, 0.6, h.trace().duration),
-        ];
-        let outcomes = h.run_grid(&scenarios);
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].scenario.label(), "100%/None");
-        assert_eq!(outcomes[1].scenario.label(), "60%/SHUT");
     }
 }

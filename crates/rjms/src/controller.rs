@@ -13,10 +13,18 @@
 //! there is none: between events only the age and fair-share factors move,
 //! and a reordering they cause waits for the next event.
 //!
+//! A job's blocked nodes are those of the node-carrying reservations whose
+//! window overlaps `[now, now + walltime)`: the ones that end after `now`
+//! and start before `now + walltime`. Sorted by start, those form a prefix
+//! of the reservations still to end, so a pass builds at most one blocked
+//! set per prefix length, on first use, and every job of that prefix reuses
+//! it. The set survives the pass's job starts; only its availability count
+//! is taken afresh after a start. Any number of reservations is told apart.
+//!
 //! A pass that provably starts nothing ends right after the fair-share
 //! decay, before the priority sort: when no pending job fits the free
 //! nodes, or when the hook's
-//! [`postpones_every_start`](crate::hook::SchedulingHook::postpones_every_start)
+//! [`authorize_start`](crate::hook::SchedulingHook::authorize_start)
 //! postpones a job as narrow as the narrowest and as short as the shortest
 //! fitting job. Such a pass changes nothing else, and the next pass sorts
 //! the queue afresh. It still counts in
@@ -39,12 +47,6 @@ use crate::priority::{FairShareTracker, MultifactorPriority};
 use crate::reservation::{ReservationBook, ReservationId, ReservationKind};
 use crate::select::{NodeSelector, SelectScratch};
 use crate::time::{SimTime, TimeWindow};
-
-/// Width of the blocked-set signature: the number of node-carrying
-/// reservations that can be distinguished by one bit each. Passes seeing
-/// more fall back to exact per-job blocked-set computation (no silent
-/// truncation — see `schedule_pass`).
-const SIGNATURE_BITS: usize = 128;
 
 /// Aggregate results of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,18 +76,83 @@ impl SimulationReport {
     }
 }
 
-/// One cached blocked-set: the nodes blocked by a specific combination of
-/// overlapping reservations (identified by its bit signature) plus the
-/// availability count given that set. The node set only depends on the
-/// reservation book, so it survives job starts within a pass; the *count*
-/// depends on cluster availability and is invalidated (recomputed lazily)
-/// whenever a job start changes it.
+/// One prefix's blocked set: the nodes of the first `k` node-carrying
+/// reservations by start, plus the availability count given that set.
 #[derive(Debug, Default)]
 struct BlockedEntry {
-    signature: u128,
     blocked: NodeMask,
-    count: usize,
-    count_valid: bool,
+    /// `(starts, count)` once `blocked` holds this pass's set: the selectable
+    /// nodes outside it, counted after the pass's `starts`-th job start. A
+    /// later start makes the count stale, not the set.
+    count: Option<(u64, usize)>,
+}
+
+/// The blocked sets of one pass, one per prefix length (see the module
+/// docs). Both buffers only grow: entries past the pass's prefixes keep
+/// their node sets for later passes.
+#[derive(Debug, Default)]
+struct BlockedSets {
+    /// `(window.start, id)` of the node-carrying reservations that end after
+    /// the pass's `now`, sorted.
+    blocking: Vec<(SimTime, ReservationId)>,
+    /// `cache[k]` is the set of the prefix `blocking[..k]`.
+    cache: Vec<BlockedEntry>,
+}
+
+impl BlockedSets {
+    /// Take the census of the reservations that can block a job starting at
+    /// `now`, and forget the previous pass's sets.
+    fn begin(&mut self, reservations: &ReservationBook, now: SimTime) {
+        self.blocking.clear();
+        self.blocking.extend(
+            reservations
+                .all()
+                .iter()
+                .filter(|r| r.blocked_nodes().is_some() && r.window.end > now)
+                .map(|r| (r.window.start, r.id)),
+        );
+        self.blocking.sort_unstable();
+        let prefixes = self.blocking.len() + 1;
+        if self.cache.len() < prefixes {
+            self.cache.resize_with(prefixes, BlockedEntry::default);
+        }
+        for entry in &mut self.cache[..prefixes] {
+            entry.count = None;
+        }
+    }
+
+    /// The nodes blocked for a job of `walltime` seconds starting at `now`,
+    /// and the selectable nodes outside them after `m.started` starts. The
+    /// set is built on its prefix's first use in the pass (a cache miss) and
+    /// reused after (a hit).
+    fn resolve(
+        &mut self,
+        reservations: &ReservationBook,
+        cluster: &Cluster,
+        selector: &NodeSelector,
+        now: SimTime,
+        walltime: SimTime,
+        m: &mut PassMeasurements,
+    ) -> (&NodeMask, usize) {
+        let end = now.saturating_add(walltime);
+        let k = self.blocking.partition_point(|&(start, _)| start < end);
+        let entry = &mut self.cache[k];
+        if entry.count.is_some() {
+            m.cache_hits += 1;
+        } else {
+            m.cache_misses += 1;
+            let prefix = self.blocking[..k].iter();
+            let nodes = prefix.filter_map(|&(_, id)| reservations.get(id)?.blocked_nodes());
+            entry.blocked.clear();
+            entry.blocked.extend(nodes.flatten().copied());
+        }
+        let count = match entry.count {
+            Some((starts, count)) if starts == m.started => count,
+            _ => selector.available_count(cluster, &entry.blocked),
+        };
+        entry.count = Some((m.started, count));
+        (&entry.blocked, count)
+    }
 }
 
 /// Reusable buffers for `schedule_pass`. Taken out of the controller for
@@ -109,15 +176,8 @@ struct ScheduleScratch {
     selected_mask: NodeMask,
     /// Per-chassis counts for the contiguous selection policy.
     select: SelectScratch,
-    /// Census of node-carrying reservations: `(signature bit, window, id)`.
-    node_res: Vec<(u128, TimeWindow, ReservationId)>,
-    /// Blocked-set cache, keyed by signature; `cache[..cache_live]` are the
-    /// entries of the current pass (dead entries keep their buffers).
-    cache: Vec<BlockedEntry>,
-    cache_live: usize,
-    /// Exact per-job blocked set, used when the census overflows the
-    /// signature width.
-    exact_blocked: NodeMask,
+    /// The pass's blocked sets.
+    blocked_sets: BlockedSets,
 }
 
 impl ScheduleScratch {
@@ -125,20 +185,17 @@ impl ScheduleScratch {
     /// allocate". Units are mixed (elements and words); only growth
     /// matters.
     fn footprint(&self) -> usize {
+        let sets = &self.blocked_sets;
+        let set_words: usize = sets.cache.iter().map(|e| e.blocked.word_capacity()).sum();
         self.priority_keys.capacity()
             + self.order.capacity()
             + self.releases.capacity()
             + self.selected.capacity()
             + self.selected_mask.word_capacity()
             + self.select.footprint()
-            + self.node_res.capacity()
-            + self.cache.capacity()
-            + self
-                .cache
-                .iter()
-                .map(|e| e.blocked.word_capacity())
-                .sum::<usize>()
-            + self.exact_blocked.word_capacity()
+            + sets.blocking.capacity()
+            + sets.cache.capacity()
+            + set_words
     }
 }
 
@@ -245,11 +302,6 @@ impl Controller {
     /// The reservation book.
     pub fn reservations(&self) -> &ReservationBook {
         &self.reservations
-    }
-
-    /// Number of jobs waiting in the queue.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
     }
 
     /// Number of running jobs.
@@ -634,7 +686,8 @@ impl Controller {
     /// postpones a job as narrow as the narrowest and as short as the
     /// shortest job that fits. A job can start only on `needed <= free`
     /// nodes, and the cluster does not change before a pass's first
-    /// start, so when postponing is monotone in width and walltime every
+    /// start, so when postponing is monotone in width and walltime (the
+    /// [`authorize_start`](SchedulingHook::authorize_start) contract) every
     /// fitting job is postponed too.
     fn pass_starts_nothing(&self) -> bool {
         let free = self.cluster.free_count();
@@ -646,16 +699,15 @@ impl Controller {
             .map(|job| (job.nodes_needed(cores_per_node), job.submission.walltime))
             .filter(|&(needed, _)| needed <= free)
             .reduce(|(n, w), (needed, walltime)| (n.min(needed), w.min(walltime)));
-        match smallest_fitting {
-            None => true,
-            Some((node_count, walltime)) => self.hook.postpones_every_start(
+        smallest_fitting.is_none_or(|(node_count, walltime)| {
+            self.hook.authorize_start(
                 &self.cluster,
                 &self.reservations,
                 node_count,
                 walltime,
                 self.now,
-            ),
-        }
+            ) == StartDecision::Postpone
+        })
     }
 
     fn schedule_pass(&mut self) {
@@ -707,15 +759,6 @@ impl Controller {
         let mut shadow: Option<ShadowReservation> = None;
         let mut any_started = false;
 
-        // The blocked-node set of a job only depends on which node-carrying
-        // reservations overlap its prospective window. With a handful of
-        // reservations and thousands of pending jobs, most jobs share the
-        // same overlap signature, so the (potentially large) node sets are
-        // built once per signature and per pass instead of once per job —
-        // and survive job starts, which only invalidate the availability
-        // *counts*. Should the census ever exceed the signature width, the
-        // pass falls back to exact per-job computation instead of silently
-        // ignoring the overflow (reservation #129 blocks nodes too).
         let ScheduleScratch {
             priority_keys: _,
             order,
@@ -723,25 +766,11 @@ impl Controller {
             selected,
             selected_mask,
             select,
-            node_res,
-            cache,
-            cache_live,
-            exact_blocked,
+            blocked_sets,
         } = &mut scratch;
         order.clear();
         order.extend_from_slice(&self.pending);
-        node_res.clear();
-        let mut node_res_total = 0usize;
-        for r in self.reservations.all() {
-            if r.blocked_nodes().is_some() {
-                if node_res_total < SIGNATURE_BITS {
-                    node_res.push((1u128 << node_res_total, r.window, r.id));
-                }
-                node_res_total += 1;
-            }
-        }
-        let exact_mode = node_res_total > SIGNATURE_BITS;
-        *cache_live = 0;
+        blocked_sets.begin(&self.reservations, self.now);
 
         for (examined, &job_id) in order.iter().enumerate() {
             if examined >= depth {
@@ -752,63 +781,14 @@ impl Controller {
             }
             let needed = self.jobs[job_id].nodes_needed(cores_per_node);
             let walltime = self.jobs[job_id].submission.walltime;
-            let window_end = self.now.saturating_add(walltime);
-
-            // Resolve the blocked set + availability for this job's window:
-            // through the signature cache normally, exactly per job when the
-            // reservation census overflows the signature.
-            let cache_index = if exact_mode {
-                exact_blocked.clear();
-                self.reservations
-                    .collect_blocked_within(self.now, window_end, exact_blocked);
-                None
-            } else {
-                let signature: u128 = node_res
-                    .iter()
-                    .filter(|(_, window, _)| window.overlaps(self.now, window_end))
-                    .map(|(bit, _, _)| bit)
-                    .sum();
-                let index = (0..*cache_live).find(|&i| cache[i].signature == signature);
-                let index = match index {
-                    Some(i) => {
-                        measurements.cache_hits += 1;
-                        i
-                    }
-                    None => {
-                        measurements.cache_misses += 1;
-                        let i = *cache_live;
-                        if i == cache.len() {
-                            cache.push(BlockedEntry::default());
-                        }
-                        let entry = &mut cache[i];
-                        entry.signature = signature;
-                        entry.blocked.clear();
-                        entry.count_valid = false;
-                        for (bit, _, id) in node_res.iter() {
-                            if signature & bit != 0 {
-                                let reservation =
-                                    self.reservations.get(*id).expect("censused reservation");
-                                if let Some(nodes) = reservation.blocked_nodes() {
-                                    entry.blocked.extend(nodes.iter().copied());
-                                }
-                            }
-                        }
-                        *cache_live += 1;
-                        i
-                    }
-                };
-                if !cache[index].count_valid {
-                    cache[index].count = self
-                        .selector
-                        .available_count(&self.cluster, &cache[index].blocked);
-                    cache[index].count_valid = true;
-                }
-                Some(index)
-            };
-            let available = match cache_index {
-                Some(i) => cache[i].count,
-                None => self.selector.available_count(&self.cluster, exact_blocked),
-            };
+            let (blocked, available) = blocked_sets.resolve(
+                &self.reservations,
+                &self.cluster,
+                &self.selector,
+                self.now,
+                walltime,
+                &mut measurements,
+            );
 
             if let Some(sh) = &shadow {
                 // A higher-priority job holds a node reservation: only
@@ -842,16 +822,12 @@ impl Controller {
             let decision = self.hook.authorize_start(
                 &self.cluster,
                 &self.reservations,
-                &self.jobs[job_id],
                 needed,
+                walltime,
                 self.now,
             );
             match decision {
                 StartDecision::Start { frequency } => {
-                    let blocked: &NodeMask = match cache_index {
-                        Some(i) => &cache[i].blocked,
-                        None => exact_blocked,
-                    };
                     if !self
                         .selector
                         .select_into(&self.cluster, needed, blocked, select, selected)
@@ -868,13 +844,10 @@ impl Controller {
                     selected_mask.extend(selected.iter().copied());
                     self.start_job(job_id, selected, selected_mask, frequency);
                     any_started = true;
+                    // Node availability changed: the start count makes every
+                    // cached availability count stale (the blocked sets
+                    // themselves are unaffected).
                     measurements.started += 1;
-                    // Node availability changed: invalidate the cached
-                    // counts (the blocked sets themselves are unaffected) so
-                    // the remaining candidates see up-to-date numbers.
-                    for entry in &mut cache[..*cache_live] {
-                        entry.count_valid = false;
-                    }
                 }
                 StartDecision::Postpone => {
                     // Power-blocked, not node-blocked: no node reservation is
@@ -913,7 +886,7 @@ impl Controller {
         node_mask: &NodeMask,
         frequency: Frequency,
     ) {
-        let factor = self.hook.runtime_factor_for(&self.jobs[id], frequency);
+        let factor = self.hook.runtime_factor(&self.jobs[id], frequency);
         let cores = self.jobs[id].cores();
         let user = self.jobs[id].submission.user;
         let actual = self.jobs[id].submission.actual_runtime;
@@ -1336,8 +1309,8 @@ mod tests {
 
     /// Regression for the signature-cache overflow: the seed capped the
     /// census at 128 node-carrying reservations, so a 129th reservation's
-    /// nodes silently became schedulable. Past the cap the controller now
-    /// computes every job's blocked set exactly.
+    /// nodes silently became schedulable. The prefix blocked sets have no
+    /// such limit.
     #[test]
     fn reservation_129_still_blocks_its_nodes() {
         let mut c = Controller::new(Platform::curie_scaled(2), ControllerConfig::default());
@@ -1367,6 +1340,123 @@ mod tests {
         c.set_horizon(20_000);
         c.run();
         assert_eq!(c.job(0).start_time, Some(0));
+    }
+
+    /// The pass's prefix blocked sets equal the exact per-job masks of
+    /// `collect_blocked_within`, availability counts included, before and
+    /// after starts within one pass. The books hold up to 200 switch-off and
+    /// maintenance reservations (well past 128) and up to 19 power caps, with
+    /// windows that are past, live, future and zero-width, that end exactly
+    /// at `now` and that start exactly at a job's `now + walltime`;
+    /// walltimes include 0 and values that saturate. The pass builds one set
+    /// (a cache miss) per distinct set of overlapping reservations and
+    /// reuses it for every other job (a hit).
+    #[test]
+    fn prefix_blocked_sets_equal_exact_per_job_masks() {
+        let mut state = 0x5eed_u64;
+        let mut next = move |bound: u64| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound.max(1)
+        };
+        let platform = Platform::curie_scaled(2); // 180 nodes
+        let selector = NodeSelector::new(ControllerConfig::default().selection);
+        let fmax = platform.ladder.max();
+        // One set of buffers for every case, as the controller keeps it.
+        let mut sets = BlockedSets::default();
+        let (mut select, mut selected) = (SelectScratch::default(), Vec::new());
+        let mut exact = NodeMask::default();
+        let mut wide_books = 0;
+        for case in 0..300 {
+            let now = next(50_000);
+            let walltimes: Vec<SimTime> = (0..1 + next(40))
+                .map(|_| match next(8) {
+                    0 => 0,
+                    1 => SimTime::MAX - next(4),
+                    2 => (SimTime::MAX - now)
+                        .saturating_sub(2)
+                        .saturating_add(next(5)),
+                    _ => 1 + next(20_000),
+                })
+                .collect();
+            let mut book = ReservationBook::new();
+            let node_carrying = next(201);
+            wide_books += usize::from(node_carrying > 128);
+            for i in 0..node_carrying + next(20) {
+                let walltime = walltimes[next(walltimes.len() as u64) as usize];
+                let start = match next(5) {
+                    0 => next(now + 1),
+                    1 => now.saturating_add(walltime),
+                    _ => now + next(20_000),
+                };
+                let end = match next(4) {
+                    0 => start,
+                    1 => now.max(start),
+                    _ => start.saturating_add(next(20_000)),
+                };
+                let nodes: Vec<usize> = (0..next(6)).map(|_| next(180) as usize).collect();
+                let kind = match (i < node_carrying, next(2)) {
+                    (false, _) => ReservationKind::PowerCap { cap: Watts(1.0) },
+                    (true, 0) => ReservationKind::SwitchOff { nodes },
+                    (true, _) => ReservationKind::Maintenance { nodes },
+                };
+                book.add(TimeWindow::new(start, end), kind);
+            }
+            let mut cluster = Cluster::new(platform.clone());
+            let down: Vec<usize> = (0..next(20)).map(|_| next(180) as usize).collect();
+            drop(cluster.power_off(&down, 0));
+
+            sets.begin(&book, now);
+            let mut m = PassMeasurements::default();
+            let mut signatures = Vec::new();
+            for (job, &walltime) in walltimes.iter().enumerate() {
+                let end = now.saturating_add(walltime);
+                exact.clear();
+                book.collect_blocked_within(now, end, &mut exact);
+                let exact_count = selector.available_count(&cluster, &exact);
+                let (blocked, available) =
+                    sets.resolve(&book, &cluster, &selector, now, walltime, &mut m);
+                assert!(
+                    *blocked == exact && available == exact_count,
+                    "case {case}, job {job}: walltime {walltime} at t={now} resolved \
+                     {available} selectable outside {:?}, exactly {exact_count} outside {:?}",
+                    blocked.iter().collect::<Vec<_>>(),
+                    exact.iter().collect::<Vec<_>>()
+                );
+                let signature: Vec<ReservationId> = book
+                    .all()
+                    .iter()
+                    .filter(|r| r.blocked_nodes().is_some() && r.overlaps(now, end))
+                    .map(|r| r.id)
+                    .collect();
+                if !signatures.contains(&signature) {
+                    signatures.push(signature);
+                }
+                // Start a job on some of the selectable nodes, as the pass
+                // does: every later count must see the smaller pool.
+                if available > 0 && next(2) == 0 {
+                    let needed = 1 + next(available.min(12) as u64) as usize;
+                    assert!(selector.select_into(
+                        &cluster,
+                        needed,
+                        blocked,
+                        &mut select,
+                        &mut selected
+                    ));
+                    cluster.allocate(job, &selected, fmax, now);
+                    m.started += 1;
+                }
+            }
+            assert_eq!(m.cache_misses, signatures.len() as u64, "case {case}");
+            assert_eq!(m.cache_hits + m.cache_misses, walltimes.len() as u64);
+        }
+        assert!(
+            wide_books > 0,
+            "no book held more than 128 node-carrying reservations"
+        );
     }
 
     /// The scheduling hot path must stop allocating once its scratch
@@ -1465,7 +1555,7 @@ mod tests {
         let misses = snapshot.counter("rjms.blocked_cache.misses").unwrap();
         assert!(
             hits > misses,
-            "jobs share overlap signatures, hits ({hits}) should dominate misses ({misses})"
+            "jobs share blocked-set prefixes, hits ({hits}) should dominate misses ({misses})"
         );
         assert!(snapshot.counter("rjms.probe.fast").unwrap() > 0 || hits + misses > 0);
         assert!(!events.is_empty(), "per-pass spans were recorded");

@@ -5,8 +5,10 @@
 //! inserted into the node-selection phase. [`SchedulingHook`] is that
 //! interface. The RJMS itself ships only the [`NullHook`] (no power control);
 //! the `apc-core` crate provides the real implementation with the SHUT, DVFS
-//! and MIX policies. [`SchedulingHook::postpones_every_start`] lets a hook
-//! end a pass that provably starts nothing before any job is examined.
+//! and MIX policies. One method, [`SchedulingHook::authorize_start`], decides
+//! every start: it sees a job only as a node count and a walltime, so the
+//! same answer serves the job about to be placed and the controller's rule
+//! that ends a pass which provably starts nothing.
 
 use apc_power::{Frequency, Watts};
 
@@ -37,54 +39,36 @@ pub struct OfflinePlan {
 
 /// Interface between the controller and the power-aware scheduling logic.
 pub trait SchedulingHook {
-    /// Called during the allocation phase, *before* node placement: the
-    /// controller has found `node_count` selectable nodes for `job` at `now`
-    /// and picks them only if this returns [`StartDecision::Start`].
+    /// Whether a job of `walltime` seconds may start at `now` on
+    /// `node_count` idle nodes, and at which frequency.
     ///
-    /// Every selectable node comes from the cluster's availability mask
-    /// (free, powered, undrained), so all of them are idle: starting the job
-    /// turns `node_count` idle nodes busy, whichever ones are picked. The
-    /// default implementation starts every job at the platform's maximum
-    /// frequency.
+    /// The controller asks this before placing a pending job, once it has
+    /// found `node_count` selectable nodes, and picks them only on
+    /// [`StartDecision::Start`]. Selectable nodes come from the cluster's
+    /// availability mask (free, powered, undrained), so all are idle and the
+    /// answer cannot depend on which ones are picked. Once per pass it also
+    /// asks with the narrowest node count and the shortest walltime among
+    /// the pending jobs that fit the free nodes, and ends the pass on
+    /// [`StartDecision::Postpone`] without examining a job.
+    ///
+    /// That skip rule needs postponing to be monotone in both arguments: if
+    /// `(node_count, walltime)` is postponed, so is every wider and longer
+    /// request in the same state. Breaking it silently delays jobs (debug
+    /// builds run a skipped pass anyway and assert that it started nothing).
+    /// The default starts every job at the maximum frequency, so it never
+    /// has a pass skipped on its account.
     fn authorize_start(
-        &mut self,
-        cluster: &Cluster,
-        reservations: &ReservationBook,
-        job: &Job,
-        node_count: usize,
-        now: SimTime,
-    ) -> StartDecision {
-        let _ = (cluster, reservations, job, node_count, now);
-        StartDecision::Start {
-            frequency: cluster_max_frequency(cluster),
-        }
-    }
-
-    /// Whether [`authorize_start`](SchedulingHook::authorize_start) would
-    /// postpone every job needing at least `node_count` idle nodes with a
-    /// walltime of at least `walltime`, in this cluster and reservation
-    /// state at `now`.
-    ///
-    /// The controller asks this once per pass, with the narrowest node
-    /// count and the shortest walltime among the pending jobs that fit the
-    /// free nodes. On `true` it ends the pass without examining a job:
-    /// no other hook method is called for that pass. Answer `true` only
-    /// when postponing is monotone in both arguments for this state; a
-    /// wrong `true` silently delays jobs (debug builds run the pass anyway
-    /// and assert that it started nothing). The default answers `false`,
-    /// so a hook that does not implement it never has a pass skipped on
-    /// its account; a pass in which no pending job fits the free nodes is
-    /// skipped whatever the hook.
-    fn postpones_every_start(
         &self,
         cluster: &Cluster,
         reservations: &ReservationBook,
         node_count: usize,
         walltime: SimTime,
         now: SimTime,
-    ) -> bool {
-        let _ = (cluster, reservations, node_count, walltime, now);
-        false
+    ) -> StartDecision {
+        let _ = (reservations, node_count, walltime, now);
+        StartDecision::Start {
+            frequency: cluster.platform().ladder.max(),
+        }
     }
 
     /// Called when a powercap reservation is submitted (the offline phase of
@@ -102,21 +86,14 @@ pub trait SchedulingHook {
         OfflinePlan::default()
     }
 
-    /// Runtime stretch factor applied to a job running at `frequency`
-    /// (1.0 at the maximum frequency).
-    fn runtime_factor(&self, frequency: Frequency) -> f64 {
-        let _ = frequency;
+    /// Runtime stretch factor of `job` running at `frequency` (1.0 at the
+    /// maximum frequency). The default stretches nothing; application-aware
+    /// hooks (the paper's future-work extension where an application
+    /// provides its own DVFS sensitivity) may use the job's application
+    /// class.
+    fn runtime_factor(&self, job: &Job, frequency: Frequency) -> f64 {
+        let _ = (job, frequency);
         1.0
-    }
-
-    /// Runtime stretch factor for a *specific* job. The default ignores the
-    /// job and delegates to [`runtime_factor`](SchedulingHook::runtime_factor);
-    /// application-aware hooks (the paper's future-work extension where an
-    /// application provides its own DVFS sensitivity) override this to use
-    /// the job's application class.
-    fn runtime_factor_for(&self, job: &Job, frequency: Frequency) -> f64 {
-        let _ = job;
-        self.runtime_factor(frequency)
     }
 
     /// Called when a powercap window opens while the cluster consumes more
@@ -133,11 +110,6 @@ pub trait SchedulingHook {
         let _ = (cluster, running_jobs, cap, now);
         Vec::new()
     }
-}
-
-/// Highest frequency of the cluster's ladder.
-pub(crate) fn cluster_max_frequency(cluster: &Cluster) -> Frequency {
-    cluster.platform().ladder.max()
 }
 
 /// A hook that performs no power control at all: every job starts immediately
@@ -159,15 +131,14 @@ mod tests {
         let reservations = ReservationBook::new();
         let job = Job::new(0, JobSubmission::new(0, 0, 64, 3600, 60));
         let mut hook = NullHook;
-        let decision = hook.authorize_start(&cluster, &reservations, &job, 4, 0);
+        let decision = hook.authorize_start(&cluster, &reservations, 4, 3600, 0);
         assert_eq!(
             decision,
             StartDecision::Start {
                 frequency: Frequency::from_ghz(2.7)
             }
         );
-        assert!(!hook.postpones_every_start(&cluster, &reservations, 4, 3600, 0));
-        assert_eq!(hook.runtime_factor(Frequency::from_ghz(1.2)), 1.0);
+        assert_eq!(hook.runtime_factor(&job, Frequency::from_ghz(1.2)), 1.0);
         assert!(hook
             .plan_powercap(
                 &cluster,

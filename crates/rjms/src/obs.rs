@@ -16,15 +16,20 @@
 //! | `rjms.schedule_pass.queue_depth` | histogram | pending jobs at the start of the pass |
 //! | `rjms.schedule_pass.idle`        | counter   | non-empty passes that started no job  |
 //! | `rjms.schedule_pass.skipped`     | counter   | … of which the skip rule ended early  |
-//! | `rjms.blocked_cache.hits`        | counter   | blocked-set signature cache hits      |
-//! | `rjms.blocked_cache.misses`      | counter   | … misses (set built from scratch)     |
+//! | `rjms.blocked_cache.hits`        | counter   | prefix blocked sets reused            |
+//! | `rjms.blocked_cache.misses`      | counter   | … built (first use of a prefix)       |
 //! | `rjms.probe.fast`                | counter   | power probes on the `Busy` fast path  |
 //! | `rjms.probe.slow`                | counter   | power probes walking the group scratch|
 //!
-//! `rjms.probe.fast` counts one probe per start decision of a capped
-//! policy: the count-only idle probe is built once per `authorize_start`,
-//! also when the power floor postpones the job without a ladder walk, and
-//! once per pass for the skip rule's `postpones_every_start` question.
+//! A pass builds one blocked set per prefix of the node-carrying
+//! reservations sorted by start (see the controller's module docs), so
+//! `rjms.blocked_cache` counts, per examined job, a prefix set reused (a
+//! hit) or built on its first use in the pass (a miss).
+//!
+//! `rjms.probe.fast` counts one probe per `authorize_start` of a capped
+//! policy: the count-only idle probe is built once per call, also when the
+//! power floor postpones the job without a ladder walk, whether the call
+//! decides a job or asks the skip rule's question.
 //!
 //! `rjms.schedule_pass.skipped` counts the non-empty passes that provably
 //! start nothing (no pending job fits the free nodes, or the hook postpones
@@ -42,9 +47,9 @@ use apc_obs::{Counter, Histogram, Registry, SpanRecorder, SpanStart};
 pub struct PassMeasurements {
     /// Pending jobs at the start of the pass.
     pub queue_depth: usize,
-    /// Blocked-set signature cache hits during the pass.
+    /// Examined jobs whose prefix blocked set the pass had already built.
     pub cache_hits: u64,
-    /// Blocked-set signature cache misses during the pass.
+    /// Prefix blocked sets the pass built (first use of each prefix).
     pub cache_misses: u64,
     /// Jobs started by the pass.
     pub started: u64,

@@ -54,11 +54,6 @@ impl Reservation {
         Reservation { id, window, kind }
     }
 
-    /// Is the reservation active at instant `t`?
-    pub fn active_at(&self, t: SimTime) -> bool {
-        self.window.contains(t)
-    }
-
     /// Does the reservation overlap `[start, end)`?
     pub fn overlaps(&self, start: SimTime, end: SimTime) -> bool {
         self.window.overlaps(start, end)
@@ -122,19 +117,12 @@ impl ReservationBook {
         self.reservations.is_empty()
     }
 
-    /// The tightest power cap applying at instant `t` (powercap reservations
-    /// may overlap; the minimum wins).
-    pub fn cap_at(&self, t: SimTime) -> Option<Watts> {
-        self.reservations
-            .iter()
-            .filter(|r| r.active_at(t))
-            .filter_map(Reservation::cap)
-            .fold(None, |acc, c| Some(acc.map_or(c, |a: Watts| a.min(c))))
-    }
-
     /// The tightest power cap applying anywhere inside `[start, end)` — what
     /// the online algorithm checks before starting a job whose execution may
-    /// overlap a future powercap window.
+    /// overlap a future powercap window. Powercap reservations may overlap,
+    /// and a time-varying schedule is one reservation per segment: the
+    /// minimum over every one of them wins, which is the safe check for a
+    /// job whose draw lasts the whole window.
     pub fn cap_within(&self, start: SimTime, end: SimTime) -> Option<Watts> {
         self.reservations
             .iter()
@@ -143,17 +131,10 @@ impl ReservationBook {
             .fold(None, |acc, c| Some(acc.map_or(c, |a: Watts| a.min(c))))
     }
 
-    /// Nodes blocked (drained or powered off) by reservations overlapping
-    /// `[start, end)`.
-    pub fn blocked_nodes_within(&self, start: SimTime, end: SimTime) -> Vec<usize> {
-        let mut mask = NodeMask::default();
-        self.collect_blocked_within(start, end, &mut mask);
-        mask.iter().collect()
-    }
-
-    /// Union the nodes blocked by reservations overlapping `[start, end)`
-    /// into `out` (which the caller clears when a fresh set is wanted) —
-    /// the allocation-free form the scheduling hot path uses.
+    /// Union the nodes blocked (drained or powered off) by reservations
+    /// overlapping `[start, end)` into `out`, which the caller clears when a
+    /// fresh set is wanted. The controller's prefix blocked sets are checked
+    /// against this.
     pub fn collect_blocked_within(&self, start: SimTime, end: SimTime, out: &mut NodeMask) {
         for reservation in &self.reservations {
             if !reservation.overlaps(start, end) {
@@ -163,51 +144,6 @@ impl ReservationBook {
                 out.extend(nodes.iter().copied());
             }
         }
-    }
-
-    /// The piecewise cap profile over `[start, end)`: maximal sub-windows in
-    /// chronological order, each with the tightest cap active throughout it.
-    /// Uncapped gaps are omitted; adjacent sub-windows with the same cap are
-    /// merged. This resolves a time-varying schedule (one powercap
-    /// reservation per segment) segment-wise instead of collapsing the whole
-    /// range to a single min as [`cap_within`](Self::cap_within) does.
-    pub fn cap_profile_within(&self, start: SimTime, end: SimTime) -> Vec<(TimeWindow, Watts)> {
-        if start >= end {
-            return Vec::new();
-        }
-        // Breakpoints: every powercap window edge clamped into [start, end).
-        let mut cuts: Vec<SimTime> = vec![start, end];
-        for r in &self.reservations {
-            if r.cap().is_none() || !r.overlaps(start, end) {
-                continue;
-            }
-            cuts.push(r.window.start.clamp(start, end));
-            cuts.push(r.window.end.clamp(start, end));
-        }
-        cuts.sort_unstable();
-        cuts.dedup();
-        // Between adjacent breakpoints the active set is constant, so the
-        // cap at the left edge holds over the whole piece.
-        let mut profile: Vec<(TimeWindow, Watts)> = Vec::new();
-        for pair in cuts.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            let Some(cap) = self.cap_at(a) else {
-                continue;
-            };
-            match profile.last_mut() {
-                Some((w, c)) if w.end == a && *c == cap => w.end = b,
-                _ => profile.push((TimeWindow::new(a, b), cap)),
-            }
-        }
-        profile
-    }
-
-    /// Powercap reservations overlapping `[start, end)`.
-    pub fn powercaps_within(&self, start: SimTime, end: SimTime) -> Vec<&Reservation> {
-        self.reservations
-            .iter()
-            .filter(|r| r.overlaps(start, end) && r.cap().is_some())
-            .collect()
     }
 }
 
@@ -245,10 +181,11 @@ mod tests {
     #[test]
     fn cap_lookup_by_instant_and_window() {
         let book = book_with_cap();
-        assert_eq!(book.cap_at(0), None);
-        assert_eq!(book.cap_at(3600), Some(Watts(500_000.0)));
-        assert_eq!(book.cap_at(7199), Some(Watts(500_000.0)));
-        assert_eq!(book.cap_at(7200), None);
+        // One-second windows: the cap at an instant.
+        assert_eq!(book.cap_within(0, 1), None);
+        assert_eq!(book.cap_within(3600, 3601), Some(Watts(500_000.0)));
+        assert_eq!(book.cap_within(7199, 7200), Some(Watts(500_000.0)));
+        assert_eq!(book.cap_within(7200, 7201), None);
         // Window queries.
         assert_eq!(book.cap_within(0, 3600), None);
         assert_eq!(book.cap_within(0, 3601), Some(Watts(500_000.0)));
@@ -264,8 +201,8 @@ mod tests {
                 cap: Watts(300_000.0),
             },
         );
-        assert_eq!(book.cap_at(4000), Some(Watts(500_000.0)));
-        assert_eq!(book.cap_at(5500), Some(Watts(300_000.0)));
+        assert_eq!(book.cap_within(4000, 4001), Some(Watts(500_000.0)));
+        assert_eq!(book.cap_within(5500, 5501), Some(Watts(300_000.0)));
         assert_eq!(book.cap_within(0, 100_000), Some(Watts(300_000.0)));
     }
 
@@ -276,79 +213,13 @@ mod tests {
             TimeWindow::new(4000, 5000),
             ReservationKind::Maintenance { nodes: vec![2, 7] },
         );
-        let blocked = book.blocked_nodes_within(3600, 7200);
-        assert_eq!(blocked, vec![0, 1, 2, 7]);
-        assert!(book.blocked_nodes_within(0, 100).is_empty());
-        assert_eq!(book.powercaps_within(0, 10_000).len(), 1);
-        assert_eq!(book.powercaps_within(0, 3600).len(), 0);
-    }
-
-    #[test]
-    fn cap_profile_resolves_segment_wise() {
-        let mut book = ReservationBook::new();
-        // A day/night-style schedule: two disjoint segments with different
-        // caps, registered as independent powercap reservations.
-        book.add(
-            TimeWindow::new(0, 1000),
-            ReservationKind::PowerCap { cap: Watts(800.0) },
-        );
-        book.add(
-            TimeWindow::new(2000, 3000),
-            ReservationKind::PowerCap { cap: Watts(400.0) },
-        );
-        let profile = book.cap_profile_within(0, 4000);
-        assert_eq!(
-            profile,
-            vec![
-                (TimeWindow::new(0, 1000), Watts(800.0)),
-                (TimeWindow::new(2000, 3000), Watts(400.0)),
-            ]
-        );
-        // Clamping: a query inside one segment sees only that slice.
-        assert_eq!(
-            book.cap_profile_within(500, 2500),
-            vec![
-                (TimeWindow::new(500, 1000), Watts(800.0)),
-                (TimeWindow::new(2000, 2500), Watts(400.0)),
-            ]
-        );
-        // Empty and uncapped ranges produce empty profiles.
-        assert!(book.cap_profile_within(1000, 2000).is_empty());
-        assert!(book.cap_profile_within(3000, 3000).is_empty());
-    }
-
-    #[test]
-    fn cap_profile_overlaps_take_the_min_and_merge_equal_neighbours() {
-        let mut book = book_with_cap(); // 500 kW over [3600, 7200)
-        book.add(
-            TimeWindow::new(5000, 6000),
-            ReservationKind::PowerCap {
-                cap: Watts(300_000.0),
-            },
-        );
-        let profile = book.cap_profile_within(0, 10_000);
-        assert_eq!(
-            profile,
-            vec![
-                (TimeWindow::new(3600, 5000), Watts(500_000.0)),
-                (TimeWindow::new(5000, 6000), Watts(300_000.0)),
-                (TimeWindow::new(6000, 7200), Watts(500_000.0)),
-            ]
-        );
-        // Two abutting reservations with the same cap merge into one piece.
-        let mut book = ReservationBook::new();
-        book.add(
-            TimeWindow::new(0, 100),
-            ReservationKind::PowerCap { cap: Watts(9.0) },
-        );
-        book.add(
-            TimeWindow::new(100, 200),
-            ReservationKind::PowerCap { cap: Watts(9.0) },
-        );
-        assert_eq!(
-            book.cap_profile_within(0, 300),
-            vec![(TimeWindow::new(0, 200), Watts(9.0))]
-        );
+        // The switch-off and maintenance nodes, never the power cap's.
+        let mut blocked = NodeMask::default();
+        book.collect_blocked_within(3600, 7200, &mut blocked);
+        assert_eq!(blocked.iter().collect::<Vec<_>>(), vec![0, 1, 2, 7]);
+        blocked.clear();
+        book.collect_blocked_within(0, 100, &mut blocked);
+        assert!(blocked.is_empty());
     }
 
     #[test]
@@ -358,8 +229,6 @@ mod tests {
             TimeWindow::new(10, 20),
             ReservationKind::PowerCap { cap: Watts(1.0) },
         );
-        assert!(r.active_at(10));
-        assert!(!r.active_at(20));
         assert!(r.overlaps(19, 30));
         assert!(!r.overlaps(20, 30));
         assert_eq!(r.cap(), Some(Watts(1.0)));

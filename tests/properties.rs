@@ -163,7 +163,7 @@ proptest! {
         node_count in 1usize..60,
         policy_idx in 0usize..3,
     ) {
-        use adaptive_powercap::core::online::{FrequencyChoice, OnlineScheduler};
+        use adaptive_powercap::core::online::OnlineScheduler;
         use apc_rjms::reservation::ReservationKind;
         use apc_rjms::time::TimeWindow;
 
@@ -173,15 +173,14 @@ proptest! {
         let mut book = apc_rjms::reservation::ReservationBook::new();
         book.add(TimeWindow::new(0, 1_000_000), ReservationKind::PowerCap { cap });
         let nodes: Vec<usize> = (0..node_count).collect();
-        let job = Job::new(0, JobSubmission::new(0, 0, (node_count * 16) as u32, 3600, 600));
         let scheduler = OnlineScheduler::new(policy, cluster.platform());
-        match scheduler.choose(&cluster, &book, &job, node_count, 0) {
-            FrequencyChoice::Start(f) => {
+        match scheduler.choose(&cluster, &book, node_count, 3600, 0) {
+            StartDecision::Start { frequency: f } => {
                 let allowed = policy.allowed_ladder(&cluster.platform().ladder);
                 prop_assert!(allowed.contains(f), "{policy}: {f} not allowed");
                 prop_assert!(cluster.power_if_busy(&nodes, f) <= cap);
             }
-            FrequencyChoice::Postpone => {
+            StartDecision::Postpone => {
                 // Even the lowest allowed frequency breaks the cap.
                 let allowed = policy.allowed_ladder(&cluster.platform().ladder);
                 prop_assert!(cluster.power_if_busy(&nodes, allowed.min()) > cap);
@@ -288,7 +287,6 @@ proptest! {
             book.add(window, kind);
         }
 
-        let job = Job::new(0, JobSubmission::new(0, now, (needed * 16) as u32, walltime, walltime));
         let mut blocked = NodeMask::default();
         book.collect_blocked_within(now, now.saturating_add(walltime), &mut blocked);
         let selector = NodeSelector::default();
@@ -298,8 +296,8 @@ proptest! {
                 .iter()
                 .all(|&node| cluster.accountant().state(node) == PowerState::Idle));
             let scheduler = OnlineScheduler::new(policy, cluster.platform());
-            let decided = scheduler.choose(&cluster, &book, &job, needed, now);
-            let walked = placed_ladder_walk(policy, &cluster, &book, &job, &selected, now);
+            let decided = scheduler.choose(&cluster, &book, needed, walltime, now);
+            let walked = placed_ladder_walk(policy, &cluster, &book, walltime, &selected, now);
             prop_assert_eq!(decided, walked);
         }
     }
@@ -350,7 +348,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Postponing is monotone in the node count and the walltime: whatever
-    /// `choose_for` postpones, it also postpones for a job at least as wide
+    /// `choose` postpones, it also postpones for a job at least as wide
     /// and as long, on random 1–3-rack clusters with busy and switched-off
     /// nodes and 0–3 caps. The controller's skip rule rests on this.
     #[test]
@@ -360,7 +358,7 @@ proptest! {
         setup in (1usize..4, 0usize..3, 0u64..20_000),
         request in ((0usize..270, 0usize..270), (1u64..40_000, 0u64..40_000)),
     ) {
-        use adaptive_powercap::core::online::{FrequencyChoice, OnlineScheduler};
+        use adaptive_powercap::core::online::OnlineScheduler;
         use apc_rjms::reservation::{ReservationBook, ReservationKind};
         use apc_rjms::time::TimeWindow;
 
@@ -395,12 +393,12 @@ proptest! {
         let (a, b) = (a % (free + 1), b % (free + 1));
         let (narrow, wide) = (a.min(b), a.max(b));
         let scheduler = OnlineScheduler::new(policy, cluster.platform());
-        let small = scheduler.choose_for(&cluster, &book, narrow, walltime, now);
-        let large = scheduler.choose_for(&cluster, &book, wide, walltime + extra, now);
-        if small == FrequencyChoice::Postpone {
+        let small = scheduler.choose(&cluster, &book, narrow, walltime, now);
+        let large = scheduler.choose(&cluster, &book, wide, walltime + extra, now);
+        if small == StartDecision::Postpone {
             prop_assert_eq!(
                 large,
-                FrequencyChoice::Postpone,
+                StartDecision::Postpone,
                 "{}: ({}, {}) postponed, ({}, {}) not",
                 policy,
                 narrow,
@@ -730,24 +728,24 @@ fn placed_ladder_walk(
     policy: PowercapPolicy,
     cluster: &Cluster,
     book: &apc_rjms::reservation::ReservationBook,
-    job: &Job,
+    walltime: u64,
     nodes: &[usize],
     now: u64,
-) -> adaptive_powercap::core::online::FrequencyChoice {
-    use adaptive_powercap::core::online::FrequencyChoice;
+) -> StartDecision {
     let ladder = &cluster.platform().ladder;
+    let start = |frequency| StartDecision::Start { frequency };
     if !policy.enforces_cap() {
-        return FrequencyChoice::Start(ladder.max());
+        return start(ladder.max());
     }
     let degradation = policy.degradation(ladder);
     for f in policy.allowed_ladder(ladder).steps_descending() {
-        let stretched = degradation.stretch_runtime(job.submission.walltime, f);
+        let stretched = degradation.stretch_runtime(walltime, f);
         let Some(cap) = book.cap_within(now, now.saturating_add(stretched.max(1))) else {
-            return FrequencyChoice::Start(ladder.max());
+            return start(ladder.max());
         };
         if cluster.power_if_busy(nodes, f) <= cap {
-            return FrequencyChoice::Start(f);
+            return start(f);
         }
     }
-    FrequencyChoice::Postpone
+    StartDecision::Postpone
 }
