@@ -116,6 +116,10 @@
 //! one partition at a time — skipping v3 partitions whose zone maps prove
 //! no row can match — so very large campaigns are inspectable without
 //! loading every partition into memory.
+//!
+//! Every mode exits 0 on success, 2 after the usage text for a bad
+//! command line, and 1 for an error at run time: a missing or foreign
+//! store, a grid that does not match the store, a failed write.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -727,7 +731,7 @@ fn render_leases(log: &LeaseLog) -> String {
 /// `campaign worker DIR --worker-id N [grid flags]`: one distributed
 /// worker process. Normally spawned by `--distributed`; running it by hand
 /// requires the coordinator's exact grid flags (fingerprint-checked).
-fn run_worker_cli(args: &[String]) -> Result<(), String> {
+fn worker(args: &[String]) -> Result<Job, String> {
     let mut dir: Option<String> = None;
     let mut worker_id: Option<usize> = None;
     let mut rest: Vec<String> = Vec::new();
@@ -744,23 +748,25 @@ fn run_worker_cli(args: &[String]) -> Result<(), String> {
     let dir = dir.ok_or("worker needs a store directory (before any grid flags)")?;
     let worker = worker_id.ok_or("worker needs --worker-id N")?;
     let Some(options) = parse_args(&rest)? else {
-        return Ok(());
+        return Ok(Box::new(|| Ok(())));
     };
-    let obs = if options.metrics {
-        CampaignObs::metrics()
-    } else {
-        CampaignObs::disabled()
-    };
-    let runner = CampaignRunner::new(options.spec.clone())
-        .with_threads(options.threads)
-        .with_source(options.source)
-        .with_obs(obs.clone());
-    let outcome = runner.run_worker(std::path::Path::new(&dir), worker, !options.no_sync)?;
-    eprint!("{}", outcome.render());
-    if options.metrics {
-        eprint!("{}", obs.registry.snapshot());
-    }
-    Ok(())
+    Ok(Box::new(move || {
+        let obs = if options.metrics {
+            CampaignObs::metrics()
+        } else {
+            CampaignObs::disabled()
+        };
+        let runner = CampaignRunner::new(options.spec.clone())
+            .with_threads(options.threads)
+            .with_source(options.source)
+            .with_obs(obs.clone());
+        let outcome = runner.run_worker(std::path::Path::new(&dir), worker, !options.no_sync)?;
+        eprint!("{}", outcome.render());
+        if options.metrics {
+            eprint!("{}", obs.registry.snapshot());
+        }
+        Ok(())
+    }))
 }
 
 /// Write the requested `cells.*`/`summary.*` render files. One render
@@ -794,7 +800,7 @@ fn render_outputs(
 /// store and report the non-dominated (energy, work, wait) front per
 /// workload group — or, with `--cells`, front the individual replications
 /// (dominance counted per seed).
-fn run_pareto(args: &[String]) -> Result<(), String> {
+fn pareto(args: &[String]) -> Result<Job, String> {
     let mut dir: Option<String> = None;
     let mut out: Option<String> = None;
     let mut cells = false;
@@ -811,42 +817,44 @@ fn run_pareto(args: &[String]) -> Result<(), String> {
         }
     }
     let dir = dir.ok_or("pareto needs a result-store directory")?;
-    // Read the store through the scanner (columnar decode on v3) instead
-    // of the full loader.
-    let rows = StoreScanner::open(&dir)?.rows()?;
-    if rows.is_empty() {
-        return Err(format!("store at {dir} records no completed cells yet"));
-    }
-    if cells {
-        let front = pareto_front_cells(&rows);
-        let csv = render_pareto_cells_csv(&front);
-        let out = out.unwrap_or_else(|| format!("{dir}/pareto-cells.csv"));
+    Ok(Box::new(move || {
+        // Read the store through the scanner (columnar decode on v3)
+        // instead of the full loader.
+        let rows = StoreScanner::open(&dir)?.rows()?;
+        if rows.is_empty() {
+            return Err(format!("store at {dir} records no completed cells yet"));
+        }
+        if cells {
+            let front = pareto_front_cells(&rows);
+            let csv = render_pareto_cells_csv(&front);
+            let out = out.unwrap_or_else(|| format!("{dir}/pareto-cells.csv"));
+            std::fs::write(&out, &csv).map_err(|e| format!("cannot write {out}: {e}"))?;
+            if !quiet {
+                print!("{csv}");
+            }
+            eprintln!(
+                "pareto cells front: {} of {} replication(s) non-dominated; wrote {out}",
+                front.len(),
+                rows.len(),
+            );
+            return Ok(());
+        }
+        let summaries = summarize(&rows);
+        let front = pareto_front(&summaries);
+        let csv = render_pareto_csv(&front);
+        let out = out.unwrap_or_else(|| format!("{dir}/pareto.csv"));
         std::fs::write(&out, &csv).map_err(|e| format!("cannot write {out}: {e}"))?;
         if !quiet {
             print!("{csv}");
         }
         eprintln!(
-            "pareto cells front: {} of {} replication(s) non-dominated; wrote {out}",
+            "pareto front: {} of {} summary rows non-dominated ({} cells); wrote {out}",
             front.len(),
+            summaries.len(),
             rows.len(),
         );
-        return Ok(());
-    }
-    let summaries = summarize(&rows);
-    let front = pareto_front(&summaries);
-    let csv = render_pareto_csv(&front);
-    let out = out.unwrap_or_else(|| format!("{dir}/pareto.csv"));
-    std::fs::write(&out, &csv).map_err(|e| format!("cannot write {out}: {e}"))?;
-    if !quiet {
-        print!("{csv}");
-    }
-    eprintln!(
-        "pareto front: {} of {} summary rows non-dominated ({} cells); wrote {out}",
-        front.len(),
-        summaries.len(),
-        rows.len(),
-    );
-    Ok(())
+        Ok(())
+    }))
 }
 
 /// `campaign query DIR [filters] [--columns LIST] [--limit N]
@@ -854,7 +862,7 @@ fn run_pareto(args: &[String]) -> Result<(), String> {
 /// the partitioned store without loading it whole; with `--group-by` the
 /// aggregation folds into the same streaming scan, so only one accumulator
 /// per group is ever resident.
-fn run_query(args: &[String]) -> Result<(), String> {
+fn query(args: &[String]) -> Result<Job, String> {
     let mut dir: Option<String> = None;
     let mut filter = RowFilter::default();
     let mut columns: Option<Vec<Column>> = None;
@@ -896,62 +904,67 @@ fn run_query(args: &[String]) -> Result<(), String> {
         // The fold only reads the group-by and aggregated columns, so v3
         // blocks need not decode anything else.
         let projection = group_by.iter().chain(&agg_columns).copied().collect();
-        // Open (and thereby validate) the store before writing anything to
-        // stdout — a bad directory must not leave a lone CSV header behind.
-        let scanner = StoreScanner::open(&dir)?;
-        let stats = scanner.scan_projected(&filter, projection, |row| {
-            aggregator.fold(row)?;
-            Ok(ScanFlow::Continue)
-        })?;
-        println!("{}", aggregator.header());
-        for line in aggregator.rows(limit) {
-            println!("{line}");
-        }
-        eprintln!(
-            "{} row(s) matched; {} group(s); {} partition(s) zone-skipped",
-            stats.matched,
-            aggregator.group_count(),
-            stats.partitions_skipped,
-        );
-        return Ok(());
+        return Ok(Box::new(move || {
+            // Open (and thereby validate) the store before writing anything
+            // to stdout — a bad directory must not leave a lone CSV header
+            // behind.
+            let scanner = StoreScanner::open(&dir)?;
+            let stats = scanner.scan_projected(&filter, projection, |row| {
+                aggregator.fold(row)?;
+                Ok(ScanFlow::Continue)
+            })?;
+            println!("{}", aggregator.header());
+            for line in aggregator.rows(limit) {
+                println!("{line}");
+            }
+            eprintln!(
+                "{} row(s) matched; {} group(s); {} partition(s) zone-skipped",
+                stats.matched,
+                aggregator.group_count(),
+                stats.partitions_skipped,
+            );
+            Ok(())
+        }));
     }
 
     // Projection pushdown: v3 blocks decode only the requested columns —
     // a narrow projection over a wide store skips most of the decode work.
     let columns = columns.unwrap_or_else(|| Column::ALL.to_vec());
     let projection = columns.iter().copied().collect();
-    // Open (and thereby validate) the store before writing anything to
-    // stdout — a bad directory must not leave a lone CSV header behind.
-    let scanner = StoreScanner::open(&dir)?;
-    let names: Vec<&str> = columns.iter().map(|c| c.name()).collect();
-    println!("{}", names.join(","));
-    if limit == Some(0) {
-        eprintln!("0 row(s) matched; 0 printed; 0 partition(s) zone-skipped");
-        return Ok(());
-    }
-    let mut printed = 0usize;
-    let stats = scanner.scan_projected(&filter, projection, |row| {
-        println!("{}", project_row(row, &columns));
-        printed += 1;
-        // --limit ends the scan here: partitions past the N-th match are
-        // never opened.
-        Ok(if limit.is_some_and(|n| printed >= n) {
-            ScanFlow::Stop
-        } else {
-            ScanFlow::Continue
-        })
-    })?;
-    eprintln!(
-        "{} row(s) matched; {printed} printed; {} partition(s) zone-skipped{}",
-        stats.matched,
-        stats.partitions_skipped,
-        if stats.stopped_early {
-            " (scan stopped at --limit)"
-        } else {
-            ""
-        },
-    );
-    Ok(())
+    Ok(Box::new(move || {
+        // Open (and thereby validate) the store before writing anything to
+        // stdout — a bad directory must not leave a lone CSV header behind.
+        let scanner = StoreScanner::open(&dir)?;
+        let names: Vec<&str> = columns.iter().map(|c| c.name()).collect();
+        println!("{}", names.join(","));
+        if limit == Some(0) {
+            eprintln!("0 row(s) matched; 0 printed; 0 partition(s) zone-skipped");
+            return Ok(());
+        }
+        let mut printed = 0usize;
+        let stats = scanner.scan_projected(&filter, projection, |row| {
+            println!("{}", project_row(row, &columns));
+            printed += 1;
+            // --limit ends the scan here: partitions past the N-th match are
+            // never opened.
+            Ok(if limit.is_some_and(|n| printed >= n) {
+                ScanFlow::Stop
+            } else {
+                ScanFlow::Continue
+            })
+        })?;
+        eprintln!(
+            "{} row(s) matched; {printed} printed; {} partition(s) zone-skipped{}",
+            stats.matched,
+            stats.partitions_skipped,
+            if stats.stopped_early {
+                " (scan stopped at --limit)"
+            } else {
+                ""
+            },
+        );
+        Ok(())
+    }))
 }
 
 /// `campaign compact DIR [--per-part N] [--quiet]`: merge duplicate and
@@ -962,7 +975,7 @@ fn run_query(args: &[String]) -> Result<(), String> {
 ///
 /// [`DEFAULT_COMPACT_CELLS_PER_PART`]: apc_campaign::compact::DEFAULT_COMPACT_CELLS_PER_PART
 /// [`COMPACT_BLOCK_ROWS`]: apc_campaign::compact::COMPACT_BLOCK_ROWS
-fn run_compact(args: &[String]) -> Result<(), String> {
+fn compact(args: &[String]) -> Result<Job, String> {
     let mut dir: Option<String> = None;
     let mut per_part: Option<usize> = None;
     let mut quiet = false;
@@ -977,17 +990,19 @@ fn run_compact(args: &[String]) -> Result<(), String> {
         }
     }
     let dir = dir.ok_or("compact needs a result-store directory")?;
-    let stats = compact_store(std::path::Path::new(&dir), per_part)?;
-    if !quiet {
-        eprint!("{}", stats.render());
-    }
-    Ok(())
+    Ok(Box::new(move || {
+        let stats = compact_store(std::path::Path::new(&dir), per_part)?;
+        if !quiet {
+            eprint!("{}", stats.render());
+        }
+        Ok(())
+    }))
 }
 
 /// `campaign report DIR`: post-run summary of a (possibly partial) result
 /// store — completion state, axis coverage, and the same across-seed table
 /// a live run prints.
-fn run_report(args: &[String]) -> Result<(), String> {
+fn report(args: &[String]) -> Result<Job, String> {
     let mut dir: Option<String> = None;
     for arg in args {
         match arg.as_str() {
@@ -997,92 +1012,87 @@ fn run_report(args: &[String]) -> Result<(), String> {
         }
     }
     let dir = dir.ok_or("report needs a result-store directory")?;
-    let scanner = StoreScanner::open(&dir)?;
-    let rows = scanner.rows()?;
-    // Count the rows the scan could read, not the manifest's `done` log: a
-    // logged cell whose row fails its checksum is not recorded, and
-    // `--resume` runs it again.
-    let unreadable = scanner.completed_count().saturating_sub(rows.len());
-    let state = if unreadable > 0 {
-        format!("{unreadable} logged but unreadable; finish it with --resume")
-    } else if rows.len() == scanner.total_cells() {
-        "complete".to_string()
-    } else {
-        "partial — finish it with --resume".to_string()
-    };
-    println!(
-        "campaign {dir}: {}/{} cells recorded ({state}), spec {:016x}",
-        rows.len(),
-        scanner.total_cells(),
-        scanner.spec_hash(),
-    );
-    let dir_path = std::path::Path::new(&dir);
-    if dir_path.join(LEASES_NAME).exists() {
-        match LeaseLog::open(dir_path) {
-            Ok(log) => print!("{}", render_leases(&log)),
-            Err(e) => println!("lease log unreadable: {e}"),
+    Ok(Box::new(move || {
+        let scanner = StoreScanner::open(&dir)?;
+        let rows = scanner.rows()?;
+        // Count the rows the scan could read, not the manifest's `done` log: a
+        // logged cell whose row fails its checksum is not recorded, and
+        // `--resume` runs it again.
+        let unreadable = scanner.completed_count().saturating_sub(rows.len());
+        let state = if unreadable > 0 {
+            format!("{unreadable} logged but unreadable; finish it with --resume")
+        } else if rows.len() == scanner.total_cells() {
+            "complete".to_string()
+        } else {
+            "partial — finish it with --resume".to_string()
+        };
+        println!(
+            "campaign {dir}: {}/{} cells recorded ({state}), spec {:016x}",
+            rows.len(),
+            scanner.total_cells(),
+            scanner.spec_hash(),
+        );
+        let dir_path = std::path::Path::new(&dir);
+        if dir_path.join(LEASES_NAME).exists() {
+            match LeaseLog::open(dir_path) {
+                Ok(log) => print!("{}", render_leases(&log)),
+                Err(e) => println!("lease log unreadable: {e}"),
+            }
         }
-    }
-    if rows.is_empty() {
-        println!("no completed cells yet — nothing to summarize");
-        return Ok(());
-    }
-    let workloads: std::collections::BTreeSet<&str> =
-        rows.iter().map(|r| r.workload.as_str()).collect();
-    let scenarios: std::collections::BTreeSet<&str> =
-        rows.iter().map(|r| r.scenario.as_str()).collect();
-    let seeds: std::collections::BTreeSet<u64> = rows.iter().filter_map(|r| r.seed).collect();
-    println!(
-        "axes covered: {} workload(s) x {} scenario(s) x {} seed(s)",
-        workloads.len(),
-        scenarios.len(),
-        seeds.len(),
-    );
-    print!("{}", render_summary_table(&summarize(&rows)));
-    Ok(())
+        if rows.is_empty() {
+            println!("no completed cells yet — nothing to summarize");
+            return Ok(());
+        }
+        let workloads: std::collections::BTreeSet<&str> =
+            rows.iter().map(|r| r.workload.as_str()).collect();
+        let scenarios: std::collections::BTreeSet<&str> =
+            rows.iter().map(|r| r.scenario.as_str()).collect();
+        let seeds: std::collections::BTreeSet<u64> = rows.iter().filter_map(|r| r.seed).collect();
+        println!(
+            "axes covered: {} workload(s) x {} scenario(s) x {} seed(s)",
+            workloads.len(),
+            scenarios.len(),
+            seeds.len(),
+        );
+        print!("{}", render_summary_table(&summarize(&rows)));
+        Ok(())
+    }))
+}
+
+/// What a command line asks for once its arguments parsed: the work that
+/// can only fail at run time.
+type Job = Box<dyn FnOnce() -> Result<(), String>>;
+
+/// The grid command: run the campaign, or its `--distributed` coordinator.
+fn campaign(args: &[String]) -> Result<Job, String> {
+    let raw = args.to_vec();
+    Ok(match parse_args(args)? {
+        None => Box::new(|| Ok(())),
+        Some(options) if options.distributed.is_some() => {
+            Box::new(move || run_distributed(options, &raw))
+        }
+        Some(options) => Box::new(move || run(options)),
+    })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(subcommand) = args.first().map(String::as_str) {
-        if matches!(
-            subcommand,
-            "pareto" | "query" | "report" | "compact" | "worker"
-        ) {
-            let run = match subcommand {
-                "pareto" => run_pareto(&args[1..]),
-                "query" => run_query(&args[1..]),
-                "compact" => run_compact(&args[1..]),
-                "worker" => run_worker_cli(&args[1..]),
-                _ => run_report(&args[1..]),
-            };
-            return match run {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    eprintln!("{USAGE}");
-                    ExitCode::from(2)
-                }
-            };
-        }
-    }
-    match parse_args(&args) {
-        Ok(Some(options)) => match if options.distributed.is_some() {
-            run_distributed(options, &args)
-        } else {
-            run(options)
-        } {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("error: {message}");
-                ExitCode::from(1)
-            }
-        },
-        Ok(None) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
+    let rest = args.get(1..).unwrap_or_default();
+    let job = match args.first().map(String::as_str) {
+        Some("pareto") => pareto(rest),
+        Some("query") => query(rest),
+        Some("report") => report(rest),
+        Some("compact") => compact(rest),
+        Some("worker") => worker(rest),
+        _ => campaign(&args),
+    };
+    // A bad command line prints the usage text and exits 2; an error at
+    // run time exits 1.
+    let (message, code) = match job.map(|job| job()) {
+        Ok(Ok(())) => return ExitCode::SUCCESS,
+        Ok(Err(message)) => (message, 1),
+        Err(message) => (format!("{message}\n{USAGE}"), 2),
+    };
+    eprintln!("error: {message}");
+    ExitCode::from(code)
 }

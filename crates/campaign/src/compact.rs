@@ -26,16 +26,23 @@
 //! new manifest replaces the old one (readers dispatch on the partition
 //! *file extension*, so a v3 manifest over not-yet-swapped old partitions
 //! still reads correctly — the manifest's `done` set and the records agree
-//! at every instant), and only then are the partition directories renamed.
-//! A crash mid-swap leaves either the old store, the new store, or the new
-//! manifest over the old partitions — all three open fine; rerunning
-//! `compact` converges. Every new file and the temp partition directory are
-//! synced before the first rename, and the store directory after the last,
-//! so the old partitions are deleted only once the swap is durable: a power
-//! loss cannot leave renamed-but-empty files with the old copies gone.
+//! at every instant), and only then are the partition directories renamed:
+//! `cells/` to `cells.pre-compact/`, then `cells.compact-tmp/` to `cells/`.
+//! Every new file and the temp partition directory are synced before the
+//! manifest rename, and the store directory after the last rename, so the
+//! old partitions are deleted only once the swap is durable: a power loss
+//! cannot leave renamed-but-empty files with the old copies gone.
+//!
+//! The manifest rename commits the compaction. A crash after it leaves the
+//! new manifest over the old partitions, which reads fine, or, between the
+//! two directory renames, no `cells/` at all. Every opener of a store
+//! (`--resume`, workers, `query`, `report`, `pareto` and `compact` itself)
+//! therefore first finishes such a swap: it renames the synced temp
+//! directory into place, syncs the store directory and removes the old
+//! partitions. Rerunning `compact` converges from any crash point.
 
 use std::fs;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 
 use crate::agg::CellRow;
@@ -112,10 +119,7 @@ impl CompactStats {
 /// [`DEFAULT_COMPACT_CELLS_PER_PART`], or keep the store's width if it is
 /// already wider).
 pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<CompactStats, String> {
-    let manifest_path = dir.join(MANIFEST_NAME);
-    let text = fs::read_to_string(&manifest_path)
-        .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-    let manifest = ParsedManifest::parse(dir, &text)?;
+    let manifest = ParsedManifest::read(dir)?;
     let width = cells_per_part
         .unwrap_or_else(|| manifest.cells_per_part.max(DEFAULT_COMPACT_CELLS_PER_PART));
     if width == 0 {
@@ -204,19 +208,36 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
     // Swap, crash-tolerant at every point: manifest first (readers dispatch
     // per partition-file extension, so the new manifest over the old
     // partitions still reads), then the partition directories.
+    let manifest_path = dir.join(MANIFEST_NAME);
     fs::rename(&tmp_manifest, &manifest_path)
         .map_err(|e| format!("cannot swap in {}: {e}", manifest_path.display()))?;
     let old_parts = dir.join(OLD_PARTS);
     remove_stale(&old_parts)?;
     fs::rename(&parts_dir, &old_parts)
         .map_err(|e| format!("cannot retire {}: {e}", parts_dir.display()))?;
-    fs::rename(&tmp_parts, &parts_dir)
-        .map_err(|e| format!("cannot swap in {}: {e}", parts_dir.display()))?;
-    // The renames must be durable before the only other copy goes.
-    sync_dir(dir)?;
-    fs::remove_dir_all(&old_parts)
-        .map_err(|e| format!("cannot remove {}: {e}", old_parts.display()))?;
+    finish_swap(dir)?;
     Ok(stats)
+}
+
+/// Finish a committed swap that stopped between retiring `cells/` and
+/// renaming the new partitions into place: rename them, sync the store
+/// directory, then remove the old partitions. Does nothing while `cells/`
+/// exists. Of several openers racing here, one rename wins and the others
+/// find the temp directory gone; only the winner removes the old copy.
+pub(crate) fn finish_swap(dir: &Path) -> Result<(), String> {
+    let parts_dir = dir.join(PARTS_DIR);
+    if parts_dir.exists() {
+        return Ok(());
+    }
+    match fs::rename(dir.join(TMP_PARTS), &parts_dir) {
+        Ok(()) => {}
+        // No swap to finish, or another opener finished it.
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(format!("cannot swap in {}: {e}", parts_dir.display())),
+    }
+    // The rename must be durable before the only other copy goes.
+    sync_dir(dir)?;
+    remove_stale(&dir.join(OLD_PARTS))
 }
 
 /// Create `path` holding `data` and sync it to disk.
@@ -238,7 +259,7 @@ fn sync_dir(dir: &Path) -> Result<(), String> {
 /// Remove a left-over temp directory from a crashed run, if there is one.
 fn remove_stale(dir: &Path) -> Result<(), String> {
     match fs::remove_dir_all(dir) {
-        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+        Err(e) if e.kind() != ErrorKind::NotFound => {
             Err(format!("cannot remove {}: {e}", dir.display()))
         }
         _ => Ok(()),

@@ -32,10 +32,10 @@
 //! a single `O_APPEND` write (atomic on local Linux filesystems), then
 //! re-reads the log to learn whether its claim actually took effect —
 //! losing the race is detected, not prevented, and answered with jittered
-//! exponential [`Backoff`]. A line torn by a crash (or merged with another
-//! writer's record) fails to parse and is skipped, exactly like a torn
-//! manifest `done` line: truncation at any byte yields a clean prefix of
-//! intact records (pinned by `tests/lease_log.rs`).
+//! exponential [`Backoff`]. The log follows the store manifest's torn-tail
+//! rule ([`crate::store`]): truncation at any byte replays as a clean
+//! prefix of intact records (pinned by `tests/lease_log.rs`), and a line
+//! that is no intact record (fused with another) is skipped.
 //!
 //! Liveness: a worker that is `kill -9`'d or hangs stops renewing, its
 //! lease's deadline passes, and any other worker steals the batch. The
@@ -46,13 +46,12 @@
 //! byte-identical rows, which last-wins duplicate resolution collapses.
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use apc_workload::rng::SplitMix64;
 
+use crate::linelog::LineLog;
 use crate::store::MAX_STORE_CELLS;
 
 /// Name of the lease log inside a store directory.
@@ -513,16 +512,9 @@ fn check_geometry(total_cells: usize, lease_cells: usize) -> Result<(), String> 
 /// reader that replays new records into a [`LeaseState`].
 #[derive(Debug)]
 pub struct LeaseLog {
-    path: PathBuf,
-    file: fs::File,
+    log: LineLog,
     header: LeaseHeader,
     state: LeaseState,
-    /// Bytes of the log consumed so far (complete lines only).
-    read_pos: u64,
-    /// Partial last line carried between refreshes (a record another
-    /// writer had not finished flushing).
-    tail: Vec<u8>,
-    sync: bool,
 }
 
 impl LeaseLog {
@@ -550,38 +542,28 @@ impl LeaseLog {
         check_geometry(total_cells, lease_cells)
             .map_err(|e| format!("--lease-cells {lease_cells}: {e}"))?;
         let path = dir.join(LEASES_NAME);
-        let mut file = fs::File::create(&path)
+        let header = format!(
+            "{LEASES_MAGIC} {LEASES_VERSION} {spec_hash:016x} {total_cells} {lease_cells} {ttl_ms}\n"
+        );
+        LineLog::create(&path, &header)
             .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-        writeln!(
-            file,
-            "{LEASES_MAGIC} {LEASES_VERSION} {spec_hash:016x} {total_cells} {lease_cells} {ttl_ms}"
-        )
-        .and_then(|()| file.sync_data())
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         Ok(())
     }
 
     /// Open an existing lease log, parse its header, and replay the
     /// records present so far. A header whose geometry
     /// [`create`](Self::create) would refuse is an error before the
-    /// per-batch table is sized from it.
+    /// per-batch table is sized from it, and so is a header torn before
+    /// its newline.
     pub fn open(dir: &Path) -> Result<Self, String> {
-        let path = dir.join(LEASES_NAME);
-        let mut file = fs::OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-        // Parse the header line first; records stream in via refresh().
-        let mut text = String::new();
-        file.read_to_string(&mut text)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let header_line = text.lines().next().unwrap_or("");
+        let (log, text) = LineLog::open(&dir.join(LEASES_NAME))?;
+        let mut lines = text.lines();
+        let header_line = lines.next().unwrap_or("");
         let mut words = header_line.split_whitespace();
         if words.next() != Some(LEASES_MAGIC) {
             return Err(format!(
                 "{} is not a campaign lease log (bad magic line {header_line:?})",
-                path.display()
+                log.path.display()
             ));
         }
         let version: u32 = words
@@ -616,29 +598,17 @@ impl LeaseLog {
         };
         check_geometry(header.total_cells, header.lease_cells)
             .map_err(|e| format!("lease log header {header_line:?}: {e}"))?;
-        let header_len = text
-            .find('\n')
-            .map(|i| i + 1)
-            .ok_or_else(|| format!("{} has a torn header", path.display()))?;
-        file.seek(SeekFrom::Start(header_len as u64))
-            .map_err(|e| format!("cannot seek {}: {e}", path.display()))?;
-        let mut log = LeaseLog {
-            path,
-            file,
-            state: LeaseState::new(header.batch_count()),
+        Ok(LeaseLog {
+            state: LeaseState::replay(header.batch_count(), lines),
             header,
-            read_pos: header_len as u64,
-            tail: Vec::new(),
-            sync: true,
-        };
-        log.refresh()?;
-        Ok(log)
+            log,
+        })
     }
 
     /// Disable (or re-enable) fsync on record appends — the `--no-sync`
     /// escape hatch for tests and benches.
     pub fn set_sync(&mut self, sync: bool) {
-        self.sync = sync;
+        self.log.sync = sync;
     }
 
     /// The header geometry.
@@ -653,7 +623,7 @@ impl LeaseLog {
                 "lease log at {} was created for a different campaign spec \
                  (recorded fingerprint {:016x}, this worker's grid {spec_hash:016x}) — \
                  every worker must run the exact grid flags the coordinator used",
-                self.path.display(),
+                self.log.path.display(),
                 self.header.spec_hash,
             ));
         }
@@ -661,7 +631,7 @@ impl LeaseLog {
             return Err(format!(
                 "lease log at {} records {} cells but this worker's grid expands to \
                  {total_cells}",
-                self.path.display(),
+                self.log.path.display(),
                 self.header.total_cells,
             ));
         }
@@ -675,69 +645,45 @@ impl LeaseLog {
 
     /// Read records appended since the last refresh (by this or any other
     /// process) and fold them into the state. Only complete lines are
-    /// consumed; a partial final line is carried to the next refresh.
+    /// read; a partial last line waits for the refresh after it completes.
+    /// A log now shorter than this handle has read was created again, by
+    /// another coordinator: the handle stops there.
     pub fn refresh(&mut self) -> Result<(), String> {
-        let mut buf = Vec::new();
-        self.file
-            .seek(SeekFrom::Start(self.read_pos))
-            .and_then(|_| self.file.read_to_end(&mut buf))
-            .map_err(|e| format!("cannot read {}: {e}", self.path.display()))?;
-        self.read_pos += buf.len() as u64;
-        self.tail.extend_from_slice(&buf);
-        // Consume up to the last newline; keep the rest as the new tail.
-        let Some(last_nl) = self.tail.iter().rposition(|&b| b == b'\n') else {
-            return Ok(());
-        };
-        let complete: Vec<u8> = self.tail.drain(..=last_nl).collect();
-        for line in String::from_utf8_lossy(&complete).lines() {
+        let (replaced, text) = self.log.read()?;
+        if replaced {
+            return Err(format!("{} was created again", self.log.path.display()));
+        }
+        for line in text.lines() {
             self.state.apply_line(line);
         }
         Ok(())
     }
 
-    /// Append one record line with a single `O_APPEND` write. The caller
-    /// must [`refresh`](Self::refresh) afterwards and re-check ownership —
+    /// Append one record line with a single `O_APPEND` write, starting a
+    /// fresh line if the log read so far ends inside one. The caller must
+    /// [`refresh`](Self::refresh) afterwards and re-check ownership —
     /// appending is not winning.
-    ///
-    /// If the log read so far ends inside a line (a record torn by a writer
-    /// killed mid-append, seen by [`open`](Self::open) or the last refresh),
-    /// the record starts with a newline in the same write, so it is not
-    /// glued to the fragment. A handle that only reads writes nothing.
-    fn append_record(&mut self, line: &str) -> Result<(), String> {
-        let mut bytes = Vec::with_capacity(line.len() + 2);
-        if !self.tail.is_empty() {
-            bytes.push(b'\n');
-        }
-        bytes.extend_from_slice(line.as_bytes());
-        bytes.push(b'\n');
-        self.file
-            .write_all(&bytes)
-            .and_then(|()| {
-                if self.sync {
-                    self.file.sync_data()
-                } else {
-                    Ok(())
-                }
-            })
-            .map_err(|e| format!("cannot append to {}: {e}", self.path.display()))?;
-        Ok(())
+    fn append_record(&mut self, record: std::fmt::Arguments) -> Result<(), String> {
+        self.log
+            .append(record)
+            .map_err(|e| format!("cannot append to {}: {e}", self.log.path.display()))
     }
 
     /// Append a claim for `batch` by `worker`, valid until `now + ttl`.
     pub fn append_claim(&mut self, batch: usize, worker: usize, now_ms: u64) -> Result<(), String> {
         let deadline = now_ms + self.header.ttl_ms;
-        self.append_record(&format!("claim {batch} {worker} {now_ms} {deadline}"))
+        self.append_record(format_args!("claim {batch} {worker} {now_ms} {deadline}"))
     }
 
     /// Append a heartbeat renew for `batch` by `worker`.
     pub fn append_renew(&mut self, batch: usize, worker: usize, now_ms: u64) -> Result<(), String> {
         let deadline = now_ms + self.header.ttl_ms;
-        self.append_record(&format!("renew {batch} {worker} {now_ms} {deadline}"))
+        self.append_record(format_args!("renew {batch} {worker} {now_ms} {deadline}"))
     }
 
     /// Append a completion record for `batch` by `worker`.
     pub fn append_done(&mut self, batch: usize, worker: usize, now_ms: u64) -> Result<(), String> {
-        self.append_record(&format!("done {batch} {worker} {now_ms}"))
+        self.append_record(format_args!("done {batch} {worker} {now_ms}"))
     }
 }
 
@@ -787,6 +733,8 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("apc-lease-test-{tag}-{}", std::process::id()));
@@ -998,6 +946,10 @@ mod tests {
         a.append_done(0, 0, 400).unwrap();
         b.refresh().unwrap();
         assert_eq!(b.state().done_count(), 1);
+        // A coordinator creating the log again strands the old handles.
+        LeaseLog::create(&dir, 0x1, 100, 10, 1_000).unwrap();
+        let err = b.refresh().unwrap_err();
+        assert!(err.ends_with("leases.log was created again"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

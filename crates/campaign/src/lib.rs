@@ -58,6 +58,7 @@ pub mod compact;
 pub mod diff;
 pub mod exec;
 pub mod lease;
+mod linelog;
 pub mod obs;
 pub mod pareto;
 pub mod progress;

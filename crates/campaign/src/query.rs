@@ -36,14 +36,11 @@
 //! `inf`, NaN as an empty field), unlike the six-decimal renders.
 
 use std::collections::BTreeMap;
-use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::agg::{CellRow, Column, Field};
 use crate::colstore::PartitionBuf;
-use crate::store::{
-    read_part, sorted_part_paths, DoneSet, ParsedManifest, MANIFEST_NAME, PARTS_DIR,
-};
+use crate::store::{read_part, sorted_part_paths, DoneSet, ParsedManifest, PARTS_DIR};
 
 /// A conjunctive row filter: every populated field must match.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -447,10 +444,7 @@ impl StoreScanner {
     /// Validate the manifest of the store at `dir` and prepare a scanner.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, String> {
         let dir = dir.into();
-        let manifest_path = dir.join(MANIFEST_NAME);
-        let text = fs::read_to_string(&manifest_path)
-            .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-        let manifest = ParsedManifest::parse(&dir, &text)?;
+        let manifest = ParsedManifest::read(&dir)?;
         Ok(StoreScanner { dir, manifest })
     }
 
@@ -640,6 +634,8 @@ pub fn scan_store(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::MANIFEST_NAME;
+    use std::fs;
     use std::path::PathBuf;
 
     fn row(index: usize, workload: &str, scenario: &str) -> CellRow {

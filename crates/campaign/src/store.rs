@@ -18,6 +18,11 @@
 //! crash between the two writes, or a record torn mid-write) is simply not
 //! trusted and the cell reruns on resume.
 //!
+//! The manifest is a line log like the lease log ([`crate::lease`]), with
+//! one torn-tail rule: readers take complete lines only, so `done 123` cut
+//! to `done 1` is not cell 1; opening writes nothing; and a `done` appended
+//! after a torn tail starts a fresh line, not glued to the fragment.
+//!
 //! A log entry may also name an inclusive range, `done <first>-<last>`.
 //! `campaign compact` writes the completed set that way, one line per
 //! maximal run of consecutive cells, so a compacted store's manifest is
@@ -52,7 +57,8 @@
 //! [`CellRow::parse_store_line`] accepts (bit-exact too). A resumed v2
 //! store appends its missing cells as `.apc` partitions beside the CSV
 //! ones, and `campaign compact` migrates it to v3. Extension dispatch also
-//! keeps the compact swap crash-tolerant.
+//! keeps the compact swap crash-tolerant, and every opener finishes a swap
+//! that a crash interrupted before it reads ([`crate::compact`]).
 //!
 //! Appends are fsync'd by default — the partition file before the `done`
 //! line, the manifest after it — so a crash cannot reorder a completion
@@ -71,11 +77,13 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::agg::CellRow;
 use crate::colstore::{self, PartitionBuf};
+use crate::compact::finish_swap;
+use crate::linelog::LineLog;
 use crate::query::{scan_parts, Projection, RowFilter, ScanFlow};
 
 /// Store format magic + schema version, the first manifest line.
@@ -303,12 +311,6 @@ pub(crate) fn manifest_header(spec_hash: u64, total_cells: usize, cells_per_part
     )
 }
 
-/// Length of the prefix of `bytes` made of complete (`\n`-terminated)
-/// lines.
-fn complete_lines_len(bytes: &[u8]) -> usize {
-    bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
-}
-
 /// A parsed `manifest.txt`: the header fields plus the trusted `done` set.
 /// Shared by the full loader ([`ResultStore::open`]), the streaming query
 /// path ([`crate::query::scan_store`]) and [`crate::compact`] so all three
@@ -413,6 +415,20 @@ impl ParsedManifest {
             done,
         })
     }
+
+    /// [`parse`](Self::parse) the manifest text of the store at `dir`,
+    /// naming the manifest in any error.
+    fn parse_of(dir: &Path, text: &str) -> Result<Self, String> {
+        Self::parse(dir, text).map_err(|e| format!("{}: {e}", dir.join(MANIFEST_NAME).display()))
+    }
+
+    /// Parse the complete lines of the manifest of the store at `dir`, for
+    /// a reader that never appends. Like every opener of a store, it first
+    /// finishes a compaction swap that a crash interrupted.
+    pub(crate) fn read(dir: &Path) -> Result<Self, String> {
+        finish_swap(dir)?;
+        Self::parse_of(dir, &LineLog::read_file(&dir.join(MANIFEST_NAME))?)
+    }
 }
 
 /// An append-only, crash-resumable campaign result store.
@@ -436,45 +452,19 @@ pub struct ResultStore {
     /// [`refresh_done`](Self::refresh_done) merges completions other
     /// workers appended since.
     done: DoneSet,
-    /// Append handle for the manifest completion log.
-    manifest: fs::File,
-    /// Byte offset just past the last complete manifest line this handle
-    /// has read: [`refresh_done`](Self::refresh_done) reads from here.
-    manifest_pos: u64,
+    /// The manifest's completion log: this handle's `done` appends, and
+    /// the lines [`refresh_done`](Self::refresh_done) reads after them.
+    /// Its `sync` flag also covers the partition files: fsync the
+    /// partition before the `done` append and the manifest after it (the
+    /// ordering a crash cannot reorder). On by default; `--no-sync` clears
+    /// it for tests and benches.
+    manifest: LineLog,
     /// Cached append handle for the most recently written partition.
     current_part: Option<(usize, fs::File)>,
     /// Worker id recorded in this handle's partition file names
     /// (`part-NNNN-wW.apc`), so concurrent worker processes never append
     /// to one another's partition files. `None` for single-process stores.
     worker_tag: Option<usize>,
-    /// fsync the partition file before the `done` append and the manifest
-    /// after it (the ordering a crash cannot reorder). On by default;
-    /// `--no-sync` clears it for tests and benches.
-    sync: bool,
-}
-
-/// Read and parse the manifest of the store at `dir` and open it for
-/// appending. Returns the parsed manifest, the append handle and the
-/// length of the text's complete lines (where an incremental reader
-/// resumes).
-fn open_manifest(dir: &Path) -> Result<(ParsedManifest, fs::File, u64), String> {
-    let manifest_path = dir.join(MANIFEST_NAME);
-    let text = fs::read_to_string(&manifest_path)
-        .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-    let parsed = ParsedManifest::parse(dir, &text)?;
-    let mut manifest = fs::OpenOptions::new()
-        .append(true)
-        .open(&manifest_path)
-        .map_err(|e| format!("cannot reopen {}: {e}", manifest_path.display()))?;
-    // If the previous run died mid-line, terminate the torn line so the
-    // next `done` append starts on a fresh one.
-    if !text.is_empty() && !text.ends_with('\n') {
-        manifest
-            .write_all(b"\n")
-            .map_err(|e| format!("cannot repair {}: {e}", manifest_path.display()))?;
-    }
-    let pos = complete_lines_len(text.as_bytes()) as u64;
-    Ok((parsed, manifest, pos))
 }
 
 impl ResultStore {
@@ -503,26 +493,10 @@ impl ResultStore {
             fs::remove_dir_all(&parts)?;
         }
         fs::create_dir_all(&parts)?;
-        let manifest_path = dir.join(MANIFEST_NAME);
-        let mut manifest = fs::File::create(&manifest_path)?;
         let header = manifest_header(spec_hash, total_cells, DEFAULT_CELLS_PER_PART);
-        manifest.write_all(header.as_bytes())?;
-        manifest.flush()?;
-        // One-off: make the header durable before any worker trusts it.
-        manifest.sync_data()?;
-        Ok(ResultStore {
-            dir,
-            spec_hash,
-            total_cells,
-            cells_per_part: DEFAULT_CELLS_PER_PART,
-            rows: BTreeMap::new(),
-            done: DoneSet::new(total_cells),
-            manifest,
-            manifest_pos: header.len() as u64,
-            current_part: None,
-            worker_tag: None,
-            sync: true,
-        })
+        // Synced: the header is durable before any worker trusts it.
+        LineLog::create(&dir.join(MANIFEST_NAME), &header)?;
+        Self::open_log(dir, None).map_err(io::Error::other)
     }
 
     /// Open an existing store, parsing the manifest and loading every
@@ -530,35 +504,21 @@ impl ResultStore {
     ///
     /// Untrusted data is skipped, never fatal: rows without a `done`
     /// manifest entry (crash between row and log append), records that fail
-    /// to parse (a line or block torn by a crash), trailing torn `done`
-    /// lines, and `done` entries outside the header's cell count.
+    /// to parse (a line or block torn by a crash), a torn last manifest
+    /// line, and `done` entries outside the header's cell count.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, String> {
-        let dir = dir.into();
-        let (parsed, manifest, manifest_pos) = open_manifest(&dir)?;
+        let mut store = Self::open_log(dir.into(), None)?;
         // Every trusted row, as the one store reader resolves it. A done
         // entry whose row is missing or unreadable is dropped from the
         // trusted set; the executor will simply rerun that cell.
-        let mut rows = BTreeMap::new();
-        let mut done = DoneSet::new(parsed.total_cells);
+        let logged = std::mem::replace(&mut store.done, DoneSet::new(store.total_cells));
         let all = RowFilter::default();
-        scan_parts(&dir, &parsed.done, &all, Projection::ALL, |row| {
-            done.insert(row.index);
-            rows.insert(row.index, row.clone());
+        scan_parts(&store.dir, &logged, &all, Projection::ALL, |row| {
+            store.done.insert(row.index);
+            store.rows.insert(row.index, row.clone());
             Ok(ScanFlow::Continue)
         })?;
-        Ok(ResultStore {
-            dir,
-            spec_hash: parsed.spec_hash,
-            total_cells: parsed.total_cells,
-            cells_per_part: parsed.cells_per_part,
-            rows,
-            done,
-            manifest,
-            manifest_pos,
-            current_part: None,
-            worker_tag: None,
-            sync: true,
-        })
+        Ok(store)
     }
 
     /// Open the store as distributed worker `worker`: the manifest's raw
@@ -571,8 +531,16 @@ impl ResultStore {
     /// `done` appends are single `O_APPEND` writes, atomic between
     /// processes on a local filesystem.
     pub fn open_worker(dir: impl Into<PathBuf>, worker: usize) -> Result<Self, String> {
-        let dir = dir.into();
-        let (parsed, manifest, manifest_pos) = open_manifest(&dir)?;
+        Self::open_log(dir.into(), Some(worker))
+    }
+
+    /// A handle on the store at `dir` that trusts the manifest's `done` log
+    /// as is and holds no rows, once a compaction swap that a crash
+    /// interrupted is finished.
+    fn open_log(dir: PathBuf, worker_tag: Option<usize>) -> Result<Self, String> {
+        finish_swap(&dir)?;
+        let (manifest, text) = LineLog::open(&dir.join(MANIFEST_NAME))?;
+        let parsed = ParsedManifest::parse_of(&dir, &text)?;
         Ok(ResultStore {
             dir,
             spec_hash: parsed.spec_hash,
@@ -581,43 +549,26 @@ impl ResultStore {
             rows: BTreeMap::new(),
             done: parsed.done,
             manifest,
-            manifest_pos,
             current_part: None,
-            worker_tag: Some(worker),
-            sync: true,
+            worker_tag,
         })
     }
 
-    /// Merge the `done` entries appended to the manifest since this handle
-    /// last read it — by other workers or by this handle. Returns the total
-    /// completed count.
-    ///
-    /// Only the bytes past the last complete line already consumed are
-    /// read, so a refresh costs the appends since the previous one, not the
-    /// whole log. A trailing line without its `\n` may still be being
-    /// written; it is left for the refresh after it completes. A manifest
-    /// now shorter than that offset was replaced (by `campaign compact`),
-    /// and is re-read from the start: its completed set replaces this
-    /// handle's. This handle's own appends still go to the file it opened,
-    /// so compact a store only while no worker is running.
+    /// Merge the complete `done` lines appended to the manifest since this
+    /// handle last read it — by other workers or by this handle — so a
+    /// refresh costs the appends since the previous one, not the whole log.
+    /// Returns the total completed count. A manifest replaced by a shorter
+    /// one (by `campaign compact`) is re-read whole, and its completed set
+    /// replaces this handle's; this handle's own appends still go to the
+    /// file it opened, so compact a store only while no worker is running.
     pub fn refresh_done(&mut self) -> Result<usize, String> {
-        let manifest_path = self.dir.join(MANIFEST_NAME);
-        let read_err = |e: io::Error| format!("cannot read {}: {e}", manifest_path.display());
-        let mut file = fs::File::open(&manifest_path).map_err(read_err)?;
-        let replaced = file.metadata().map_err(read_err)?.len() < self.manifest_pos;
-        let from = if replaced { 0 } else { self.manifest_pos };
-        let mut buf = Vec::new();
-        file.seek(SeekFrom::Start(from))
-            .and_then(|_| file.read_to_end(&mut buf))
-            .map_err(read_err)?;
-        let complete = complete_lines_len(&buf);
-        let text = String::from_utf8_lossy(&buf[..complete]);
+        let (replaced, text) = self.manifest.read()?;
         if replaced {
-            let parsed = ParsedManifest::parse(&self.dir, &text)?;
+            let parsed = ParsedManifest::parse_of(&self.dir, &text)?;
             if parsed.spec_hash != self.spec_hash || parsed.total_cells != self.total_cells {
                 return Err(format!(
                     "{} was replaced by the manifest of a different store",
-                    manifest_path.display()
+                    self.manifest.path.display()
                 ));
             }
             self.done = parsed.done;
@@ -629,7 +580,6 @@ impl ResultStore {
                 }
             }
         }
-        self.manifest_pos = from + complete as u64;
         Ok(self.done.len())
     }
 
@@ -638,7 +588,7 @@ impl ResultStore {
     /// page cache — acceptable for tests and benches, not for campaigns
     /// anyone intends to resume or distribute.
     pub fn set_sync(&mut self, sync: bool) {
-        self.sync = sync;
+        self.manifest.sync = sync;
     }
 
     /// Check the store belongs to this campaign before resuming into it.
@@ -708,18 +658,13 @@ impl ResultStore {
         let (_, file) = self.current_part.as_mut().expect("part handle just set");
         file.write_all(&colstore::encode_block(std::slice::from_ref(row)))?;
         file.flush()?;
-        if self.sync {
+        if self.manifest.sync {
             file.sync_data()?;
         }
-        // One write_all, not writeln!'s several: concurrent worker
-        // processes share the manifest via O_APPEND, and a single write of
-        // a whole line is atomic between them on a local filesystem.
-        self.manifest
-            .write_all(format!("done {}\n", row.index).as_bytes())?;
-        self.manifest.flush()?;
-        if self.sync {
-            self.manifest.sync_data()?;
-        }
+        // One write of the whole line: concurrent worker processes share
+        // the manifest via O_APPEND, and a single write is atomic between
+        // them on a local filesystem.
+        self.manifest.append(format_args!("done {}", row.index))?;
         self.done.insert(row.index);
         if self.worker_tag.is_none() {
             self.rows.insert(row.index, row.clone());
@@ -957,6 +902,71 @@ mod tests {
         fs::write(&manifest_path, text).unwrap();
         let reopened = ResultStore::open(&dir).unwrap();
         assert_eq!(reopened.completed_count(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `done 123` cut to `done 1` is a torn line, not cell 1, for every
+    /// reader, and opening the store writes nothing to repair it.
+    #[test]
+    fn a_done_line_cut_mid_number_is_not_read_as_a_shorter_index() {
+        let dir = temp_dir("torn-prefix");
+        let mut store = ResultStore::create(&dir, 1, 200).unwrap();
+        store.set_sync(false);
+        for i in [0, 2, 3, 123] {
+            store.append(&row(i)).unwrap();
+        }
+        drop(store);
+        let manifest_path = dir.join(MANIFEST_NAME);
+        let text = fs::read_to_string(&manifest_path).unwrap();
+        let torn = text.strip_suffix("done 123\n").unwrap().to_string() + "done 1";
+        fs::write(&manifest_path, &torn).unwrap();
+        let worker = ResultStore::open_worker(&dir, 0).unwrap();
+        let full = ResultStore::open(&dir).unwrap();
+        let scanner = crate::query::StoreScanner::open(&dir).unwrap();
+        for store in [&worker, &full] {
+            assert_eq!(store.completed().collect::<Vec<_>>(), [0, 2, 3]);
+            assert!(!store.contains(1) && !store.contains(123));
+        }
+        assert_eq!(scanner.completed_count(), 3);
+        assert_eq!(scanner.rows().unwrap().len(), 3);
+        assert_eq!(fs::read_to_string(&manifest_path).unwrap(), torn);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A worker that has read another writer's torn `done 7` starts its own
+    /// `done 9` on a fresh line, and every reader trusts it.
+    #[test]
+    fn a_done_appended_after_a_torn_line_is_not_glued_to_it() {
+        let dir = temp_dir("torn-glue");
+        drop(ResultStore::create(&dir, 1, 20).unwrap());
+        let mut w0 = ResultStore::open_worker(&dir, 0).unwrap();
+        let mut w1 = ResultStore::open_worker(&dir, 1).unwrap();
+        w0.set_sync(false);
+        w1.set_sync(false);
+        for i in 0..3 {
+            w1.append(&row(i)).unwrap();
+        }
+        w1.append(&row(7)).unwrap();
+        // w1 died writing its last line: the newline never landed.
+        let manifest_path = dir.join(MANIFEST_NAME);
+        let text = fs::read_to_string(&manifest_path).unwrap();
+        fs::write(&manifest_path, text.strip_suffix('\n').unwrap()).unwrap();
+        assert_eq!(w0.refresh_done().unwrap(), 3);
+        w0.append(&row(9)).unwrap();
+        let text = fs::read_to_string(&manifest_path).unwrap();
+        assert!(text.ends_with("\ndone 7\ndone 9\n"), "{text:?}");
+        let full = ResultStore::open(&dir).unwrap();
+        let fresh = ResultStore::open_worker(&dir, 2).unwrap();
+        assert_eq!(w1.refresh_done().unwrap(), 5);
+        for store in [&full, &fresh, &w1] {
+            assert!(
+                store.contains(9),
+                "{:?}",
+                store.completed().collect::<Vec<_>>()
+            );
+        }
+        let scanner = crate::query::StoreScanner::open(&dir).unwrap();
+        assert!(scanner.rows().unwrap().iter().any(|r| r.index == 9));
         fs::remove_dir_all(&dir).unwrap();
     }
 

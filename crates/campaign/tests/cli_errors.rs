@@ -1,10 +1,12 @@
-//! Malformed command lines exit 2 with a located message.
+//! Malformed command lines exit 2 with a located message; well-formed ones
+//! that fail at run time exit 1 without the usage text.
 //!
 //! Each case drives the real `campaign` or `campaign-diff` binary and pins
 //! the exit status and the exact first line of stderr (the usage text
-//! follows it). The store directory named in the subcommand cases does not
-//! exist: every one of these calls must fail on its arguments before it
-//! looks at the store.
+//! follows it on exit 2). The store directory named in the subcommand
+//! cases does not exist: every malformed call must fail on its arguments
+//! before it looks at the store, and every well-formed one fails on the
+//! store.
 
 use std::process::Command;
 
@@ -182,6 +184,66 @@ fn malformed_campaign_calls_exit_2_with_their_message() {
     for (args, expected) in cases {
         assert_eq!(first_error_line(CAMPAIGN, &args), expected, "{args:?}");
     }
+}
+
+/// The exit status and stderr of a call expected to fail.
+fn failure(args: &[&str]) -> (Option<i32>, String) {
+    let output = Command::new(CAMPAIGN).args(args).output().unwrap();
+    assert!(output.stdout.is_empty(), "{args:?} printed to stdout");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    (output.status.code(), stderr)
+}
+
+#[test]
+fn run_time_errors_exit_1_without_the_usage_text() {
+    let dir = std::env::temp_dir().join(format!("apc-cli-runtime-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir = dir.to_str().expect("temp dir is UTF-8");
+    let missing =
+        format!("error: cannot read {dir}/manifest.txt: No such file or directory (os error 2)");
+    for subcommand in ["report", "query", "pareto", "compact"] {
+        let (code, stderr) = failure(&[subcommand, dir]);
+        assert_eq!(code, Some(1), "{subcommand}: {stderr}");
+        assert_eq!(stderr, format!("{missing}\n"), "{subcommand}");
+    }
+    // A worker whose grid is not the one the store was created for.
+    let grid = [
+        "--seeds",
+        "1",
+        "--racks",
+        "1",
+        "--intervals",
+        "medianjob",
+        "--policies",
+        "shut",
+        "--caps",
+        "60",
+        "--quiet",
+    ];
+    let status = Command::new(CAMPAIGN)
+        .args(grid)
+        .args(["--distributed", dir, "--workers", "0"])
+        .output()
+        .unwrap()
+        .status;
+    assert!(status.success());
+    let (code, stderr) = failure(
+        &[
+            &["worker", dir, "--worker-id", "0"][..],
+            &grid,
+            &["--caps", "40"],
+        ]
+        .concat(),
+    );
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!(
+            "error: store at {dir} was produced by a different campaign spec"
+        )),
+        "{stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]

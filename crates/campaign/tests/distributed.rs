@@ -76,9 +76,10 @@ fn outputs(dir: &Path) -> [Vec<u8>; 2] {
     })
 }
 
-/// The single-process reference rendering of the grid.
-fn reference() -> [Vec<u8>; 2] {
-    let dir = temp_dir("ref");
+/// The single-process reference rendering of the grid, in a directory of
+/// the calling test's own: tests run concurrently.
+fn reference(tag: &str) -> [Vec<u8>; 2] {
+    let dir = temp_dir(&format!("ref-{tag}"));
     let mut args = GRID.to_vec();
     let dir_s = dir.to_str().unwrap().to_string();
     args.extend(["--out", &dir_s]);
@@ -102,7 +103,7 @@ fn distributed_workers_match_single_process_bytes() {
         "10",
     ]);
     run_ok(&args);
-    assert_eq!(outputs(&dir), reference(), "2-worker output differs");
+    assert_eq!(outputs(&dir), reference("happy"), "2-worker output differs");
     // The lease log records the full campaign as done with no steals.
     let log = LeaseLog::open(&dir).unwrap();
     assert!(log.state().all_done());
@@ -183,5 +184,9 @@ fn killed_worker_is_stolen_and_bytes_still_match() {
     let mut args = GRID.to_vec();
     args.extend(["--resume", &dir_s]);
     run_ok(&args);
-    assert_eq!(outputs(&dir), reference(), "post-kill output differs");
+    assert_eq!(
+        outputs(&dir),
+        reference("chaos"),
+        "post-kill output differs"
+    );
 }

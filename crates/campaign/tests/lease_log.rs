@@ -317,8 +317,8 @@ proptest! {
 /// `campaign report` prints an oversized lease header as unreadable and
 /// goes on (exit 0) — it once panicked or aborted before the
 /// `lease log unreadable` branch — and a worker refuses it with a clean
-/// error. The report prints the spec fingerprint in hex, as the manifest
-/// records it.
+/// run-time error (exit 1). The report prints the spec fingerprint in hex,
+/// as the manifest records it.
 #[test]
 fn oversized_lease_headers_are_reported_not_crashed_on() {
     const BIN: &str = env!("CARGO_BIN_EXE_campaign");
@@ -376,7 +376,7 @@ fn oversized_lease_headers_are_reported_not_crashed_on() {
             .output()
             .unwrap();
         let stderr = String::from_utf8_lossy(&worker.stderr);
-        assert_eq!(worker.status.code(), Some(2), "{stderr}");
+        assert_eq!(worker.status.code(), Some(1), "{stderr}");
         assert!(stderr.contains("cells exceed the limit"), "{stderr}");
     }
     fs::remove_dir_all(&dir).ok();
