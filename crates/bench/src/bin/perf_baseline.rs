@@ -75,7 +75,6 @@ use apc_core::{PowercapConfig, PowercapHook, PowercapPolicy};
 use apc_obs::{Registry, SpanRecorder};
 use apc_replay::{ReplayHarness, Scenario};
 use apc_rjms::cluster::Platform;
-use apc_rjms::config::ControllerConfig;
 use apc_rjms::controller::Controller;
 use apc_rjms::job::JobSubmission;
 use apc_rjms::obs::ControllerObs;
@@ -273,11 +272,7 @@ fn measure_gated(budget: Duration) -> (ReplayNumbers, u64, f64) {
     let mut events = 0u64;
     let wall = best_of(budget, || {
         let hook = PowercapHook::new(PowercapConfig::for_policy(PowercapPolicy::Mix), &platform);
-        let mut controller = Controller::with_hook(
-            platform.clone(),
-            ControllerConfig::default(),
-            Box::new(hook),
-        );
+        let mut controller = Controller::with_hook(platform.clone(), Box::new(hook));
         for (window, cap) in scenario.reservations(&platform) {
             controller.add_powercap_reservation(window, cap);
         }
@@ -306,11 +301,7 @@ fn measure_gated(budget: Duration) -> (ReplayNumbers, u64, f64) {
 /// Returns the number of scheduling passes the run took.
 fn run_pass_bench(platform: &Platform) -> u64 {
     let hook = PowercapHook::new(PowercapConfig::for_policy(PowercapPolicy::Mix), platform);
-    let mut controller = Controller::with_hook(
-        platform.clone(),
-        ControllerConfig::default(),
-        Box::new(hook),
-    );
+    let mut controller = Controller::with_hook(platform.clone(), Box::new(hook));
     let cap = platform.power_fraction(0.6);
     controller.add_powercap_reservation(apc_rjms::time::TimeWindow::new(0, 4 * HOUR), cap);
     // 2 000 pending 10-node jobs on a 180-node machine: ~18 can run at

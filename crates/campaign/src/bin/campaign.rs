@@ -119,8 +119,12 @@
 //!
 //! Every mode exits 0 on success, 2 after the usage text for a bad
 //! command line, and 1 for an error at run time: a missing or foreign
-//! store, a grid that does not match the store, a failed write.
+//! store, a grid that does not match the store, a failed write. A stdout
+//! whose reader has gone (`campaign query DIR | head -1`) is no error: the
+//! output stops there and the command still exits 0.
 
+use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -289,7 +293,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     while let Some(arg) = args.next_arg() {
         match arg {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                Stdout::new().write(format_args!("{USAGE}\n"))?;
                 return Ok(None);
             }
             "--threads" => threads = args.parse("an integer")?,
@@ -526,7 +530,7 @@ fn run(options: Options) -> Result<(), String> {
     let outcome = outcome?;
 
     if !options.quiet {
-        print!("{}", render_summary_table(&outcome.summaries));
+        Stdout::new().write(format_args!("{}", render_summary_table(&outcome.summaries)))?;
     }
 
     // Render the store-derived outcome: run_with_store reads every row —
@@ -700,7 +704,7 @@ fn run_distributed(options: Options, raw_args: &[String]) -> Result<(), String> 
     let rows = store.rows();
     let summaries = summarize(&rows);
     if !options.quiet {
-        print!("{}", render_summary_table(&summaries));
+        Stdout::new().write(format_args!("{}", render_summary_table(&summaries)))?;
     }
     let written = render_outputs(&dir, options.format, &rows, &summaries)?;
     eprintln!(
@@ -830,7 +834,7 @@ fn pareto(args: &[String]) -> Result<Job, String> {
             let out = out.unwrap_or_else(|| format!("{dir}/pareto-cells.csv"));
             std::fs::write(&out, &csv).map_err(|e| format!("cannot write {out}: {e}"))?;
             if !quiet {
-                print!("{csv}");
+                Stdout::new().write(format_args!("{csv}"))?;
             }
             eprintln!(
                 "pareto cells front: {} of {} replication(s) non-dominated; wrote {out}",
@@ -845,7 +849,7 @@ fn pareto(args: &[String]) -> Result<Job, String> {
         let out = out.unwrap_or_else(|| format!("{dir}/pareto.csv"));
         std::fs::write(&out, &csv).map_err(|e| format!("cannot write {out}: {e}"))?;
         if !quiet {
-            print!("{csv}");
+            Stdout::new().write(format_args!("{csv}"))?;
         }
         eprintln!(
             "pareto front: {} of {} summary rows non-dominated ({} cells); wrote {out}",
@@ -913,9 +917,12 @@ fn query(args: &[String]) -> Result<Job, String> {
                 aggregator.fold(row)?;
                 Ok(ScanFlow::Continue)
             })?;
-            println!("{}", aggregator.header());
+            let mut out = Stdout::new();
+            out.write(format_args!("{}\n", aggregator.header()))?;
             for line in aggregator.rows(limit) {
-                println!("{line}");
+                if !out.write(format_args!("{line}\n"))? {
+                    break;
+                }
             }
             eprintln!(
                 "{} row(s) matched; {} group(s); {} partition(s) zone-skipped",
@@ -936,14 +943,18 @@ fn query(args: &[String]) -> Result<Job, String> {
         // stdout — a bad directory must not leave a lone CSV header behind.
         let scanner = StoreScanner::open(&dir)?;
         let names: Vec<&str> = columns.iter().map(|c| c.name()).collect();
-        println!("{}", names.join(","));
+        let mut out = Stdout::new();
+        out.write(format_args!("{}\n", names.join(",")))?;
         if limit == Some(0) {
             eprintln!("0 row(s) matched; 0 printed; 0 partition(s) zone-skipped");
             return Ok(());
         }
         let mut printed = 0usize;
         let stats = scanner.scan_projected(&filter, projection, |row| {
-            println!("{}", project_row(row, &columns));
+            // A closed stdout ends the scan like --limit does.
+            if !out.write(format_args!("{}\n", project_row(row, &columns)))? {
+                return Ok(ScanFlow::Stop);
+            }
             printed += 1;
             // --limit ends the scan here: partitions past the N-th match are
             // never opened.
@@ -957,10 +968,10 @@ fn query(args: &[String]) -> Result<Job, String> {
             "{} row(s) matched; {printed} printed; {} partition(s) zone-skipped{}",
             stats.matched,
             stats.partitions_skipped,
-            if stats.stopped_early {
-                " (scan stopped at --limit)"
-            } else {
-                ""
+            match (out.closed, stats.stopped_early) {
+                (true, _) => " (scan stopped: stdout closed)",
+                (false, true) => " (scan stopped at --limit)",
+                (false, false) => "",
             },
         );
         Ok(())
@@ -1026,21 +1037,24 @@ fn report(args: &[String]) -> Result<Job, String> {
         } else {
             "partial — finish it with --resume".to_string()
         };
-        println!(
-            "campaign {dir}: {}/{} cells recorded ({state}), spec {:016x}",
+        let mut out = Stdout::new();
+        out.write(format_args!(
+            "campaign {dir}: {}/{} cells recorded ({state}), spec {:016x}\n",
             rows.len(),
             scanner.total_cells(),
             scanner.spec_hash(),
-        );
+        ))?;
         let dir_path = std::path::Path::new(&dir);
         if dir_path.join(LEASES_NAME).exists() {
             match LeaseLog::open(dir_path) {
-                Ok(log) => print!("{}", render_leases(&log)),
-                Err(e) => println!("lease log unreadable: {e}"),
-            }
+                Ok(log) => out.write(format_args!("{}", render_leases(&log)))?,
+                Err(e) => out.write(format_args!("lease log unreadable: {e}\n"))?,
+            };
         }
         if rows.is_empty() {
-            println!("no completed cells yet — nothing to summarize");
+            out.write(format_args!(
+                "no completed cells yet — nothing to summarize\n"
+            ))?;
             return Ok(());
         }
         let workloads: std::collections::BTreeSet<&str> =
@@ -1048,13 +1062,13 @@ fn report(args: &[String]) -> Result<Job, String> {
         let scenarios: std::collections::BTreeSet<&str> =
             rows.iter().map(|r| r.scenario.as_str()).collect();
         let seeds: std::collections::BTreeSet<u64> = rows.iter().filter_map(|r| r.seed).collect();
-        println!(
-            "axes covered: {} workload(s) x {} scenario(s) x {} seed(s)",
+        out.write(format_args!(
+            "axes covered: {} workload(s) x {} scenario(s) x {} seed(s)\n",
             workloads.len(),
             scenarios.len(),
             seeds.len(),
-        );
-        print!("{}", render_summary_table(&summarize(&rows)));
+        ))?;
+        out.write(format_args!("{}", render_summary_table(&summarize(&rows))))?;
         Ok(())
     }))
 }
@@ -1062,6 +1076,36 @@ fn report(args: &[String]) -> Result<Job, String> {
 /// What a command line asks for once its arguments parsed: the work that
 /// can only fail at run time.
 type Job = Box<dyn FnOnce() -> Result<(), String>>;
+
+/// The locked stdout that every command's results go through. A reader
+/// that went away ends the output quietly: after a `BrokenPipe` nothing
+/// more is written and the command succeeds. Any other write error fails
+/// the command.
+struct Stdout {
+    out: io::StdoutLock<'static>,
+    /// The reader has gone.
+    closed: bool,
+}
+
+impl Stdout {
+    fn new() -> Self {
+        Stdout {
+            out: io::stdout().lock(),
+            closed: false,
+        }
+    }
+
+    /// Write `text`; `Ok(false)` once the reader has gone.
+    fn write(&mut self, text: fmt::Arguments) -> Result<bool, String> {
+        if !self.closed {
+            match self.out.write_fmt(text) {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+                written => written.map_err(|e| format!("cannot write to stdout: {e}"))?,
+            }
+        }
+        Ok(!self.closed)
+    }
+}
 
 /// The grid command: run the campaign, or its `--distributed` coordinator.
 fn campaign(args: &[String]) -> Result<Job, String> {

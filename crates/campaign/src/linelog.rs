@@ -4,7 +4,9 @@
 //! readers take complete (`\n`-terminated) lines only — a torn tail may be
 //! a longer record cut short (`done 1` of `done 123`) — and opening a log
 //! writes nothing. An append after a read that ended inside a line starts
-//! with `\n` in the same write, so the record is not glued to the fragment.
+//! with `~\n` in the same write: the record is not glued to the fragment,
+//! and the fragment becomes a line ending in `~`, which no record parser of
+//! either log accepts, so no reader ever trusts it.
 //! [`LineLog::read`] returns the lines appended since the last read, and
 //! starts over when the file was replaced by a shorter one, as
 //! `campaign compact` replaces the manifest.
@@ -91,11 +93,15 @@ impl LineLog {
         Ok((replaced, text))
     }
 
-    /// Append one record (given without its `\n`) with a single write,
-    /// starting a fresh line if the last read ended inside one, and fsync
-    /// it unless sync is off.
+    /// Append one record (given without its `\n`) with a single write, and
+    /// fsync it unless sync is off. If the last read ended inside a line,
+    /// the write first ends that fragment with `~\n`.
     pub(crate) fn append(&mut self, record: fmt::Arguments) -> io::Result<()> {
-        let mut line = if self.torn { vec![b'\n'] } else { Vec::new() };
+        let mut line = if self.torn {
+            b"~\n".to_vec()
+        } else {
+            Vec::new()
+        };
         line.write_fmt(record)?;
         line.push(b'\n');
         self.file.write_all(&line)?;

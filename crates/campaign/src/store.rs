@@ -21,7 +21,8 @@
 //! The manifest is a line log like the lease log ([`crate::lease`]), with
 //! one torn-tail rule: readers take complete lines only, so `done 123` cut
 //! to `done 1` is not cell 1; opening writes nothing; and a `done` appended
-//! after a torn tail starts a fresh line, not glued to the fragment.
+//! after a torn tail first ends the fragment with `~` (`done 1~`, which no
+//! reader trusts), then starts a fresh line.
 //!
 //! A log entry may also name an inclusive range, `done <first>-<last>`.
 //! `campaign compact` writes the completed set that way, one line per
@@ -934,7 +935,8 @@ mod tests {
     }
 
     /// A worker that has read another writer's torn `done 7` starts its own
-    /// `done 9` on a fresh line, and every reader trusts it.
+    /// `done 9` on a fresh line, and every reader trusts it. The fragment
+    /// stays untrusted.
     #[test]
     fn a_done_appended_after_a_torn_line_is_not_glued_to_it() {
         let dir = temp_dir("torn-glue");
@@ -954,7 +956,7 @@ mod tests {
         assert_eq!(w0.refresh_done().unwrap(), 3);
         w0.append(&row(9)).unwrap();
         let text = fs::read_to_string(&manifest_path).unwrap();
-        assert!(text.ends_with("\ndone 7\ndone 9\n"), "{text:?}");
+        assert!(text.ends_with("\ndone 7~\ndone 9\n"), "{text:?}");
         let full = ResultStore::open(&dir).unwrap();
         let fresh = ResultStore::open_worker(&dir, 2).unwrap();
         assert_eq!(w1.refresh_done().unwrap(), 5);
@@ -965,8 +967,39 @@ mod tests {
                 store.completed().collect::<Vec<_>>()
             );
         }
+        assert!(!full.contains(7) && !fresh.contains(7));
         let scanner = crate::query::StoreScanner::open(&dir).unwrap();
         assert!(scanner.rows().unwrap().iter().any(|r| r.index == 9));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `done 13` torn to `done 1` stays untrusted after another writer
+    /// appends behind it: the append ends the fragment as `done 1~`, which
+    /// no reader takes for cell 1.
+    #[test]
+    fn a_torn_done_fragment_is_never_trusted() {
+        let dir = temp_dir("torn-fragment");
+        let mut store = ResultStore::create(&dir, 1, 20).unwrap();
+        store.set_sync(false);
+        for i in [0, 13] {
+            store.append(&row(i)).unwrap();
+        }
+        drop(store);
+        let manifest_path = dir.join(MANIFEST_NAME);
+        let text = fs::read_to_string(&manifest_path).unwrap();
+        fs::write(&manifest_path, text.strip_suffix("3\n").unwrap()).unwrap();
+        let mut worker = ResultStore::open_worker(&dir, 0).unwrap();
+        worker.set_sync(false);
+        worker.append(&row(9)).unwrap();
+        let text = fs::read_to_string(&manifest_path).unwrap();
+        assert!(text.ends_with("\ndone 0\ndone 1~\ndone 9\n"), "{text:?}");
+        let fresh = ResultStore::open_worker(&dir, 1).unwrap();
+        let full = ResultStore::open(&dir).unwrap();
+        for store in [&fresh, &full] {
+            assert_eq!(store.completed().collect::<Vec<_>>(), [0, 9]);
+        }
+        let scanner = crate::query::StoreScanner::open(&dir).unwrap();
+        assert_eq!(scanner.completed_count(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

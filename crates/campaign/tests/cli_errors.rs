@@ -1,5 +1,6 @@
 //! Malformed command lines exit 2 with a located message; well-formed ones
-//! that fail at run time exit 1 without the usage text.
+//! that fail at run time exit 1 without the usage text; a closed stdout is
+//! no failure.
 //!
 //! Each case drives the real `campaign` or `campaign-diff` binary and pins
 //! the exit status and the exact first line of stderr (the usage text
@@ -243,6 +244,49 @@ fn run_time_errors_exit_1_without_the_usage_text() {
         "{stderr}"
     );
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A reader that closed its end of the pipe before the first write is no
+/// error: the grid run, `query`, `report`, `pareto` and `--help` stop
+/// writing to stdout and exit 0, with no panic.
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    let dir = std::env::temp_dir().join(format!("apc-cli-closed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir = dir.to_str().expect("temp dir is UTF-8");
+    let grid = [
+        "--seeds",
+        "1",
+        "--racks",
+        "1",
+        "--intervals",
+        "medianjob",
+        "--policies",
+        "shut",
+        "--caps",
+        "60",
+        "--out",
+        dir,
+    ];
+    for args in [
+        &grid[..],
+        &["query", dir],
+        &["report", dir],
+        &["pareto", dir],
+        &["--help"],
+    ] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let output = Command::new(CAMPAIGN)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
     std::fs::remove_dir_all(dir).unwrap();
 }
 

@@ -212,7 +212,7 @@ fn torn_header_is_rejected() {
 }
 
 /// A record appended after a torn last line starts on a line of its own:
-/// a writer that has read the fragment ends it in the same write.
+/// a writer that has read the fragment ends it with `~` in the same write.
 #[test]
 fn a_record_appended_after_a_torn_line_is_not_lost() {
     let dir = temp_dir("torn-tail");
@@ -234,9 +234,34 @@ fn a_record_appended_after_a_torn_line_is_not_lost() {
     log.refresh().unwrap();
     let body = fs::read_to_string(&path).unwrap();
     let body = body.split_once('\n').unwrap().1;
-    assert_eq!(body, "claim 0 1 12\nclaim 1 2 100 1100\ndone 1 2 200\n");
+    assert_eq!(body, "claim 0 1 12~\nclaim 1 2 100 1100\ndone 1 2 200\n");
     assert_eq!(log.state().owner(0), None);
     assert!(matches!(log.state().batches()[1], BatchLease::Done { .. }));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A `claim 0 1 100 600` torn to `claim 0 1 100 60` is no claim, not even
+/// after a later append ended it: the writer ends the fragment with `~`,
+/// and no replay takes `claim 0 1 100 60~` for a lease.
+#[test]
+fn a_torn_claim_fragment_is_never_a_claim() {
+    let dir = temp_dir("torn-claim");
+    LeaseLog::create(&dir, SPEC_HASH, TOTAL_CELLS, LEASE_CELLS, TTL_MS).unwrap();
+    let path = dir.join(LEASES_NAME);
+    let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+    file.write_all(b"claim 0 1 100 60").unwrap();
+    drop(file);
+    let mut log = LeaseLog::open(&dir).unwrap();
+    log.append_claim(1, 2, 100).unwrap();
+    log.refresh().unwrap();
+    let body = fs::read_to_string(&path).unwrap();
+    let body = body.split_once('\n').unwrap().1;
+    assert_eq!(body, "claim 0 1 100 60~\nclaim 1 2 100 1100\n");
+    let reopened = LeaseLog::open(&dir).unwrap();
+    for state in [log.state(), reopened.state()] {
+        assert_eq!(state.owner(0), None);
+        assert_eq!(state.owner(1), Some(2));
+    }
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -5,7 +5,8 @@
 //!   reader trust exactly the `done` set of its complete lines — never a
 //!   torn tail, which may be a longer entry cut short (`done 1` of
 //!   `done 123`, `done 0-1` of `done 0-15`) — and a `done` appended after
-//!   the cut starts a line of its own, so every reader trusts it;
+//!   the cut starts a line of its own, so every reader trusts it, while the
+//!   torn tail it ends (with `~`) stays untrusted;
 //! * arbitrary or mutated bytes in place of the manifest open to `Ok` or a
 //!   clean error naming the manifest, never a panic.
 //!
@@ -125,8 +126,9 @@ proptest! {
         prop_assert_eq!(&fs::read(&path).unwrap()[..], &full[..cut]);
 
         // A cell no line names, appended after the cut, lands on a line of
-        // its own. The torn tail before it is a complete line now, read
-        // like any other.
+        // its own. The torn tail before it ends in `~` now, and stays
+        // untrusted: readers trust the lines complete at the cut, and the
+        // fresh cell.
         let fresh = (0..CELLS).find(|c| !with_rows.contains(c)).unwrap();
         let mut worker = ResultStore::open_worker(&dir, 3).unwrap();
         worker.set_sync(false);
@@ -135,12 +137,13 @@ proptest! {
         with_rows.insert(fresh);
         let mut terminated = full[..cut].to_vec();
         if terminated.last() != Some(&b'\n') {
-            terminated.push(b'\n');
+            terminated.extend_from_slice(b"~\n");
         }
         terminated.extend_from_slice(format!("done {fresh}\n").as_bytes());
         prop_assert_eq!(&fs::read(&path).unwrap()[..], &terminated[..]);
-        let logged = model_done(&terminated);
-        prop_assert!(logged.contains(&fresh));
+        let mut logged = model_done(&full[..cut]);
+        logged.insert(fresh);
+        prop_assert_eq!(&model_done(&terminated), &logged);
         assert_readers_trust(&dir, &logged, &with_rows);
         fs::remove_dir_all(&dir).ok();
     }

@@ -174,7 +174,6 @@ impl SchedulingHook for PowercapHook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apc_rjms::config::ControllerConfig;
     use apc_rjms::controller::Controller;
     use apc_rjms::job::JobSubmission;
     use apc_rjms::log::SimEventKind;
@@ -188,11 +187,7 @@ mod tests {
     fn controller_with(policy: PowercapPolicy) -> Controller {
         let p = platform();
         let hook = PowercapHook::for_policy(policy, &p);
-        Controller::with_hook(
-            p,
-            ControllerConfig::default().with_power_samples(),
-            Box::new(hook),
-        )
+        Controller::with_hook(p, Box::new(hook))
     }
 
     /// Submit a saturating stream of jobs: `count` jobs of `cores` cores each,
@@ -452,8 +447,10 @@ mod tests {
         narrow.state = apc_rjms::job::JobState::Running;
         narrow.nodes = (60..70).collect();
         narrow.frequency = Some(Frequency::from_ghz(2.7));
-        cluster.allocate_mask(0, &wide.nodes, Frequency::from_ghz(2.7), 0);
-        cluster.allocate_mask(1, &narrow.nodes, Frequency::from_ghz(2.7), 0);
+        for job in [&wide, &narrow] {
+            let nodes: Vec<usize> = job.nodes.iter().collect();
+            cluster.allocate(job.id, &nodes, Frequency::from_ghz(2.7), 0);
+        }
 
         // A cap just below the current consumption: killing the wide job is
         // enough, the narrow one survives.
@@ -501,7 +498,7 @@ mod tests {
             PowercapConfig::for_policy(PowercapPolicy::None).with_kill_on_violation(),
             &p,
         );
-        let mut c = Controller::with_hook(p, ControllerConfig::default(), Box::new(hook));
+        let mut c = Controller::with_hook(p, Box::new(hook));
         // Under the None policy the online check does not postpone anything,
         // so the machine fills up and violates the cap when it activates.
         c.submit(JobSubmission::new(0, 0, 2880, 6 * HOUR, 5 * HOUR));

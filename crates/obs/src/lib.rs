@@ -3,8 +3,8 @@
 //!
 //! Two halves:
 //!
-//! - [`metrics`] — a registry of atomic counters, gauges and fixed-bucket
-//!   log2 histograms. Handles are cheap clones; a handle from a disabled
+//! - [`metrics`] — a registry of atomic counters and fixed-bucket log2
+//!   histograms. Handles are cheap clones; a handle from a disabled
 //!   registry is a one-branch no-op.
 //! - [`trace`] — a span/event recorder emitting Chrome Trace Event Format
 //!   (load the output at chrome://tracing or ui.perfetto.dev). Spans are
@@ -28,7 +28,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    bucket_of, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue,
-    Registry, Snapshot, HISTOGRAM_BUCKETS,
+    bucket_of, bucket_upper_bound, Counter, Histogram, HistogramSnapshot, MetricValue, Registry,
+    Snapshot, HISTOGRAM_BUCKETS,
 };
 pub use trace::{write_chrome_trace, ArgValue, SpanRecorder, SpanStart, TraceEvent};

@@ -1,5 +1,4 @@
-//! The metrics registry: atomic counters, gauges and fixed-bucket log2
-//! histograms.
+//! The metrics registry: atomic counters and fixed-bucket log2 histograms.
 //!
 //! Every instrument is a cheap `Clone`-able handle around an optional
 //! `Arc`-shared cell. A handle obtained from a **disabled** registry (or
@@ -18,7 +17,7 @@
 //! metrics on and off.
 
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets: bucket 0 holds zero values, bucket `i >= 1`
@@ -70,47 +69,6 @@ impl Counter {
     #[inline]
     pub fn is_live(&self) -> bool {
         self.cell.is_some()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gauge
-// ---------------------------------------------------------------------------
-
-/// A last-value-wins signed gauge (queue depths, in-flight counts).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge {
-    cell: Option<Arc<AtomicI64>>,
-}
-
-impl Gauge {
-    /// A no-op handle (same as `Gauge::default()`).
-    pub fn disabled() -> Self {
-        Gauge::default()
-    }
-
-    /// Set the gauge to `v`.
-    #[inline(always)]
-    pub fn set(&self, v: i64) {
-        if let Some(cell) = &self.cell {
-            cell.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Add `delta` (may be negative).
-    #[inline(always)]
-    pub fn add(&self, delta: i64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0 for a no-op handle).
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.cell
-            .as_ref()
-            .map_or(0, |cell| cell.load(Ordering::Relaxed))
     }
 }
 
@@ -266,7 +224,6 @@ impl HistogramSnapshot {
 #[derive(Debug, Clone)]
 enum Instrument {
     Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicI64>),
     Histogram(Arc<HistogramCell>),
 }
 
@@ -330,15 +287,6 @@ impl Registry {
         }
     }
 
-    /// The gauge named `name`, creating it at zero on first request.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        match self.instrument(name, || Instrument::Gauge(Arc::default())) {
-            Some(Instrument::Gauge(cell)) => Gauge { cell: Some(cell) },
-            Some(_) => type_clash(name),
-            None => Gauge::default(),
-        }
-    }
-
     /// The histogram named `name`, creating it empty on first request.
     pub fn histogram(&self, name: &str) -> Histogram {
         match self.instrument(name, || {
@@ -359,7 +307,6 @@ impl Registry {
                 .map(|(name, i)| {
                     let value = match i {
                         Instrument::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-                        Instrument::Gauge(g) => MetricValue::Gauge(g.load(Ordering::Relaxed)),
                         Instrument::Histogram(cell) => {
                             let handle = Histogram {
                                 cell: Some(Arc::clone(cell)),
@@ -386,8 +333,6 @@ fn type_clash(name: &str) -> ! {
 pub enum MetricValue {
     /// A counter's current value.
     Counter(u64),
-    /// A gauge's current value.
-    Gauge(i64),
     /// A histogram's recorded distribution.
     Histogram(HistogramSnapshot),
 }
@@ -413,14 +358,6 @@ impl Snapshot {
         }
     }
 
-    /// A gauge's value, or `None` if absent / not a gauge.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        match self.get(name)? {
-            MetricValue::Gauge(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// A histogram's snapshot, or `None` if absent / not a histogram.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         match self.get(name)? {
@@ -437,7 +374,6 @@ impl fmt::Display for Snapshot {
         for (name, value) in &self.entries {
             match value {
                 MetricValue::Counter(v) => writeln!(f, "{name:<44} {v}")?,
-                MetricValue::Gauge(v) => writeln!(f, "{name:<44} {v}")?,
                 MetricValue::Histogram(h) => writeln!(
                     f,
                     "{name:<44} count {} mean {:.1} min {} p50 \u{2264}{} p99 \u{2264}{} max {}",
@@ -462,15 +398,11 @@ mod tests {
     fn disabled_instruments_are_noops() {
         let registry = Registry::disabled();
         let c = registry.counter("c");
-        let g = registry.gauge("g");
         let h = registry.histogram("h");
         c.inc();
         c.add(41);
-        g.set(7);
-        g.add(-3);
         h.record(1000);
         assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
         assert_eq!(h.snapshot(), HistogramSnapshot::default());
         assert!(!c.is_live());
         assert!(!h.is_live());
@@ -479,7 +411,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_accumulate() {
+    fn counters_accumulate() {
         let registry = Registry::new();
         let c = registry.counter("sim.events");
         c.inc();
@@ -489,12 +421,7 @@ mod tests {
         let c2 = registry.counter("sim.events");
         c2.inc();
         assert_eq!(c.get(), 11);
-        let g = registry.gauge("queue.depth");
-        g.set(5);
-        g.add(-2);
-        assert_eq!(g.get(), 3);
         assert_eq!(registry.snapshot().counter("sim.events"), Some(11));
-        assert_eq!(registry.snapshot().gauge("queue.depth"), Some(3));
     }
 
     #[test]
@@ -539,7 +466,7 @@ mod tests {
     fn snapshot_sorts_by_name_and_renders() {
         let registry = Registry::new();
         registry.counter("zzz").inc();
-        registry.gauge("aaa").set(-4);
+        registry.counter("aaa").add(4);
         registry.histogram("mmm").record(2);
         let snapshot = registry.snapshot();
         let names: Vec<&str> = snapshot.entries.iter().map(|(n, _)| n.as_str()).collect();
@@ -573,6 +500,6 @@ mod tests {
     fn name_collisions_across_types_panic() {
         let registry = Registry::new();
         registry.counter("x");
-        registry.gauge("x");
+        registry.histogram("x");
     }
 }

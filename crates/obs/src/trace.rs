@@ -10,7 +10,7 @@
 //!
 //! Like the metrics side, a recorder handle is either live (`Arc`-shared
 //! buffer behind a mutex) or disabled (`Default`), and a disabled handle's
-//! `complete`/`instant` are a single branch. Span recording is kept off the
+//! `complete` is a single branch. Span recording is kept off the
 //! per-event hot path by construction: the instrumented layers emit one span
 //! per schedule *pass* or per campaign *cell*, not per simulator event.
 
@@ -60,11 +60,12 @@ pub struct TraceEvent {
     pub name: &'static str,
     /// Category (chrome://tracing filter lane).
     pub category: &'static str,
-    /// Chrome phase: `X` = complete span, `i` = instant.
+    /// Chrome phase: `X` = complete span (all the recorder records); other
+    /// phases, such as `M` metadata, come from callers that build events.
     pub phase: char,
     /// Start offset from the recorder's epoch, microseconds.
     pub ts_us: u64,
-    /// Duration in microseconds (0 for instants).
+    /// Duration in microseconds (written for `X` events only).
     pub dur_us: u64,
     /// Thread lane (worker index; 0 for single-threaded layers).
     pub tid: u64,
@@ -179,33 +180,6 @@ impl SpanRecorder {
                     phase: 'X',
                     ts_us,
                     dur_us,
-                    tid,
-                    args,
-                });
-        }
-    }
-
-    /// Record a zero-duration instant event at "now".
-    #[inline]
-    pub fn instant(
-        &self,
-        name: &'static str,
-        category: &'static str,
-        tid: u64,
-        args: Vec<(&'static str, ArgValue)>,
-    ) {
-        if let Some(inner) = &self.inner {
-            let ts_us = inner.epoch.elapsed().as_micros() as u64;
-            inner
-                .events
-                .lock()
-                .expect("recorder poisoned")
-                .push(TraceEvent {
-                    name,
-                    category,
-                    phase: 'i',
-                    ts_us,
-                    dur_us: 0,
                     tid,
                     args,
                 });
@@ -330,7 +304,6 @@ mod tests {
         let recorder = SpanRecorder::disabled();
         let span = recorder.start();
         recorder.complete(span, "pass", "sched", 0, vec![("n", 3u64.into())]);
-        recorder.instant("evt", "sched", 0, vec![]);
         assert!(!recorder.is_live());
         assert!(recorder.is_empty());
         assert!(recorder.take_events().is_empty());
@@ -348,7 +321,8 @@ mod tests {
             0,
             vec![("pending", 12u64.into()), ("policy", "dvfs".into())],
         );
-        recorder.instant("cache_hit", "rjms", 1, vec![]);
+        let second = recorder.start();
+        recorder.complete(second, "cell", "campaign", 1, vec![]);
         assert_eq!(recorder.len(), 2);
         let events = recorder.take_events();
         assert!(recorder.is_empty(), "take drains the buffer");
@@ -359,7 +333,7 @@ mod tests {
             "slept 2ms, dur {}",
             events[0].dur_us
         );
-        assert_eq!(events[1].phase, 'i');
+        assert_eq!(events[1].name, "cell");
         assert_eq!(events[1].tid, 1);
         // Events come back sorted by start time.
         assert!(events[0].ts_us <= events[1].ts_us);

@@ -114,9 +114,8 @@ pub struct ClusterPowerAccountant {
     current: Watts,
     /// Exact energy integrator fed on every state change.
     integrator: EnergyIntegrator,
-    /// Recorded samples (one per change) for time-series plots.
+    /// One sample per state change, for time-series plots and peaks.
     samples: Vec<PowerSample>,
-    record_samples: bool,
     /// `idle_sums[k]`: the draw of `k` idle nodes, summed by the same left
     /// fold [`busy_probe`](Self::busy_probe) runs over `k` idle candidates.
     idle_sums: Vec<Watts>,
@@ -142,15 +141,17 @@ impl ClusterPowerAccountant {
         let node_power = profile.idle_watts() * n as f64;
         let overhead = topology.total_overhead();
         let current = node_power + overhead;
-        let mut acct = ClusterPowerAccountant {
+        ClusterPowerAccountant {
             topology: topology.clone(),
             profile: profile.clone(),
             states,
             on_counts,
             current,
             integrator: EnergyIntegrator::new(0),
-            samples: Vec::new(),
-            record_samples: false,
+            samples: vec![PowerSample {
+                time: 0,
+                power: current,
+            }],
             idle_sums: std::iter::successors(Some(Watts::ZERO), |&sum| {
                 Some(sum + profile.idle_watts())
             })
@@ -159,18 +160,7 @@ impl ClusterPowerAccountant {
             scratch: RefCell::new(ProbeScratch::new(topology)),
             probe_fast: Cell::new(0),
             probe_slow: Cell::new(0),
-        };
-        acct.samples.push(PowerSample {
-            time: 0,
-            power: current,
-        });
-        acct
-    }
-
-    /// Enable or disable the per-change sample log (disabled by default to
-    /// keep replays of hundreds of thousands of events lean).
-    pub fn set_record_samples(&mut self, record: bool) {
-        self.record_samples = record;
+        }
     }
 
     /// The topology the accountant was built for.
@@ -256,12 +246,10 @@ impl ClusterPowerAccountant {
         }
 
         self.states[node] = new;
-        if self.record_samples {
-            self.samples.push(PowerSample {
-                time,
-                power: self.current,
-            });
-        }
+        self.samples.push(PowerSample {
+            time,
+            power: self.current,
+        });
         self.current
     }
 
@@ -395,7 +383,8 @@ impl ClusterPowerAccountant {
         self.integrator.total()
     }
 
-    /// The recorded power samples (empty unless sample recording was enabled).
+    /// The recorded power samples: the initial level at time 0, then one per
+    /// state change.
     pub fn samples(&self) -> &[PowerSample] {
         &self.samples
     }
@@ -733,16 +722,19 @@ mod tests {
     }
 
     #[test]
-    fn sample_recording_is_optional() {
+    fn every_state_change_records_a_sample() {
         let mut acct = curie_accountant();
         assert_eq!(acct.samples().len(), 1);
         acct.set_state(0, PowerState::Off, 5);
-        assert_eq!(acct.samples().len(), 1, "disabled by default");
-        acct.set_record_samples(true);
+        assert_eq!(acct.samples().len(), 2);
+        // A transition to the state a node already holds changes nothing.
+        acct.set_state(0, PowerState::Off, 6);
+        assert_eq!(acct.samples().len(), 2);
         acct.set_state(1, PowerState::Off, 6);
         acct.set_state(2, PowerState::Off, 7);
-        assert_eq!(acct.samples().len(), 3);
-        assert_eq!(acct.samples()[1].time, 6);
+        assert_eq!(acct.samples().len(), 4);
+        assert_eq!(acct.samples()[2].time, 6);
+        assert_eq!(acct.samples()[3].power, acct.current_power());
     }
 
     #[test]

@@ -20,7 +20,6 @@
 
 use apc_core::{PowercapConfig, PowercapHook};
 use apc_rjms::cluster::Platform;
-use apc_rjms::config::ControllerConfig;
 use apc_rjms::controller::{Controller, SimulationReport};
 use apc_rjms::log::SimLog;
 use apc_rjms::obs::ControllerObs;
@@ -156,9 +155,7 @@ impl ReplayHarness {
             per_application_degradation: scenario.per_application_degradation,
         };
         let hook = PowercapHook::new(powercap_config, &self.platform);
-        let controller_config = ControllerConfig::default().with_power_samples();
-        let mut controller =
-            Controller::with_hook(self.platform.clone(), controller_config, Box::new(hook));
+        let mut controller = Controller::with_hook(self.platform.clone(), Box::new(hook));
         controller.set_obs(obs);
 
         // Phase 2 — interval initial state: fair-share history for every user

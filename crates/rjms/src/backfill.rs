@@ -6,7 +6,9 @@
 //! (based on the running jobs' walltime limits) and lets lower-priority jobs
 //! jump ahead only if they do not delay that start: either they terminate
 //! before the shadow time, or they fit in the nodes left over once the head
-//! job's future allocation is accounted for.
+//! job's future allocation is accounted for. Backfilling is always on, and a
+//! pass examines at most 200 pending jobs (`BACKFILL_DEPTH`, SLURM's
+//! `bf_max_job_test`).
 //!
 //! Because Curie users over-estimate walltimes by roughly four orders of
 //! magnitude, the shadow time is hugely pessimistic and backfilling is far
@@ -16,24 +18,9 @@
 
 use crate::time::SimTime;
 
-/// Backfilling configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackfillConfig {
-    /// Master switch.
-    pub enabled: bool,
-    /// Maximum number of pending jobs examined per scheduling pass
-    /// (SLURM's `bf_max_job_test`).
-    pub depth: usize,
-}
-
-impl Default for BackfillConfig {
-    fn default() -> Self {
-        BackfillConfig {
-            enabled: true,
-            depth: 200,
-        }
-    }
-}
+/// Maximum number of pending jobs examined per scheduling pass (SLURM's
+/// `bf_max_job_test`).
+pub(crate) const BACKFILL_DEPTH: usize = 200;
 
 /// The node reservation computed for a blocked head job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,8 +137,6 @@ mod tests {
 
     #[test]
     fn default_config() {
-        let c = BackfillConfig::default();
-        assert!(c.enabled);
-        assert_eq!(c.depth, 200);
+        assert_eq!(BACKFILL_DEPTH, 200);
     }
 }

@@ -148,11 +148,6 @@ impl Cluster {
         &self.accountant
     }
 
-    /// Enable power-sample recording on the underlying accountant.
-    pub fn record_power_samples(&mut self, enabled: bool) {
-        self.accountant.set_record_samples(enabled);
-    }
-
     /// Instantaneous cluster power.
     pub fn current_power(&self) -> Watts {
         self.accountant.current_power()
@@ -192,54 +187,32 @@ impl Cluster {
     /// scheduler).
     pub fn allocate(&mut self, job: JobId, nodes: &[usize], freq: Frequency, time: SimTime) {
         for &id in nodes {
-            self.allocate_one(job, id, freq, time);
+            let node = &mut self.nodes[id];
+            assert!(
+                node.is_available(),
+                "node {id} is not available for job {job}"
+            );
+            node.alloc = AllocationState::Allocated(job);
+            self.available.remove(id);
+            self.accountant.set_state(id, PowerState::Busy(freq), time);
         }
-    }
-
-    /// [`allocate`](Self::allocate) over a bitmask node set.
-    pub fn allocate_mask(&mut self, job: JobId, nodes: &NodeMask, freq: Frequency, time: SimTime) {
-        for id in nodes.iter() {
-            self.allocate_one(job, id, freq, time);
-        }
-    }
-
-    fn allocate_one(&mut self, job: JobId, id: usize, freq: Frequency, time: SimTime) {
-        let node = &mut self.nodes[id];
-        assert!(
-            node.is_available(),
-            "node {id} is not available for job {job}"
-        );
-        node.alloc = AllocationState::Allocated(job);
-        self.available.remove(id);
-        self.accountant.set_state(id, PowerState::Busy(freq), time);
     }
 
     /// Release the nodes of a finished job back to the idle pool. Nodes that
     /// are marked `drained` (earmarked by an active switch-off reservation)
     /// are powered off instead of returning to idle.
-    pub fn release(&mut self, nodes: &[usize], time: SimTime) {
-        for &id in nodes {
-            self.release_one(id, time);
-        }
-    }
-
-    /// [`release`](Self::release) over a bitmask node set.
     pub fn release_mask(&mut self, nodes: &NodeMask, time: SimTime) {
         for id in nodes.iter() {
-            self.release_one(id, time);
-        }
-    }
-
-    fn release_one(&mut self, id: usize, time: SimTime) {
-        let node = &mut self.nodes[id];
-        debug_assert!(node.is_allocated(), "releasing a non-allocated node {id}");
-        if node.drained {
-            node.alloc = AllocationState::PoweredOff;
-            self.accountant.set_state(id, PowerState::Off, time);
-        } else {
-            node.alloc = AllocationState::Free;
-            self.available.insert(id);
-            self.accountant.set_state(id, PowerState::Idle, time);
+            let node = &mut self.nodes[id];
+            debug_assert!(node.is_allocated(), "releasing a non-allocated node {id}");
+            if node.drained {
+                node.alloc = AllocationState::PoweredOff;
+                self.accountant.set_state(id, PowerState::Off, time);
+            } else {
+                node.alloc = AllocationState::Free;
+                self.available.insert(id);
+                self.accountant.set_state(id, PowerState::Idle, time);
+            }
         }
     }
 
@@ -363,7 +336,7 @@ mod tests {
         assert_eq!(c.allocated_cores(), 64);
         assert_eq!(c.node(0).alloc, AllocationState::Allocated(7));
         let busy_power = c.current_power();
-        c.release(&nodes, 100);
+        c.release_mask(&nodes.iter().copied().collect(), 100);
         assert_eq!(c.free_count(), 90);
         assert_eq!(c.allocated_cores(), 0);
         assert!(c.current_power() < busy_power);
@@ -389,7 +362,7 @@ mod tests {
         assert_eq!(c.powered_off_count(), 2);
         assert!(c.node(0).drained && c.node(1).drained);
         // Releasing the job's nodes now powers them off instead of idling.
-        c.release(&[0, 1], 20);
+        c.release_mask(&[0, 1].into_iter().collect(), 20);
         assert_eq!(c.powered_off_count(), 4);
         assert_eq!(c.free_count(), 86);
         // Power back on restores availability.
@@ -453,7 +426,7 @@ mod tests {
             c.free_count(),
             c.nodes().iter().filter(|n| n.is_available()).count()
         );
-        c.release(&[5], 10);
+        c.release_mask(&[5].into_iter().collect(), 10);
         c.power_on(&[6, 7], 10);
         assert_eq!(c.free_count(), 90);
     }
@@ -475,8 +448,8 @@ mod tests {
             assert_eq!(c.available_mask().len(), c.free_count());
         };
         check(&c);
-        let mask: crate::mask::NodeMask = (0..4).collect();
-        c.allocate_mask(3, &mask, Frequency::from_ghz(2.7), 0);
+        let mask: NodeMask = (0..4).collect();
+        c.allocate(3, &[0, 1, 2, 3], Frequency::from_ghz(2.7), 0);
         check(&c);
         c.power_off(&[2, 10, 11], 5); // 2 is allocated: drained, not switched
         check(&c);

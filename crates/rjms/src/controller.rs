@@ -3,8 +3,10 @@
 //! The controller owns the cluster state, the pending queue, the event queue,
 //! the reservation book and the scheduling hook. It advances the simulation
 //! clock by consuming events (submissions, completions, reservation windows)
-//! and runs a scheduling pass — priority sort, FCFS + EASY backfilling,
-//! hook authorisation, node selection — after every event batch.
+//! and runs a scheduling pass — priority sort, FCFS + EASY backfilling over
+//! at most 200 pending jobs, hook authorisation, contiguous node selection —
+//! after every event batch. The cluster records a power sample on every node
+//! state change, for the replay's power series and peaks.
 //!
 //! Because the simulation is a pure discrete-event system, the cluster state
 //! only changes at events, so running the scheduler exactly once per event
@@ -34,9 +36,8 @@
 
 use apc_power::{Frequency, Joules, PowerState, Watts};
 
-use crate::backfill::{can_backfill, shadow_reservation, ShadowReservation};
+use crate::backfill::{can_backfill, shadow_reservation, ShadowReservation, BACKFILL_DEPTH};
 use crate::cluster::{Cluster, Platform};
-use crate::config::ControllerConfig;
 use crate::event::{Event, EventQueue};
 use crate::hook::{NullHook, SchedulingHook, StartDecision};
 use crate::job::{Job, JobId, JobState, JobSubmission};
@@ -45,7 +46,7 @@ use crate::mask::NodeMask;
 use crate::obs::{ControllerObs, PassMeasurements};
 use crate::priority::{FairShareTracker, MultifactorPriority};
 use crate::reservation::{ReservationBook, ReservationId, ReservationKind};
-use crate::select::{NodeSelector, SelectScratch};
+use crate::select::{self, SelectScratch};
 use crate::time::{SimTime, TimeWindow};
 
 /// Aggregate results of a simulation run.
@@ -129,7 +130,6 @@ impl BlockedSets {
         &mut self,
         reservations: &ReservationBook,
         cluster: &Cluster,
-        selector: &NodeSelector,
         now: SimTime,
         walltime: SimTime,
         m: &mut PassMeasurements,
@@ -148,7 +148,7 @@ impl BlockedSets {
         }
         let count = match entry.count {
             Some((starts, count)) if starts == m.started => count,
-            _ => selector.available_count(cluster, &entry.blocked),
+            _ => select::available_count(cluster, &entry.blocked),
         };
         entry.count = Some((m.started, count));
         (&entry.blocked, count)
@@ -174,7 +174,7 @@ struct ScheduleScratch {
     selected: Vec<usize>,
     /// The same selection as a mask (what the started job keeps).
     selected_mask: NodeMask,
-    /// Per-chassis counts for the contiguous selection policy.
+    /// Per-chassis counts for the node selection.
     select: SelectScratch,
     /// The pass's blocked sets.
     blocked_sets: BlockedSets,
@@ -202,16 +202,13 @@ impl ScheduleScratch {
 /// The central resource and job management daemon.
 pub struct Controller {
     cluster: Cluster,
-    config: ControllerConfig,
     jobs: Vec<Job>,
     pending: Vec<JobId>,
     running: Vec<JobId>,
     events: EventQueue,
     reservations: ReservationBook,
     hook: Box<dyn SchedulingHook>,
-    priority: MultifactorPriority,
     fairshare: FairShareTracker,
-    selector: NodeSelector,
     log: SimLog,
     now: SimTime,
     horizon: Option<SimTime>,
@@ -226,31 +223,22 @@ pub struct Controller {
 impl Controller {
     /// Create a controller over `platform` with the default (power-unaware)
     /// hook.
-    pub fn new(platform: Platform, config: ControllerConfig) -> Self {
-        Controller::with_hook(platform, config, Box::new(NullHook))
+    pub fn new(platform: Platform) -> Self {
+        Controller::with_hook(platform, Box::new(NullHook))
     }
 
     /// Create a controller with an explicit scheduling hook (the powercap
     /// logic of `apc-core`).
-    pub fn with_hook(
-        platform: Platform,
-        config: ControllerConfig,
-        hook: Box<dyn SchedulingHook>,
-    ) -> Self {
-        let mut cluster = Cluster::new(platform);
-        cluster.record_power_samples(config.record_power_samples);
+    pub fn with_hook(platform: Platform, hook: Box<dyn SchedulingHook>) -> Self {
         Controller {
-            cluster,
-            config,
+            cluster: Cluster::new(platform),
             jobs: Vec::new(),
             pending: Vec::new(),
             running: Vec::new(),
             events: EventQueue::new(),
             reservations: ReservationBook::new(),
             hook,
-            priority: MultifactorPriority::new(config.params.priority),
             fairshare: FairShareTracker::default(),
-            selector: NodeSelector::new(config.selection),
             log: SimLog::new(),
             now: 0,
             horizon: None,
@@ -741,7 +729,7 @@ impl Controller {
 
         let total_cores = self.cluster.platform().total_cores();
         let cores_per_node = self.cluster.platform().cores_per_node;
-        self.priority.sort_pending(
+        MultifactorPriority.sort_pending(
             &self.jobs,
             &mut self.pending,
             self.now,
@@ -750,12 +738,6 @@ impl Controller {
             &mut scratch.priority_keys,
         );
 
-        let backfill_cfg = self.config.params.backfill;
-        let depth = if backfill_cfg.enabled {
-            backfill_cfg.depth
-        } else {
-            1
-        };
         let mut shadow: Option<ShadowReservation> = None;
         let mut any_started = false;
 
@@ -772,10 +754,7 @@ impl Controller {
         order.extend_from_slice(&self.pending);
         blocked_sets.begin(&self.reservations, self.now);
 
-        for (examined, &job_id) in order.iter().enumerate() {
-            if examined >= depth {
-                break;
-            }
+        for &job_id in order.iter().take(BACKFILL_DEPTH) {
             if self.cluster.free_count() == 0 {
                 break;
             }
@@ -784,7 +763,6 @@ impl Controller {
             let (blocked, available) = blocked_sets.resolve(
                 &self.reservations,
                 &self.cluster,
-                &self.selector,
                 self.now,
                 walltime,
                 &mut measurements,
@@ -801,17 +779,14 @@ impl Controller {
             if needed > available {
                 if shadow.is_none() {
                     // The head job is blocked by node availability: compute
-                    // its shadow reservation from running jobs' walltimes and
-                    // keep examining candidates only if backfilling is on.
+                    // its shadow reservation from running jobs' walltimes;
+                    // later candidates may only backfill around it.
                     releases.clear();
                     for &j in &self.running {
                         let job = &self.jobs[j];
                         releases.push((job.walltime_end().unwrap_or(self.now), job.nodes.len()));
                     }
                     shadow = shadow_reservation(needed, available, releases, self.now);
-                    if !backfill_cfg.enabled {
-                        break;
-                    }
                 }
                 continue;
             }
@@ -828,10 +803,7 @@ impl Controller {
             );
             match decision {
                 StartDecision::Start { frequency } => {
-                    if !self
-                        .selector
-                        .select_into(&self.cluster, needed, blocked, select, selected)
-                    {
+                    if !select::select_into(&self.cluster, needed, blocked, select, selected) {
                         continue;
                     }
                     debug_assert!(
@@ -975,7 +947,7 @@ mod tests {
     }
 
     fn controller() -> Controller {
-        Controller::new(platform(), ControllerConfig::default())
+        Controller::new(platform())
     }
 
     fn job(
@@ -1075,25 +1047,6 @@ mod tests {
             start2 >= c.job(1).start_time.unwrap(),
             "the long wide job must not delay the reserved head job"
         );
-    }
-
-    #[test]
-    fn disabled_backfill_is_strict_fcfs() {
-        let params = crate::config::SchedulerParameters {
-            backfill: crate::backfill::BackfillConfig {
-                enabled: false,
-                depth: 0,
-            },
-            ..Default::default()
-        };
-        let cfg = ControllerConfig::default().with_params(params);
-        let mut c = Controller::new(platform(), cfg);
-        c.submit(job(0, 0, 1280, 2000, 1000));
-        c.submit(job(1, 1, 1440, 2000, 500)); // blocks
-        c.submit(job(2, 2, 80, 900, 500)); // would backfill, must not
-        c.set_horizon(2 * HOUR);
-        c.run();
-        assert!(c.job(2).start_time.unwrap() >= 1000);
     }
 
     #[test]
@@ -1313,7 +1266,7 @@ mod tests {
     /// such limit.
     #[test]
     fn reservation_129_still_blocks_its_nodes() {
-        let mut c = Controller::new(Platform::curie_scaled(2), ControllerConfig::default());
+        let mut c = Controller::new(Platform::curie_scaled(2));
         // 129 maintenance reservations, one node each, on a future window
         // that overlaps the job's execution.
         for node in 0..129 {
@@ -1332,7 +1285,7 @@ mod tests {
         );
         // Sanity: a job that fits next to all 129 blocked nodes does start
         // immediately.
-        let mut c = Controller::new(Platform::curie_scaled(2), ControllerConfig::default());
+        let mut c = Controller::new(Platform::curie_scaled(2));
         for node in 0..129 {
             c.add_maintenance_reservation(TimeWindow::new(1000, 10_000), vec![node]);
         }
@@ -1363,7 +1316,6 @@ mod tests {
             (z ^ (z >> 31)) % bound.max(1)
         };
         let platform = Platform::curie_scaled(2); // 180 nodes
-        let selector = NodeSelector::new(ControllerConfig::default().selection);
         let fmax = platform.ladder.max();
         // One set of buffers for every case, as the controller keeps it.
         let mut sets = BlockedSets::default();
@@ -1416,9 +1368,8 @@ mod tests {
                 let end = now.saturating_add(walltime);
                 exact.clear();
                 book.collect_blocked_within(now, end, &mut exact);
-                let exact_count = selector.available_count(&cluster, &exact);
-                let (blocked, available) =
-                    sets.resolve(&book, &cluster, &selector, now, walltime, &mut m);
+                let exact_count = select::available_count(&cluster, &exact);
+                let (blocked, available) = sets.resolve(&book, &cluster, now, walltime, &mut m);
                 assert!(
                     *blocked == exact && available == exact_count,
                     "case {case}, job {job}: walltime {walltime} at t={now} resolved \
@@ -1439,7 +1390,7 @@ mod tests {
                 // does: every later count must see the smaller pool.
                 if available > 0 && next(2) == 0 {
                     let needed = 1 + next(available.min(12) as u64) as usize;
-                    assert!(selector.select_into(
+                    assert!(select::select_into(
                         &cluster,
                         needed,
                         blocked,

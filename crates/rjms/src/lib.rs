@@ -11,7 +11,8 @@
 //!   node power transitions;
 //! * **FCFS + EASY backfilling** with multifactor priorities (age, size,
 //!   fair-share) and user-provided — typically wildly over-estimated —
-//!   walltimes ([`backfill`], [`priority`]);
+//!   walltimes ([`backfill`], [`priority`]), and contiguous node selection
+//!   ([`select`]);
 //! * **advanced reservations**: maintenance windows, powercap windows
 //!   (time × watts) and switch-off reservations ([`reservation`]);
 //! * a **node/cluster model** tied to the `apc-power` accounting so the
@@ -23,16 +24,20 @@
 //! * an **event log** ([`log`]) from which the replay crate reconstructs the
 //!   utilisation and power time series of Figures 6 and 7.
 //!
-//! The simulator is deterministic: identical inputs (trace, configuration,
-//! hook) produce identical schedules, which is what makes the paper's
-//! policy-versus-policy comparisons meaningful.
+//! The scheduler runs one setup, the paper's SLURM "configured as on
+//! Curie": its values are constants beside the code that uses them
+//! ([`backfill`], [`select`], [`priority`]), not settings, and every
+//! controller records a power sample on every node state change.
+//!
+//! The simulator is deterministic: identical inputs (trace, hook) produce
+//! identical schedules, which is what makes the paper's policy-versus-policy
+//! comparisons meaningful.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backfill;
 pub mod cluster;
-pub mod config;
 pub mod controller;
 pub mod event;
 pub mod hook;
@@ -48,9 +53,7 @@ pub mod time;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::backfill::BackfillConfig;
     pub use crate::cluster::{Cluster, Platform};
-    pub use crate::config::{ControllerConfig, SchedulerParameters};
     pub use crate::controller::{Controller, SimulationReport};
     pub use crate::event::{Event, EventQueue};
     pub use crate::hook::{NullHook, SchedulingHook, StartDecision};
@@ -59,9 +62,8 @@ pub mod prelude {
     pub use crate::mask::NodeMask;
     pub use crate::node::{AllocationState, SimNode};
     pub use crate::obs::{ControllerObs, PassMeasurements};
-    pub use crate::priority::{FairShareTracker, MultifactorPriority, PriorityWeights};
+    pub use crate::priority::{FairShareTracker, MultifactorPriority};
     pub use crate::reservation::{Reservation, ReservationId, ReservationKind};
-    pub use crate::select::NodeSelector;
     pub use crate::time::SimTime;
 }
 
@@ -70,7 +72,7 @@ pub use prelude::*;
 /// Compile-time audit that the simulator's data types can cross thread
 /// boundaries: the campaign executor (`apc-campaign`) shares platforms and
 /// moves reports/logs between `std::thread` workers. The shared read-only
-/// types (`Platform`, configs) are plain owned data and stay `Sync`; the
+/// types (`Platform`, submissions) are plain owned data and stay `Sync`; the
 /// [`Cluster`] is `Send`-only — its power accountant keeps a `RefCell`
 /// probe scratch, which is fine because every worker owns its own cluster.
 /// The audit pins these bounds against regressions (e.g. someone caching an
@@ -80,7 +82,6 @@ fn thread_safety_audit() {
     fn send<T: Send>() {}
     fn send_sync<T: Send + Sync>() {}
     send_sync::<cluster::Platform>();
-    send_sync::<config::ControllerConfig>();
     send_sync::<job::JobSubmission>();
     send_sync::<time::TimeWindow>();
     send::<cluster::Cluster>();

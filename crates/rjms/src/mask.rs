@@ -140,8 +140,8 @@ impl NodeMask {
     }
 
     /// Iterate `self & !blocked` restricted to ids in `[start, end)`, in
-    /// ascending order — the inner loop of node selection (a chassis range
-    /// for the contiguous policy, the whole platform for first-fit).
+    /// ascending order — the inner loop of node selection, over one
+    /// chassis range.
     pub fn iter_and_not_in<'a>(
         &'a self,
         blocked: &'a NodeMask,

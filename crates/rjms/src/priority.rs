@@ -1,19 +1,24 @@
 //! Multifactor job priority and fair-share accounting.
 //!
 //! SLURM's multifactor priority plugin combines several normalised factors
-//! with configurable weights; the paper's Curie configuration uses job age,
-//! job size and fair-share. The same structure is reproduced here:
+//! with weights; the paper's Curie configuration uses job age, job size and
+//! fair-share. The same structure is reproduced here, with the replay's one
+//! set of weights:
 //!
 //! ```text
-//! priority = w_age · age_factor + w_size · size_factor + w_fairshare · fs_factor
+//! priority = 1000 · age_factor + 200 · size_factor + 500 · fs_factor
 //! ```
 //!
-//! * `age_factor` grows linearly with queue wait time and saturates at a
-//!   configurable maximum age;
+//! Age dominates (FCFS-ish), size breaks ties in favour of large jobs, and
+//! fair-share rebalances heavy users:
+//!
+//! * `age_factor` grows linearly with queue wait time and saturates after
+//!   7 days;
 //! * `size_factor` is the fraction of the machine requested (large jobs get a
 //!   boost, as on Curie);
-//! * `fs_factor` is `2^(−usage/shares)`, SLURM's classic fair-share decay of
-//!   recent usage.
+//! * `fs_factor` is `2^(−usage/10^7)`, SLURM's classic fair-share decay of
+//!   recent usage: a user's factor halves per 10^7 core-seconds of usage,
+//!   and recorded usage decays with a 7-day half-life.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -21,31 +26,18 @@ use std::hash::{BuildHasherDefault, Hasher};
 use crate::job::{Job, JobId};
 use crate::time::SimTime;
 
-/// Weights of the multifactor priority.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PriorityWeights {
-    /// Weight of the age factor.
-    pub age: f64,
-    /// Weight of the size factor.
-    pub size: f64,
-    /// Weight of the fair-share factor.
-    pub fairshare: f64,
-    /// Wait time (seconds) at which the age factor saturates to 1.
-    pub max_age: SimTime,
-}
-
-impl Default for PriorityWeights {
-    fn default() -> Self {
-        // Curie-like defaults: age dominates (FCFS-ish), size breaks ties in
-        // favour of large jobs, fair-share rebalances heavy users.
-        PriorityWeights {
-            age: 1000.0,
-            size: 200.0,
-            fairshare: 500.0,
-            max_age: 7 * 24 * 3600,
-        }
-    }
-}
+/// Weight of the age factor.
+const AGE_WEIGHT: f64 = 1000.0;
+/// Weight of the size factor.
+const SIZE_WEIGHT: f64 = 200.0;
+/// Weight of the fair-share factor.
+const FAIRSHARE_WEIGHT: f64 = 500.0;
+/// Wait time (seconds) at which the age factor saturates to 1.
+const MAX_AGE: SimTime = 7 * 24 * 3600;
+/// Decayed core-seconds at which a user's fair-share factor halves.
+const FAIRSHARE_HALF_USAGE: f64 = 1.0e7;
+/// Half-life of recorded fair-share usage, in seconds.
+const FAIRSHARE_HALF_LIFE: SimTime = 7 * 24 * 3600;
 
 /// Hashes a user id with one 64×64→128-bit multiply whose halves are
 /// folded together by XOR.
@@ -84,40 +76,17 @@ impl Hasher for UserIdHasher {
     }
 }
 
-/// Per-user fair-share accounting with exponential decay.
-#[derive(Debug, Clone)]
+/// Per-user fair-share accounting with exponential decay: a user's factor
+/// halves per 10^7 decayed core-seconds, and usage halves every 7 days.
+#[derive(Debug, Clone, Default)]
 pub struct FairShareTracker {
     /// Decayed core-seconds consumed per user.
     usage: HashMap<usize, f64, BuildHasherDefault<UserIdHasher>>,
-    /// Normalisation constant: the usage at which the fair-share factor
-    /// halves.
-    half_usage: f64,
-    /// Exponential decay half-life of recorded usage, in seconds.
-    half_life: SimTime,
     /// Last time the decay was applied.
     last_decay: SimTime,
 }
 
-impl Default for FairShareTracker {
-    fn default() -> Self {
-        FairShareTracker::new(1.0e7, 7 * 24 * 3600)
-    }
-}
-
 impl FairShareTracker {
-    /// Create a tracker. `half_usage` is the decayed core-seconds at which a
-    /// user's factor drops to 0.5; `half_life` is the decay half-life.
-    pub fn new(half_usage: f64, half_life: SimTime) -> Self {
-        assert!(half_usage > 0.0);
-        assert!(half_life > 0);
-        FairShareTracker {
-            usage: HashMap::default(),
-            half_usage,
-            half_life,
-            last_decay: 0,
-        }
-    }
-
     /// Record `core_seconds` of usage for `user` at time `now`.
     pub fn record_usage(&mut self, user: usize, core_seconds: f64, now: SimTime) {
         self.decay_to(now);
@@ -138,7 +107,7 @@ impl FairShareTracker {
     /// The fair-share factor of a user in `[0, 1]` (1 = no recent usage).
     pub fn factor(&self, user: usize) -> f64 {
         let u = self.usage_of(user);
-        0.5_f64.powf(u / self.half_usage)
+        0.5_f64.powf(u / FAIRSHARE_HALF_USAGE)
     }
 
     /// Apply the exponential decay up to `now`.
@@ -147,7 +116,7 @@ impl FairShareTracker {
             return;
         }
         let dt = (now - self.last_decay) as f64;
-        let factor = 0.5_f64.powf(dt / self.half_life as f64);
+        let factor = 0.5_f64.powf(dt / FAIRSHARE_HALF_LIFE as f64);
         for v in self.usage.values_mut() {
             *v *= factor;
         }
@@ -156,22 +125,10 @@ impl FairShareTracker {
 }
 
 /// The multifactor priority calculator.
-#[derive(Debug, Clone, Default)]
-pub struct MultifactorPriority {
-    weights: PriorityWeights,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MultifactorPriority;
 
 impl MultifactorPriority {
-    /// Create a calculator with the given weights.
-    pub fn new(weights: PriorityWeights) -> Self {
-        MultifactorPriority { weights }
-    }
-
-    /// The configured weights.
-    pub fn weights(&self) -> &PriorityWeights {
-        &self.weights
-    }
-
     /// Compute the priority of a pending job at time `now`.
     pub fn priority(
         &self,
@@ -180,12 +137,10 @@ impl MultifactorPriority {
         total_cores: u64,
         fairshare: &FairShareTracker,
     ) -> f64 {
-        let w = &self.weights;
-        let age = job.wait_time(now) as f64 / w.max_age.max(1) as f64;
-        let age_factor = age.min(1.0);
+        let age_factor = (job.wait_time(now) as f64 / MAX_AGE as f64).min(1.0);
         let size_factor = (job.cores() as f64 / total_cores.max(1) as f64).min(1.0);
         let fs_factor = fairshare.factor(job.submission.user);
-        w.age * age_factor + w.size * size_factor + w.fairshare * fs_factor
+        AGE_WEIGHT * age_factor + SIZE_WEIGHT * size_factor + FAIRSHARE_WEIGHT * fs_factor
     }
 
     /// Order pending job indices by decreasing priority, ties broken by
@@ -232,38 +187,38 @@ mod tests {
 
     #[test]
     fn fairshare_factor_decreases_with_usage() {
-        let mut fs = FairShareTracker::new(1000.0, 3600);
+        let mut fs = FairShareTracker::default();
         assert_eq!(fs.factor(0), 1.0);
-        fs.record_usage(0, 1000.0, 0);
+        fs.record_usage(0, FAIRSHARE_HALF_USAGE, 0);
         assert!((fs.factor(0) - 0.5).abs() < 1e-12);
-        fs.record_usage(0, 1000.0, 0);
+        fs.record_usage(0, FAIRSHARE_HALF_USAGE, 0);
         assert!((fs.factor(0) - 0.25).abs() < 1e-12);
         assert_eq!(fs.factor(1), 1.0, "other users unaffected");
     }
 
     #[test]
     fn fairshare_usage_decays_over_time() {
-        let mut fs = FairShareTracker::new(1000.0, 3600);
+        let mut fs = FairShareTracker::default();
         fs.record_usage(0, 2000.0, 0);
-        fs.decay_to(3600);
+        fs.decay_to(FAIRSHARE_HALF_LIFE);
         assert!((fs.usage_of(0) - 1000.0).abs() < 1e-9);
-        fs.decay_to(7200);
+        fs.decay_to(2 * FAIRSHARE_HALF_LIFE);
         assert!((fs.usage_of(0) - 500.0).abs() < 1e-9);
         // Decay never goes backwards.
-        fs.decay_to(7200);
+        fs.decay_to(2 * FAIRSHARE_HALF_LIFE);
         assert!((fs.usage_of(0) - 500.0).abs() < 1e-9);
     }
 
     #[test]
     fn seeded_usage_counts_like_recorded_usage() {
-        let mut fs = FairShareTracker::new(1000.0, 3600);
-        fs.seed_usage(4, 3000.0);
+        let mut fs = FairShareTracker::default();
+        fs.seed_usage(4, 3.0 * FAIRSHARE_HALF_USAGE);
         assert!(fs.factor(4) < 0.2);
     }
 
     #[test]
     fn age_increases_priority() {
-        let prio = MultifactorPriority::default();
+        let prio = MultifactorPriority;
         let fs = FairShareTracker::default();
         let old = job(0, 0, 0, 64);
         let fresh = job(1, 0, 90_000, 64);
@@ -273,7 +228,7 @@ mod tests {
 
     #[test]
     fn size_increases_priority() {
-        let prio = MultifactorPriority::default();
+        let prio = MultifactorPriority;
         let fs = FairShareTracker::default();
         let big = job(0, 0, 0, 40_000);
         let small = job(1, 0, 0, 16);
@@ -282,7 +237,7 @@ mod tests {
 
     #[test]
     fn heavy_users_sink_in_the_queue() {
-        let prio = MultifactorPriority::default();
+        let prio = MultifactorPriority;
         let mut fs = FairShareTracker::default();
         fs.seed_usage(1, 1.0e8);
         let a = job(0, 0, 500, 64);
@@ -295,7 +250,7 @@ mod tests {
 
     #[test]
     fn sort_is_stable_for_equal_priorities() {
-        let prio = MultifactorPriority::default();
+        let prio = MultifactorPriority;
         let fs = FairShareTracker::default();
         let jobs = vec![job(0, 0, 100, 64), job(1, 0, 100, 64), job(2, 0, 100, 64)];
         let mut pending = vec![2, 0, 1];
@@ -319,17 +274,14 @@ mod tests {
 
     #[test]
     fn age_factor_saturates() {
-        let weights = PriorityWeights {
-            age: 100.0,
-            size: 0.0,
-            fairshare: 0.0,
-            max_age: 1000,
-        };
-        let prio = MultifactorPriority::new(weights);
+        let prio = MultifactorPriority;
         let fs = FairShareTracker::default();
         let j = job(0, 0, 0, 64);
-        assert_eq!(prio.priority(&j, 1000, 80_640, &fs), 100.0);
-        assert_eq!(prio.priority(&j, 100_000, 80_640, &fs), 100.0);
-        assert!((prio.priority(&j, 500, 80_640, &fs) - 50.0).abs() < 1e-9);
+        // The size and fair-share terms do not move with the wait.
+        let rest = prio.priority(&j, 0, 80_640, &fs);
+        let age_term = |now| prio.priority(&j, now, 80_640, &fs) - rest;
+        assert!((age_term(MAX_AGE) - AGE_WEIGHT).abs() < 1e-9);
+        assert_eq!(age_term(100 * MAX_AGE), age_term(MAX_AGE));
+        assert!((age_term(MAX_AGE / 2) - AGE_WEIGHT / 2.0).abs() < 1e-9);
     }
 }

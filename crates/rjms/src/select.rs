@@ -1,35 +1,23 @@
 //! Node selection.
 //!
 //! The second scheduling phase of the paper's Fig. 1: once a job has been
-//! picked, concrete nodes must be chosen for it. The selector prefers
-//! *contiguous* nodes (same chassis, then same rack) which both matches how
-//! Curie allocates topology-aware jobs and keeps whole chassis free for the
-//! offline switch-off planner.
+//! picked, concrete nodes must be chosen for it. Selection is *contiguous*:
+//! it fills partially used chassis first and then takes whole free chassis
+//! in ascending order, which both matches how Curie allocates
+//! topology-aware jobs and keeps whole chassis free for the offline
+//! switch-off planner.
 //!
-//! Selection runs on the cluster's availability [`NodeMask`]: first-fit is
-//! a single word scan over `available & !blocked`, and the contiguous
-//! policy walks chassis bit-ranges in preference order (partially used
-//! chassis first, so untouched chassis stay whole) — no candidate vector is
-//! materialised and, with a caller-provided [`SelectScratch`] and output
-//! buffer, a selection performs no heap allocation in the steady state.
+//! Selection runs on the cluster's availability [`NodeMask`]: it walks
+//! chassis bit-ranges of `available & !blocked` in preference order — no
+//! candidate vector is materialised and, with a caller-provided
+//! [`SelectScratch`] and output buffer, a selection performs no heap
+//! allocation in the steady state.
 
 use crate::cluster::Cluster;
 use crate::mask::NodeMask;
 
-/// Node-selection policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionPolicy {
-    /// Prefer nodes that keep allocations packed: fill partially-used chassis
-    /// first, then take the lowest-index free nodes.
-    #[default]
-    Contiguous,
-    /// Plain lowest-index-first selection.
-    FirstFit,
-}
-
-/// Reusable buffers for [`NodeSelector::select_into`] (the per-chassis
-/// candidate counts of the contiguous policy). Hold one per scheduling
-/// context and reuse it across passes.
+/// Reusable buffers for [`select_into`] (the per-chassis candidate counts).
+/// Hold one per scheduling context and reuse it across passes.
 #[derive(Debug, Clone, Default)]
 pub struct SelectScratch {
     free_per_chassis: Vec<usize>,
@@ -42,110 +30,75 @@ impl SelectScratch {
     }
 }
 
-/// Stateless node selector.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NodeSelector {
-    policy: SelectionPolicy,
+/// Pick `needed` available nodes, excluding `blocked` (nodes owned by
+/// overlapping reservations), appending them to `out` in ascending id
+/// order. Returns `false` — leaving `out` empty — when not enough nodes
+/// are available. Allocation-free once `scratch` and `out` have reached
+/// their steady-state capacities.
+pub fn select_into(
+    cluster: &Cluster,
+    needed: usize,
+    blocked: &NodeMask,
+    scratch: &mut SelectScratch,
+    out: &mut Vec<usize>,
+) -> bool {
+    out.clear();
+    if needed == 0 {
+        return true;
+    }
+    let available = cluster.available_mask();
+    if available_count(cluster, blocked) < needed {
+        return false;
+    }
+    let topo = &cluster.platform().topology;
+    let chassis_size = topo.nodes_per_group(0);
+    let chassis_count = topo.group_count(0);
+    // Candidate count per chassis: a chassis whose every node is
+    // selectable is "fully free" and kept whole for switch-off grouping —
+    // partially used chassis are consumed first.
+    scratch.free_per_chassis.clear();
+    scratch.free_per_chassis.resize(chassis_count, 0);
+    for id in available.iter_and_not(blocked) {
+        scratch.free_per_chassis[topo.group_of(0, id)] += 1;
+    }
+    // Pass 1: partially used chassis, ascending chassis id; pass 2: fully
+    // free ones.
+    'outer: for pass_fully_free in [false, true] {
+        for (chassis, &free) in scratch.free_per_chassis.iter().enumerate() {
+            if free == 0 || (free == chassis_size) != pass_fully_free {
+                continue;
+            }
+            let range = topo.nodes_of_group(0, chassis);
+            for id in available.iter_and_not_in(blocked, range.start, range.end) {
+                out.push(id);
+                if out.len() == needed {
+                    break 'outer;
+                }
+            }
+        }
+    }
+    // Pass 2 can select lower node ids than pass 1; hand the allocation
+    // back in ascending order like the seed did.
+    out.sort_unstable();
+    debug_assert_eq!(out.len(), needed);
+    true
 }
 
-impl NodeSelector {
-    /// Create a selector with the given policy.
-    pub fn new(policy: SelectionPolicy) -> Self {
-        NodeSelector { policy }
-    }
+/// Convenience wrapper over [`select_into`] that allocates its own buffers
+/// (tests, one-off callers).
+pub fn select(cluster: &Cluster, needed: usize, blocked: &NodeMask) -> Option<Vec<usize>> {
+    let mut scratch = SelectScratch::default();
+    let mut out = Vec::new();
+    select_into(cluster, needed, blocked, &mut scratch, &mut out).then_some(out)
+}
 
-    /// The active policy.
-    pub fn policy(&self) -> SelectionPolicy {
-        self.policy
-    }
-
-    /// Pick `needed` available nodes, excluding `blocked` (nodes owned by
-    /// overlapping reservations), appending them to `out` in ascending id
-    /// order. Returns `false` — leaving `out` empty — when not enough nodes
-    /// are available. Allocation-free once `scratch` and `out` have reached
-    /// their steady-state capacities.
-    pub fn select_into(
-        &self,
-        cluster: &Cluster,
-        needed: usize,
-        blocked: &NodeMask,
-        scratch: &mut SelectScratch,
-        out: &mut Vec<usize>,
-    ) -> bool {
-        out.clear();
-        if needed == 0 {
-            return true;
-        }
-        let available = cluster.available_mask();
-        if self.available_count(cluster, blocked) < needed {
-            return false;
-        }
-        match self.policy {
-            SelectionPolicy::FirstFit => {
-                out.extend(available.iter_and_not(blocked).take(needed));
-            }
-            SelectionPolicy::Contiguous => {
-                let topo = &cluster.platform().topology;
-                let chassis_size = topo.nodes_per_group(0);
-                let chassis_count = topo.group_count(0);
-                // Candidate count per chassis: a chassis whose every node is
-                // selectable is "fully free" and kept whole for switch-off
-                // grouping — partially used chassis are consumed first.
-                scratch.free_per_chassis.clear();
-                scratch.free_per_chassis.resize(chassis_count, 0);
-                for id in available.iter_and_not(blocked) {
-                    scratch.free_per_chassis[topo.group_of(0, id)] += 1;
-                }
-                let chassis_range = |chassis: usize| {
-                    let r = topo.nodes_of_group(0, chassis);
-                    (r.start, r.end)
-                };
-                // Pass 1: partially used chassis, ascending chassis id.
-                'outer: for pass_fully_free in [false, true] {
-                    for (chassis, &free) in scratch.free_per_chassis.iter().enumerate() {
-                        if free == 0 || (free == chassis_size) != pass_fully_free {
-                            continue;
-                        }
-                        let (start, end) = chassis_range(chassis);
-                        for id in available.iter_and_not_in(blocked, start, end) {
-                            out.push(id);
-                            if out.len() == needed {
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-                // Pass 2 can select lower node ids than pass 1; hand the
-                // allocation back in ascending order like the seed did.
-                out.sort_unstable();
-            }
-        }
-        debug_assert_eq!(out.len(), needed);
-        true
-    }
-
-    /// Convenience wrapper over [`select_into`](Self::select_into) that
-    /// allocates its own buffers (tests, one-off callers).
-    pub fn select(
-        &self,
-        cluster: &Cluster,
-        needed: usize,
-        blocked: &NodeMask,
-    ) -> Option<Vec<usize>> {
-        let mut scratch = SelectScratch::default();
-        let mut out = Vec::new();
-        self.select_into(cluster, needed, blocked, &mut scratch, &mut out)
-            .then_some(out)
-    }
-
-    /// Count how many nodes are selectable right now given the blocked set
-    /// (a word-wise popcount of `available & !blocked`).
-    pub fn available_count(&self, cluster: &Cluster, blocked: &NodeMask) -> usize {
-        if blocked.is_empty() {
-            cluster.free_count()
-        } else {
-            cluster.available_mask().count_and_not(blocked)
-        }
+/// Count how many nodes are selectable right now given the blocked set
+/// (a word-wise popcount of `available & !blocked`).
+pub fn available_count(cluster: &Cluster, blocked: &NodeMask) -> usize {
+    if blocked.is_empty() {
+        cluster.free_count()
+    } else {
+        cluster.available_mask().count_and_not(blocked)
     }
 }
 
@@ -166,30 +119,27 @@ mod tests {
     #[test]
     fn selects_exactly_the_requested_count() {
         let c = cluster();
-        let sel = NodeSelector::default();
-        let nodes = sel.select(&c, 10, &NodeMask::default()).unwrap();
+        let nodes = select(&c, 10, &NodeMask::default()).unwrap();
         assert_eq!(nodes.len(), 10);
         // All selected nodes are distinct and ascending.
         assert!(nodes.windows(2).all(|w| w[0] < w[1]));
-        assert!(sel.select(&c, 0, &NodeMask::default()).unwrap().is_empty());
+        assert!(select(&c, 0, &NodeMask::default()).unwrap().is_empty());
     }
 
     #[test]
     fn returns_none_when_not_enough_nodes() {
         let c = cluster();
-        let sel = NodeSelector::default();
-        assert!(sel.select(&c, 91, &NodeMask::default()).is_none());
+        assert!(select(&c, 91, &NodeMask::default()).is_none());
         let blocked = mask(0..85);
-        assert!(sel.select(&c, 10, &blocked).is_none());
-        assert_eq!(sel.available_count(&c, &blocked), 5);
+        assert!(select(&c, 10, &blocked).is_none());
+        assert_eq!(available_count(&c, &blocked), 5);
     }
 
     #[test]
     fn respects_blocked_nodes() {
         let c = cluster();
-        let sel = NodeSelector::default();
         let blocked = mask(0..18);
-        let nodes = sel.select(&c, 5, &blocked).unwrap();
+        let nodes = select(&c, 5, &blocked).unwrap();
         assert!(nodes.iter().all(|n| !blocked.contains(*n)));
     }
 
@@ -199,8 +149,7 @@ mod tests {
         // Occupy 10 nodes of chassis 1 (nodes 18..28).
         let occupied: Vec<usize> = (18..28).collect();
         c.allocate(1, &occupied, Frequency::from_ghz(2.7), 0);
-        let sel = NodeSelector::new(SelectionPolicy::Contiguous);
-        let nodes = sel.select(&c, 8, &NodeMask::default()).unwrap();
+        let nodes = select(&c, 8, &NodeMask::default()).unwrap();
         // The 8 remaining nodes of chassis 1 are preferred over untouched
         // chassis 0.
         assert_eq!(nodes, (28..36).collect::<Vec<_>>());
@@ -214,8 +163,7 @@ mod tests {
         // selection mixes low and high ids and must come back sorted.
         let occupied: Vec<usize> = (54..64).collect();
         c.allocate(1, &occupied, Frequency::from_ghz(2.7), 0);
-        let sel = NodeSelector::new(SelectionPolicy::Contiguous);
-        let nodes = sel.select(&c, 12, &NodeMask::default()).unwrap();
+        let nodes = select(&c, 12, &NodeMask::default()).unwrap();
         let mut expected: Vec<usize> = (64..72).collect(); // rest of chassis 3
         expected.extend(0..4); // then chassis 0
         expected.sort_unstable();
@@ -223,32 +171,34 @@ mod tests {
     }
 
     #[test]
-    fn first_fit_takes_lowest_indices() {
-        let c = cluster();
-        let sel = NodeSelector::new(SelectionPolicy::FirstFit);
-        let nodes = sel.select(&c, 4, &NodeMask::default()).unwrap();
-        assert_eq!(nodes, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn available_count_matches_free_count_without_blocks() {
         let c = cluster();
-        let sel = NodeSelector::default();
-        assert_eq!(sel.available_count(&c, &NodeMask::default()), 90);
+        assert_eq!(available_count(&c, &NodeMask::default()), 90);
     }
 
     #[test]
     fn select_into_reuses_buffers_without_reallocating() {
         let c = cluster();
-        let sel = NodeSelector::new(SelectionPolicy::Contiguous);
         let mut scratch = SelectScratch::default();
         let mut out = Vec::new();
-        assert!(sel.select_into(&c, 30, &NodeMask::default(), &mut scratch, &mut out));
+        assert!(select_into(
+            &c,
+            30,
+            &NodeMask::default(),
+            &mut scratch,
+            &mut out
+        ));
         let out_cap = out.capacity();
         let scratch_cap = scratch.free_per_chassis.capacity();
         let out_ptr = out.as_ptr();
         for needed in [10usize, 25, 30, 1] {
-            assert!(sel.select_into(&c, needed, &NodeMask::default(), &mut scratch, &mut out));
+            assert!(select_into(
+                &c,
+                needed,
+                &NodeMask::default(),
+                &mut scratch,
+                &mut out
+            ));
             assert_eq!(out.len(), needed);
         }
         assert_eq!(out.capacity(), out_cap, "output buffer must not regrow");

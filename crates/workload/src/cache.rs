@@ -6,6 +6,14 @@
 //! replays and waste memory on identical copies; the [`TraceCache`] generates
 //! each distinct trace once and hands out [`Arc`] clones.
 //!
+//! The cache holds each trace only as long as some caller does: an entry
+//! is a [`Weak`] reference, so once the last `Arc` of a trace is dropped
+//! (a campaign worker moved on to the next workload) its memory goes, and a
+//! later lookup generates it again and counts a miss. Dead entries are
+//! dropped when a miss inserts. A campaign runs a workload's cells one
+//! after another, so its memory holds the traces its workers are replaying,
+//! not every trace of the grid.
+//!
 //! The cache key captures everything trace generation depends on: the
 //! platform shape (node count, cores per node) plus every generator
 //! parameter (seed, interval, load, backlog, over-estimation, user count).
@@ -14,12 +22,12 @@
 //!
 //! The cache is `Send + Sync` and safe to share across worker threads. On a
 //! concurrent miss of the same key both workers may generate the trace, but
-//! only the first insert wins, so every caller still observes the same
-//! `Arc` and generation stays deterministic.
+//! only the first insert wins while it lives, so every caller still observes
+//! the same `Arc` and generation stays deterministic.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 use apc_rjms::cluster::Platform;
 
@@ -47,10 +55,11 @@ pub struct TraceCacheKey {
     pub user_count: usize,
 }
 
-/// A concurrency-safe, deterministic memoiser of generated traces.
+/// A concurrency-safe, deterministic memoiser of generated traces, holding
+/// each trace while some caller holds it.
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    entries: Mutex<HashMap<TraceCacheKey, Arc<Trace>>>,
+    entries: Mutex<HashMap<TraceCacheKey, Weak<Trace>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -62,27 +71,40 @@ impl TraceCache {
     }
 
     /// The trace `generator` would produce for `platform`, generated at most
-    /// once per distinct key for the lifetime of the cache.
+    /// once per distinct key for as long as some caller holds it.
     pub fn get_or_generate(
         &self,
         generator: &CurieTraceGenerator,
         platform: &Platform,
     ) -> Arc<Trace> {
         let key = generator.cache_key(platform);
-        if let Some(found) = self.entries.lock().unwrap().get(&key) {
+        let held = self
+            .entries
+            .lock()
+            .unwrap()
+            .get(&key)
+            .and_then(Weak::upgrade);
+        if let Some(found) = held {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(found);
+            return found;
         }
         // Generate outside the lock so other keys make progress; a racing
-        // generation of the same key is discarded by `or_insert`.
+        // generation of the same key that is still held wins.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let fresh = Arc::new(generator.generate_for(platform));
-        Arc::clone(self.entries.lock().unwrap().entry(key).or_insert(fresh))
+        let mut entries = self.entries.lock().unwrap();
+        if let Some(raced) = entries.get(&key).and_then(Weak::upgrade) {
+            return raced;
+        }
+        entries.retain(|_, trace| trace.strong_count() > 0);
+        entries.insert(key, Arc::downgrade(&fresh));
+        fresh
     }
 
-    /// Number of distinct traces currently held.
+    /// Number of distinct traces currently held, by this cache's callers.
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        let entries = self.entries.lock().unwrap();
+        entries.values().filter(|t| t.strong_count() > 0).count()
     }
 
     /// Is the cache empty?
@@ -100,7 +122,7 @@ impl TraceCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Drop every cached trace (counters are kept).
+    /// Forget every cached trace (counters are kept); callers keep theirs.
     pub fn clear(&self) {
         self.entries.lock().unwrap().clear();
     }
@@ -133,16 +155,18 @@ mod tests {
         let base = CurieTraceGenerator::new(7)
             .load_factor(0.5)
             .backlog_factor(0.2);
-        cache.get_or_generate(&base, &platform);
-        cache.get_or_generate(&base.clone().interval(IntervalKind::BigJob), &platform);
-        cache.get_or_generate(&base.clone().load_factor(0.6), &platform);
-        cache.get_or_generate(
-            &CurieTraceGenerator::new(8)
-                .load_factor(0.5)
-                .backlog_factor(0.2),
-            &platform,
-        );
-        cache.get_or_generate(&base, &Platform::curie_scaled(2));
+        let _held = [
+            cache.get_or_generate(&base, &platform),
+            cache.get_or_generate(&base.clone().interval(IntervalKind::BigJob), &platform),
+            cache.get_or_generate(&base.clone().load_factor(0.6), &platform),
+            cache.get_or_generate(
+                &CurieTraceGenerator::new(8)
+                    .load_factor(0.5)
+                    .backlog_factor(0.2),
+                &platform,
+            ),
+            cache.get_or_generate(&base, &Platform::curie_scaled(2)),
+        ];
         assert_eq!(cache.len(), 5);
         assert_eq!(cache.misses(), 5);
         assert_eq!(cache.hits(), 0);
@@ -172,11 +196,13 @@ mod tests {
             let platform = platform.clone();
             let gen = gen.clone();
             handles.push(std::thread::spawn(move || {
-                cache.get_or_generate(&gen, &platform).len()
+                cache.get_or_generate(&gen, &platform)
             }));
         }
-        let lengths: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert!(lengths.windows(2).all(|w| w[0] == w[1]));
+        let traces: Vec<Arc<Trace>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(traces.windows(2).all(|w| w[0].len() == w[1].len()));
+        // A racing generation loses to the held entry: one `Arc` for all.
+        assert!(traces.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
         assert_eq!(cache.len(), 1);
     }
 
@@ -187,9 +213,33 @@ mod tests {
         let gen = CurieTraceGenerator::new(1)
             .load_factor(0.3)
             .backlog_factor(0.0);
-        cache.get_or_generate(&gen, &platform);
+        let trace = cache.get_or_generate(&gen, &platform);
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
+        drop(trace);
+    }
+
+    #[test]
+    fn a_trace_is_held_only_while_a_caller_holds_it() {
+        let cache = TraceCache::new();
+        let platform = Platform::curie_scaled(1);
+        let gen = CurieTraceGenerator::new(5)
+            .load_factor(0.3)
+            .backlog_factor(0.1);
+        let trace = cache.get_or_generate(&gen, &platform);
+        let weak = Arc::downgrade(&trace);
+        assert_eq!(cache.len(), 1);
+        drop(trace);
+        assert!(cache.is_empty());
+        assert!(weak.upgrade().is_none(), "the cache kept the trace alive");
+        // A later lookup generates it again, as a miss.
+        let again = cache.get_or_generate(&gen, &platform);
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!(*again, gen.generate_for(&platform));
+        drop(again);
+        // A miss drops the dead entries it finds.
+        let _other = cache.get_or_generate(&gen.clone().load_factor(0.4), &platform);
+        assert_eq!(cache.entries.lock().unwrap().len(), 1);
     }
 }

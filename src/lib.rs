@@ -22,8 +22,8 @@
 //!   grids, a sharded multi-threaded executor, streaming aggregation and
 //!   CSV/JSON sinks (plus the `campaign` binary).
 //! * [`obs`] — zero-overhead observability: a metrics registry (counters,
-//!   gauges, log2 histograms), a span recorder with a Chrome Trace Event
-//!   writer, and the instrumentation hooks the layers above publish onto.
+//!   log2 histograms), a span recorder with a Chrome Trace Event writer, and
+//!   the instrumentation hooks the layers above publish onto.
 //!
 //! ## Quickstart
 //!

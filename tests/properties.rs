@@ -212,7 +212,7 @@ proptest! {
         use adaptive_powercap::core::online::OnlineScheduler;
         use apc_rjms::mask::NodeMask;
         use apc_rjms::reservation::{ReservationBook, ReservationKind};
-        use apc_rjms::select::NodeSelector;
+        use apc_rjms::select;
         use apc_rjms::time::TimeWindow;
 
         let ((policy_idx, fractional), (needed, walltime, now)) = (setup, request);
@@ -252,7 +252,7 @@ proptest! {
                 }
                 1 if !jobs.is_empty() => {
                     let nodes = jobs.swap_remove(node % jobs.len());
-                    cluster.release(&nodes, t);
+                    cluster.release_mask(&nodes.into_iter().collect(), t);
                 }
                 // An outage or a switch-off going down, and coming back.
                 2 => drop(cluster.power_off(&range(node, len), t)),
@@ -289,9 +289,8 @@ proptest! {
 
         let mut blocked = NodeMask::default();
         book.collect_blocked_within(now, now.saturating_add(walltime), &mut blocked);
-        let selector = NodeSelector::default();
-        if selector.available_count(&cluster, &blocked) >= needed {
-            let selected = selector.select(&cluster, needed, &blocked).unwrap();
+        if select::available_count(&cluster, &blocked) >= needed {
+            let selected = select::select(&cluster, needed, &blocked).unwrap();
             prop_assert!(selected
                 .iter()
                 .all(|&node| cluster.accountant().state(node) == PowerState::Idle));
@@ -323,7 +322,7 @@ proptest! {
         for (user, core_seconds) in usage {
             fairshare.seed_usage(user, core_seconds);
         }
-        let priority = MultifactorPriority::default();
+        let priority = MultifactorPriority;
         let total_cores = 2880;
         let mut pending: Vec<usize> = (0..jobs.len()).collect();
         pending.rotate_left(rotate % jobs.len());
@@ -437,7 +436,7 @@ proptest! {
         let mut config = PowercapConfig::for_policy(policy);
         config.kill_on_cap_violation = kill == 1;
         let hook = PowercapHook::new(config, &platform);
-        let mut c = Controller::with_hook(platform, ControllerConfig::default(), Box::new(hook));
+        let mut c = Controller::with_hook(platform, Box::new(hook));
         let registry = Registry::new();
         c.set_obs(ControllerObs::new(&registry, SpanRecorder::disabled()));
         let mut start = 0;
