@@ -123,8 +123,9 @@
 //! whose reader has gone (`campaign query DIR | head -1`) is no error: the
 //! output stops there and the command still exits 0.
 
-use std::fmt;
-use std::io::{self, Write};
+#[path = "common/stdout.rs"]
+mod stdout;
+
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -132,6 +133,7 @@ use apc_campaign::prelude::*;
 use apc_campaign::store::MAX_STORE_CELLS;
 use apc_replay::{CapSchedule, FaultPlan};
 use apc_workload::load_swf_file;
+use stdout::Stdout;
 
 const USAGE: &str = "usage: campaign [--threads N] [--seeds K] [--seed-base S] [--racks LIST] \
 [--intervals LIST] [--policies LIST] [--caps LIST] [--no-baseline] [--groupings LIST] \
@@ -1076,36 +1078,6 @@ fn report(args: &[String]) -> Result<Job, String> {
 /// What a command line asks for once its arguments parsed: the work that
 /// can only fail at run time.
 type Job = Box<dyn FnOnce() -> Result<(), String>>;
-
-/// The locked stdout that every command's results go through. A reader
-/// that went away ends the output quietly: after a `BrokenPipe` nothing
-/// more is written and the command succeeds. Any other write error fails
-/// the command.
-struct Stdout {
-    out: io::StdoutLock<'static>,
-    /// The reader has gone.
-    closed: bool,
-}
-
-impl Stdout {
-    fn new() -> Self {
-        Stdout {
-            out: io::stdout().lock(),
-            closed: false,
-        }
-    }
-
-    /// Write `text`; `Ok(false)` once the reader has gone.
-    fn write(&mut self, text: fmt::Arguments) -> Result<bool, String> {
-        if !self.closed {
-            match self.out.write_fmt(text) {
-                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
-                written => written.map_err(|e| format!("cannot write to stdout: {e}"))?,
-            }
-        }
-        Ok(!self.closed)
-    }
-}
 
 /// The grid command: run the campaign, or its `--distributed` coordinator.
 fn campaign(args: &[String]) -> Result<Job, String> {

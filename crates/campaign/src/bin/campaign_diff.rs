@@ -23,8 +23,14 @@
 //!      no metric beyond the threshold
 //!   1  grids differ (without --intersect), the intersection is empty, or
 //!      at least one metric breached the threshold
-//!   2  usage or input error
+//!   2  usage or input error, or a failed write to stdout
 //! ```
+//!
+//! A stdout whose reader has gone (`campaign-diff A B | head -1`) is no
+//! error: the output stops there and the exit status is still the verdict.
+
+#[path = "common/stdout.rs"]
+mod stdout;
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -33,6 +39,7 @@ use apc_campaign::agg::summarize;
 use apc_campaign::diff::diff_summary_csv;
 use apc_campaign::query::StoreScanner;
 use apc_campaign::sink::render_summary_csv;
+use stdout::Stdout;
 
 const USAGE: &str =
     "usage: campaign-diff A B [--threshold PCT] [--intersect] [--quiet]  (A/B: summary.csv or store dir)";
@@ -54,7 +61,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                Stdout::new().write(format_args!("{USAGE}\n"))?;
                 return Ok(None);
             }
             "--threshold" => {
@@ -101,30 +108,31 @@ fn run(options: &Options) -> Result<bool, String> {
     let b = load_summary(&options.b_path)?;
     let report = diff_summary_csv(&a, &b)?;
     let breaches = report.breaches(options.threshold_percent);
+    let mut out = Stdout::new();
     if options.quiet {
         for d in &breaches {
-            println!(
-                "{} {}: {} -> {} ({:.3}% > {:.3}%)",
+            out.write(format_args!(
+                "{} {}: {} -> {} ({:.3}% > {:.3}%)\n",
                 d.key,
                 d.metric,
                 d.a,
                 d.b,
                 d.rel_percent(),
                 options.threshold_percent
-            );
+            ))?;
         }
         if !report.grid_matches() && !options.intersect {
-            println!(
-                "grid mismatch: {} rows only in A, {} only in B",
+            out.write(format_args!(
+                "grid mismatch: {} rows only in A, {} only in B\n",
                 report.only_in_a.len(),
                 report.only_in_b.len()
-            );
+            ))?;
         }
     } else {
-        print!("{}", report.render(options.threshold_percent));
+        out.write(format_args!("{}", report.render(options.threshold_percent)))?;
     }
     if options.intersect {
-        print!("{}", report.coverage_summary());
+        out.write(format_args!("{}", report.coverage_summary()))?;
     }
     eprintln!(
         "compared {} rows: {} metric deltas, {} beyond {}% threshold{}",

@@ -249,12 +249,15 @@ fn run_time_errors_exit_1_without_the_usage_text() {
 
 /// A reader that closed its end of the pipe before the first write is no
 /// error: the grid run, `query`, `report`, `pareto` and `--help` stop
-/// writing to stdout and exit 0, with no panic.
+/// writing to stdout and exit 0, with no panic; `campaign-diff` exits with
+/// its verdict (0 for two copies of one run) on two summary files, on two
+/// store directories, with `--intersect`, and for `--help`.
 #[test]
 fn a_closed_stdout_ends_quietly() {
     let dir = std::env::temp_dir().join(format!("apc-cli-closed-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let dir = dir.to_str().expect("temp dir is UTF-8");
+    let summary = format!("{dir}/summary.csv");
     let grid = [
         "--seeds",
         "1",
@@ -269,16 +272,20 @@ fn a_closed_stdout_ends_quietly() {
         "--out",
         dir,
     ];
-    for args in [
-        &grid[..],
-        &["query", dir],
-        &["report", dir],
-        &["pareto", dir],
-        &["--help"],
+    for (bin, args) in [
+        (CAMPAIGN, &grid[..]),
+        (CAMPAIGN, &["query", dir]),
+        (CAMPAIGN, &["report", dir]),
+        (CAMPAIGN, &["pareto", dir]),
+        (CAMPAIGN, &["--help"]),
+        (DIFF, &[summary.as_str(), summary.as_str()]),
+        (DIFF, &[dir, dir]),
+        (DIFF, &[dir, dir, "--intersect"]),
+        (DIFF, &["--help"]),
     ] {
         let (reader, writer) = std::io::pipe().unwrap();
         drop(reader);
-        let output = Command::new(CAMPAIGN)
+        let output = Command::new(bin)
             .args(args)
             .stdout(writer)
             .output()

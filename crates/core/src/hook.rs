@@ -209,8 +209,9 @@ mod tests {
     }
 
     /// `rjms.probe.fast` counts decisions: every capped `authorize_start`
-    /// builds exactly one probe, whether it finds no cap, walks the ladder
-    /// or postpones the job at the power floor.
+    /// builds exactly one `idle_busy_probe`, the accountant's only counted
+    /// probe, whether it finds no cap, walks the ladder or postpones the
+    /// job at the power floor.
     #[test]
     fn every_capped_decision_takes_exactly_one_probe() {
         let p = platform();
@@ -237,11 +238,11 @@ mod tests {
         ] {
             let hook = PowercapHook::for_policy(policy, &p);
             for &(count, walltime, now) in &cases {
-                let (before, slow) = cluster.accountant().probe_counts();
+                let before = cluster.accountant().probe_counts();
                 hook.authorize_start(&cluster, &book, count, walltime, now);
                 assert_eq!(
                     cluster.accountant().probe_counts(),
-                    (before + 1, slow),
+                    before + 1,
                     "{policy}: {count} nodes at t={now}"
                 );
             }

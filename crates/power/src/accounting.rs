@@ -11,12 +11,11 @@
 //! signal into exact energy (the signal only changes at simulation events, so
 //! rectangle integration is exact, not an approximation).
 
-use crate::freq::Frequency;
 use crate::profile::NodePowerProfile;
 use crate::state::PowerState;
 use crate::topology::{NodeId, Topology};
 use crate::units::{Joules, Watts};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
 /// A timestamped power reading, used to build power time series for the
 /// paper's Figures 6 and 7.
@@ -28,29 +27,20 @@ pub struct PowerSample {
     pub power: Watts,
 }
 
-/// Frequency-independent summary of a hypothetical "run these nodes busy"
-/// probe: everything [`power_if`](ClusterPowerAccountant::power_if) needs
-/// that does not depend on the probed frequency.
+/// Frequency-independent summary of "run these idle nodes busy", built by
+/// [`idle_busy_probe`](ClusterPowerAccountant::idle_busy_probe) and then
+/// evaluated at any number of frequencies in O(1) each via
+/// [`delta`](BusyProbe::delta): the online scheduler's ladder walk
+/// (Algorithm 2) probes every permitted step for every pending job.
 ///
-/// Built once per candidate set by
-/// [`busy_probe`](ClusterPowerAccountant::busy_probe), then evaluated at any
-/// number of frequencies in O(1) each via [`delta`](BusyProbe::delta) — the
-/// online scheduler's ladder walk (Algorithm 2) probes every permitted step
-/// for every pending job, so re-walking the candidate set per step was the
-/// dominant cost of capped-DVFS replays.
-///
-/// A `Busy` target is always "on", so the shared-equipment switching terms
-/// (a dark group regaining power when an off candidate comes back up) do not
-/// depend on the frequency either; they are folded into `bonus` here.
+/// Idle nodes are powered, so starting them wakes no dark group: the count
+/// and the summed idle draw are all the delta needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusyProbe {
     /// Number of candidate nodes (each would draw the busy wattage).
     count: usize,
-    /// Sum of the candidates' current per-node power draws.
+    /// The candidates' summed idle draw.
     sum_old: Watts,
-    /// Shared-equipment power re-entering the total: the completion bonus of
-    /// every currently-dark group that contains at least one (off) candidate.
-    bonus: Watts,
 }
 
 impl BusyProbe {
@@ -59,44 +49,7 @@ impl BusyProbe {
     /// hypothetical total.
     #[inline]
     pub fn delta(&self, busy_watts: Watts) -> Watts {
-        busy_watts * self.count as f64 - self.sum_old + self.bonus
-    }
-}
-
-/// Reusable per-probe scratch: one signed on-count delta per (level, group),
-/// sized from the topology at construction, plus the list of touched cells
-/// so resets cost O(touched) instead of O(groups).
-///
-/// Lives behind a [`RefCell`] so the read-only probe entry points
-/// ([`power_if`](ClusterPowerAccountant::power_if),
-/// [`busy_probe`](ClusterPowerAccountant::busy_probe)) stay `&self` without
-/// heap-allocating per call. The accountant consequently is `Send` but not
-/// `Sync` — matching how the simulator uses it (one cluster per worker).
-#[derive(Debug, Clone, Default)]
-struct ProbeScratch {
-    /// `deltas[level][group]`: hypothetical on-count change, zero outside
-    /// the cells listed in `touched`.
-    deltas: Vec<Vec<isize>>,
-    /// The `(level, group)` cells with (possibly) nonzero deltas.
-    touched: Vec<(usize, usize)>,
-}
-
-impl ProbeScratch {
-    fn new(topology: &Topology) -> Self {
-        ProbeScratch {
-            deltas: (0..topology.depth())
-                .map(|level| vec![0isize; topology.group_count(level)])
-                .collect(),
-            touched: Vec::new(),
-        }
-    }
-
-    /// Zero the touched cells and forget them.
-    fn reset(&mut self) {
-        for &(level, group) in &self.touched {
-            self.deltas[level][group] = 0;
-        }
-        self.touched.clear();
+        busy_watts * self.count as f64 - self.sum_old
     }
 }
 
@@ -116,18 +69,13 @@ pub struct ClusterPowerAccountant {
     integrator: EnergyIntegrator,
     /// One sample per state change, for time-series plots and peaks.
     samples: Vec<PowerSample>,
-    /// `idle_sums[k]`: the draw of `k` idle nodes, summed by the same left
-    /// fold [`busy_probe`](Self::busy_probe) runs over `k` idle candidates.
+    /// `idle_sums[k]`: the draw of `k` idle nodes, summed by a left fold
+    /// from zero. Keep the fold: it is the `f64` every replay has decided
+    /// on, which the golden fingerprints pin, and on a profile with
+    /// non-integer watts `idle × k` can differ from it in the last bit.
     idle_sums: Vec<Watts>,
-    /// Reusable probe scratch (see [`ProbeScratch`]).
-    scratch: RefCell<ProbeScratch>,
-    /// Probes served by the frequency-independent `Busy` fast path
-    /// ([`busy_probe`](Self::busy_probe), [`idle_busy_probe`](Self::idle_busy_probe)
-    /// and everything routed through them).
-    probe_fast: Cell<u64>,
-    /// Probes that walked the per-group scratch (`power_if` with an
-    /// `Off`/`Idle` target).
-    probe_slow: Cell<u64>,
+    /// [`idle_busy_probe`](Self::idle_busy_probe) calls so far.
+    probes: Cell<u64>,
 }
 
 impl ClusterPowerAccountant {
@@ -157,9 +105,7 @@ impl ClusterPowerAccountant {
             })
             .take(n + 1)
             .collect(),
-            scratch: RefCell::new(ProbeScratch::new(topology)),
-            probe_fast: Cell::new(0),
-            probe_slow: Cell::new(0),
+            probes: Cell::new(0),
         }
     }
 
@@ -253,122 +199,38 @@ impl ClusterPowerAccountant {
         self.current
     }
 
-    /// Hypothetical cluster power if the given nodes were moved to `state`,
-    /// without committing the change. This is what the controller evaluates
-    /// before starting a job ("temporarily alter the states of the candidate
-    /// nodes, compute the resultant consumption", paper Section V).
+    /// Hypothetical cluster power if the given nodes were moved to `state`:
+    /// "temporarily alter the states of the candidate nodes, compute the
+    /// resultant consumption" (paper Section V), literally. The change is
+    /// committed on a copy at the integrator's last time. Counts no probe.
     ///
-    /// Allocation-free: `Busy` targets go through the [`BusyProbe`] fast
-    /// path; `Off`/`Idle` targets reuse the construction-sized per-group
-    /// scratch. Every power value in a Curie-profile simulation is an
-    /// integer-valued `f64`, so the rearranged summation is exact.
+    /// The exact reference, O(nodes + samples); the scheduler asks
+    /// [`idle_busy_probe`](Self::idle_busy_probe), which gives the same
+    /// `f64` for idle candidates on the Curie profile.
     pub fn power_if(&self, nodes: &[NodeId], state: PowerState) -> Watts {
-        if let PowerState::Busy(freq) = state {
-            return self.current + self.power_delta_if_busy(nodes, freq);
-        }
-        self.probe_slow.set(self.probe_slow.get() + 1);
-        let mut scratch = self.scratch.borrow_mut();
-        let mut power = self.current;
+        let mut copy = self.clone();
+        let now = self.integrator.last_time();
         for &node in nodes {
-            let old = self.states[node];
-            if old == state {
-                continue;
-            }
-            power -= self.profile.watts(old);
-            power += self.profile.watts(state);
-            let delta: isize = match (old.is_on(), state.is_on()) {
-                (true, false) => -1,
-                (false, true) => 1,
-                _ => 0,
-            };
-            if delta != 0 {
-                for level in 0..self.topology.depth() {
-                    let g = self.topology.group_of(level, node);
-                    if scratch.deltas[level][g] == 0 {
-                        scratch.touched.push((level, g));
-                    }
-                    scratch.deltas[level][g] += delta;
-                }
-            }
+            copy.set_state(node, state, now);
         }
-        // Shared-equipment switching of the touched groups. A cell can appear
-        // twice in `touched` when its delta transits through zero; the first
-        // visit applies the (final) delta and zeroes it, later visits no-op.
-        for i in 0..scratch.touched.len() {
-            let (level, g) = scratch.touched[i];
-            let delta = scratch.deltas[level][g];
-            let before = self.on_counts[level][g] as isize;
-            let after = before + delta;
-            let bonus = self.topology.group_completion_bonus(level, &self.profile);
-            if before > 0 && after <= 0 {
-                power -= bonus;
-            } else if before == 0 && after > 0 {
-                power += bonus;
-            }
-            scratch.deltas[level][g] = 0;
-        }
-        scratch.touched.clear();
-        power
+        copy.current_power()
     }
 
-    /// Frequency-independent probe over a candidate set: per-node baseline
-    /// and shared-equipment switching terms computed once, so each ladder
-    /// step of the online algorithm costs O(1) via [`BusyProbe::delta`].
-    ///
-    /// O(|nodes| + touched groups), zero allocation.
-    pub fn busy_probe(&self, nodes: &[NodeId]) -> BusyProbe {
-        self.probe_fast.set(self.probe_fast.get() + 1);
-        let mut scratch = self.scratch.borrow_mut();
-        let mut sum_old = Watts::ZERO;
-        let mut bonus = Watts::ZERO;
-        for &node in nodes {
-            let old = self.states[node];
-            sum_old += self.profile.watts(old);
-            if !old.is_on() {
-                // An off candidate powers its groups' shared equipment back
-                // up if they are currently dark; count each group once.
-                for level in 0..self.topology.depth() {
-                    let g = self.topology.group_of(level, node);
-                    if scratch.deltas[level][g] == 0 {
-                        scratch.deltas[level][g] = 1;
-                        scratch.touched.push((level, g));
-                        if self.on_counts[level][g] == 0 {
-                            bonus += self.topology.group_completion_bonus(level, &self.profile);
-                        }
-                    }
-                }
-            }
-        }
-        scratch.reset();
-        BusyProbe {
-            count: nodes.len(),
-            sum_old,
-            bonus,
-        }
-    }
-
-    /// [`busy_probe`](Self::busy_probe) over any `count` nodes that are all
-    /// idle, in O(1) without naming them: idle nodes are powered, so no dark
-    /// group comes back and only the count and their summed draw matter. The
-    /// sum is the same left fold `busy_probe` runs, so both return the same
-    /// `f64`s for any profile. Counts as one fast probe.
+    /// The scheduler's power probe: what [`power_if`](Self::power_if)
+    /// answers for any `count` idle nodes going busy, as a delta from
+    /// [`current_power`](Self::current_power) that costs O(1) per ladder
+    /// step, without naming the nodes. Idle nodes are powered, so no dark
+    /// group comes back and only the count and their summed draw matter.
+    /// Counts as one probe.
     ///
     /// # Panics
     /// Panics if `count` exceeds the number of nodes.
     pub fn idle_busy_probe(&self, count: usize) -> BusyProbe {
-        self.probe_fast.set(self.probe_fast.get() + 1);
+        self.probes.set(self.probes.get() + 1);
         BusyProbe {
             count,
             sum_old: self.idle_sums[count],
-            bonus: Watts::ZERO,
         }
-    }
-
-    /// Cluster power *delta* if `nodes` all ran busy at `freq`: the fast path
-    /// behind [`power_if`](Self::power_if) for `Busy` targets
-    /// (`power_if(nodes, Busy(f))` is exactly `current_power() + this`).
-    pub fn power_delta_if_busy(&self, nodes: &[NodeId], freq: Frequency) -> Watts {
-        self.busy_probe(nodes).delta(self.profile.busy_watts(freq))
     }
 
     /// Advance the energy integrator to `time` without changing any state
@@ -389,12 +251,11 @@ impl ClusterPowerAccountant {
         &self.samples
     }
 
-    /// Lifetime probe counts `(fast, slow)`: probes answered by the
-    /// frequency-independent `Busy` fast path vs. probes that walked the
-    /// per-group scratch (`Off`/`Idle` targets). Plain `Cell` bumps — free
-    /// enough to stay always-on; observability layers read the deltas.
-    pub fn probe_counts(&self) -> (u64, u64) {
-        (self.probe_fast.get(), self.probe_slow.get())
+    /// Lifetime count of [`idle_busy_probe`](Self::idle_busy_probe) calls.
+    /// A plain `Cell` bump, free enough to stay always-on; observability
+    /// layers read the deltas.
+    pub fn probe_counts(&self) -> u64 {
+        self.probes.get()
     }
 
     /// Consistency check: recompute the power from scratch and compare with
@@ -604,16 +465,17 @@ mod tests {
         for node in 20..40 {
             acct.set_state(node, PowerState::Busy(Frequency::from_ghz(2.0)), 0);
         }
-        // Candidates spanning a dark chassis, idle nodes and busy nodes.
-        let nodes: Vec<NodeId> = (10..30).collect();
+        // Idle candidates beside the dark chassis and the busy nodes.
+        let nodes: Vec<NodeId> = (18..20).chain(40..58).collect();
+        let probe = acct.idle_busy_probe(nodes.len());
         for f in [1.2, 2.0, 2.7] {
             let freq = Frequency::from_ghz(f);
-            let via_probe = acct.current_power() + acct.power_delta_if_busy(&nodes, freq);
+            let via_probe = acct.current_power() + probe.delta(acct.profile().busy_watts(freq));
             let via_power_if = acct.power_if(&nodes, PowerState::Busy(freq));
             assert_eq!(
                 via_probe.as_watts().to_bits(),
                 via_power_if.as_watts().to_bits(),
-                "delta path and power_if disagree at {freq}"
+                "idle probe and power_if disagree at {freq}"
             );
         }
     }
@@ -624,20 +486,16 @@ mod tests {
         for node in 0..18 {
             acct.set_state(node, PowerState::Off, 0);
         }
-        let nodes: Vec<NodeId> = (0..25).collect();
-        let probe = acct.busy_probe(&nodes);
+        let nodes: Vec<NodeId> = (18..43).collect();
+        let probe = acct.idle_busy_probe(nodes.len());
         for f in [1.2, 1.8, 2.2, 2.7] {
             let freq = Frequency::from_ghz(f);
             let hyp = acct.current_power() + probe.delta(acct.profile().busy_watts(freq));
             // Committing the change must land on the probed value.
-            let mut committed = acct.clone();
-            for &n in &nodes {
-                committed.set_state(n, PowerState::Busy(freq), 0);
-            }
+            let committed = acct.power_if(&nodes, PowerState::Busy(freq));
             assert!(
-                hyp.approx_eq(committed.current_power(), 1e-6),
-                "probe at {freq}: {hyp} vs committed {}",
-                committed.current_power()
+                hyp.approx_eq(committed, 1e-6),
+                "probe at {freq}: {hyp} vs committed {committed}"
             );
         }
     }
@@ -651,22 +509,23 @@ mod tests {
         }
         // Two candidates in the same dark chassis: its 500 W completion
         // bonus (and the rack's 900 W) must re-enter exactly once.
-        let probe = acct.busy_probe(&[0, 1]);
-        let busy = acct.profile().busy_watts(Frequency::from_ghz(2.7));
+        let freq = Frequency::from_ghz(2.7);
+        let probed = acct.power_if(&[0, 1], PowerState::Busy(freq));
+        let busy = acct.profile().busy_watts(freq);
         let expected = (busy - Watts(14.0)) * 2.0 + Watts(500.0) + Watts(900.0);
+        let delta = probed - acct.current_power();
         assert!(
-            probe.delta(busy).approx_eq(expected, 1e-6),
-            "delta {} != expected {expected}",
-            probe.delta(busy)
+            delta.approx_eq(expected, 1e-6),
+            "delta {delta} != expected {expected}"
         );
-        // Consecutive probes reuse the scratch and stay consistent.
-        let again = acct.busy_probe(&[0, 1]);
-        assert_eq!(probe, again);
+        // Probing again sees the same, uncommitted state.
+        assert_eq!(acct.power_if(&[0, 1], PowerState::Busy(freq)), probed);
     }
 
     #[test]
     fn idle_busy_probe_is_busy_probe_over_idle_nodes() {
-        // Non-integer watts, so the summation order shows in the bits.
+        // Non-integer watts: the probe's rearranged sum may differ from
+        // committing node by node in the last bits, never by more.
         let profile = NodePowerProfile::new(
             Watts(13.7),
             Watts(117.3),
@@ -683,27 +542,60 @@ mod tests {
         acct.set_state(30, PowerState::Busy(Frequency::from_ghz(2.7)), 0);
         let idle: Vec<NodeId> = (18..180).filter(|&n| n != 30).collect();
         for count in [0, 1, 7, 90, idle.len()] {
-            assert_eq!(
-                acct.idle_busy_probe(count),
-                acct.busy_probe(&idle[..count]),
-                "{count} idle nodes"
-            );
+            for freq in [Frequency::from_ghz(1.2), Frequency::from_ghz(2.7)] {
+                let probed = acct.current_power()
+                    + acct.idle_busy_probe(count).delta(profile.busy_watts(freq));
+                let committed = acct.power_if(&idle[..count], PowerState::Busy(freq));
+                assert!(
+                    probed.approx_eq(committed, 1e-6),
+                    "{count} idle nodes at {freq}: {probed} vs {committed}"
+                );
+            }
         }
     }
 
     #[test]
-    fn probe_counts_split_fast_and_slow_paths() {
+    fn only_idle_busy_probe_counts() {
         let acct = curie_accountant();
-        assert_eq!(acct.probe_counts(), (0, 0));
+        assert_eq!(acct.probe_counts(), 0);
         let nodes: Vec<NodeId> = (0..10).collect();
-        // Busy targets route through the frequency-independent fast path …
+        // The exact reference is no probe, whatever the target …
         acct.power_if(&nodes, PowerState::Busy(Frequency::from_ghz(2.0)));
-        acct.busy_probe(&nodes);
-        acct.idle_busy_probe(nodes.len());
-        // … while Off/Idle targets walk the per-group scratch.
         acct.power_if(&nodes, PowerState::Off);
         acct.power_if(&nodes, PowerState::Idle);
-        assert_eq!(acct.probe_counts(), (3, 2));
+        assert_eq!(acct.probe_counts(), 0);
+        // … while every scheduler probe is one.
+        acct.idle_busy_probe(nodes.len());
+        acct.idle_busy_probe(0);
+        assert_eq!(acct.probe_counts(), 2);
+    }
+
+    #[test]
+    fn power_if_leaves_the_accountant_untouched() {
+        let mut acct = curie_accountant();
+        for node in 0..18 {
+            acct.set_state(node, PowerState::Off, 100);
+        }
+        acct.set_state(20, PowerState::Busy(Frequency::from_ghz(2.7)), 250);
+        acct.idle_busy_probe(3);
+        let before = acct.clone();
+        let nodes: Vec<NodeId> = (0..40).collect();
+        for state in [
+            PowerState::Off,
+            PowerState::Idle,
+            PowerState::Busy(Frequency::from_ghz(1.2)),
+        ] {
+            acct.power_if(&nodes, state);
+        }
+        assert_eq!(acct.current_power(), before.current_power());
+        assert_eq!(acct.energy(), before.energy());
+        assert_eq!(acct.samples(), before.samples());
+        assert_eq!(acct.probe_counts(), before.probe_counts());
+        // The integrator did not move either: both accrue the same energy.
+        let mut later = before.clone();
+        acct.advance_time(400);
+        later.advance_time(400);
+        assert_eq!(acct.energy(), later.energy());
     }
 
     #[test]

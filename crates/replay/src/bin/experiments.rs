@@ -19,7 +19,13 @@
 //!                      chrome://tracing or ui.perfetto.dev, one lane per
 //!                      scenario; runs after (or without) any targets
 //! ```
+//!
+//! Exits 0 on success, 2 after the usage text for a bad command line, and
+//! 1 for an error at run time (a failed write). A stdout whose reader has
+//! gone (`experiments | head -1`) is no error: the remaining targets are
+//! skipped and the command still exits 0.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -63,6 +69,7 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--racks" => {
                 racks = match iter.next().and_then(|v| v.parse().ok()) {
+                    Some(0) => return fail("--racks must be >= 1, got 0"),
                     Some(r) => r,
                     None => return fail("--racks needs an integer argument"),
                 };
@@ -155,6 +162,7 @@ fn main() -> ExitCode {
     };
     let swf = swf_trace.as_ref();
 
+    let mut out = io::stdout().lock();
     for target in targets {
         let output = match target.as_str() {
             "fig2" => figures::fig2(),
@@ -177,8 +185,15 @@ fn main() -> ExitCode {
             }
             _ => unreachable!("targets were validated above"),
         };
-        println!("{output}");
-        println!("{}", "=".repeat(100));
+        match writeln!(out, "{output}\n{}", "=".repeat(100)) {
+            Ok(()) => {}
+            // The reader has gone: nobody would read the other targets.
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => break,
+            Err(e) => {
+                eprintln!("error: cannot write to stdout: {e}");
+                return ExitCode::from(1);
+            }
+        }
     }
 
     if let Some(path) = trace_out {

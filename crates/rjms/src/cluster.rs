@@ -164,16 +164,6 @@ impl Cluster {
         self.accountant.advance_time(time);
     }
 
-    /// Hypothetical cluster power if `nodes` were running a job at `freq`.
-    pub fn power_if_busy(&self, nodes: &[usize], freq: Frequency) -> Watts {
-        self.accountant.power_if(nodes, PowerState::Busy(freq))
-    }
-
-    /// Hypothetical cluster power if `nodes` were switched off.
-    pub fn power_if_off(&self, nodes: &[usize]) -> Watts {
-        self.accountant.power_if(nodes, PowerState::Off)
-    }
-
     /// Iterate over the ids of nodes currently available for scheduling.
     pub fn available_nodes(&self) -> impl Iterator<Item = usize> + '_ {
         self.available.iter()
@@ -376,7 +366,9 @@ mod tests {
     fn power_if_busy_matches_committed_allocation() {
         let mut c = small_cluster();
         let nodes: Vec<usize> = (10..20).collect();
-        let predicted = c.power_if_busy(&nodes, Frequency::from_ghz(2.0));
+        let predicted = c
+            .accountant()
+            .power_if(&nodes, PowerState::Busy(Frequency::from_ghz(2.0)));
         c.allocate(3, &nodes, Frequency::from_ghz(2.0), 0);
         assert!(predicted.approx_eq(c.current_power(), 1e-6));
     }
@@ -385,7 +377,7 @@ mod tests {
     fn power_if_off_includes_bonus() {
         let c = small_cluster();
         let chassis: Vec<usize> = (0..18).collect();
-        let predicted = c.power_if_off(&chassis);
+        let predicted = c.accountant().power_if(&chassis, PowerState::Off);
         let drop = c.current_power() - predicted;
         // 18 idle nodes -> off: 18*(117-14) + 500 W completion bonus.
         assert!(drop.approx_eq(Watts(18.0 * 103.0 + 500.0), 1e-6));

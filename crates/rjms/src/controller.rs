@@ -252,7 +252,7 @@ impl Controller {
     }
 
     /// Attach observability handles (schedule-pass histograms, blocked-set
-    /// cache counters, probe-path counters, per-pass spans). Disabled by
+    /// cache counters, the probe counter, per-pass spans). Disabled by
     /// default; never affects scheduling decisions or any simulation output.
     pub fn set_obs(&mut self, obs: ControllerObs) {
         self.obs = obs;

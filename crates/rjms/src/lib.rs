@@ -73,8 +73,8 @@ pub use prelude::*;
 /// boundaries: the campaign executor (`apc-campaign`) shares platforms and
 /// moves reports/logs between `std::thread` workers. The shared read-only
 /// types (`Platform`, submissions) are plain owned data and stay `Sync`; the
-/// [`Cluster`] is `Send`-only — its power accountant keeps a `RefCell`
-/// probe scratch, which is fine because every worker owns its own cluster.
+/// [`Cluster`] is `Send`-only — its power accountant counts probes in a
+/// `Cell`, which is fine because every worker owns its own cluster.
 /// The audit pins these bounds against regressions (e.g. someone caching an
 /// `Rc` inside `Platform`).
 #[allow(dead_code)]

@@ -1,5 +1,5 @@
 //! Controller-side observability: schedule-pass histograms, blocked-set
-//! cache hit/miss counters, power-probe path counters and per-pass spans.
+//! cache hit/miss counters, the power-probe counter and per-pass spans.
 //!
 //! A [`ControllerObs`] is attached with
 //! [`Controller::set_obs`](crate::controller::Controller::set_obs). The
@@ -18,8 +18,7 @@
 //! | `rjms.schedule_pass.skipped`     | counter   | … of which the skip rule ended early  |
 //! | `rjms.blocked_cache.hits`        | counter   | prefix blocked sets reused            |
 //! | `rjms.blocked_cache.misses`      | counter   | … built (first use of a prefix)       |
-//! | `rjms.probe.fast`                | counter   | power probes on the `Busy` fast path  |
-//! | `rjms.probe.slow`                | counter   | power probes walking the group scratch|
+//! | `rjms.probe.fast`                | counter   | power probes (`idle_busy_probe`)      |
 //!
 //! A pass builds one blocked set per prefix of the node-carrying
 //! reservations sorted by start (see the controller's module docs), so
@@ -68,17 +67,15 @@ pub struct ControllerObs {
     blocked_cache_hits: Counter,
     blocked_cache_misses: Counter,
     probe_fast: Counter,
-    probe_slow: Counter,
     spans: SpanRecorder,
     /// Trace lane (`tid`) the pass spans land on — lets several controllers
     /// (e.g. one per profiled scenario) share a recorder without their spans
     /// overlapping in the viewer.
     lane: u64,
-    /// Accountant probe totals already published, so each pass publishes
-    /// deltas (the accountant counts for its whole lifetime). Plain fields:
-    /// a controller is single-threaded.
+    /// Accountant probe total already published, so each pass publishes
+    /// a delta (the accountant counts for its whole lifetime). A plain
+    /// field: a controller is single-threaded.
     published_fast: u64,
-    published_slow: u64,
 }
 
 impl ControllerObs {
@@ -93,11 +90,9 @@ impl ControllerObs {
             blocked_cache_hits: registry.counter("rjms.blocked_cache.hits"),
             blocked_cache_misses: registry.counter("rjms.blocked_cache.misses"),
             probe_fast: registry.counter("rjms.probe.fast"),
-            probe_slow: registry.counter("rjms.probe.slow"),
             spans,
             lane: 0,
             published_fast: 0,
-            published_slow: 0,
         }
     }
 
@@ -125,9 +120,9 @@ impl ControllerObs {
     }
 
     /// Publish one finished schedule pass: histograms, the idle-pass,
-    /// skipped-pass and cache counters, the probe-count deltas since the
+    /// skipped-pass and cache counters, the probe-count delta since the
     /// previous publication, and a span.
-    pub fn pass_end(&mut self, pass: SpanStart, m: PassMeasurements, probe_counts: (u64, u64)) {
+    pub fn pass_end(&mut self, pass: SpanStart, m: PassMeasurements, probes: u64) {
         if !self.is_live() {
             return;
         }
@@ -137,13 +132,9 @@ impl ControllerObs {
         self.pass_skipped.add(u64::from(m.skipped));
         self.blocked_cache_hits.add(m.cache_hits);
         self.blocked_cache_misses.add(m.cache_misses);
-        let (fast, slow) = probe_counts;
-        let fast_delta = fast - self.published_fast;
-        let slow_delta = slow - self.published_slow;
+        let fast_delta = probes - self.published_fast;
         self.probe_fast.add(fast_delta);
-        self.probe_slow.add(slow_delta);
-        self.published_fast = fast;
-        self.published_slow = slow;
+        self.published_fast = probes;
         self.spans.complete(
             pass,
             "schedule_pass",
@@ -156,7 +147,6 @@ impl ControllerObs {
                 ("cache_hits", m.cache_hits.into()),
                 ("cache_misses", m.cache_misses.into()),
                 ("probe_fast", fast_delta.into()),
-                ("probe_slow", slow_delta.into()),
             ],
         );
     }
@@ -171,7 +161,7 @@ mod tests {
         let mut obs = ControllerObs::disabled();
         assert!(!obs.is_live());
         let pass = obs.pass_begin();
-        obs.pass_end(pass, PassMeasurements::default(), (5, 3));
+        obs.pass_end(pass, PassMeasurements::default(), 5);
         // Nothing to assert against — the point is it does not panic and the
         // probe baseline is untouched (publication was skipped entirely).
         assert_eq!(obs.published_fast, 0);
@@ -189,11 +179,10 @@ mod tests {
             started: 2,
             skipped: false,
         };
-        obs.pass_end(obs.pass_begin(), m, (100, 10));
-        obs.pass_end(obs.pass_begin(), m, (150, 12));
+        obs.pass_end(obs.pass_begin(), m, 100);
+        obs.pass_end(obs.pass_begin(), m, 150);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("rjms.probe.fast"), Some(150));
-        assert_eq!(snap.counter("rjms.probe.slow"), Some(12));
         assert_eq!(snap.counter("rjms.blocked_cache.hits"), Some(8));
         assert_eq!(snap.counter("rjms.blocked_cache.misses"), Some(2));
         let depth = snap.histogram("rjms.schedule_pass.queue_depth").unwrap();
@@ -213,7 +202,7 @@ mod tests {
                 started,
                 ..PassMeasurements::default()
             };
-            obs.pass_end(obs.pass_begin(), m, (0, 0));
+            obs.pass_end(obs.pass_begin(), m, 0);
         }
         assert_eq!(
             registry.snapshot().counter("rjms.schedule_pass.idle"),
@@ -232,7 +221,7 @@ mod tests {
                 skipped,
                 ..PassMeasurements::default()
             };
-            obs.pass_end(obs.pass_begin(), m, (0, 0));
+            obs.pass_end(obs.pass_begin(), m, 0);
         }
         let snap = registry.snapshot();
         assert_eq!(snap.counter("rjms.schedule_pass.skipped"), Some(2));
@@ -244,7 +233,7 @@ mod tests {
         let recorder = SpanRecorder::new();
         let mut obs = ControllerObs::new(&Registry::disabled(), recorder.clone());
         assert!(obs.is_live(), "spans alone keep the obs live");
-        obs.pass_end(obs.pass_begin(), PassMeasurements::default(), (1, 0));
+        obs.pass_end(obs.pass_begin(), PassMeasurements::default(), 1);
         let events = recorder.take_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "schedule_pass");
