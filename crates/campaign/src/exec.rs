@@ -30,8 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use apc_replay::ReplayHarness;
-use apc_rjms::cluster::Platform;
+use apc_replay::{platform_for, ReplayHarness};
 use apc_workload::{CurieTraceGenerator, TraceCache};
 
 use crate::agg::{summarize, CellRow, SummaryRow};
@@ -498,15 +497,6 @@ impl WorkerOutcome {
 
 /// A worker's cached harness and the coordinates it was built for.
 type HarnessSlot = (usize, CellWorkload, ReplayHarness);
-
-/// The platform for a cell's rack scale (>= 56 racks ⇒ the full Curie).
-pub fn platform_for(racks: usize) -> Platform {
-    if racks >= 56 {
-        Platform::curie()
-    } else {
-        Platform::curie_scaled(racks)
-    }
-}
 
 /// Replay one cell and reduce it to its row (runs on a worker thread).
 /// `slot` carries the worker's previous harness for reuse when the cell

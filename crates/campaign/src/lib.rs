@@ -75,9 +75,7 @@ pub mod prelude {
     pub use crate::colstore::{encode_block, PartitionBuf};
     pub use crate::compact::{compact_store, CompactStats};
     pub use crate::diff::{diff_summary_csv, DiffReport, MetricDelta};
-    pub use crate::exec::{
-        platform_for, CampaignOutcome, CampaignRunner, RunStats, WorkerOutcome, WorkerStats,
-    };
+    pub use crate::exec::{CampaignOutcome, CampaignRunner, RunStats, WorkerOutcome, WorkerStats};
     pub use crate::lease::{
         now_ms, Backoff, BatchLease, LeaseAction, LeaseHeader, LeaseLog, LeaseState,
         WorkerLeaseStats, DEFAULT_LEASE_CELLS, DEFAULT_LEASE_TTL_MS, LEASES_NAME,
@@ -102,6 +100,7 @@ pub mod prelude {
         WindowSet, SINGLE_PAPER_WINDOW,
     };
     pub use crate::store::{ResultStore, STORE_SCHEMA_V2, STORE_SCHEMA_VERSION};
+    pub use apc_replay::platform_for;
 }
 
 pub use prelude::*;

@@ -79,6 +79,16 @@ impl ReplayOutcome {
     }
 }
 
+/// The platform for a rack scale: 56 racks or more is the full Curie
+/// (5 040 nodes), fewer a Curie-like machine of that many 90-node racks.
+pub fn platform_for(racks: usize) -> Platform {
+    if racks >= 56 {
+        Platform::curie()
+    } else {
+        Platform::curie_scaled(racks)
+    }
+}
+
 /// The replay harness: a platform plus a workload trace.
 ///
 /// The trace is held behind an [`Arc`](std::sync::Arc) so harnesses over the

@@ -27,7 +27,7 @@ pub mod scenario;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::harness::{ReplayHarness, ReplayOutcome, ReplaySummary};
+    pub use crate::harness::{platform_for, ReplayHarness, ReplayOutcome, ReplaySummary};
     pub use crate::metrics::{
         NormalizedOutcome, PowerSeries, UtilizationSample, UtilizationSeries,
     };

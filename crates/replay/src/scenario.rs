@@ -117,10 +117,11 @@ impl CapSchedule {
     }
 
     /// Every window capped at the same `fraction`, kept in the order
-    /// written. That order is the reservation registration order, and it
-    /// can change a replay: two adjacent windows registered late-first
-    /// schedule differently from the same windows registered early-first.
-    /// The windows must be pairwise disjoint; the campaign spec's window
+    /// written. That order is the reservation registration order: it
+    /// reaches the event log and the labels, but not which nodes are off,
+    /// since a node stays off while any switch-off window holds it (the
+    /// golden late-first cell reports the same replay in both orders). The
+    /// windows must be pairwise disjoint; the campaign spec's window
     /// placement rejects overlaps before it builds one.
     pub fn uniform(windows: &[TimeWindow], fraction: f64) -> Self {
         debug_assert!(
@@ -354,7 +355,7 @@ impl FaultPlan {
     /// `SimTime::MAX` saturates there, so such a node stays down for the
     /// rest of the replay. Outages may occasionally hit the same node; the
     /// controller treats the overlap as one longer outage ending at the
-    /// first recovery.
+    /// last recovery.
     ///
     /// `nodes_per_chassis` only matters for [`chassis`](Self::chassis)
     /// plans: each drawn event then expands to one outage per node of the

@@ -4,8 +4,8 @@
 //! power profile, frequency ladder, cores per node) — the information SLURM
 //! reads from `slurm.conf` (`MaxWatts`, `IdleWatts`, `DownWatts`,
 //! `CpuFreqXWatts`, node counts). [`Cluster`] is the dynamic state the
-//! controller mutates: per-node allocation, power states and the resulting
-//! instantaneous power and energy (via
+//! controller mutates: per-node jobs and holds, power states and the
+//! resulting instantaneous power and energy (via
 //! [`ClusterPowerAccountant`]).
 
 use apc_power::{
@@ -15,7 +15,7 @@ use apc_power::{
 
 use crate::job::JobId;
 use crate::mask::NodeMask;
-use crate::node::{AllocationState, SimNode};
+use crate::node::SimNode;
 use crate::time::SimTime;
 
 /// Static description of the simulated machine.
@@ -94,8 +94,8 @@ pub struct Cluster {
     platform: Platform,
     nodes: Vec<SimNode>,
     accountant: ClusterPowerAccountant,
-    /// Nodes currently available for scheduling (free, powered, undrained);
-    /// kept in lockstep with every allocation/power transition.
+    /// Nodes currently available for scheduling (no job, no hold); kept in
+    /// lockstep with every allocation and hold transition.
     available: NodeMask,
 }
 
@@ -128,7 +128,7 @@ impl Cluster {
         self.available.len()
     }
 
-    /// The availability bitmask (free, powered, undrained nodes).
+    /// The availability bitmask (nodes with no job and no hold).
     pub fn available_mask(&self) -> &NodeMask {
         &self.available
     }
@@ -182,94 +182,71 @@ impl Cluster {
                 node.is_available(),
                 "node {id} is not available for job {job}"
             );
-            node.alloc = AllocationState::Allocated(job);
+            node.job = Some(job);
             self.available.remove(id);
             self.accountant.set_state(id, PowerState::Busy(freq), time);
         }
     }
 
-    /// Release the nodes of a finished job back to the idle pool. Nodes that
-    /// are marked `drained` (earmarked by an active switch-off reservation)
-    /// are powered off instead of returning to idle.
-    pub fn release_mask(&mut self, nodes: &NodeMask, time: SimTime) {
+    /// Release the nodes of a finished job: a held node powers off, the
+    /// others return to the idle pool. Returns the nodes powered off.
+    pub fn release_mask(&mut self, nodes: &NodeMask, time: SimTime) -> Vec<usize> {
+        let mut switched = Vec::new();
         for id in nodes.iter() {
             let node = &mut self.nodes[id];
             debug_assert!(node.is_allocated(), "releasing a non-allocated node {id}");
-            if node.drained {
-                node.alloc = AllocationState::PoweredOff;
+            node.job = None;
+            if node.holds > 0 {
                 self.accountant.set_state(id, PowerState::Off, time);
+                switched.push(id);
             } else {
-                node.alloc = AllocationState::Free;
                 self.available.insert(id);
                 self.accountant.set_state(id, PowerState::Idle, time);
-            }
-        }
-    }
-
-    /// Power off a set of nodes (only free nodes actually change state;
-    /// allocated nodes are marked drained and will power off on release).
-    /// Returns the nodes that were powered off immediately.
-    pub fn power_off(&mut self, nodes: &[usize], time: SimTime) -> Vec<usize> {
-        let mut switched = Vec::new();
-        for &id in nodes {
-            let node = &mut self.nodes[id];
-            match node.alloc {
-                AllocationState::Free => {
-                    if !node.drained {
-                        self.available.remove(id);
-                    }
-                    node.alloc = AllocationState::PoweredOff;
-                    node.drained = true;
-                    self.accountant.set_state(id, PowerState::Off, time);
-                    switched.push(id);
-                }
-                AllocationState::Allocated(_) => {
-                    node.drained = true;
-                }
-                AllocationState::PoweredOff => {
-                    node.drained = true;
-                }
             }
         }
         switched
     }
 
-    /// Drain nodes without powering them off (maintenance reservations):
-    /// running jobs keep their nodes, but no new job may be placed there.
-    pub fn drain(&mut self, nodes: &[usize]) {
+    /// Place one hold on each of `nodes` (a switch-off reservation starting,
+    /// an outage). A free node powers off with its first hold; a busy one
+    /// powers off when its job releases it. Returns the nodes powered off
+    /// now.
+    pub fn hold_off(&mut self, nodes: &[usize], time: SimTime) -> Vec<usize> {
+        let mut switched = Vec::new();
         for &id in nodes {
             let node = &mut self.nodes[id];
-            if !node.drained && node.alloc == AllocationState::Free {
+            node.holds += 1;
+            if node.holds == 1 && node.job.is_none() {
                 self.available.remove(id);
-            }
-            node.drained = true;
-        }
-    }
-
-    /// Clear the drain mark of nodes that are still powered on.
-    pub fn undrain(&mut self, nodes: &[usize]) {
-        for &id in nodes {
-            let node = &mut self.nodes[id];
-            if node.drained && node.alloc == AllocationState::Free {
-                self.available.insert(id);
-            }
-            if node.alloc != AllocationState::PoweredOff {
-                node.drained = false;
+                self.accountant.set_state(id, PowerState::Off, time);
+                switched.push(id);
             }
         }
+        switched
     }
 
-    /// Power a set of nodes back on (to idle) and clear their drain mark.
-    pub fn power_on(&mut self, nodes: &[usize], time: SimTime) {
+    /// Take one hold off each of `nodes` (a switch-off reservation ending, a
+    /// recovery). A node whose last hold goes powers back on to idle, unless
+    /// it still runs its job. Returns the nodes powered on now.
+    ///
+    /// # Panics
+    /// Panics if a node has no hold to release (programming error in the
+    /// controller).
+    pub fn release_hold(&mut self, nodes: &[usize], time: SimTime) -> Vec<usize> {
+        let mut switched = Vec::new();
         for &id in nodes {
             let node = &mut self.nodes[id];
-            node.drained = false;
-            if node.alloc == AllocationState::PoweredOff {
-                node.alloc = AllocationState::Free;
+            node.holds = node
+                .holds
+                .checked_sub(1)
+                .unwrap_or_else(|| panic!("node {id} has no hold to release"));
+            if node.holds == 0 && node.job.is_none() {
                 self.available.insert(id);
                 self.accountant.set_state(id, PowerState::Idle, time);
+                switched.push(id);
             }
         }
+        switched
     }
 
     /// Number of cores currently allocated to running jobs.
@@ -324,7 +301,7 @@ mod tests {
         c.allocate(7, &nodes, Frequency::from_ghz(2.7), 10);
         assert_eq!(c.free_count(), 86);
         assert_eq!(c.allocated_cores(), 64);
-        assert_eq!(c.node(0).alloc, AllocationState::Allocated(7));
+        assert_eq!(c.node(0).job, Some(7));
         let busy_power = c.current_power();
         c.release_mask(&nodes.iter().copied().collect(), 100);
         assert_eq!(c.free_count(), 90);
@@ -346,17 +323,18 @@ mod tests {
     fn power_off_free_and_busy_nodes() {
         let mut c = small_cluster();
         c.allocate(1, &[0, 1], Frequency::from_ghz(2.7), 0);
-        let switched = c.power_off(&[0, 1, 2, 3], 10);
+        let switched = c.hold_off(&[0, 1, 2, 3], 10);
         // Only the free nodes switch immediately.
         assert_eq!(switched, vec![2, 3]);
         assert_eq!(c.powered_off_count(), 2);
-        assert!(c.node(0).drained && c.node(1).drained);
+        assert!(c.node(0).holds == 1 && c.node(1).holds == 1);
         // Releasing the job's nodes now powers them off instead of idling.
-        c.release_mask(&[0, 1].into_iter().collect(), 20);
+        let released = c.release_mask(&[0, 1].into_iter().collect(), 20);
+        assert_eq!(released, vec![0, 1]);
         assert_eq!(c.powered_off_count(), 4);
         assert_eq!(c.free_count(), 86);
-        // Power back on restores availability.
-        c.power_on(&[0, 1, 2, 3], 30);
+        // Releasing the holds restores availability.
+        assert_eq!(c.release_hold(&[0, 1, 2, 3], 30), vec![0, 1, 2, 3]);
         assert_eq!(c.powered_off_count(), 0);
         assert_eq!(c.free_count(), 90);
         assert!(c.node(0).is_available());
@@ -383,28 +361,22 @@ mod tests {
         assert!(drop.approx_eq(Watts(18.0 * 103.0 + 500.0), 1e-6));
     }
 
+    /// Two reasons to be off overlap on node 0: the first release leaves it
+    /// off, the second powers it on.
     #[test]
-    fn drain_and_undrain() {
+    fn a_node_held_twice_stays_off_after_one_release() {
         let mut c = small_cluster();
-        c.drain(&[0, 1]);
-        assert_eq!(c.free_count(), 88);
-        assert!(!c.node(0).is_available());
-        assert_eq!(c.powered_off_count(), 0, "drained nodes stay powered");
-        // Draining twice does not double-count.
-        c.drain(&[0]);
-        assert_eq!(c.free_count(), 88);
-        c.undrain(&[0, 1]);
-        assert_eq!(c.free_count(), 90);
+        assert_eq!(c.hold_off(&[0], 10), vec![0]);
+        assert!(
+            c.hold_off(&[0], 20).is_empty(),
+            "a second hold switches nothing"
+        );
+        assert!(c.release_hold(&[0], 30).is_empty());
+        assert!(c.node(0).is_off() && !c.node(0).is_available());
+        assert_eq!(c.free_count(), 89);
+        assert_eq!(c.release_hold(&[0], 40), vec![0]);
         assert!(c.node(0).is_available());
-        // Power-off after drain keeps the count consistent.
-        c.drain(&[2]);
-        c.power_off(&[2], 5);
-        assert_eq!(c.free_count(), 89);
-        assert_eq!(c.powered_off_count(), 1);
-        // Undrain does not resurrect a powered-off node; power_on does.
-        c.undrain(&[2]);
-        assert_eq!(c.free_count(), 89);
-        c.power_on(&[2], 10);
+        assert_eq!(c.accountant().state(0), PowerState::Idle);
         assert_eq!(c.free_count(), 90);
     }
 
@@ -412,14 +384,14 @@ mod tests {
     fn free_count_tracks_all_transitions() {
         let mut c = small_cluster();
         c.allocate(1, &[5], Frequency::from_ghz(2.7), 0);
-        c.power_off(&[6, 7], 0);
+        c.hold_off(&[6, 7], 0);
         assert_eq!(c.free_count(), 87);
         assert_eq!(
             c.free_count(),
             c.nodes().iter().filter(|n| n.is_available()).count()
         );
         c.release_mask(&[5].into_iter().collect(), 10);
-        c.power_on(&[6, 7], 10);
+        c.release_hold(&[6, 7], 10);
         assert_eq!(c.free_count(), 90);
     }
 
@@ -443,15 +415,16 @@ mod tests {
         let mask: NodeMask = (0..4).collect();
         c.allocate(3, &[0, 1, 2, 3], Frequency::from_ghz(2.7), 0);
         check(&c);
-        c.power_off(&[2, 10, 11], 5); // 2 is allocated: drained, not switched
+        c.hold_off(&[2, 10, 11], 5); // 2 is allocated: held, not switched
         check(&c);
-        c.drain(&[20, 21]);
+        c.hold_off(&[11, 20, 21], 6); // 11 is held twice
         check(&c);
         c.release_mask(&mask, 10); // node 2 powers off instead of idling
         check(&c);
-        assert_eq!(c.powered_off_count(), 3);
-        c.undrain(&[20, 21]);
-        c.power_on(&[2, 10, 11], 20);
+        assert_eq!(c.powered_off_count(), 5);
+        c.release_hold(&[11, 20, 21], 15);
+        check(&c);
+        c.release_hold(&[2, 10, 11], 20);
         check(&c);
         assert_eq!(c.free_count(), 90);
         assert_eq!(c.available_nodes().count(), 90);

@@ -386,24 +386,11 @@ impl Controller {
         (cap_id, off_id)
     }
 
-    /// Create a maintenance reservation draining `nodes` during `window`.
-    pub fn add_maintenance_reservation(
-        &mut self,
-        window: TimeWindow,
-        nodes: Vec<usize>,
-    ) -> ReservationId {
-        let id = self
-            .reservations
-            .add(window, ReservationKind::Maintenance { nodes });
-        self.events.push(window.start, Event::ReservationStart(id));
-        self.events.push(window.end, Event::ReservationEnd(id));
-        id
-    }
-
     /// Inject a node outage (fault injection): the node fails at `down` —
     /// powering off immediately and killing whatever job occupies it — and
-    /// recovers at `up`, rejoining the idle pool. Outages are ordinary
-    /// events, so replays with the same plan are fully deterministic.
+    /// recovers at `up`, rejoining the idle pool once no switch-off window
+    /// or other outage still holds it. Outages are ordinary events, so
+    /// replays with the same plan are fully deterministic.
     pub fn inject_node_outage(&mut self, node: usize, down: SimTime, up: SimTime) {
         assert!(
             node < self.cluster.total_nodes(),
@@ -477,42 +464,44 @@ impl Controller {
             Event::ReservationStart(id) => self.handle_reservation_start(id),
             Event::ReservationEnd(id) => self.handle_reservation_end(id),
             Event::NodeDown(node) => self.handle_node_down(node),
-            Event::NodeUp(node) => self.handle_node_up(node),
+            Event::NodeUp(node) => self.release_hold(&[node]),
             Event::EndOfSimulation => {
                 self.finished = true;
             }
         }
     }
 
-    /// A node fails: power it off (free nodes switch immediately; an
-    /// allocated node is drained and powers off when its job releases it)
-    /// and kill the occupying job, if any. The kill exercises the same
-    /// release path as the powercap "extreme actions".
+    /// A node fails: hold it off (a free node switches off now, a busy one
+    /// when its job releases it) and kill the occupying job, if any. The
+    /// kill exercises the same release path as the powercap "extreme
+    /// actions".
     fn handle_node_down(&mut self, node: usize) {
-        let victim = match self.cluster.node(node).alloc {
-            crate::node::AllocationState::Allocated(job) => Some(job),
-            _ => None,
-        };
-        let switched = self.cluster.power_off(&[node], self.now);
-        if !switched.is_empty() {
-            self.log
-                .push(self.now, SimEventKind::NodesPoweredOff { nodes: switched });
-        }
+        let victim = self.cluster.node(node).job;
+        self.hold_off(&[node]);
         if let Some(job) = victim {
-            // The kill releases the drained node, which powers off there;
+            // The kill releases the held node, which powers off there;
             // `kill_job` logs both the kill and the power-off.
             self.kill_job(job);
         }
     }
 
-    /// A failed node recovers: power it back on and clear its drain mark so
-    /// it rejoins the idle pool at the next scheduling pass.
-    fn handle_node_up(&mut self, node: usize) {
-        let was_off = self.cluster.node(node).is_off();
-        self.cluster.power_on(&[node], self.now);
-        if was_off {
+    /// Place one hold on `nodes`, logging the nodes powered off now.
+    fn hold_off(&mut self, nodes: &[usize]) {
+        let switched = self.cluster.hold_off(nodes, self.now);
+        if !switched.is_empty() {
             self.log
-                .push(self.now, SimEventKind::NodesPoweredOn { nodes: vec![node] });
+                .push(self.now, SimEventKind::NodesPoweredOff { nodes: switched });
+        }
+    }
+
+    /// Take one hold off `nodes` (a recovery, a switch-off end), logging
+    /// the nodes powered on now: those that no other hold keeps off and no
+    /// job still runs on. They rejoin the idle pool at the next pass.
+    fn release_hold(&mut self, nodes: &[usize]) {
+        let switched = self.cluster.release_hold(nodes, self.now);
+        if !switched.is_empty() {
+            self.log
+                .push(self.now, SimEventKind::NodesPoweredOn { nodes: switched });
         }
     }
 
@@ -558,16 +547,7 @@ impl Controller {
             .expect("reservation ids are controller-assigned")
             .clone();
         match reservation.kind {
-            ReservationKind::SwitchOff { ref nodes } => {
-                let switched = self.cluster.power_off(nodes, self.now);
-                if !switched.is_empty() {
-                    self.log
-                        .push(self.now, SimEventKind::NodesPoweredOff { nodes: switched });
-                }
-            }
-            ReservationKind::Maintenance { ref nodes } => {
-                self.cluster.drain(nodes);
-            }
+            ReservationKind::SwitchOff { ref nodes } => self.hold_off(nodes),
             ReservationKind::PowerCap { cap } => {
                 self.log.push(
                     self.now,
@@ -596,18 +576,7 @@ impl Controller {
             .expect("reservation ids are controller-assigned")
             .clone();
         match reservation.kind {
-            ReservationKind::SwitchOff { ref nodes } => {
-                self.cluster.power_on(nodes, self.now);
-                self.log.push(
-                    self.now,
-                    SimEventKind::NodesPoweredOn {
-                        nodes: nodes.clone(),
-                    },
-                );
-            }
-            ReservationKind::Maintenance { ref nodes } => {
-                self.cluster.undrain(nodes);
-            }
+            ReservationKind::SwitchOff { ref nodes } => self.release_hold(nodes),
             ReservationKind::PowerCap { .. } => {
                 self.log
                     .push(self.now, SimEventKind::CapDeactivated { reservation: id });
@@ -649,18 +618,12 @@ impl Controller {
     /// Release a finishing (completed or killed) job's nodes back to the
     /// cluster. The node set is taken out of the job for the release and
     /// handed back afterwards — no clone, the job keeps it for inspection.
-    /// Returns the nodes that power off with the release (drained by an
-    /// active switch-off reservation), for the caller's event log.
-    /// (`Vec::new` does not allocate — the common no-drain case is free.)
+    /// Returns the nodes that power off with the release (held by a
+    /// switch-off window or an outage), for the caller's event log.
+    /// (`Vec::new` does not allocate — the common unheld case is free.)
     fn release_job_nodes(&mut self, id: JobId) -> Vec<usize> {
         let nodes = std::mem::take(&mut self.jobs[id].nodes);
-        let mut powering_off: Vec<usize> = Vec::new();
-        for n in nodes.iter() {
-            if self.cluster.node(n).drained {
-                powering_off.push(n);
-            }
-        }
-        self.cluster.release_mask(&nodes, self.now);
+        let powering_off = self.cluster.release_mask(&nodes, self.now);
         self.jobs[id].nodes = nodes;
         powering_off
     }
@@ -939,6 +902,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hook::OfflinePlan;
     use crate::time::HOUR;
     use apc_power::Frequency;
 
@@ -958,6 +922,36 @@ mod tests {
         runtime: SimTime,
     ) -> JobSubmission {
         JobSubmission::new(user, submit, cores, walltime, runtime)
+    }
+
+    /// Register a switch-off reservation on `nodes` over `window`.
+    fn switch_off(c: &mut Controller, window: TimeWindow, nodes: Vec<usize>) {
+        let id = c
+            .reservations
+            .add(window, ReservationKind::SwitchOff { nodes });
+        c.events.push(window.start, Event::ReservationStart(id));
+        c.events.push(window.end, Event::ReservationEnd(id));
+    }
+
+    /// A fresh controller prepared by `setup`, run to `horizon`.
+    fn run_to(horizon: SimTime, setup: impl Fn(&mut Controller)) -> Controller {
+        let mut c = controller();
+        setup(&mut c);
+        c.set_horizon(horizon);
+        c.run();
+        c
+    }
+
+    /// The `NodesPoweredOn` events of the log, as `(time, nodes)`.
+    fn powered_on(c: &Controller) -> Vec<(SimTime, Vec<usize>)> {
+        c.log()
+            .events()
+            .iter()
+            .filter_map(|e| match &e.kind {
+                SimEventKind::NodesPoweredOn { nodes } => Some((e.time, nodes.clone())),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -1063,16 +1057,7 @@ mod tests {
     #[test]
     fn switch_off_reservation_powers_nodes_down_and_back_up() {
         let mut c = controller();
-        let window = TimeWindow::new(1000, 2000);
-        let nodes: Vec<usize> = (0..18).collect();
-        let id = c.reservations.add(
-            window,
-            ReservationKind::SwitchOff {
-                nodes: nodes.clone(),
-            },
-        );
-        c.events.push(window.start, Event::ReservationStart(id));
-        c.events.push(window.end, Event::ReservationEnd(id));
+        switch_off(&mut c, TimeWindow::new(1000, 2000), (0..18).collect());
         c.set_horizon(3000);
         c.run();
         // After the window the nodes are available again.
@@ -1094,13 +1079,7 @@ mod tests {
     #[test]
     fn switch_off_reservation_excludes_nodes_from_scheduling() {
         let mut c = controller();
-        let window = TimeWindow::new(500, 4000);
-        let nodes: Vec<usize> = (0..45).collect();
-        let id = c
-            .reservations
-            .add(window, ReservationKind::SwitchOff { nodes });
-        c.events.push(window.start, Event::ReservationStart(id));
-        c.events.push(window.end, Event::ReservationEnd(id));
+        switch_off(&mut c, TimeWindow::new(500, 4000), (0..45).collect());
         // A 60-node job submitted at t=0 with a walltime overlapping the
         // window cannot use the reserved nodes, so it has to wait until the
         // reservation ends.
@@ -1108,19 +1087,6 @@ mod tests {
         c.set_horizon(3 * HOUR);
         c.run();
         assert!(c.job(0).start_time.unwrap() >= 4000);
-    }
-
-    #[test]
-    fn maintenance_reservation_drains_without_power_off() {
-        let mut c = controller();
-        let id = c.add_maintenance_reservation(TimeWindow::new(0, 1000), (0..90).collect());
-        assert_eq!(id, 0);
-        c.submit(job(0, 10, 16, 3600, 60));
-        c.set_horizon(HOUR);
-        c.run();
-        // The job could only start after the maintenance window.
-        assert!(c.job(0).start_time.unwrap() >= 1000);
-        assert_eq!(c.cluster().powered_off_count(), 0);
     }
 
     #[test]
@@ -1194,6 +1160,90 @@ mod tests {
         );
     }
 
+    /// An outage that recovers inside a switch-off window leaves its node
+    /// off and unavailable until the window ends: the window still holds it.
+    #[test]
+    fn an_outage_recovering_inside_a_window_stays_off_until_the_window_ends() {
+        let setup = |c: &mut Controller| {
+            switch_off(c, TimeWindow::new(1000, 5000), (0..18).collect());
+            c.inject_node_outage(5, 500, 2000);
+        };
+        let c = run_to(3000, setup);
+        assert!(c.cluster().node(5).is_off());
+        assert!(!c.cluster().node(5).is_available());
+        assert_eq!(c.cluster().powered_off_count(), 18);
+        assert!(powered_on(&c).is_empty(), "the recovery powered a node on");
+        let c = run_to(6000, setup);
+        assert_eq!(powered_on(&c), vec![(5000, (0..18).collect())]);
+        assert_eq!(c.cluster().free_count(), 90);
+    }
+
+    /// A switch-off window that ends during an outage powers its other
+    /// nodes on and leaves the failed node off until it recovers.
+    #[test]
+    fn a_window_ending_during_an_outage_leaves_the_node_off_until_it_recovers() {
+        let setup = |c: &mut Controller| {
+            switch_off(c, TimeWindow::new(1000, 2000), (0..18).collect());
+            c.inject_node_outage(5, 1500, 4000);
+        };
+        let c = run_to(3000, setup);
+        assert!(c.cluster().node(5).is_off());
+        assert_eq!(c.cluster().free_count(), 89);
+        let c = run_to(5000, setup);
+        let others: Vec<usize> = (0..18).filter(|&n| n != 5).collect();
+        assert_eq!(powered_on(&c), vec![(2000, others), (4000, vec![5])]);
+        assert_eq!(c.cluster().free_count(), 90);
+    }
+
+    /// Two outages that overlap on one node end at the later recovery.
+    #[test]
+    fn overlapping_outages_end_at_the_later_recovery() {
+        let setup = |c: &mut Controller| {
+            c.inject_node_outage(5, 100, 1000);
+            c.inject_node_outage(5, 500, 2000);
+        };
+        let c = run_to(1500, setup);
+        assert!(c.cluster().node(5).is_off());
+        assert_eq!(c.cluster().free_count(), 89);
+        let c = run_to(3000, setup);
+        assert_eq!(powered_on(&c), vec![(2000, vec![5])]);
+        assert_eq!(c.cluster().free_count(), 90);
+    }
+
+    /// Stretches every job tenfold, so a job outruns the walltime its
+    /// blocked set was checked against.
+    struct Stretch;
+
+    impl SchedulingHook for Stretch {
+        fn runtime_factor(&self, _: &Job, _: Frequency) -> f64 {
+            10.0
+        }
+    }
+
+    /// A switch-off window that ends while a job still runs on some of its
+    /// nodes logs no power-on for them, and they go idle, not off, when
+    /// the job releases them.
+    #[test]
+    fn a_window_ending_on_a_busy_node_logs_no_power_on_for_it() {
+        let mut c = Controller::with_hook(platform(), Box::new(Stretch));
+        // Walltime 300 s clears the window, the stretched run is [0, 3000).
+        c.submit(job(0, 0, 32, 300, 300));
+        switch_off(&mut c, TimeWindow::new(1000, 2000), (0..90).collect());
+        c.set_horizon(4000);
+        c.run();
+        let busy: Vec<usize> = c.job(0).nodes.iter().collect();
+        assert_eq!(busy.len(), 2);
+        assert_eq!(c.job(0).end_time, Some(3000));
+        let idle: Vec<usize> = (0..90).filter(|n| !busy.contains(n)).collect();
+        assert_eq!(powered_on(&c), vec![(2000, idle)]);
+        let offs = c
+            .log()
+            .count_matching(|e| matches!(e.kind, SimEventKind::NodesPoweredOff { .. }));
+        assert_eq!(offs, 1, "the job's release powered its nodes off");
+        assert_eq!(c.cluster().powered_off_count(), 0);
+        assert_eq!(c.cluster().free_count(), 90);
+    }
+
     #[test]
     fn outages_are_deterministic_events() {
         let build = || {
@@ -1260,21 +1310,52 @@ mod tests {
         assert_eq!(build(), build());
     }
 
+    /// A hook whose offline phase switches off one node per powercap
+    /// window, the next node each time.
+    #[derive(Default)]
+    struct OneNodePerWindow {
+        next: usize,
+    }
+
+    impl SchedulingHook for OneNodePerWindow {
+        fn plan_powercap(
+            &mut self,
+            _: &Cluster,
+            _: &ReservationBook,
+            _: TimeWindow,
+            _: Watts,
+            _: SimTime,
+        ) -> OfflinePlan {
+            self.next += 1;
+            OfflinePlan {
+                switch_off_nodes: vec![self.next - 1],
+            }
+        }
+    }
+
+    /// A 2-rack controller with 129 powercap windows over `[1000, 10 000)`,
+    /// each switching off one node of its own: 129 node-carrying
+    /// reservations.
+    fn with_129_switch_offs() -> Controller {
+        let platform = Platform::curie_scaled(2);
+        let cap = platform.max_power();
+        let mut c = Controller::with_hook(platform, Box::new(OneNodePerWindow::default()));
+        for _ in 0..129 {
+            c.add_powercap_reservation(TimeWindow::new(1000, 10_000), cap);
+        }
+        c
+    }
+
     /// Regression for the signature-cache overflow: the seed capped the
     /// census at 128 node-carrying reservations, so a 129th reservation's
     /// nodes silently became schedulable. The prefix blocked sets have no
     /// such limit.
     #[test]
     fn reservation_129_still_blocks_its_nodes() {
-        let mut c = Controller::new(Platform::curie_scaled(2));
-        // 129 maintenance reservations, one node each, on a future window
-        // that overlaps the job's execution.
-        for node in 0..129 {
-            c.add_maintenance_reservation(TimeWindow::new(1000, 10_000), vec![node]);
-        }
         // 180 nodes, 129 blocked ⇒ 51 selectable inside the window. A job
         // needing 52 nodes must wait for the window to end; with the seed's
         // truncation, node 128 looked free and the job started at t = 0.
+        let mut c = with_129_switch_offs();
         c.submit(job(0, 0, 52 * 16, 5000, 4000));
         c.set_horizon(20_000);
         c.run();
@@ -1285,10 +1366,7 @@ mod tests {
         );
         // Sanity: a job that fits next to all 129 blocked nodes does start
         // immediately.
-        let mut c = Controller::new(Platform::curie_scaled(2));
-        for node in 0..129 {
-            c.add_maintenance_reservation(TimeWindow::new(1000, 10_000), vec![node]);
-        }
+        let mut c = with_129_switch_offs();
         c.submit(job(0, 0, 51 * 16, 5000, 4000));
         c.set_horizon(20_000);
         c.run();
@@ -1297,8 +1375,8 @@ mod tests {
 
     /// The pass's prefix blocked sets equal the exact per-job masks of
     /// `collect_blocked_within`, availability counts included, before and
-    /// after starts within one pass. The books hold up to 200 switch-off and
-    /// maintenance reservations (well past 128) and up to 19 power caps, with
+    /// after starts within one pass. The books hold up to 200 switch-off
+    /// reservations (well past 128) and up to 19 power caps, with
     /// windows that are past, live, future and zero-width, that end exactly
     /// at `now` and that start exactly at a job's `now + walltime`;
     /// walltimes include 0 and values that saturate. The pass builds one set
@@ -1350,16 +1428,17 @@ mod tests {
                     _ => start.saturating_add(next(20_000)),
                 };
                 let nodes: Vec<usize> = (0..next(6)).map(|_| next(180) as usize).collect();
+                // The kind draw is unused, but dropping it would shift
+                // every later draw and so every book.
                 let kind = match (i < node_carrying, next(2)) {
                     (false, _) => ReservationKind::PowerCap { cap: Watts(1.0) },
-                    (true, 0) => ReservationKind::SwitchOff { nodes },
-                    (true, _) => ReservationKind::Maintenance { nodes },
+                    (true, _) => ReservationKind::SwitchOff { nodes },
                 };
                 book.add(TimeWindow::new(start, end), kind);
             }
             let mut cluster = Cluster::new(platform.clone());
             let down: Vec<usize> = (0..next(20)).map(|_| next(180) as usize).collect();
-            drop(cluster.power_off(&down, 0));
+            drop(cluster.hold_off(&down, 0));
 
             sets.begin(&book, now);
             let mut m = PassMeasurements::default();
@@ -1418,15 +1497,7 @@ mod tests {
     fn steady_state_scheduling_stops_allocating() {
         let mut c = controller();
         // A switch-off reservation keeps the blocked-set machinery engaged.
-        let window = TimeWindow::new(HOUR, 3 * HOUR);
-        let id = c.reservations.add(
-            window,
-            ReservationKind::SwitchOff {
-                nodes: (0..18).collect(),
-            },
-        );
-        c.events.push(window.start, Event::ReservationStart(id));
-        c.events.push(window.end, Event::ReservationEnd(id));
+        switch_off(&mut c, TimeWindow::new(HOUR, 3 * HOUR), (0..18).collect());
         // A steady stream of jobs that keeps a deep pending queue.
         for i in 0..400 {
             c.submit(job(
@@ -1466,15 +1537,7 @@ mod tests {
             };
             let mut c = controller();
             c.set_obs(ControllerObs::new(&registry, spans.clone()));
-            let window = TimeWindow::new(HOUR, 2 * HOUR);
-            let id = c.reservations.add(
-                window,
-                ReservationKind::SwitchOff {
-                    nodes: (0..18).collect(),
-                },
-            );
-            c.events.push(window.start, Event::ReservationStart(id));
-            c.events.push(window.end, Event::ReservationEnd(id));
+            switch_off(&mut c, TimeWindow::new(HOUR, 2 * HOUR), (0..18).collect());
             for i in 0..60 {
                 c.submit(job(
                     i % 4,

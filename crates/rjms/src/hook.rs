@@ -45,7 +45,7 @@ pub trait SchedulingHook {
     /// The controller asks this before placing a pending job, once it has
     /// found `node_count` selectable nodes, and picks them only on
     /// [`StartDecision::Start`]. Selectable nodes come from the cluster's
-    /// availability mask (free, powered, undrained), so all are idle and the
+    /// availability mask (no job, no hold), so all are idle and the
     /// answer cannot depend on which ones are picked. Once per pass it also
     /// asks with the narrowest node count and the shortest walltime among
     /// the pending jobs that fit the free nodes, and ends the pass on

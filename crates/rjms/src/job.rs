@@ -29,8 +29,8 @@ pub struct JobSubmission {
     pub walltime: SimTime,
     /// Actual runtime in seconds when executed at the maximum frequency.
     pub actual_runtime: SimTime,
-    /// Workload class tag (indexes the application classes of `apc-workload`;
-    /// `None` means "unknown/average application").
+    /// Workload class tag (indexes `apc_power::BenchmarkApp::ALL`; `None`
+    /// means "unknown/average application").
     pub app_class: Option<u8>,
 }
 

@@ -13,10 +13,11 @@
 //!   fair-share) and user-provided — typically wildly over-estimated —
 //!   walltimes ([`backfill`], [`priority`]), and contiguous node selection
 //!   ([`select`]);
-//! * **advanced reservations**: maintenance windows, powercap windows
-//!   (time × watts) and switch-off reservations ([`reservation`]);
+//! * **advanced reservations**: powercap windows (time × watts) and
+//!   switch-off reservations ([`reservation`]);
 //! * a **node/cluster model** tied to the `apc-power` accounting so the
-//!   controller always knows the instantaneous cluster power
+//!   controller always knows the instantaneous cluster power; a node stays
+//!   off while any switch-off window or outage holds it
 //!   ([`node`], [`cluster`]);
 //! * a **scheduling hook** ([`hook::SchedulingHook`]) — the grey boxes of the
 //!   paper's Fig. 1 — through which the `apc-core` powercap logic vetoes or
@@ -60,7 +61,7 @@ pub mod prelude {
     pub use crate::job::{Job, JobId, JobOutcome, JobState, JobSubmission};
     pub use crate::log::{SimEvent, SimEventKind, SimLog};
     pub use crate::mask::NodeMask;
-    pub use crate::node::{AllocationState, SimNode};
+    pub use crate::node::SimNode;
     pub use crate::obs::{ControllerObs, PassMeasurements};
     pub use crate::priority::{FairShareTracker, MultifactorPriority};
     pub use crate::reservation::{Reservation, ReservationId, ReservationKind};

@@ -50,12 +50,13 @@ pub enum SimEventKind {
         /// Frequency it was running at.
         frequency: Frequency,
     },
-    /// Nodes were powered off (switch-off reservation start or drain).
+    /// Nodes were powered off: free nodes gaining their first hold (a
+    /// switch-off window starting, an outage), or held nodes a job released.
     NodesPoweredOff {
         /// The nodes switched off at this instant.
         nodes: Vec<usize>,
     },
-    /// Nodes were powered back on.
+    /// Nodes were powered back on: their last hold went.
     NodesPoweredOn {
         /// The nodes powered on at this instant.
         nodes: Vec<usize>,

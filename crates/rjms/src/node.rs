@@ -2,53 +2,30 @@
 //!
 //! Each node carries two orthogonal pieces of state:
 //!
-//! * the **allocation state** — free, allocated to a job, drained for a
-//!   switch-off reservation — which drives scheduling decisions, and
+//! * the **scheduling state** — the job on the node, if any, and a count of
+//!   holds, one per reason keeping the node off (an active switch-off
+//!   reservation, an outage) — which drives scheduling decisions, and
 //! * the **power state** (off / idle / busy at a frequency) owned by the
 //!   [`ClusterPowerAccountant`](apc_power::ClusterPowerAccountant) and kept in
 //!   sync by the [`Cluster`](crate::cluster::Cluster) wrapper.
+//!
+//! A free node powers off when its first hold arrives and back on when its
+//! last hold goes; a busy node that is held powers off when its job releases
+//! it. Counting the holds lets reasons overlap on one node: two adjacent
+//! switch-off windows, an outage inside a window, two outages.
 
 use crate::job::JobId;
-
-/// Scheduling-relevant state of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocationState {
-    /// Powered on, not running any job, available for scheduling.
-    #[default]
-    Free,
-    /// Exclusively allocated to a job.
-    Allocated(JobId),
-    /// Powered off (or reserved for switch-off): not available for jobs.
-    PoweredOff,
-}
-
-impl AllocationState {
-    /// Can the scheduler place a job on this node right now?
-    #[inline]
-    pub fn is_available(self) -> bool {
-        matches!(self, AllocationState::Free)
-    }
-
-    /// The job occupying the node, if any.
-    #[inline]
-    pub fn job(self) -> Option<JobId> {
-        match self {
-            AllocationState::Allocated(j) => Some(j),
-            _ => None,
-        }
-    }
-}
 
 /// One compute node as tracked by the controller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimNode {
     /// Dense node identifier (matches the power topology's `NodeId`).
     pub id: usize,
-    /// Scheduling state.
-    pub alloc: AllocationState,
-    /// Whether the node is earmarked by an active switch-off reservation and
-    /// must not be handed to jobs even while technically still powered.
-    pub drained: bool,
+    /// The job running on the node, if any.
+    pub job: Option<JobId>,
+    /// How many reasons keep the node off: active switch-off reservations
+    /// and outages on it.
+    pub holds: u32,
 }
 
 impl SimNode {
@@ -56,27 +33,27 @@ impl SimNode {
     pub fn new(id: usize) -> Self {
         SimNode {
             id,
-            alloc: AllocationState::Free,
-            drained: false,
+            job: None,
+            holds: 0,
         }
     }
 
-    /// Is the node available for a new job (free, powered and not drained)?
+    /// Is the node available for a new job (no job and no hold)?
     #[inline]
     pub fn is_available(&self) -> bool {
-        self.alloc.is_available() && !self.drained
+        self.job.is_none() && self.holds == 0
     }
 
     /// Is the node running a job?
     #[inline]
     pub fn is_allocated(&self) -> bool {
-        matches!(self.alloc, AllocationState::Allocated(_))
+        self.job.is_some()
     }
 
-    /// Is the node powered off?
+    /// Is the node powered off (no job and at least one hold)?
     #[inline]
     pub fn is_off(&self) -> bool {
-        self.alloc == AllocationState::PoweredOff
+        self.job.is_none() && self.holds > 0
     }
 }
 
@@ -96,20 +73,27 @@ mod tests {
     #[test]
     fn allocation_state_transitions() {
         let mut n = SimNode::new(0);
-        n.alloc = AllocationState::Allocated(42);
+        n.job = Some(42);
         assert!(!n.is_available());
         assert!(n.is_allocated());
-        assert_eq!(n.alloc.job(), Some(42));
-        n.alloc = AllocationState::PoweredOff;
+        assert_eq!(n.job, Some(42));
+        n.job = None;
+        n.holds = 1;
         assert!(n.is_off());
         assert!(!n.is_available());
-        assert_eq!(n.alloc.job(), None);
+        assert_eq!(n.job, None);
     }
 
+    /// A held node running a job stays on until the job releases it, and is
+    /// not available either way.
     #[test]
     fn drained_nodes_are_not_available() {
         let mut n = SimNode::new(0);
-        n.drained = true;
+        n.job = Some(3);
+        n.holds = 1;
+        assert!(!n.is_available());
+        assert!(!n.is_off());
+        n.job = None;
         assert!(!n.is_available());
         assert!(!n.is_allocated());
     }

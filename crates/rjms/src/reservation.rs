@@ -30,11 +30,6 @@ pub enum ReservationKind {
         /// Nodes to power down during the window.
         nodes: Vec<usize>,
     },
-    /// A maintenance window: the nodes are drained but stay powered.
-    Maintenance {
-        /// Nodes unavailable to jobs during the window.
-        nodes: Vec<usize>,
-    },
 }
 
 /// A reservation: a kind plus a time window.
@@ -70,9 +65,7 @@ impl Reservation {
     /// The nodes blocked by the reservation, if any.
     pub fn blocked_nodes(&self) -> Option<&[usize]> {
         match &self.kind {
-            ReservationKind::SwitchOff { nodes } | ReservationKind::Maintenance { nodes } => {
-                Some(nodes)
-            }
+            ReservationKind::SwitchOff { nodes } => Some(nodes),
             ReservationKind::PowerCap { .. } => None,
         }
     }
@@ -131,8 +124,8 @@ impl ReservationBook {
             .fold(None, |acc, c| Some(acc.map_or(c, |a: Watts| a.min(c))))
     }
 
-    /// Union the nodes blocked (drained or powered off) by reservations
-    /// overlapping `[start, end)` into `out`, which the caller clears when a
+    /// Union the nodes that switch-off reservations overlapping
+    /// `[start, end)` hold off into `out`, which the caller clears when a
     /// fresh set is wanted. The controller's prefix blocked sets are checked
     /// against this.
     pub fn collect_blocked_within(&self, start: SimTime, end: SimTime, out: &mut NodeMask) {
@@ -211,9 +204,9 @@ mod tests {
         let mut book = book_with_cap();
         book.add(
             TimeWindow::new(4000, 5000),
-            ReservationKind::Maintenance { nodes: vec![2, 7] },
+            ReservationKind::SwitchOff { nodes: vec![2, 7] },
         );
-        // The switch-off and maintenance nodes, never the power cap's.
+        // The switch-off nodes, never the power cap's.
         let mut blocked = NodeMask::default();
         book.collect_blocked_within(3600, 7200, &mut blocked);
         assert_eq!(blocked.iter().collect::<Vec<_>>(), vec![0, 1, 2, 7]);

@@ -15,9 +15,6 @@
 //!   2 minutes of runtime, 0.1 % of huge jobs exceeding a full-cluster hour,
 //!   and walltime over-estimation around four orders of magnitude
 //!   (mean ≈ 12 670×, median ≈ 12 000×);
-//! * [`apps`] — application classes mapping jobs to the measured benchmark
-//!   profiles (Linpack/IMB/STREAM/GROMACS) for degradation-sensitivity
-//!   studies;
 //! * [`stats`] — trace statistics used both by the calibration tests and by
 //!   the experiment reports;
 //! * [`cache`] — a concurrency-safe trace cache so multi-threaded experiment
@@ -28,7 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod apps;
 pub mod cache;
 pub mod rng;
 pub mod stats;
@@ -38,7 +34,6 @@ pub mod trace;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::apps::AppClass;
     pub use crate::cache::{TraceCache, TraceCacheKey};
     pub use crate::stats::TraceStats;
     pub use crate::swf::{load_swf_file, parse_swf, write_swf};

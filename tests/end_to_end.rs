@@ -184,7 +184,7 @@ fn full_curie_platform_constructs_and_accounts_power() {
     // Powering a full rack off recovers the Fig. 2 accumulated saving
     // relative to idle (idle-vs-max difference accounted separately).
     let rack: Vec<usize> = (0..90).collect();
-    cluster.power_off(&rack, 0);
+    cluster.hold_off(&rack, 0);
     let drop = idle - cluster.current_power();
     assert!(drop.approx_eq(Watts(90.0 * 103.0 + 5.0 * 500.0 + 900.0), 1e-3));
 }

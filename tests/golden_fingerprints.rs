@@ -114,25 +114,44 @@ fn multi_window_sweep_cell_matches_the_seed_schedule() {
 
 /// Two adjacent windows written late-first (`--windows 1x9000+0x9000` on
 /// the 5 h interval). Reservations register in written order, and that
-/// order moves this replay: the same windows written early-first schedule
-/// differently, so a constructor that sorted the windows would fail here.
+/// order reaches the event log, so the two orders fingerprint differently.
+/// It does not decide which nodes are off: both windows switch off the same
+/// nodes, and at t = 9000 the later window's start runs before the earlier
+/// window's end, which each node's hold count absorbs. Both orders report
+/// the same replay, with every window's peak within its cap.
 #[test]
 fn late_first_window_set_matches_the_recorded_schedule() {
     let harness = golden_harness();
-    let late_first = uniform(PowercapPolicy::Mix, 0.4, &[(9000, 9000), (0, 9000)]);
-    let early_first = uniform(PowercapPolicy::Mix, 0.4, &[(0, 9000), (9000, 9000)]);
-    let actual = replay_hash(&harness, &late_first);
+    let late = harness.run(&uniform(
+        PowercapPolicy::Mix,
+        0.4,
+        &[(9000, 9000), (0, 9000)],
+    ));
+    let early = harness.run(&uniform(
+        PowercapPolicy::Mix,
+        0.4,
+        &[(0, 9000), (9000, 9000)],
+    ));
+    let hash = |outcome| fnv1a(FNV_OFFSET, fingerprint(outcome).as_bytes());
+    let actual = hash(&late);
     println!("golden late-first 40%/MIX: 0x{actual:016x}");
     assert_eq!(
         actual, GOLDEN_LATE_FIRST_MIX_40,
         "late-first window cell diverged from the recorded schedule \
          (got 0x{actual:016x})"
     );
-    assert_ne!(
-        replay_hash(&harness, &early_first),
-        actual,
-        "written order must reach the replay"
-    );
+    assert_ne!(hash(&early), actual, "written order must reach the replay");
+    assert_eq!(late.report, early.report, "window order changed the replay");
+    for outcome in [&late, &early] {
+        for (window, cap) in outcome.scenario.reservations(harness.platform()) {
+            let peak = outcome.power.peak_within(window.start, window.end);
+            assert!(
+                peak <= cap,
+                "{}: peak {peak:?} over cap {cap:?} in {window:?}",
+                outcome.scenario.window_label()
+            );
+        }
+    }
 }
 
 /// The tight-cap tail of the paper grid: every policy at 40 % over the
@@ -181,9 +200,9 @@ const GOLDEN_SHUT_40: u64 = 0x209a_1622_8a50_4fd1;
 const GOLDEN_DVFS_40: u64 = 0x068c_4f64_3598_4f7f;
 const GOLDEN_MIX_40: u64 = 0x5347_8186_843c_26cd;
 const GOLDEN_MULTI_WINDOW_MIX_60: u64 = 0x14fc_51ce_1df7_ac4a;
-// Recorded from the build before window sets became uniform cap schedules,
-// where the same windows were a cap fraction plus a window list.
-const GOLDEN_LATE_FIRST_MIX_40: u64 = 0x4996_1d0c_61c7_f9a3;
+// Re-recorded when a node's off state became a count of holds: the first
+// window's end no longer powers on the nodes the second has switched off.
+const GOLDEN_LATE_FIRST_MIX_40: u64 = 0x8e16_c728_3140_1aad;
 // Recorded before the schedule pass decided power ahead of node placement.
 const GOLDEN_DAY24H_SHUT_40: u64 = 0x0817_84e1_107f_35e0;
 const GOLDEN_DAY24H_DVFS_40: u64 = 0xec75_62e5_a662_5455;

@@ -203,9 +203,9 @@ proptest! {
     /// the Curie profile and with non-integer watts.
     #[test]
     fn count_decision_equals_the_placed_ladder_walk(
-        ops in proptest::collection::vec((0usize..6, 0usize..180, 1usize..24, 0usize..8), 0..48),
+        ops in proptest::collection::vec((0usize..4, 0usize..180, 1usize..24, 0usize..8), 0..48),
         book_entries in proptest::collection::vec(
-            ((0usize..5, 0u64..30_000), (1u64..30_000, 0usize..180), (1usize..40, -0.05f64..0.25)),
+            ((0usize..4, 0u64..30_000), (1u64..30_000, 0usize..180), (1usize..40, -0.05f64..0.25)),
             0..6,
         ),
         setup in (0usize..4, 0usize..2),
@@ -239,6 +239,7 @@ proptest! {
         let ladder = cluster.platform().ladder.clone();
         let range = |start: usize, len: usize| (start..start + len).map(|i| i % n).collect::<Vec<_>>();
         let mut jobs: Vec<Vec<usize>> = Vec::new();
+        let mut holds: Vec<Vec<usize>> = Vec::new();
         for (t, (op, node, len, freq)) in ops.into_iter().enumerate() {
             let t = t as u64;
             match op {
@@ -256,11 +257,17 @@ proptest! {
                     let nodes = jobs.swap_remove(node % jobs.len());
                     cluster.release_mask(&nodes.into_iter().collect(), t);
                 }
-                // An outage or a switch-off going down, and coming back.
-                2 => drop(cluster.power_off(&range(node, len), t)),
-                3 => cluster.power_on(&range(node, len), t),
-                4 => cluster.drain(&range(node, len)),
-                _ => cluster.undrain(&range(node, len)),
+                // An outage or a switch-off going down, and one placed
+                // earlier coming back.
+                2 => {
+                    drop(cluster.hold_off(&range(node, len), t));
+                    holds.push(range(node, len));
+                }
+                3 if !holds.is_empty() => {
+                    let nodes = holds.swap_remove(node % holds.len());
+                    drop(cluster.release_hold(&nodes, t));
+                }
+                _ => {}
             }
         }
         // Caps from just below the current draw to well above it, so the
@@ -283,8 +290,7 @@ proptest! {
                     window = TimeWindow::new(tail_start, tail_start + duration);
                     ReservationKind::PowerCap { cap: current + max_power * headroom }
                 }
-                3 => ReservationKind::SwitchOff { nodes: range(node, len) },
-                _ => ReservationKind::Maintenance { nodes: range(node, len) },
+                _ => ReservationKind::SwitchOff { nodes: range(node, len) },
             };
             book.add(window, kind);
         }
@@ -397,7 +403,7 @@ proptest! {
             if op == 0 {
                 cluster.allocate(t, &nodes, ladder.steps()[freq], t as u64);
             } else {
-                drop(cluster.power_off(&nodes, t as u64));
+                drop(cluster.hold_off(&nodes, t as u64));
             }
         }
         let (current, max_power) = (cluster.current_power(), cluster.platform().max_power());
